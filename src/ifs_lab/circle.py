@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 # Values this close to 1.0 collapse to 0.0 so that both endpoints of the
 # fundamental domain denote the same circle point.
 _WRAP_SNAP = 1e-15
@@ -20,6 +22,13 @@ def normalize(x: float) -> float:
     v = x - math.floor(x)
     if v >= 1.0 - _WRAP_SNAP:
         return 0.0
+    return v
+
+
+def normalize_array(x: np.ndarray) -> np.ndarray:
+    """`normalize` over an array, bitwise equal element by element."""
+    v = x % 1.0
+    v[v >= 1.0 - _WRAP_SNAP] = 0.0
     return v
 
 

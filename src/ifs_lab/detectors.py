@@ -10,14 +10,13 @@ exactly evaluated word, so witnesses are always genuine.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .circle import Arc, CirclePoint, as_value, circ_dist, normalize
-from .generators import Expanding, Generator, NotDifferentiable, fixed_points
+from .circle import Arc, as_value, circ_dist, normalize, normalize_array
+from .generators import fixed_points, map_arc, map_arcs
 from .semigroup import IfsSystem, orbit_cloud
 from .symbolic import Word
 
@@ -168,102 +167,318 @@ def _dense_orbit(ifs: IfsSystem, x: float, res: Resolution,
 
 
 # ---------------------------------------------------------------------------
-# arc-image breadth-first search with state merging and dominance pruning
+# batched arc-image search: many source arcs, breadth first, level by level,
+# with state merging and dominance pruning
+
+STOP_REASONS = ("found", "exhausted", "depth", "budget")
+_FOUND, _EXHAUSTED, _DEPTH, _BUDGET = range(4)
+
+# Working-set bounds.  Sources are searched a chunk at a time; a chunk holds
+# about _CHUNK_NODES arc nodes at the rate per source of the chunk before it,
+# but at most twice its sources (the first has _FIRST_CHUNK), and at most
+# _CHUNK_NODES (source, target) pairs.  Target hits expand at most
+# _HIT_PAIRS (arc, target) pairs at once.
+_CHUNK_NODES = 1 << 14
+_FIRST_CHUNK = 16
+_HIT_PAIRS = 1 << 13
+_FULL = 1.0 - 1e-12      # lengths from here on are the whole circle
+_NEST_TOL = 1e-12        # containment tolerance of the dominance rule
+# A sweep margin farther than this from the tolerance decides containment
+# whatever the rounding; nearer ones are re-tested exactly, in rule order.
+_CLEAR = 1e-13
 
 
-def _map_arc_raw(g: Generator, s: float, ln: float) -> Tuple[float, float]:
-    if isinstance(g, Expanding):
-        return g.eval(s), min(g.m * ln, 1.0)
-    lo = g.lift(s)
-    hi = g.lift(s + ln)
-    return normalize(lo if g.orientation > 0 else hi), min(abs(hi - lo), 1.0)
+class ArcImages:
+    """One chunk of sources of the batched arc search, the first of them
+    source `first` of the batch.
 
-
-def _arc_search(ifs: IfsSystem, start: float, length: float, depth: int,
-                budget: int, cell: float,
-                visit: Callable[[Word, float, float], bool]) -> int:
-    """Breadth-first search over image arcs of one starting arc.
-
-    `visit` sees each newly reached arc (including the root) and returns True
-    to stop.  Arc states are merged on a (start, length) grid of size `cell`;
-    arcs contained in a longer sibling are pruned, which is sound because
-    every detector objective is monotone under arc inclusion and the
-    containing arc carries a word that is never longer.
-    Returns the number of words examined.
+    Node arrays hold every arc the search visited, in visit order: nodes
+    0..n-1 are the sources' own arcs, each later node links to its parent and
+    letter as in `OrbitCloud`, and `kept` marks the nodes that entered a
+    frontier.  Per source: `words` examined, `depth_reached` (levels
+    expanded) and `stop` (one of STOP_REASONS).  With targets,
+    `first_hit[j, t]` is the first node of source j whose arc, fattened,
+    contains target t (-1 if none).
     """
+
+    def __init__(self, first, nodes, words, depth_reached, stop, first_hit):
+        self.first = first
+        (self.starts, self.lengths, self.parents, self.letters, self.source,
+         self.level, self.kept) = nodes
+        self.words = words
+        self.depth_reached = depth_reached
+        self.stop = [STOP_REASONS[c] for c in stop]
+        self.first_hit = first_hit
+
+    def words_for(self, index) -> List[Word]:
+        """The words of the given nodes, read back along their parent links
+        (a node's level is its word's length)."""
+        index = np.asarray(index, dtype=np.int64)
+        size = self.level[index]
+        out = np.zeros((index.size, int(size.max(initial=0))), dtype=np.int64)
+        node = index.copy()
+        for back in range(out.shape[1]):
+            live = np.flatnonzero(size > back)
+            out[live, size[live] - 1 - back] = self.letters[node[live]]
+            node[live] = self.parents[node[live]]
+        return [tuple(row[:n]) for row, n in zip(out.tolist(), size.tolist())]
+
+
+def _arc_search(ifs: IfsSystem, starts, lengths, depth, budget: int, cell: float,
+                targets=None, fat: float = 0.0, stop_above: Optional[float] = None):
+    """Breadth-first search over the image arcs of many source arcs at once.
+
+    Yields one `ArcImages` per chunk of sources.  Each source runs its own
+    search, as if alone: every level expands (frontier arc x letter), parent
+    first, then letter, skipping full circles; each expansion counts as one
+    word.  A child whose (start, length) cell of size `cell` was already
+    reached by its source is dropped, the first occurrence winning.  The
+    survivors are visited in order, and then arcs contained in a longer
+    sibling are pruned, which is sound because every detector objective is
+    monotone under arc inclusion and the containing arc carries a word that
+    is never longer.  A source stops once its `budget` of words is spent
+    (the rest of the parent's letters are still examined until one yields a
+    fresh cell), after `depth` levels (an int, or one per source), when its
+    frontier empties, or early: when every point of `targets` (sorted) lies
+    within `fat` of a visited arc, or when a visited arc is longer than
+    `stop_above`.
+    """
+    starts = np.asarray(starts, dtype=float)
+    lengths = np.asarray(lengths, dtype=float)
+    depths = np.broadcast_to(np.asarray(depth, dtype=np.int64), starts.shape)
     scale = max(2, round(1.0 / cell))
-    gens = ifs.generators
-    if visit((), start, length):
-        return 0
-    seen = {(int(start * scale) % scale, min(int(length * scale), scale))}
-    frontier: List[Tuple[float, float, Word]] = [(start, length, ())]
-    words = 0
-    for _ in range(depth):
-        if not frontier or words >= budget:
-            break
-        children: List[Tuple[float, float, Word]] = []
-        done = False
-        for s, ln, w in frontier:
-            if ln >= 1.0 - 1e-12:
-                continue  # the full circle is a fixed state
-            for letter, g in enumerate(gens, start=1):
-                words += 1
-                ns, nl = _map_arc_raw(g, s, ln)
-                key = (int(ns * scale) % scale, min(int(nl * scale), scale))
-                if key in seen:
-                    continue
-                seen.add(key)
-                nw = w + (letter,)
-                if visit(nw, ns, nl):
-                    done = True
-                    break
-                children.append((ns, nl, nw))
-                if words >= budget:
-                    break
-            if done or words >= budget:
+    tv = None if targets is None else np.asarray(targets, dtype=float)
+    # merge-cell keys of a chunk's sources must fit in an int64
+    keyed = 2 ** 62 // (scale * (scale + 1))
+    if keyed < 1:
+        raise ValueError(f"merge cell {cell} is too fine for the arc search")
+    most = min(keyed, max(1, _CHUNK_NODES // (1 if tv is None else tv.size)))
+    lo, size = 0, _FIRST_CHUNK
+    while lo < starts.size:
+        hi = lo + max(1, min(size, most))
+        images = _search_chunk(lo, ifs.generators, starts[lo:hi], lengths[lo:hi],
+                               depths[lo:hi], budget, scale, tv, fat, stop_above)
+        size = min(2 * (hi - lo), _CHUNK_NODES * (hi - lo) // images.starts.size)
+        lo = hi
+        yield images
+        del images  # free this chunk before the next one is searched
+
+
+def _arc_keys(src, s, ln, scale):
+    ks = np.floor(s * scale).astype(np.int64) % scale
+    kl = np.minimum(np.floor(ln * scale).astype(np.int64), scale)
+    return (src * scale + ks) * (scale + 1) + kl
+
+
+def _target_ranges(s, ln, targets, fat):
+    """Per arc, the (sorted) targets within `fat` of it: the index ranges
+    [a, b) and [0, c), the second non-empty only where the arc wraps past 1."""
+    span = ln + 2.0 * fat
+    lo = (s - fat) % 1.0
+    hi = lo + span
+    full = span >= 1.0
+    a = np.where(full, 0, np.searchsorted(targets, lo, side="left"))
+    b = np.where(full, targets.size, np.searchsorted(targets, np.minimum(hi, 1.0), side="right"))
+    c = np.where(~full & (hi > 1.0), np.searchsorted(targets, hi - 1.0, side="right"), 0)
+    return a, b, c
+
+
+def _first_hits(src, s, ln, targets, fat, open_pairs, n):
+    """Per open (source, target) pair, the first of the arcs (in order) within
+    `fat` of the target; -1 where none is.  Pairs are numbered
+    source * targets.size + target, and `open_pairs` lists them sorted.  The
+    matching (arc, pair) hits are expanded a block of arcs at a time."""
+    nt = targets.size
+    hit = np.full(n * nt, -1, dtype=np.int64)
+    if s.size == 0 or open_pairs.size == 0:
+        return hit
+    a, b, c = _target_ranges(s, ln, targets, fat)
+    base = src * nt
+    # two ranges per arc, interleaved so that hits stay in arc order
+    lo = np.searchsorted(open_pairs, np.stack([base + a, base], axis=1).reshape(-1))
+    cnt = np.maximum(np.searchsorted(open_pairs, np.stack([base + b, base + c],
+                                                          axis=1).reshape(-1)) - lo, 0)
+    cum = np.cumsum(cnt)
+    first = 0
+    while first < cnt.size:
+        last = max(first + 1, int(np.searchsorted(cum, cum[first] - cnt[first] + _HIT_PAIRS,
+                                                   side="right")))
+        k = cnt[first:last]
+        piece = np.repeat(np.arange(first, last), k)
+        offset = np.arange(piece.size) - np.repeat(np.cumsum(k) - k, k)
+        pair, at = np.unique(open_pairs[lo[piece] + offset], return_index=True)
+        new = hit[pair] < 0
+        hit[pair[new]] = piece[at[new]] // 2
+        first = last
+    return hit
+
+
+def _search_chunk(first, gens, starts, lengths, depths, budget, scale, targets, fat, stop_above):
+    n = starts.size
+    words = np.zeros(n, dtype=np.int64)
+    reached = np.zeros(n, dtype=np.int64)
+    stop = np.full(n, -1, dtype=np.int64)
+    first_hit = None if targets is None else np.full((n, targets.size), -1, dtype=np.int64)
+    # node columns: starts, lengths, parents, letters, source, level, kept
+    dtypes = (float, float, np.int32, np.int16, np.int16, np.int32, bool)
+    cols = [[] for _ in dtypes]
+    kept, count = [], 0
+    seen = np.zeros(0, dtype=np.int64)
+
+    def early_stop(src, s, ln):
+        """Per source, the position among the arcs (in visit order) where
+        its early stop fires (-1 where it does not), and the positions of
+        the first arcs within `fat` of each target it still needs."""
+        at = np.full(n, -1, dtype=np.int64)
+        if stop_above is not None:
+            fire = np.flatnonzero(np.minimum(ln, 0.5) > stop_above)
+            firsts, pos = np.unique(src[fire], return_index=True)
+            at[firsts] = fire[pos]
+        if targets is None:
+            return at, None
+        open_pairs = np.flatnonzero(first_hit.reshape(-1) < 0)
+        hit = _first_hits(src, s, ln, targets, fat, open_pairs, n)
+        got = np.flatnonzero(hit >= 0)
+        owner = got // targets.size
+        # a source is done once every target it still needed is hit
+        gained = np.bincount(owner, minlength=n)
+        done = (gained > 0) & (gained == np.bincount(open_pairs // targets.size, minlength=n))
+        last = np.full(n, -1, dtype=np.int64)
+        np.maximum.at(last, owner, hit[got])
+        at[done] = last[done]
+        return at, hit.reshape(n, targets.size)
+
+    # level 0 visits the sources' own arcs, for no words
+    src, s, ln = np.arange(n), starts, lengths
+    parents, letters, j = np.full(n, -1), np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    keys = _arc_keys(src, s, ln, scale)
+    for level in range(int(depths.max(initial=0)) + 1):
+        if level:
+            present = np.bincount(f_src, minlength=n) > 0
+            stop[(stop < 0) & ~present] = _EXHAUSTED
+            stop[(stop < 0) & (depths < level)] = _DEPTH
+            active = stop < 0
+            if not active.any():
                 break
-        if done:
-            break
-        children.sort(key=lambda c: -c[1])
-        kept: List[Tuple[float, float, Word]] = []
-        for c in children:
-            dominated = False
-            for b in kept:
-                if b[1] >= 1.0 - 1e-12 or ((c[0] - b[0]) % 1.0) + c[1] <= b[1] + 1e-12:
-                    dominated = True
-                    break
-            if not dominated:
-                kept.append(c)
-        frontier = kept
-    return words
+            reached[active] += 1
+            par = np.flatnonzero(active[f_src] & (f_l < _FULL))
+            src, s, ln, parents, letters, keys, j, spent = _expand(
+                gens, f_s[par], f_l[par], f_src[par], f_id[par], budget - words, seen, scale)
+        at, hit_at = early_stop(src, s, ln)
+        found = at >= 0
+        inside = np.arange(src.size) <= np.where(found, at, src.size)[src]
+        if level:
+            spent[found] = j[at[found]] + 1
+            words += spent
+        stop[found] = _FOUND
+        stop[(stop < 0) & (words >= budget)] = _BUDGET
+        # the visited arcs become nodes
+        node = count - 1 + np.cumsum(inside)
+        for col, v, t in zip(cols, (s, ln, parents, letters, src, level, False), dtypes):
+            col.append(np.asarray(np.broadcast_to(v, src.shape)[inside], dtype=t))
+        count += int(inside.sum())
+        if hit_at is not None:
+            got = hit_at >= 0
+            first_hit[got] = node[hit_at[got]]
+        ins = np.sort(keys[inside])
+        seen = np.insert(seen, np.searchsorted(seen, ins), ins)
+        # the next frontier: the visited arcs no sibling contains
+        go = np.flatnonzero(inside & (stop[src] != _FOUND))
+        nxt = go[_dominance_keep(src[go], s[go], ln[go])]
+        f_s, f_l, f_src, f_id = s[nxt], ln[nxt], src[nxt], node[nxt]
+        kept.append(f_id)
+    stop[stop < 0] = np.where(np.bincount(f_src, minlength=n)[stop < 0] > 0, _DEPTH, _EXHAUSTED)
+    # one column at a time, so the pieces of only one are held twice
+    nodes = [np.concatenate(cols.pop(0)) for _ in dtypes]
+    for ids in kept:
+        nodes[6][ids] = True
+    return ArcImages(first, nodes, words, reached, stop, first_hit)
 
 
-class _TargetSet:
-    """Sorted circle points supporting removal of everything near an arc."""
+def _expand(gens, f_s, f_l, f_src, f_id, room, seen, scale):
+    """The next level's arcs, in visit order: the children of each parent,
+    letter by letter, whose merge cell is new to their source (the first
+    occurrence wins), up to the source's word budget `room`: the child that
+    spends it ends the level or, if its cell was seen, the parent's next
+    fresh child or last letter does.  Returns their sources, starts,
+    lengths, parents, letters, cell keys and word positions, and per source
+    the words the level spends if no early stop ends it."""
+    k, n = len(gens), room.size
+    cs, cl = np.empty((f_s.size, k)), np.empty((f_s.size, k))
+    for i, g in enumerate(gens):
+        cs[:, i], cl[:, i] = map_arcs(g, f_s, f_l)
+    cs, cl = cs.reshape(-1), cl.reshape(-1)
+    csrc = np.repeat(f_src, k)
+    keys = _arc_keys(csrc, cs, cl, scale)
+    ncand = np.bincount(csrc, minlength=n)
+    first_row = np.cumsum(ncand) - ncand
+    j = np.arange(cs.size) - first_row[csrc]
+    fresh = np.zeros(cs.size, dtype=bool)
+    fresh[np.unique(keys, return_index=True)[1]] = True
+    if seen.size:
+        pos = np.minimum(np.searchsorted(seen, keys), seen.size - 1)
+        fresh &= seen[pos] != keys
+    cut = np.full(n, np.iinfo(np.int64).max)
+    for src in np.flatnonzero((ncand > 0) & (ncand >= room)).tolist():
+        jb = room[src] - 1
+        pend = (jb // k) * k + k - 1
+        later = np.flatnonzero(fresh[first_row[src] + jb:first_row[src] + pend + 1])
+        cut[src] = jb + later[0] if later.size else pend
+    rows = np.flatnonzero(fresh & (j <= cut[csrc]))
+    return (csrc[rows], cs[rows], cl[rows], f_id[rows // k], rows % k + 1, keys[rows],
+            j[rows], np.minimum(cut, ncand - 1) + 1)
 
-    def __init__(self, values: Sequence[float]):
-        self.values = sorted(values)
 
-    def __len__(self):
-        return len(self.values)
+def _dominance_keep(src, s, ln) -> np.ndarray:
+    """Indices of the arcs the greedy dominance rule keeps, in its order.
 
-    def remove_hit(self, s: float, ln: float, fat: float) -> List[float]:
-        """Remove and return all targets within `fat` of the arc [s, s+ln]."""
-        if not self.values:
-            return []
-        span = ln + 2.0 * fat
-        if span >= 1.0:
-            out, self.values = self.values, []
-            return out
-        lo = (s - fat) % 1.0
-        hi = lo + span
-        removed: List[float] = []
-        for a, b in ((lo, min(hi, 1.0)), (0.0, hi - 1.0)) if hi > 1.0 else ((lo, hi),):
-            i = bisect.bisect_left(self.values, a)
-            j = bisect.bisect_right(self.values, b)
-            removed.extend(self.values[i:j])
-            del self.values[i:j]
-        return removed
+    The rule, per source: take the arcs longest first (ties in input order)
+    and keep each one unless a kept arc is the full circle or contains it,
+    with tolerance 1e-12.  The sweep: sorted by start, each arc meets the
+    arc reaching farthest past its end among those of its source that start
+    before it, or after it and wrap past 1.  A reach clear of the tolerance
+    by more than rounding settles the arc (containment in a dropped arc
+    passes on to the kept arc that dropped it); the few others are re-tested
+    exactly against the kept arcs, in rule order.
+    """
+    n = s.size
+    if n == 0:
+        return np.zeros(0, dtype=np.int64)
+    idx = np.arange(n)
+    order = np.lexsort((idx, -ln, src))
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = idx
+    by_src = src[order]
+    head = np.zeros(n, dtype=bool)
+    head[order[np.r_[True, by_src[1:] != by_src[:-1]]]] = True
+    end = s + ln
+    pos = np.lexsort((rank, s, src))
+    seg, reach = src[pos], np.where(ln >= _FULL, np.inf, end)[pos]
+    farthest = np.maximum(_prior_max(seg, reach),
+                          _prior_max(seg[-1] - seg[::-1], reach[::-1])[::-1] - 1.0)
+    margin = np.empty(n)
+    margin[pos] = farthest - end[pos]
+    keep = head | (margin <= _CLEAR)
+    unsure = np.flatnonzero(~head & (margin >= -(_NEST_TOL + _CLEAR)) & (margin <= _CLEAR))
+    for c in unsure[np.argsort(rank[unsure])].tolist():
+        b = order[np.searchsorted(by_src, src[c]):rank[c]]
+        b = b[keep[b]]
+        keep[c] = not np.any((ln[b] >= _FULL)
+                             | (((s[c] - s[b]) % 1.0) + ln[c] <= ln[b] + _NEST_TOL))
+    return order[keep[order]]
+
+
+def _prior_max(seg, v) -> np.ndarray:
+    """Per position, the largest v at the earlier positions of its segment
+    (-inf if none); segment ids are non-decreasing.  Ranks of v offset by
+    segment make one running maximum restart at each segment."""
+    n = v.size
+    by_v = np.argsort(v, kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_v] = np.arange(n)
+    base = seg.astype(np.int64) * n
+    prev = np.r_[-1, np.maximum.accumulate(base + rank)[:-1]]
+    return np.where(prev >= base, v[by_v[prev % n]], -np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -334,23 +549,28 @@ def almost_periodic_verdict(ifs: IfsSystem, x, res: Resolution = DEFAULT_RESOLUT
     closure = sorted(set(normalize(v) for v in closure))
     arr = np.array(closure)
 
-    for y in closure:
-        def covered(vals_y: np.ndarray) -> bool:
-            s = np.sort(vals_y)
-            i = np.searchsorted(s, arr) % s.size
-            d1 = np.abs(arr - s[i - 1])
-            d2 = np.abs(arr - s[i])
-            d = np.minimum(np.minimum(d1, 1.0 - d1), np.minimum(d2, 1.0 - d2))
-            return bool((d <= res.eps).all())
+    def distances(vals_y: np.ndarray) -> np.ndarray:
+        """Distance from each closure point to the nearest of vals_y."""
+        s = np.sort(vals_y)
+        i = np.searchsorted(s, arr) % s.size
+        d1 = np.abs(arr - s[i - 1])
+        d2 = np.abs(arr - s[i])
+        return np.minimum(np.minimum(d1, 1.0 - d1), np.minimum(d2, 1.0 - d2))
 
+    def covered(vals_y: np.ndarray) -> bool:
+        return bool((distances(vals_y) <= res.eps).all())
+
+    for y in closure:
         cloud = orbit_cloud(ifs, y, res.depth, res.budget, stop_when=covered,
                             merge=_merge_cell(res))
-        if not covered(cloud.values):
-            far = arr[np.argmax(np.minimum(np.abs(arr - y), 1.0 - np.abs(arr - y)))]
+        d = distances(cloud.values)
+        if not (d <= res.eps).all():
+            far = int(np.argmax(d))
             return Verdict(
                 "almost_periodic", False, res,
                 {"base_point": x, "witness_y": y, "closure_size": len(closure),
-                 "unreached_example": float(far)},
+                 "unreached_example": float(arr[far]),
+                 "unreached_distance": float(d[far])},
                 caveat="orbit of witness_y not eps-dense in the orbit closure of x "
                        "within bounds",
             )
@@ -365,39 +585,53 @@ def almost_periodic_verdict(ifs: IfsSystem, x, res: Resolution = DEFAULT_RESOLUT
 # arc-quantified detectors
 
 
+def _net_arcs(centers: Sequence[float], r: float):
+    """Starts and lengths of the radius-r arcs around the given centers."""
+    c = np.asarray(centers, dtype=float)
+    return normalize_array(c - r), np.full(c.size, 2.0 * r)
+
+
+def _stopped_by(reason: str, res: Resolution) -> str:
+    """The bound that ended a search, for a negative verdict's caveat."""
+    return {"depth": f"the search reached its depth bound (depth={res.depth})",
+            "budget": f"the search spent its word budget (budget={res.budget})",
+            "exhausted": "the search ran out of new image arcs at merge cell eps/8",
+            }[reason]
+
+
 def topological_transitivity_verdict(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION) -> Verdict:
     """For every pair of radius-r net arcs U, V some word image of U meets V."""
     centers = system_net(ifs, res.net_size)
-    cell = _merge_cell(res)
+    starts, lengths = _net_arcs(centers, res.r)
     hardest: Optional[dict] = None
-    pairs = 0
-    for cu in centers:
-        targets = _TargetSet(centers)
-        met: Dict[float, Word] = {}
-
-        def visit(w: Word, s: float, ln: float) -> bool:
-            for cv in targets.remove_hit(s, ln, res.r):
-                met[cv] = w
-            return len(targets) == 0
-
-        _arc_search(ifs, normalize(cu - res.r), 2.0 * res.r, res.depth,
-                    res.budget, cell, visit)
-        pairs += len(centers)
-        if len(targets) > 0:
-            return Verdict(
-                "topological_transitivity", False, res,
-                {"stuck_source_center": cu,
-                 "unreached_target_centers": targets.values[:16],
-                 "unreached_count": len(targets)},
-                caveat="image arcs of the stuck source never met the listed "
-                       "targets within depth/budget bounds",
-            )
-        cv, w = max(met.items(), key=lambda item: (len(item[1]), item[0]))
-        if hardest is None or len(w) > len(hardest["word"]):
-            hardest = {"source_center": cu, "target_center": cv, "word": list(w)}
+    for images in _arc_search(ifs, starts, lengths, res.depth, res.budget,
+                              _merge_cell(res), centers, res.r):
+        for j, hits in enumerate(images.first_hit):
+            cu = centers[images.first + j]
+            missed = np.flatnonzero(hits < 0)
+            if missed.size:
+                reason = images.stop[j]
+                return Verdict(
+                    "topological_transitivity", False, res,
+                    {"stuck_source_center": cu,
+                     "unreached_target_centers": [centers[i] for i in missed[:16]],
+                     "unreached_count": int(missed.size),
+                     "stop_reason": reason,
+                     "depth_reached": int(images.depth_reached[j]),
+                     "words_examined": int(images.words[j])},
+                    caveat="image arcs of the stuck source never met the listed "
+                           "targets: " + _stopped_by(reason, res),
+                )
+            # the target met last, the larger center on ties
+            levels = images.level[hits]
+            t = levels.size - 1 - int(np.argmax(levels[::-1]))
+            if hardest is None or levels[t] > len(hardest["word"]):
+                hardest = {"source_center": cu, "target_center": centers[t],
+                           "word": list(images.words_for([hits[t]])[0])}
+        del images  # free this chunk before the next one is searched
     return Verdict(
         "topological_transitivity", True, res,
-        {"pairs_checked": pairs, "hardest_pair": hardest},
+        {"pairs_checked": len(centers) ** 2, "hardest_pair": hardest},
         caveat="",
     )
 
@@ -405,29 +639,32 @@ def topological_transitivity_verdict(ifs: IfsSystem, res: Resolution = DEFAULT_R
 def s_transitivity_verdict(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION) -> Verdict:
     """Finitely many word images of each net arc must eps-cover the circle."""
     centers = system_net(ifs, res.net_size)
-    cell = _merge_cell(res)
+    starts, lengths = _net_arcs(centers, res.r)
     covers: Dict[str, list] = {}
     worst_len = 0
-    for cu in centers:
-        targets = _TargetSet(centers)
-        chosen: List[Word] = []
-
-        def visit(w: Word, s: float, ln: float) -> bool:
-            if targets.remove_hit(s, ln, res.eps):
-                chosen.append(w)
-            return len(targets) == 0
-
-        _arc_search(ifs, normalize(cu - res.r), 2.0 * res.r, res.depth,
-                    res.budget, cell, visit)
-        if len(targets) > 0:
-            return Verdict(
-                "s_transitivity", False, res,
-                {"stuck_arc_center": cu, "uncovered_centers": targets.values[:16],
-                 "uncovered_count": len(targets), "partial_cover_size": len(chosen)},
-                caveat="no eps-cover by image arcs within depth/budget bounds",
-            )
-        covers[f"{cu:.10f}"] = [list(w) for w in chosen]
-        worst_len = max(worst_len, len(chosen))
+    for images in _arc_search(ifs, starts, lengths, res.depth, res.budget,
+                              _merge_cell(res), centers, res.eps):
+        for j, hits in enumerate(images.first_hit):
+            cu = centers[images.first + j]
+            # each image arc that first covered some center, in visit order
+            chosen = sorted(set(hits[hits >= 0].tolist()))
+            missed = np.flatnonzero(hits < 0)
+            if missed.size:
+                reason = images.stop[j]
+                return Verdict(
+                    "s_transitivity", False, res,
+                    {"stuck_arc_center": cu,
+                     "uncovered_centers": [centers[i] for i in missed[:16]],
+                     "uncovered_count": int(missed.size),
+                     "partial_cover_size": len(chosen),
+                     "stop_reason": reason,
+                     "depth_reached": int(images.depth_reached[j]),
+                     "words_examined": int(images.words[j])},
+                    caveat="no eps-cover by image arcs: " + _stopped_by(reason, res),
+                )
+            covers[f"{cu:.10f}"] = [list(w) for w in images.words_for(chosen)]
+            worst_len = max(worst_len, len(chosen))
+        del images  # free this chunk before the next one is searched
     return Verdict(
         "s_transitivity", True, res,
         {"covers": covers, "largest_cover_size": worst_len},
@@ -483,75 +720,130 @@ def _repeller_steering_data(ifs: IfsSystem, res: Resolution):
     return data
 
 
-def _greedy_chain(ifs: IfsSystem, x: float, r: float, depth: int,
-                  by_derivative: bool) -> Tuple[float, Word]:
-    """Best (diameter, word) along a single greedy extension chain.
+def _bfs_best(ifs: IfsSystem, starts, lengths, depth, budget: int, cell: float,
+              stop_above: Optional[float] = None) -> List[Tuple[float, Word]]:
+    """Per source arc, the widest (diameter, word) its search visits, as a
+    scan in visit order finds it that takes a new best only on a gain of
+    more than 1e-15; only the strict running maxima can be one."""
+    out = []
+    for images in _arc_search(ifs, starts, lengths, depth, budget, cell,
+                              stop_above=stop_above):
+        order = np.argsort(images.source, kind="stable")
+        seg, d = images.source[order], np.minimum(images.lengths[order], 0.5)
+        best: Dict[int, int] = {}
+        for i in np.flatnonzero(d > _prior_max(seg, d)).tolist():
+            j = int(seg[i])
+            if j not in best or d[i] > d[best[j]] + 1e-15:
+                best[j] = i
+        ids = order[[best[j] for j in range(len(images.words))]]
+        out += zip(np.minimum(images.lengths[ids], 0.5).tolist(), images.words_for(ids))
+        del images  # free this chunk before the next one is searched
+    return out
+
+
+def _greedy_paths(ifs: IfsSystem, s: np.ndarray, ln: np.ndarray, c: np.ndarray,
+                  steps: int, by_derivative: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """Letters and image diameters (times 0..steps) along one greedy
+    extension chain per arc [s, s + ln] with tracked center c.
 
     Each step appends the letter maximizing the next image diameter, or the
     absolute derivative at the tracked center; ties go to the smallest
-    letter.  Cheap, and it follows exactly the growth mechanism that
-    expanding words certify."""
-    s, ln = normalize(x - r), 2.0 * r
-    c = x
-    word: Word = ()
-    best = (min(ln, 0.5), word)
-    for _ in range(depth):
-        pick, pick_score = None, -1.0
-        for letter, g in enumerate(ifs.generators, start=1):
-            if by_derivative:
-                try:
-                    score = abs(g.derivative(c))
-                except NotDifferentiable:
-                    continue
-            else:
-                _, nl = _map_arc_raw(g, s, ln)
-                score = min(nl, 0.5)
-            if score > pick_score + 1e-15:
-                pick, pick_score = letter, score
-        if pick is None:
+    letter.  A chain with no differentiable letter stops: letter 0 and
+    diameter -1 from there on."""
+    gens = ifs.generators
+    s, ln, c = s.copy(), ln.copy(), c.copy()
+    letters = np.zeros((s.size, steps), dtype=np.int64)
+    diams = np.full((s.size, steps + 1), -1.0)
+    diams[:, 0] = np.minimum(ln, 0.5)
+    live = np.arange(s.size)
+    for step in range(steps):
+        pick = np.zeros(live.size, dtype=np.int64)
+        score = np.full(live.size, -1.0)
+        ns, nl = np.empty(live.size), np.empty(live.size)
+        for letter, g in enumerate(gens, start=1):
+            ms, ml = map_arcs(g, s[live], ln[live])
+            sc = (np.abs(g.derivative_array(c[live])) if by_derivative
+                  else np.minimum(ml, 0.5))
+            up = sc > score + 1e-15  # False at a corner, where sc is NaN
+            pick[up], score[up], ns[up], nl[up] = letter, sc[up], ms[up], ml[up]
+        moved = pick > 0
+        live, pick, ns, nl = live[moved], pick[moved], ns[moved], nl[moved]
+        if live.size == 0:
             break
-        g = ifs.generators[pick - 1]
-        s, ln = _map_arc_raw(g, s, ln)
-        c = g.eval(c)
-        word = word + (pick,)
-        diam = min(ln, 0.5)
-        if diam > best[0] + 1e-15:
-            best = (diam, word)
-    return best
+        if by_derivative:
+            for letter, g in enumerate(gens, start=1):
+                m = live[pick == letter]
+                c[m] = g.eval_array(c[m])
+        s[live], ln[live] = ns, nl
+        letters[live, step] = pick
+        diams[live, step + 1] = np.minimum(nl, 0.5)
+    return letters, diams
 
 
-def _steered_candidate(ifs: IfsSystem, steering, x: float, r: float,
-                       depth: int) -> Optional[Tuple[float, Word, float, str]]:
-    """Best (diameter, word) found by pulling a repeller into B(x, r) and
-    iterating its generator; mirrors the unstable-point separation argument."""
-    best = None
-    for q, letter, cloud in steering:
-        d = np.abs(cloud.values - x)
-        d = np.minimum(d, 1.0 - d)
-        idx = np.where(d <= r)[0]
-        if idx.size == 0:
-            continue
-        i = int(idx.min())  # earliest found = shortest pull-back word
-        pull = tuple(reversed(cloud.word_for(i)))
-        if len(pull) >= depth:
-            continue
-        s, ln = normalize(x - r), 2.0 * r
-        for let in pull:
-            s, ln = _map_arc_raw(ifs.generators[let - 1], s, ln)
-        w = pull
-        g = ifs.generators[letter - 1]
-        local_best: Optional[Tuple[float, Word]] = None
-        for _ in range(depth - len(pull)):
-            s, ln = _map_arc_raw(g, s, ln)
-            w = w + (letter,)
-            diam = min(ln, 0.5)
-            if local_best is None or diam > local_best[0] + 1e-15:
-                local_best = (diam, w)
-        if local_best is not None:
-            cand = (local_best[0], local_best[1], q, f"repeller_steered(q={q:.6f})")
-            if best is None or cand[0] > best[0] + 1e-15:
-                best = cand
-    return best
+def _greedy_chains(ifs: IfsSystem, x: np.ndarray, r: np.ndarray, depth: int,
+                   by_derivative: bool):
+    """The best diameter along the greedy chain of each ball B(x, r), and
+    the word of ball i reaching it.  Cheap, and it follows exactly the
+    growth mechanism that expanding words certify."""
+    letters, diams = _greedy_paths(ifs, normalize_array(x - r), 2.0 * r, x, depth,
+                                   by_derivative)
+    best, size = diams[:, 0].copy(), np.zeros(x.size, dtype=np.int64)
+    for step in range(1, depth + 1):
+        up = diams[:, step] > best + 1e-15
+        best[up], size[up] = diams[up, step], step
+    return best, lambda i: tuple(letters[i, :size[i]].tolist())
+
+
+def _first_within(values: np.ndarray, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Per pair, the first index of `values` within r of x (-1 if none)."""
+    out = np.full(x.size, -1, dtype=np.int64)
+    block = max(1, (1 << 12) // max(1, values.size))
+    for b in range(0, x.size, block):
+        d = np.abs(values[None, :] - x[b:b + block, None])
+        near = np.minimum(d, 1.0 - d) <= r[b:b + block, None]
+        out[b:b + block] = np.where(near.any(axis=1), near.argmax(axis=1), -1)
+    return out
+
+
+def _steered_candidates(ifs: IfsSystem, steering, x: np.ndarray, r: np.ndarray, depth: int):
+    """Per (x, r) pair, the best diameter found by pulling a repeller q into
+    B(x, r) and iterating its generator (-1 if no repeller can be pulled
+    in), that q, and the word of pair i reaching it; mirrors the
+    unstable-point separation argument."""
+    gens = ifs.generators
+    best, which = np.full(x.size, -1.0), np.full(x.size, -1)
+    pulled, reps = np.zeros(x.size, dtype=np.int64), np.zeros(x.size, dtype=np.int64)
+    for e, (q, letter, cloud) in enumerate(steering):
+        # earliest found = shortest pull-back word: the cloud node's letters
+        # back to its root, replayed on the ball
+        first = _first_within(cloud.values, x, r)
+        rows = np.flatnonzero(first >= 0)
+        first = first[rows]
+        s, ln = normalize_array(x[rows] - r[rows]), 2.0 * r[rows]
+        node, steps = first.copy(), np.full(rows.size, depth)
+        while (live := np.flatnonzero(node > 0)).size:
+            lets = cloud.letters[node[live]]
+            for let, g in enumerate(gens, start=1):
+                m = live[lets == let]
+                s[m], ln[m] = map_arcs(g, s[m], ln[m])
+            steps[live] -= 1
+            node[live] = cloud.parents[node[live]]
+        local, local_n = np.zeros(rows.size), np.zeros(rows.size, dtype=np.int64)
+        for step in range(int(steps.max(initial=0))):
+            live = np.flatnonzero(steps > step)
+            s[live], ln[live] = map_arcs(gens[letter - 1], s[live], ln[live])
+            diam = np.minimum(ln[live], 0.5)
+            up = (diam > local[live] + 1e-15) | (step == 0)
+            local[live[up]], local_n[live[up]] = diam[up], step + 1
+        up = (steps > 0) & (local > best[rows] + 1e-15)
+        best[rows[up]], which[rows[up]] = local[up], e
+        pulled[rows[up]], reps[rows[up]] = first[up], local_n[up]
+
+    def word(i: int) -> Word:
+        _, letter, cloud = steering[which[i]]
+        return tuple(reversed(cloud.word_for(int(pulled[i])))) + (letter,) * int(reps[i])
+
+    return best, [steering[e][0] if e >= 0 else None for e in which.tolist()], word
 
 
 def sensitivity_estimate(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION
@@ -562,65 +854,53 @@ def sensitivity_estimate(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION
     tracked through word images.  Search strategies, in order: plain
     breadth-first arc images; repeller steering (pull a repelling fixed
     point into the ball, then iterate its generator); and two greedy
-    extension chains for expanding structure without repellers.  The
+    extension chains for expanding structure without repellers.  Every
+    (point, rung) pair runs through each strategy in one batch.  The
     recorded separation always replays as circ_dist(w(x), w(y)) for the
     listed partner y.
     """
     net = system_net(ifs, res.net_size)
     rungs = _radius_ladder(res.r)
-    cell = _merge_cell(res)
     steering = _repeller_steering_data(ifs, res)
     slice_budget = max(64, res.budget // max(1, len(net) * len(rungs)))
+    xs = np.repeat(np.asarray(net, dtype=float), len(rungs))
+    rs = np.tile(np.asarray(rungs, dtype=float), len(net))
+    bfs = _bfs_best(ifs, normalize_array(xs - rs), 2.0 * rs, res.depth,
+                    slice_budget, _merge_cell(res))
+    steered, steered_q, steered_word = _steered_candidates(ifs, steering, xs, rs, res.depth)
+    # auxiliary chains catch expanding structure that has no repelling
+    # fixed point to steer by; they only claim strictly better results
+    chains = [(label, *_greedy_chains(ifs, xs, rs, res.depth, by_derivative))
+              for by_derivative, label in ((False, "greedy_diameter"),
+                                           (True, "greedy_derivative"))]
     per_point = []
     notes: Dict[str, int] = {}
     delta_hat = None
-    for x in net:
-        final_sep = None
-        for r in rungs:
-            best_diam = -1.0
-            best_word: Word = ()
-            strategy = "bfs"
-
-            def visit(w: Word, s: float, ln: float) -> bool:
-                nonlocal best_diam, best_word
-                diam = min(ln, 0.5)
-                if diam > best_diam + 1e-15:
-                    best_diam = diam
-                    best_word = w
-                return False
-
-            _arc_search(ifs, normalize(x - r), 2.0 * r, res.depth,
-                        slice_budget, cell, visit)
-            steered = _steered_candidate(ifs, steering, x, r, res.depth)
-            if steered is not None and steered[0] > best_diam + 1e-15:
-                best_diam, best_word = steered[0], steered[1]
-                strategy = steered[3]
-            # auxiliary chains catch expanding structure that has no repelling
-            # fixed point to steer by; they only claim strictly better results
-            for by_derivative, label in ((False, "greedy_diameter"),
-                                         (True, "greedy_derivative")):
-                diam, w = _greedy_chain(ifs, x, r, res.depth, by_derivative)
-                if diam > best_diam + 1e-15:
-                    best_diam, best_word = diam, w
-                    strategy = label
-            sep, partner = _refined_separation(ifs, best_word, x, r)
-            note_key = ("repeller_steered" if strategy.startswith("repeller")
-                        else strategy)
-            notes[note_key] = notes.get(note_key, 0) + 1
-            per_point.append({
-                "x": x,
-                "r": r,
-                "best_word": list(best_word),
-                "best_partner_y": partner,
-                "separation": sep,
-                "image_diameter": best_diam,
-                "diameter_capped": best_diam >= 0.5 - 1e-12,
-                "strategy": strategy,
-            })
-            if r == rungs[-1]:
-                final_sep = sep
-        if delta_hat is None or final_sep < delta_hat:
-            delta_hat = final_sep
+    for i, (x, r) in enumerate(zip(xs.tolist(), rs.tolist())):
+        best_diam, best_word = bfs[i]
+        strategy = "bfs"
+        if steered[i] > best_diam + 1e-15:
+            best_diam, best_word = float(steered[i]), steered_word(i)
+            strategy = f"repeller_steered(q={steered_q[i]:.6f})"
+        for label, diams, word in chains:
+            if diams[i] > best_diam + 1e-15:
+                best_diam, best_word, strategy = float(diams[i]), word(i), label
+        sep, partner = _refined_separation(ifs, best_word, x, r)
+        note_key = ("repeller_steered" if strategy.startswith("repeller")
+                    else strategy)
+        notes[note_key] = notes.get(note_key, 0) + 1
+        per_point.append({
+            "x": x,
+            "r": r,
+            "best_word": list(best_word),
+            "best_partner_y": partner,
+            "separation": sep,
+            "image_diameter": best_diam,
+            "diameter_capped": best_diam >= 0.5 - 1e-12,
+            "strategy": strategy,
+        })
+        if r == rungs[-1] and (delta_hat is None or sep < delta_hat):
+            delta_hat = sep
     report = SensitivityReport(delta_hat=float(delta_hat), per_point=per_point,
                                strategy_notes=notes)
     verdict = Verdict(
@@ -665,8 +945,7 @@ def greedy_diameter_rule():
     def rule(ifs: IfsSystem, prefix: Word, arc: Arc) -> int:
         best_letter, best_diam = 1, -1.0
         for letter, g in enumerate(ifs.generators, start=1):
-            _, ln = _map_arc_raw(g, arc.start.value, arc.length)
-            diam = min(ln, 0.5)
+            diam = min(map_arc(g, arc).length, 0.5)
             if diam > best_diam + 1e-15:
                 best_diam, best_letter = diam, letter
         return best_letter
@@ -687,9 +966,7 @@ def separation_times(ifs: IfsSystem, U: Arc, omega_rule, delta: float,
         times.append(0)
     for n in range(1, horizon + 1):
         letter = omega_rule(ifs, word, arc)
-        g = ifs.generator(letter)
-        s, ln = _map_arc_raw(g, arc.start.value, arc.length)
-        arc = Arc(CirclePoint(s), ln)
+        arc = map_arc(ifs.generator(letter), arc)
         word = word + (letter,)
         if min(arc.length, 0.5) > delta:
             times.append(n)
@@ -700,33 +977,46 @@ def cofinite_sensitivity_verdict(ifs: IfsSystem, delta: float,
                                  res: Resolution = DEFAULT_RESOLUTION,
                                  window: int = 100) -> Verdict:
     """Each net arc needs one extension rule separating it beyond delta on a
-    full window [N, N + window] of times."""
+    full window [N, N + window] of times.
+
+    The rules, tried in order, are `greedy_diameter_rule()` and each
+    `constant_rule`; every net arc follows them together, as
+    `separation_times` would follow it alone."""
     if window < 1:
         raise ValueError("window must be positive")
     horizon = res.depth + window
-    rules = [greedy_diameter_rule()] + [constant_rule(i) for i in range(1, ifs.k + 1)]
+    labels = ["greedy_diameter"] + [f"constant({i})" for i in range(1, ifs.k + 1)]
     centers = system_net(ifs, res.net_size)
-    worst: Optional[dict] = None
-    for c in centers:
-        U = Arc(CirclePoint(c - res.r), 2.0 * res.r)
-        found = None
-        for rule in rules:
-            times = set(separation_times(ifs, U, rule, delta, horizon))
-            for N in range(0, horizon - window + 1):
-                if all(n in times for n in range(N, N + window + 1)):
-                    found = {"arc_center": c, "rule": rule.label, "N": N}
-                    break
-            if found:
-                break
-        if not found:
-            return Verdict(
-                "cofinite_sensitivity", False, res,
-                {"stuck_arc_center": c, "delta": delta, "window": window,
-                 "rules_tried": [r.label for r in rules]},
-                caveat="no rule produced a separation window within the horizon",
-            )
-        if worst is None or found["N"] > worst["N"]:
-            worst = found
+    starts, lengths = _net_arcs(centers, res.r)
+    first_n = np.full(len(centers), -1)
+    rule = np.zeros(len(centers), dtype=np.int64)
+    for i in range(len(labels)):
+        todo = np.flatnonzero(first_n < 0)
+        if todo.size == 0:
+            break
+        s, ln = starts[todo], lengths[todo]
+        if i == 0:
+            diams = _greedy_paths(ifs, s, ln, np.asarray(centers)[todo], horizon, False)[1]
+        else:
+            diams = np.empty((todo.size, horizon + 1))
+            diams[:, 0] = np.minimum(ln, 0.5)
+            for n in range(1, horizon + 1):
+                s, ln = map_arcs(ifs.generator(i), s, ln)
+                diams[:, n] = np.minimum(ln, 0.5)
+        # the times N with every n in [N, N + window] separated
+        run = np.cumsum(np.pad(diams > delta, ((0, 0), (1, 0))), axis=1)
+        full = run[:, window + 1:] - run[:, :horizon - window + 1] == window + 1
+        ok = full.any(axis=1)
+        first_n[todo[ok]], rule[todo[ok]] = full[ok].argmax(axis=1), i
+    if (first_n < 0).any():
+        return Verdict(
+            "cofinite_sensitivity", False, res,
+            {"stuck_arc_center": centers[int(np.argmax(first_n < 0))], "delta": delta,
+             "window": window, "rules_tried": labels},
+            caveat="no rule produced a separation window within the horizon",
+        )
+    j = int(np.argmax(first_n))
+    worst = {"arc_center": centers[j], "rule": labels[rule[j]], "N": int(first_n[j])}
     return Verdict(
         "cofinite_sensitivity", True, res,
         {"delta": delta, "window": window, "max_N": worst["N"],
@@ -748,8 +1038,8 @@ def sensitivity_witness_from_nonminimality(ifs: IfsSystem,
     The candidate is one quarter of the distance from the farthest point to
     the non-dense orbit closure.  Verification demands, for every net point,
     a word separating its r-ball beyond the candidate; the search tries
-    repeller steering, then the covering words of the ball, then extensions
-    of each covering word.
+    repeller steering and the greedy chains, then the covering words of the
+    ball, then extensions of each covering word.
     """
     net = system_net(ifs, res.net_size)
     worst_gap, worst_point, worst_vals = 0.0, None, None
@@ -767,65 +1057,55 @@ def sensitivity_witness_from_nonminimality(ifs: IfsSystem,
     cell = _merge_cell(res)
     steering = _repeller_steering_data(ifs, res)
     r = _radius_ladder(res.r)[-1]
-    centers = system_net(ifs, res.net_size)
     cover_budget = min(res.budget, 20_000)
     ext_budget = 1_000
-    checked = 0
+    xs = np.asarray(net, dtype=float)
+    rs = np.full(xs.size, r)
+    steered, _, steered_word = _steered_candidates(ifs, steering, xs, rs, res.depth)
+    chains = [_greedy_chains(ifs, xs, rs, res.depth, by_derivative)[1]
+              for by_derivative in (False, True)]
+    achieved: List[Tuple[float, Word]] = []
+    for i, x in enumerate(net):
+        best: Tuple[float, Word] = (0.0, ())
+        cands = ([steered_word(i)] if steered[i] >= 0 else []) + [word(i) for word in chains]
+        for cand in cands:
+            sep, _ = _refined_separation(ifs, cand, x, r)
+            if sep > best[0]:
+                best = (sep, cand)
+        achieved.append(best)
+    # net points the cheap candidates leave unseparated: cover the circle
+    # with images of the ball, then extend each covering word
+    hard = [i for i, (sep, _) in enumerate(achieved) if sep <= delta_candidate]
+    starts, lengths = _net_arcs(xs[hard], r)
+    for images in _arc_search(ifs, starts, lengths, res.depth, cover_budget, cell,
+                              net, res.eps):
+        for j, hits in enumerate(images.first_hit):
+            i = hard[images.first + j]
+            x, best = net[i], achieved[i]
+            cover = sorted(set(hits[hits >= 0].tolist()))
+            words = images.words_for(cover)
+            ext = _bfs_best(ifs, images.starts[cover], images.lengths[cover],
+                            [max(1, res.depth - len(w)) for w in words], ext_budget,
+                            cell, stop_above=2.5 * delta_candidate)
+            for T, (_, e) in zip(words, ext):
+                for w in (T, T + e):
+                    sep, _ = _refined_separation(ifs, w, x, r)
+                    if sep > best[0]:
+                        best = (sep, w)
+                    if best[0] > delta_candidate:
+                        break
+                if best[0] > delta_candidate:
+                    break
+            achieved[i] = best
+        del images  # free this chunk before the next one is searched
+    checked = len(net)
     failures: List[float] = []
     example = None
-    for x in net:
-        checked += 1
-        achieved = 0.0
-        achieved_word: Word = ()
-        candidates: List[Word] = []
-        steered = _steered_candidate(ifs, steering, x, r, res.depth)
-        if steered is not None:
-            candidates.append(steered[1])
-        for by_derivative in (False, True):
-            candidates.append(_greedy_chain(ifs, x, r, res.depth, by_derivative)[1])
-        for cand in candidates:
-            sep, _ = _refined_separation(ifs, cand, x, r)
-            if sep > achieved:
-                achieved, achieved_word = sep, cand
-        if achieved <= delta_candidate:
-            cover_words: List[Word] = []
-            targets = _TargetSet(centers)
-
-            def collect(w: Word, s: float, ln: float) -> bool:
-                if targets.remove_hit(s, ln, res.eps):
-                    cover_words.append(w)
-                return len(targets) == 0
-
-            _arc_search(ifs, normalize(x - r), 2.0 * r, res.depth, cover_budget,
-                        cell, collect)
-            for T in cover_words:
-                sep, _ = _refined_separation(ifs, T, x, r)
-                if sep > achieved:
-                    achieved, achieved_word = sep, T
-                if achieved > delta_candidate:
-                    break
-                s, ln = normalize(x - r), 2.0 * r
-                for let in T:
-                    s, ln = _map_arc_raw(ifs.generators[let - 1], s, ln)
-                best_ext: Tuple[float, Word] = (min(ln, 0.5), ())
-
-                def track(w: Word, es: float, eln: float) -> bool:
-                    nonlocal best_ext
-                    diam = min(eln, 0.5)
-                    if diam > best_ext[0] + 1e-15:
-                        best_ext = (diam, w)
-                    return diam > 2.5 * delta_candidate
-                _arc_search(ifs, s, ln, max(1, res.depth - len(T)), ext_budget,
-                            cell, track)
-                sep, _ = _refined_separation(ifs, T + best_ext[1], x, r)
-                if sep > achieved:
-                    achieved, achieved_word = sep, T + best_ext[1]
-                if achieved > delta_candidate:
-                    break
-        if achieved <= delta_candidate:
+    for x, (sep, w) in zip(net, achieved):
+        if sep <= delta_candidate:
             failures.append(x)
-        elif example is None or len(achieved_word) > len(example["word"]):
-            example = {"x": x, "word": list(achieved_word), "separation": achieved}
+        elif example is None or len(w) > len(example["word"]):
+            example = {"x": x, "word": list(w), "separation": sep}
     holds = not failures
     verdict = Verdict(
         "sensitivity_witness_from_nonminimality", holds, res,

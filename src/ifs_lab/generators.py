@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circle import Arc, CirclePoint, as_value, circ_dist, normalize
+from .circle import Arc, CirclePoint, as_value, circ_dist, normalize, normalize_array
 
 
 class NonInvertible(Exception):
@@ -50,13 +50,21 @@ class Generator:
         return normalize(self.lift(x))
 
     def eval_array(self, x: np.ndarray) -> np.ndarray:
-        v = self.lift_array(x) % 1.0
-        v[v >= 1.0 - 1e-15] = 0.0
-        return v
+        return normalize_array(self.lift_array(x))
 
     def derivative(self, x: float) -> float:
         """Signed derivative of the lift at x (periodic in x)."""
         raise NotImplementedError
+
+    def derivative_array(self, x: np.ndarray) -> np.ndarray:
+        """`derivative` over an array, NaN where the lift has a corner."""
+        out = np.empty(len(x))
+        for i, v in enumerate(x):
+            try:
+                out[i] = self.derivative(float(v))
+            except NotDifferentiable:
+                out[i] = np.nan
+        return out
 
     def inverse(self) -> "Generator":
         raise NonInvertible(f"{self!r} has no inverse")
@@ -84,6 +92,9 @@ class Rotation(Generator):
     def derivative(self, x: float) -> float:
         return 1.0
 
+    def derivative_array(self, x: np.ndarray) -> np.ndarray:
+        return np.ones(len(x))
+
     def inverse(self) -> "Rotation":
         return Rotation(-self.alpha)
 
@@ -100,6 +111,9 @@ class Flip(Generator):
 
     def derivative(self, x: float) -> float:
         return -1.0
+
+    def derivative_array(self, x: np.ndarray) -> np.ndarray:
+        return np.full(len(x), -1.0)
 
     def inverse(self) -> "Flip":
         return self
@@ -167,6 +181,15 @@ class NorthSouth(Generator):
         Tp = math.tan(math.pi * (0.5 - abs(s))) ** 2
         return self.lam * (1.0 + Tp) / (self.lam * self.lam + Tp)
 
+    def derivative_array(self, x: np.ndarray) -> np.ndarray:
+        tq = x - self.q
+        s = tq - np.floor(tq + 0.5)
+        inner = np.abs(s) <= 0.25
+        T = np.tan(np.pi * np.where(inner, s, 0.5 - np.abs(s))) ** 2
+        lam2 = self.lam * self.lam
+        return np.where(inner, self.lam * (1.0 + T) / (1.0 + lam2 * T),
+                        self.lam * (1.0 + T) / (lam2 + T))
+
     def inverse(self) -> "NorthSouth":
         # Swapping the roles of the two fixed points inverts the map exactly.
         return NorthSouth(self.q + 0.5, self.lam)
@@ -184,6 +207,7 @@ class PiecewiseLinear(Generator):
     breakpoints: tuple
     _xs: tuple = field(init=False, repr=False, compare=False, default=())
     _ys: tuple = field(init=False, repr=False, compare=False, default=())
+    _slopes: tuple = field(init=False, repr=False, compare=False, default=())
     _deg: int = field(init=False, repr=False, compare=False, default=1)
 
     def __post_init__(self):
@@ -205,6 +229,9 @@ class PiecewiseLinear(Generator):
             raise ValueError("lift must be strictly monotone")
         object.__setattr__(self, "_xs", tuple(xs))
         object.__setattr__(self, "_ys", tuple(ys))
+        # the slopes np.interp uses, so lift and lift_array agree bitwise
+        object.__setattr__(self, "_slopes", tuple(
+            (y1 - y0) / (x1 - x0) for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:])))
         object.__setattr__(self, "_deg", deg)
 
     @property
@@ -218,10 +245,11 @@ class PiecewiseLinear(Generator):
     def lift(self, t: float) -> float:
         n = math.floor(t)
         s = t - n
+        if s >= 1.0:  # t just below an integer: np.interp's right end value
+            return n * self._deg + self._ys[-1]
         i = self._segment(s)
-        x0, x1 = self._xs[i], self._xs[i + 1]
-        y0, y1 = self._ys[i], self._ys[i + 1]
-        return n * self._deg + y0 + (s - x0) * (y1 - y0) / (x1 - x0)
+        # np.interp's formula, operation for operation
+        return n * self._deg + (self._slopes[i] * (s - self._xs[i]) + self._ys[i])
 
     def lift_array(self, t: np.ndarray) -> np.ndarray:
         n = np.floor(t)
@@ -232,20 +260,17 @@ class PiecewiseLinear(Generator):
         s = x - math.floor(x)
         if s in self._xs:
             i = self._xs.index(s)
-            slopes = self._slopes()
-            left = slopes[i - 1] if i > 0 else slopes[-1]
-            right = slopes[i] if i < len(slopes) else slopes[0]
+            left = self._slopes[i - 1] if i > 0 else self._slopes[-1]
+            right = self._slopes[i] if i < len(self._slopes) else self._slopes[0]
             raise NotDifferentiable(s, left, right)
-        i = self._segment(s)
-        return self._slope(i)
+        return self._slopes[self._segment(s)]
 
-    def _slope(self, i: int) -> float:
-        x0, x1 = self._xs[i], self._xs[i + 1]
-        y0, y1 = self._ys[i], self._ys[i + 1]
-        return (y1 - y0) / (x1 - x0)
-
-    def _slopes(self) -> list:
-        return [self._slope(i) for i in range(len(self._xs) - 1)]
+    def derivative_array(self, x: np.ndarray) -> np.ndarray:
+        s = x - np.floor(x)
+        i = np.clip(np.searchsorted(self._xs, s, side="right") - 1, 0, len(self._slopes) - 1)
+        out = np.asarray(self._slopes)[i]
+        out[np.isin(s, self._xs)] = np.nan
+        return out
 
     def inverse(self) -> "PiecewiseLinear":
         # Knots of the inverse lift over two periods, cut back to y in [0, 1].
@@ -296,6 +321,9 @@ class Expanding(Generator):
     def derivative(self, x: float) -> float:
         return float(self.m)
 
+    def derivative_array(self, x: np.ndarray) -> np.ndarray:
+        return np.full(len(x), float(self.m))
+
 
 # ---------------------------------------------------------------------------
 # spec-level operations
@@ -325,6 +353,18 @@ def map_arc(g: Generator, a: Arc) -> Arc:
     length = min(abs(hi - lo), 1.0)
     start = lo if g.orientation > 0 else hi
     return Arc(CirclePoint(start), length)
+
+
+def map_arcs(g: Generator, starts: np.ndarray, lengths: np.ndarray):
+    """`map_arc` over arrays of (start, length): the image starts and lengths.
+
+    Equal to `map_arc` bitwise wherever `lift_array` equals `lift`."""
+    if isinstance(g, Expanding):
+        return g.eval_array(starts), np.minimum(g.m * lengths, 1.0)
+    lo = g.lift_array(starts)
+    hi = g.lift_array(starts + lengths)
+    return (normalize_array(lo if g.orientation > 0 else hi),
+            np.minimum(np.abs(hi - lo), 1.0))
 
 
 @dataclass(frozen=True, slots=True)

@@ -201,12 +201,6 @@ def periodic_points(ifs: IfsSystem, max_len: int, tol: float = 1e-12,
 # cloud and optional parent links matter, not OrbitSet packaging)
 
 
-def _norm_array(v: np.ndarray) -> np.ndarray:
-    v = v % 1.0
-    v[v >= 1.0 - 1e-15] = 0.0
-    return v
-
-
 class OrbitCloud:
     """Breadth-first orbit points as flat arrays with parent/letter links."""
 

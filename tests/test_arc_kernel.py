@@ -1,0 +1,271 @@
+"""The batched arc-image kernel against the scalar reference in `arc_oracle`.
+
+Every source of a batch must see, level by level, the same words in the same
+order, keep the same frontier, spend the same number of words and stop for
+the same reason as the one-source-at-a-time search it replaced.
+"""
+
+import numpy as np
+import pytest
+
+import ifs_lab.detectors as detectors
+
+from arc_oracle import (TargetSet, arc_search, array_map, greedy_chain, greedy_keep,
+                        steered_candidate)
+from ifs_lab import (Arc, CirclePoint, Expanding, Flip, GALLERY_NAMES, IfsSystem, NorthSouth,
+                     PiecewiseLinear, Rotation, build_example, cofinite_sensitivity_verdict,
+                     constant_rule, greedy_diameter_rule, s_transitivity_verdict,
+                     separation_times)
+from ifs_lab.detectors import (_arc_search, _bfs_best, _dominance_keep, _greedy_chains,
+                               _repeller_steering_data, _steered_candidates, system_net,
+                               DEFAULT_RESOLUTION)
+
+EPS = R = 0.01
+CELL = EPS / 8.0
+
+
+def random_generator(rng, kind):
+    if kind == "rotation":
+        return Rotation(float(rng.uniform(0.05, 0.95)))
+    if kind == "flip":
+        return Flip()
+    if kind == "north_south":
+        return NorthSouth(float(rng.random()), float(rng.uniform(1.2, 4.0)))
+    if kind == "expanding":
+        return Expanding(int(rng.integers(2, 4)))
+    xs = np.sort(rng.uniform(0.05, 0.95, int(rng.integers(1, 4))))
+    ys = np.sort(rng.uniform(0.05, 0.95, xs.size))
+    reverse = rng.random() < 0.3
+    off = 0.0 if reverse else float(rng.uniform(0.0, 0.5))
+    pts = [(0.0, off)] + [(float(x), float(y) + off) for x, y in zip(xs, ys)] + [(1.0, 1.0 + off)]
+    if reverse:
+        pts = [(x, -y) for x, y in pts]
+    return PiecewiseLinear(tuple(pts))
+
+
+KINDS = ("rotation", "flip", "north_south", "piecewise_linear", "expanding")
+
+
+def random_systems(seed=7, count=6):
+    rng = np.random.default_rng(seed)
+    systems = []
+    for i in range(count):
+        kinds = [KINDS[i % 5], KINDS[(i + 2) % 5]] + ([KINDS[(i + 3) % 5]] if i % 2 else [])
+        systems.append(IfsSystem([random_generator(rng, k) for k in kinds]))
+    return systems
+
+
+SYSTEMS = ([build_example(name).system for name in GALLERY_NAMES] + random_systems())
+IDS = list(GALLERY_NAMES) + [f"random{i}" for i in range(len(SYSTEMS) - len(GALLERY_NAMES))]
+
+
+def sources(ifs, n=5):
+    centers = np.array(system_net(ifs, n))
+    return (centers - R) % 1.0, np.full(centers.size, 2.0 * R), centers
+
+
+def kernel(ifs, starts, lengths, depth, budget, targets=None, fat=0.0, stop_above=None):
+    """(ArcImages, index) for each source, in source order."""
+    out = []
+    for images in _arc_search(ifs, starts, lengths, depth, budget, CELL, targets, fat,
+                              stop_above):
+        out.extend((images, j) for j in range(len(images.words)))
+    assert len(out) == len(starts)
+    return out
+
+
+def check_source(ifs, images, j, start, length, depth, budget, visit):
+    """Replay one source through the reference and compare every level."""
+    fired = []
+
+    def traced(w, s, ln):
+        hit = visit(w, s, ln)
+        if hit:
+            fired.append(w)
+        return hit
+
+    levels = []
+    words = arc_search(ifs, float(start), float(length), int(depth), budget, CELL, traced,
+                       levels, mapper=array_map)
+    assert images.words[j] == words
+    assert images.depth_reached[j] == len(levels)
+    nodes = np.flatnonzero(images.source == j)
+    level = images.level[nodes]
+    assert level.max() <= len(levels)
+    for n, (visited, frontier) in enumerate(levels, start=1):
+        at = nodes[level == n]
+        assert images.words_for(at) == [w for w, _, _ in visited]
+        np.testing.assert_allclose(images.starts[at], [s for _, s, _ in visited],
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(images.lengths[at], [ln for _, _, ln in visited],
+                                   rtol=0, atol=1e-12)
+        assert sorted(images.words_for(at[images.kept[at]])) == sorted(frontier)
+    if fired:
+        reason = "found"
+    elif words >= budget:
+        reason = "budget"
+    elif levels and not levels[-1][1]:
+        reason = "exhausted"
+    else:
+        reason = "depth"
+    assert images.stop[j] == reason
+
+
+@pytest.mark.parametrize("ifs", SYSTEMS, ids=IDS)
+def test_kernel_matches_reference_search(ifs):
+    starts, lengths, _ = sources(ifs)
+    for depth, budget in ((6, 100_000), (40, 64), (40, 65), (40, 66), (40, 301)):
+        for images, j in kernel(ifs, starts, lengths, depth, budget):
+            check_source(ifs, images, j, starts[j], lengths[j], depth, budget,
+                         lambda w, s, ln: False)
+
+
+@pytest.mark.parametrize("ifs", SYSTEMS, ids=IDS)
+def test_kernel_first_hits_and_early_stop_match_reference(ifs):
+    starts, lengths, centers = sources(ifs)
+    targets = np.array(system_net(ifs, 40))
+    for fat, depth, budget in ((R, 12, 4000), (EPS, 30, 2000), (0.002, 8, 600)):
+        for images, j in kernel(ifs, starts, lengths, depth, budget, targets, fat):
+            remaining = TargetSet(targets.tolist())
+            met = {}
+
+            def visit(w, s, ln):
+                for t in remaining.remove_hit(s, ln, fat):
+                    met[t] = w
+                return len(remaining) == 0
+
+            check_source(ifs, images, j, starts[j], lengths[j], depth, budget, visit)
+            hits = images.first_hit[j]
+            got = np.flatnonzero(hits >= 0)
+            assert dict(zip(targets[got].tolist(), images.words_for(hits[got]))) == met
+
+
+@pytest.mark.parametrize("ifs", SYSTEMS, ids=IDS)
+def test_kernel_stop_above_and_per_source_depth_match_reference(ifs):
+    starts, lengths, _ = sources(ifs)
+    depths = 2 + np.arange(starts.size) % 7
+    for above in (0.05, 0.3):
+        for images, j in kernel(ifs, starts, lengths, depths, 1000, stop_above=above):
+            check_source(ifs, images, j, starts[j], lengths[j], depths[j], 1000,
+                         lambda w, s, ln: min(ln, 0.5) > above)
+
+
+@pytest.mark.parametrize("ifs", SYSTEMS, ids=IDS)
+def test_batched_sensitivity_strategies_match_reference(ifs):
+    res = DEFAULT_RESOLUTION
+    xs = np.repeat(np.array(system_net(ifs, 6)), 2)
+    rs = np.tile([0.05, 0.0125], xs.size // 2)
+    bfs = _bfs_best(ifs, (xs - rs) % 1.0, 2.0 * rs, 20, 150, CELL)
+    chains = [_greedy_chains(ifs, xs, rs, 25, flag) for flag in (False, True)]
+    steering = _repeller_steering_data(ifs, res.replaced(depth=20, budget=2000))
+    steered, steered_q, steered_word = _steered_candidates(ifs, steering, xs, rs, 25)
+    for i, (x, r) in enumerate(zip(xs.tolist(), rs.tolist())):
+        best = [-1.0, ()]
+
+        def visit(w, s, ln):
+            if min(ln, 0.5) > best[0] + 1e-15:
+                best[:] = [min(ln, 0.5), w]
+            return False
+
+        arc_search(ifs, (x - r) % 1.0, 2.0 * r, 20, 150, CELL, visit, mapper=array_map)
+        assert bfs[i][1] == best[1] and bfs[i][0] == pytest.approx(best[0], abs=1e-12)
+        for flag, (diams, word) in zip((False, True), chains):
+            d, w = greedy_chain(ifs, x, r, 25, flag, mapper=array_map)
+            assert word(i) == w and diams[i] == pytest.approx(d, abs=1e-12)
+        ref = steered_candidate(ifs, steering, x, r, 25, mapper=array_map)
+        if ref is None:
+            assert steered[i] == -1.0 and steered_q[i] is None
+        else:
+            assert (steered_word(i), steered_q[i]) == ref[1:3]
+            assert steered[i] == pytest.approx(ref[0], abs=1e-12)
+
+
+def test_chunking_does_not_change_results(monkeypatch):
+    """Sources are independent: many to a chunk or one each, the results
+    are the same."""
+    ifs = build_example("thm34_ns_rotation").system
+    xs = np.linspace(0.003, 0.997, 400)
+    rs = np.full(xs.size, 0.02)
+    res = DEFAULT_RESOLUTION.replaced(net_size=60)
+
+    def run():
+        return (_bfs_best(ifs, (xs - rs) % 1.0, 2.0 * rs, 20, 150, CELL),
+                s_transitivity_verdict(ifs, res).to_dict())
+
+    together = run()
+    monkeypatch.setattr(detectors, "_FIRST_CHUNK", 1)
+    monkeypatch.setattr(detectors, "_CHUNK_NODES", 1)
+    assert run() == together
+
+
+def cofinite_reference(ifs, delta, res, window):
+    """The hardest arc (or the stuck center) of the per-arc loop over
+    `separation_times` and the public rules."""
+    horizon = res.depth + window
+    rules = [greedy_diameter_rule()] + [constant_rule(i) for i in range(1, ifs.k + 1)]
+    worst = None
+    for c in system_net(ifs, res.net_size):
+        found = None
+        for rule in rules:
+            times = set(separation_times(ifs, Arc(CirclePoint(c - res.r), 2.0 * res.r), rule,
+                                         delta, horizon))
+            for n in range(horizon - window + 1):
+                if all(t in times for t in range(n, n + window + 1)):
+                    found = {"arc_center": c, "rule": rule.label, "N": n}
+                    break
+            if found:
+                break
+        if found is None:
+            return c
+        if worst is None or found["N"] > worst["N"]:
+            worst = found
+    return worst
+
+
+@pytest.mark.parametrize("ifs", SYSTEMS, ids=IDS)
+def test_batched_cofinite_sensitivity_matches_the_rule_api(ifs):
+    res = DEFAULT_RESOLUTION.replaced(net_size=8, depth=15)
+    for delta, window in ((0.05, 10), (0.3, 20)):
+        v = cofinite_sensitivity_verdict(ifs, delta, res, window)
+        expected = cofinite_reference(ifs, delta, res, window)
+        if v.holds:
+            assert v.witnesses["hardest"] == expected
+        else:
+            assert v.witnesses["stuck_arc_center"] == expected
+
+
+def random_arc_sets(rng, count):
+    for _ in range(count):
+        n = int(rng.integers(1, 60))
+        src = np.sort(rng.integers(0, 4, n))
+        s = rng.random(n)
+        # lengths from points to the full circle, with a share of near-ties
+        ln = np.where(rng.random(n) < 0.1, 1.0, rng.random(n) ** 3)
+        dup = rng.random(n) < 0.2
+        if n > 1:
+            k = rng.integers(0, n, n)
+            same = src[k] == src
+            pick = dup & same
+            s[pick], ln[pick] = s[k[pick]], ln[k[pick]]
+            # inner arcs that end within the containment tolerance of another
+            nest = (rng.random(n) < 0.2) & same & ~pick
+            off = rng.random(n) * ln[k]
+            s[nest] = (s[k[nest]] + off[nest]) % 1.0
+            ln[nest] = ln[k[nest]] - off[nest] + rng.choice([-2e-12, 0.0, 5e-13, 2e-12],
+                                                             nest.sum())
+            ln = np.clip(ln, 0.0, 1.0)
+        # arcs that wrap past 1
+        wrap = rng.random(n) < 0.3
+        s[wrap] = 1.0 - rng.random(wrap.sum()) * ln[wrap] / 2.0
+        s %= 1.0
+        yield src, s, ln
+
+
+def test_dominance_sweep_keeps_the_greedy_frontier():
+    rng = np.random.default_rng(11)
+    for src, s, ln in random_arc_sets(rng, 400):
+        expected = []
+        for j in np.unique(src):
+            rows = np.flatnonzero(src == j)
+            expected += [w for _, _, w in greedy_keep([(s[i], ln[i], int(i)) for i in rows])]
+        assert _dominance_keep(src, s, ln).tolist() == expected

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from ifs_lab import (Arc, CirclePoint, IfsSystem, NonInvertible,
-                     NotApplicable, Resolution, Rotation, circ_dist,
+from ifs_lab import (Arc, CirclePoint, Flip, IfsSystem, NonInvertible,
+                     NorthSouth, NotApplicable, Resolution, Rotation, circ_dist,
                      almost_periodic_verdict, cofinite_sensitivity_verdict,
                      compose_word, constant_rule, greedy_diameter_rule,
                      map_arc, minimality_verdict, periodic_rule,
@@ -13,6 +13,7 @@ from ifs_lab import (Arc, CirclePoint, IfsSystem, NonInvertible,
                      separation_times, strong_transitivity_verdict,
                      topological_transitivity_verdict)
 from ifs_lab.detectors import DEFAULT_RESOLUTION, _radius_ladder, max_cyclic_gap
+from ifs_lab.semigroup import orbit_cloud
 
 DEEP = DEFAULT_RESOLUTION.replaced(depth=200)
 
@@ -153,6 +154,39 @@ def test_almost_periodic(golden_rotation, ns_alone):
     assert almost_periodic_verdict(golden_rotation, 0.0).holds
     v = almost_periodic_verdict(ns_alone, 0.3)
     assert not v.holds
+
+
+def test_almost_periodic_reports_a_point_the_orbit_misses():
+    system = IfsSystem([NorthSouth(0.0, 2.0), Rotation(0.5)])
+    res = DEFAULT_RESOLUTION.replaced(depth=30, budget=4000)
+    v = almost_periodic_verdict(system, 0.1, res)
+    assert not v.holds
+    w = v.witnesses
+    assert w["unreached_distance"] > res.eps
+    cloud = orbit_cloud(system, w["witness_y"], res.depth, res.budget, merge=res.eps / 8.0)
+    d = np.abs(cloud.values - w["unreached_example"])
+    assert np.minimum(d, 1.0 - d).min() == pytest.approx(w["unreached_distance"])
+
+
+@pytest.mark.parametrize("reason, system, res", [
+    ("depth", [Rotation((5 ** 0.5 - 1) / 2), Flip()], DEFAULT_RESOLUTION.replaced(depth=3)),
+    ("budget", [Rotation((5 ** 0.5 - 1) / 2), Flip()], DEFAULT_RESOLUTION.replaced(budget=5)),
+    ("exhausted", [Rotation(0.25)], DEFAULT_RESOLUTION),
+])
+def test_negative_arc_verdicts_name_their_stop_reason(reason, system, res):
+    bound = {"depth": "depth=3", "budget": "budget=5", "exhausted": "ran out"}[reason]
+    for detector in (topological_transitivity_verdict, s_transitivity_verdict):
+        v = detector(IfsSystem(system), res)
+        assert not v.holds
+        assert v.witnesses["stop_reason"] == reason
+        assert 1 <= v.witnesses["depth_reached"] <= res.depth
+        assert 1 <= v.witnesses["words_examined"]
+        assert bound in v.caveat
+
+
+def test_arc_search_rejects_a_merge_cell_its_keys_cannot_hold(rotation_flip):
+    with pytest.raises(ValueError, match="too fine"):
+        topological_transitivity_verdict(rotation_flip, DEFAULT_RESOLUTION.replaced(eps=1e-10))
 
 
 def test_witness_pipeline_not_applicable(golden_rotation):

@@ -7,6 +7,7 @@ from ifs_lab import (Arc, CirclePoint, Expanding, Flip, NonInvertible,
                      NorthSouth, NotDifferentiable, PiecewiseLinear, Rotation,
                      circ_dist, eval_derivative, eval_inverse, eval_map,
                      fixed_points, map_arc)
+from ifs_lab.generators import map_arcs
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -85,6 +86,50 @@ def test_array_eval_matches_scalar(g):
     arr = g.eval_array(xs.copy())
     for x, v in zip(xs, arr):
         assert circ_dist(g.eval(float(x)), float(v)) <= 1e-12
+
+
+def lift_inputs(g, seed):
+    """Random reals over several periods, plus the knots, the integers and
+    their floating-point neighbours."""
+    rng = np.random.default_rng(seed)
+    knots = np.array(getattr(g, "breakpoints", ((0.0, 0.0),)))[:, 0]
+    edges = np.concatenate([knots + n for n in range(-2, 3)])
+    return np.concatenate([rng.uniform(-3.0, 3.0, 20_000), edges,
+                           np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+
+
+@pytest.mark.parametrize("g", [g for g in ALL_KINDS if not isinstance(g, NorthSouth)],
+                         ids=lambda g: repr(g)[:30])
+def test_lift_array_equals_lift_bitwise(g):
+    xs = lift_inputs(g, 13)
+    scalar = np.array([g.lift(float(x)) for x in xs])
+    assert np.array_equal(g.lift_array(xs), scalar)
+    lengths = np.random.default_rng(14).random(xs.size)
+    sources = [Arc(CirclePoint(float(x)), ln) for x, ln in zip(xs, lengths)]
+    starts, lens = map_arcs(g, np.array([a.start.value for a in sources]), lengths)
+    arcs = [map_arc(g, a) for a in sources]
+    assert np.array_equal(starts, [a.start.value for a in arcs])
+    assert np.array_equal(lens, [a.length for a in arcs])
+
+
+@pytest.mark.parametrize("g", [g for g in ALL_KINDS if isinstance(g, NorthSouth)],
+                         ids=lambda g: repr(g)[:30])
+def test_north_south_lift_array_within_two_ulp(g):
+    # numpy's tan/arctan may round differently from math's
+    xs = lift_inputs(g, 15)
+    scalar = np.array([g.lift(float(x)) for x in xs])
+    assert np.all(np.abs(g.lift_array(xs) - scalar) <= 2 * np.spacing(np.abs(scalar)))
+
+
+@pytest.mark.parametrize("g", ALL_KINDS, ids=lambda g: repr(g)[:30])
+def test_derivative_array_matches_scalar(g):
+    xs = lift_inputs(g, 16)
+    arr = g.derivative_array(xs)
+    for x, d in zip(xs.tolist(), arr.tolist()):
+        try:
+            assert d == pytest.approx(g.derivative(x), rel=1e-14)
+        except NotDifferentiable:
+            assert math.isnan(d)
 
 
 @pytest.mark.parametrize("g", ALL_KINDS, ids=lambda g: repr(g)[:30])

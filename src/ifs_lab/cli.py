@@ -2,27 +2,29 @@
 requested detectors at a given resolution, and emit a machine-readable
 report plus a human-readable summary.
 
-Reports are JSON with sorted keys so identical analyses produce identical
-bytes regardless of worker-thread count; wall-clock timings go to stdout
-(and into the report only with --timing).
+Every property is one entry of the `PROPERTIES` registry.  Reports are JSON
+with sorted keys so identical analyses produce identical bytes from run to
+run; wall-clock timings go to stdout (and into the report only with
+--timing).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from . import __version__
 from .detectors import (DEFAULT_RESOLUTION, NotApplicable, Resolution,
-                        almost_periodic_verdict, cofinite_sensitivity_verdict,
-                        max_cyclic_gap, minimality_verdict,
-                        s_transitivity_verdict, sensitivity_estimate,
+                        Verdict, almost_periodic_verdict,
+                        cofinite_sensitivity_verdict, max_cyclic_gap,
+                        minimality_verdict, s_transitivity_verdict,
+                        sensitivity_estimate,
                         sensitivity_witness_from_nonminimality,
                         strong_transitivity_verdict,
                         topological_transitivity_verdict)
@@ -53,9 +55,12 @@ def _as_real(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise MalformedInput(f"{where}: expected a number or decimal string")
     try:
-        return float(value)
+        real = float(value)
     except ValueError:
         raise MalformedInput(f"{where}: cannot parse {value!r} as a real number")
+    if not math.isfinite(real):
+        raise MalformedInput(f"{where}: expected a finite real")
+    return real
 
 
 def _check_fields(cfg: dict, allowed: set, where: str) -> None:
@@ -147,102 +152,110 @@ def load_system_file(path: str) -> IfsSystem:
 
 
 # ---------------------------------------------------------------------------
-# property dispatch
+# property registry
 
-PROPERTY_NAMES = (
-    "minimality",
-    "transitivity",
-    "strong_transitivity",
-    "s_transitivity",
-    "sensitivity",
-    "cofinite_sensitivity",
-    "almost_periodic",
-    "expanding",
-    "local_expanding",
-    "dense_periodic",
-    "repelling_fixed_point",
-    "witness_pipeline",
-)
+
+def _sensitivity(ifs: IfsSystem, res: Resolution) -> dict:
+    report, verdict = sensitivity_estimate(ifs, res)
+    return {**verdict.to_dict(), "report": report.to_dict()}
+
+
+def _expanding(ifs: IfsSystem, res: Resolution) -> dict:
+    holds, eta = expanding_verdict(ifs, grid=max(res.net_size, 2))
+    return Verdict("expanding", holds, res, {"eta": eta},
+                   "checked on a finite grid").to_dict()
+
+
+def _local_expanding(ifs: IfsSystem, res: Resolution) -> dict:
+    try:
+        cover = local_expanding_cover(ifs, res)
+    except NotLocallyExpanding as exc:
+        return Verdict("local_expanding", False, res, {"stuck_point": exc.point},
+                       "no expanding word found within bounds").to_dict()
+    return Verdict("local_expanding", True, res, cover.to_dict()).to_dict()
+
+
+def _dense_periodic(ifs: IfsSystem, res: Resolution, max_len: int) -> dict:
+    pts = periodic_points(ifs, max_len)
+    values = [p.value for p, _ in pts]
+    gap, _mid = max_cyclic_gap(np.array(values)) if values else (1.0, 0.0)
+    witnesses = {"count": len(values), "max_gap": gap, "max_word_length": max_len,
+                 "example_words": [list(pts[0][1])] if pts else []}
+    return Verdict("dense_periodic", bool(values) and gap <= 2.0 * res.eps, res,
+                   witnesses, "density measured at resolution eps").to_dict()
+
+
+def _repelling_fixed_point(ifs: IfsSystem, res: Resolution) -> dict:
+    for letter, g in enumerate(ifs.generators, start=1):
+        for rec in fixed_points(g, identity_samples=16):
+            if rec.classification == "repelling":
+                witnesses = {"generator": letter, "location": rec.location.value,
+                             "multipliers": list(rec.one_sided_multipliers)}
+                return Verdict("repelling_fixed_point", True, res, witnesses).to_dict()
+    return Verdict("repelling_fixed_point", False, res, {},
+                   "no generator has a repelling fixed point").to_dict()
+
+
+def _witness_pipeline(ifs: IfsSystem, res: Resolution) -> dict:
+    try:
+        delta_candidate, verdict = sensitivity_witness_from_nonminimality(ifs, res)
+    except NotApplicable as exc:
+        return Verdict("sensitivity_witness_from_nonminimality", False, res,
+                       {"not_applicable": True}, str(exc)).to_dict()
+    return {**verdict.to_dict(), "delta_candidate": delta_candidate}
+
+
+class PropertySpec(NamedTuple):
+    """How to decide one property: `run(ifs, res, **params)` returns the
+    JSON-ready verdict; `params` maps each parameter it reads to its default."""
+
+    run: Callable[..., dict]
+    params: dict
+
+
+# Detectors are looked up when a property runs, not when the table is built,
+# so rebinding a module-level name (as a tracer does) reaches every call.
+PROPERTIES = {
+    "minimality": PropertySpec(
+        lambda ifs, res: minimality_verdict(ifs, res).to_dict(), {}),
+    "transitivity": PropertySpec(
+        lambda ifs, res: topological_transitivity_verdict(ifs, res).to_dict(), {}),
+    "strong_transitivity": PropertySpec(
+        lambda ifs, res: strong_transitivity_verdict(ifs, res).to_dict(), {}),
+    "s_transitivity": PropertySpec(
+        lambda ifs, res: s_transitivity_verdict(ifs, res).to_dict(), {}),
+    "sensitivity": PropertySpec(_sensitivity, {}),
+    "cofinite_sensitivity": PropertySpec(
+        lambda ifs, res, delta, window:
+            cofinite_sensitivity_verdict(ifs, delta, res, window).to_dict(),
+        {"delta": 0.2, "window": 100}),
+    "almost_periodic": PropertySpec(
+        lambda ifs, res, x: almost_periodic_verdict(ifs, x, res).to_dict(), {"x": 0.0}),
+    "expanding": PropertySpec(_expanding, {}),
+    "local_expanding": PropertySpec(_local_expanding, {}),
+    "dense_periodic": PropertySpec(_dense_periodic, {"max_len": 2}),
+    "repelling_fixed_point": PropertySpec(_repelling_fixed_point, {}),
+    "witness_pipeline": PropertySpec(_witness_pipeline, {}),
+}
+
+PROPERTY_NAMES = tuple(PROPERTIES)
+
+
+def _spec(prop: str) -> PropertySpec:
+    if prop not in PROPERTIES:
+        raise MalformedInput(f"unknown property {prop!r}; choose from {PROPERTY_NAMES}")
+    return PROPERTIES[prop]
 
 
 def evaluate_property(ifs: IfsSystem, prop: str, res: Resolution,
                       params: Optional[dict] = None) -> dict:
-    """Run one detector and return its JSON-ready result."""
-    params = params or {}
-    if prop == "minimality":
-        return minimality_verdict(ifs, res).to_dict()
-    if prop == "transitivity":
-        return topological_transitivity_verdict(ifs, res).to_dict()
-    if prop == "strong_transitivity":
-        return strong_transitivity_verdict(ifs, res).to_dict()
-    if prop == "s_transitivity":
-        return s_transitivity_verdict(ifs, res).to_dict()
-    if prop == "sensitivity":
-        report, verdict = sensitivity_estimate(ifs, res)
-        out = verdict.to_dict()
-        out["report"] = report.to_dict()
-        return out
-    if prop == "cofinite_sensitivity":
-        delta = float(params.get("delta", 0.2))
-        window = int(params.get("window", 100))
-        return cofinite_sensitivity_verdict(ifs, delta, res, window).to_dict()
-    if prop == "almost_periodic":
-        x = float(params.get("x", 0.0))
-        return almost_periodic_verdict(ifs, x, res).to_dict()
-    if prop == "expanding":
-        holds, eta = expanding_verdict(ifs, grid=max(res.net_size, 2))
-        return {"property": "expanding", "holds": holds,
-                "resolution": res.to_dict(),
-                "witnesses": {"eta": eta}, "caveat": "checked on a finite grid"}
-    if prop == "local_expanding":
-        try:
-            cover = local_expanding_cover(ifs, res)
-            return {"property": "local_expanding", "holds": True,
-                    "resolution": res.to_dict(),
-                    "witnesses": cover.to_dict(), "caveat": ""}
-        except NotLocallyExpanding as exc:
-            return {"property": "local_expanding", "holds": False,
-                    "resolution": res.to_dict(),
-                    "witnesses": {"stuck_point": exc.point},
-                    "caveat": "no expanding word found within bounds"}
-    if prop == "dense_periodic":
-        max_len = int(params.get("max_len", 2))
-        pts = periodic_points(ifs, max_len)
-        values = [p.value for p, _ in pts]
-        gap, _mid = max_cyclic_gap(np.array(values)) if values else (1.0, 0.0)
-        holds = bool(values) and gap <= 2.0 * res.eps
-        example = [list(pts[0][1])] if pts else []
-        return {"property": "dense_periodic", "holds": holds,
-                "resolution": res.to_dict(),
-                "witnesses": {"count": len(values), "max_gap": gap,
-                              "max_word_length": max_len,
-                              "example_words": example},
-                "caveat": "density measured at resolution eps"}
-    if prop == "repelling_fixed_point":
-        for letter, g in enumerate(ifs.generators, start=1):
-            for rec in fixed_points(g, identity_samples=16):
-                if rec.classification == "repelling":
-                    return {"property": "repelling_fixed_point", "holds": True,
-                            "resolution": res.to_dict(),
-                            "witnesses": {"generator": letter,
-                                          "location": rec.location.value,
-                                          "multipliers": list(rec.one_sided_multipliers)},
-                            "caveat": ""}
-        return {"property": "repelling_fixed_point", "holds": False,
-                "resolution": res.to_dict(), "witnesses": {},
-                "caveat": "no generator has a repelling fixed point"}
-    if prop == "witness_pipeline":
-        try:
-            delta_candidate, verdict = sensitivity_witness_from_nonminimality(ifs, res)
-            out = verdict.to_dict()
-            out["delta_candidate"] = delta_candidate
-            return out
-        except NotApplicable as exc:
-            return {"property": "sensitivity_witness_from_nonminimality",
-                    "holds": False, "resolution": res.to_dict(),
-                    "witnesses": {"not_applicable": True},
-                    "caveat": str(exc)}
-    raise MalformedInput(f"unknown property {prop!r}; choose from {PROPERTY_NAMES}")
+    """Run one detector and return its JSON-ready result.  Parameters the
+    property does not read are ignored; each one it reads is coerced to the
+    type of its default."""
+    spec = _spec(prop)
+    given = params or {}
+    return spec.run(ifs, res, **{name: type(default)(given.get(name, default))
+                                 for name, default in spec.params.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -250,44 +263,33 @@ def evaluate_property(ifs: IfsSystem, prop: str, res: Resolution,
 
 
 def _resolution_from_args(args) -> Resolution:
-    res = DEFAULT_RESOLUTION
-    overrides = {}
-    for name, attr in (("eps", "eps"), ("r", "r"), ("depth", "depth"),
-                       ("net", "net_size"), ("budget", "budget")):
-        v = getattr(args, name, None)
-        if v is not None:
-            overrides[attr] = v
-    return res.replaced(**overrides) if overrides else res
+    fields = ("eps", "r", "depth", "net_size", "budget")
+    return DEFAULT_RESOLUTION.replaced(**{f: getattr(args, f) for f in fields
+                                          if getattr(args, f) is not None})
 
 
 def _params_from_args(args) -> dict:
-    params = {}
-    for name in ("delta", "window", "x", "max_len"):
-        v = getattr(args, name, None)
-        if v is not None:
-            params[name] = v
-    return params
+    return {name: getattr(args, name) for spec in PROPERTIES.values()
+            for name in spec.params if getattr(args, name) is not None}
+
+
+def _run_timed(ifs: IfsSystem, jobs, res: Resolution) -> List[Tuple[dict, float]]:
+    """Evaluate each (property, params) job in order, with its wall time."""
+    results = []
+    for prop, params in jobs:
+        t0 = time.perf_counter()
+        result = evaluate_property(ifs, prop, res, params)
+        results.append((result, time.perf_counter() - t0))
+    return results
 
 
 def run_analyze(ifs: IfsSystem, source: dict, props: List[str], res: Resolution,
-                params: dict, threads: int = 1, include_timing: bool = False,
+                params: dict, include_timing: bool = False,
                 out_path: Optional[str] = None, echo=print) -> dict:
     """Run the requested detectors and assemble the report document."""
     for p in props:
-        if p not in PROPERTY_NAMES:
-            raise MalformedInput(f"unknown property {p!r}; choose from {PROPERTY_NAMES}")
-
-    def job(prop: str) -> Tuple[dict, float]:
-        t0 = time.perf_counter()
-        result = evaluate_property(ifs, prop, res, params)
-        return result, time.perf_counter() - t0
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(job, props))
-    else:
-        results = [job(p) for p in props]
-
+        _spec(p)
+    results = _run_timed(ifs, [(p, params) for p in props], res)
     report = {
         "schema": SCHEMA,
         "tool": {"name": "ifs-lab", "version": __version__},
@@ -302,36 +304,21 @@ def run_analyze(ifs: IfsSystem, source: dict, props: List[str], res: Resolution,
     for p, (r, t) in zip(props, results):
         echo(f"  {p:<24s} holds={str(r['holds']):<5s}  [{t:.2f}s]")
     if out_path:
-        write_report(report, out_path)
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(render_report(report))
         echo(f"report written to {out_path}")
     return report
-
-
-def write_report(report: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_report(report))
 
 
 def render_report(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def run_verify(name: str, res: Resolution, threads: int = 1, echo=print) -> int:
+def run_verify(name: str, res: Resolution, echo=print) -> int:
     """Check a gallery entry's expected manifest; exit status semantics."""
     entry = build_example(name)
     echo(f"verify {name}: {entry.description}")
-
-    def job(exp) -> Tuple[dict, float]:
-        t0 = time.perf_counter()
-        result = evaluate_property(entry.system, exp.name, res, exp.params)
-        return result, time.perf_counter() - t0
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(job, entry.expected))
-    else:
-        results = [job(e) for e in entry.expected]
-
+    results = _run_timed(entry.system, [(e.name, e.params) for e in entry.expected], res)
     failures = 0
     for exp, (result, t) in zip(entry.expected, results):
         ok = result["holds"] == exp.holds
@@ -361,9 +348,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eps", type=float, help="density/covering tolerance")
         p.add_argument("--r", type=float, help="test-ball radius")
         p.add_argument("--depth", type=int, help="maximum word length")
-        p.add_argument("--net", type=int, help="net size on the circle")
+        p.add_argument("--net", dest="net_size", type=int, metavar="NET",
+                       help="net size on the circle")
         p.add_argument("--budget", type=int, help="search budget per quantified instance")
-        p.add_argument("--threads", type=int, default=1, help="worker threads")
 
     pa = sub.add_parser("analyze", help="run selected detectors on a system")
     src = pa.add_mutually_exclusive_group(required=True)
@@ -377,7 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--x", type=float, help="base point (almost_periodic)")
     pa.add_argument("--max-len", dest="max_len", type=int,
                     help="maximum word length (dense_periodic)")
-    pa.add_argument("--out", default="ifs_report.json", help="report output path")
+    pa.add_argument("--out", help="report output path (no report file without it)")
     pa.add_argument("--timing", action="store_true",
                     help="include wall-clock timings in the report file")
 
@@ -404,15 +391,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 raise MalformedInput("--props must name at least one property")
             print(f"analyze {source}: props={','.join(props)}")
             run_analyze(ifs, source, props, res, _params_from_args(args),
-                        threads=args.threads, include_timing=args.timing,
-                        out_path=args.out)
+                        include_timing=args.timing, out_path=args.out)
             return EXIT_OK
-        if args.command == "verify":
-            if args.gallery not in GALLERY_NAMES:
-                raise MalformedInput(
-                    f"unknown gallery name {args.gallery!r}; choose from {GALLERY_NAMES}")
-            return run_verify(args.gallery, res, threads=args.threads)
-        raise MalformedInput(f"unknown command {args.command!r}")
+        return run_verify(args.gallery, res)
     except (MalformedInput, UnknownExample, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED

@@ -102,16 +102,18 @@ def uniform_net(n: int) -> List[float]:
     return [(i + 0.5) / n for i in range(n)]
 
 
-def generator_fixed_values(ifs: IfsSystem) -> List[float]:
-    vals: List[float] = []
-    for g in ifs.generators:
-        for rec in fixed_points(g, identity_samples=16):
-            vals.append(rec.location.value)
+def _sorted_distinct(values) -> List[float]:
+    """Sorted values, dropping each one within 1e-12 of the last one kept."""
     out: List[float] = []
-    for v in sorted(vals):
+    for v in sorted(values):
         if not out or v - out[-1] > 1e-12:
             out.append(v)
     return out
+
+
+def generator_fixed_values(ifs: IfsSystem) -> List[float]:
+    return _sorted_distinct(rec.location.value for g in ifs.generators
+                            for rec in fixed_points(g, identity_samples=16))
 
 
 def system_net(ifs: IfsSystem, n: int) -> List[float]:
@@ -120,12 +122,7 @@ def system_net(ifs: IfsSystem, n: int) -> List[float]:
     Fixed points are the places where orbit closures degenerate, so point
     quantifiers are evaluated there as well as on the uniform grid.
     """
-    merged = sorted(set(uniform_net(n)) | set(generator_fixed_values(ifs)))
-    out: List[float] = []
-    for v in merged:
-        if not out or v - out[-1] > 1e-12:
-            out.append(v)
-    return out
+    return _sorted_distinct(set(uniform_net(n)) | set(generator_fixed_values(ifs)))
 
 
 def max_cyclic_gap(values: np.ndarray) -> Tuple[float, float]:

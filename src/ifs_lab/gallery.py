@@ -129,7 +129,7 @@ def _cor33_morse_smale(params: dict) -> GalleryEntry:
 def _prop35_expanding(params: dict) -> GalleryEntry:
     system = IfsSystem([Expanding(2), Expanding(3)])
     expected = [
-        ExpectedProperty("expanding", True, "constant derivatives 2 and 3", {"eta": 0.5}),
+        ExpectedProperty("expanding", True, "constant derivatives 2 and 3"),
         ExpectedProperty("cofinite_sensitivity", True, "arc doubling never un-separates",
                          {"delta": 0.2, "window": 100}),
     ]

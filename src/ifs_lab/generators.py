@@ -273,13 +273,14 @@ class PiecewiseLinear(Generator):
         return out
 
     def inverse(self) -> "PiecewiseLinear":
-        # Knots of the inverse lift over two periods, cut back to y in [0, 1].
-        pairs = list(zip(self._ys, self._xs))
-        if self._deg > 0:
-            ext = [(y - 1.0, x - 1.0) for y, x in pairs[:-1]] + pairs
-        else:
-            asc = list(reversed(pairs))
-            ext = asc[:-1] + [(y + 1.0, x - 1.0) for y, x in asc]
+        # Knots of the inverse lift, (y, x) ascending in y; the period shifted
+        # by n is (y + n, x + n * deg).  The periods n with low + n <= 0 and
+        # low + n + 1 >= 1 span y in [0, 1], and the knots are cut back to it.
+        pairs = list(zip(self._ys, self._xs))[::self._deg]
+        low = pairs[0][0]
+        periods = range(math.floor(-low), math.ceil(-low) + 1)
+        ext = [(y + n, x + n * self._deg) for n in periods[:-1] for y, x in pairs[:-1]]
+        ext += [(y + periods[-1], x + periods[-1] * self._deg) for y, x in pairs]
         out = []
         for (y0, x0), (y1, x1) in zip(ext, ext[1:]):
             if y1 <= 0.0 or y0 >= 1.0:

@@ -1,9 +1,9 @@
 """Finitely generated systems of circle maps and their semigroup action.
 
 Words act by applying their letters left to right: letter w[0] first,
-letter w[-1] last.  Orbits are computed breadth-first with points
-deduplicated at resolution 1e-12, keeping the first (hence shortest)
-witness word per point.
+letter w[-1] last.  Orbits are computed breadth-first by `orbit_cloud`, one
+level at a time, with points deduplicated at resolution 1e-12, keeping the
+first (hence shortest) witness word per point.
 """
 
 from __future__ import annotations
@@ -13,17 +13,13 @@ from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .circle import CirclePoint, as_value, circ_dist, normalize
+from .circle import CirclePoint, as_value, normalize
 from .generators import Generator, NonInvertible, _lift_fixed_values
 from .symbolic import Word, validate_word
 
 # Orbit points closer than this are treated as the same point.
 DEDUP_RESOLUTION = 1e-12
 _KEY_SCALE = round(1.0 / DEDUP_RESOLUTION)
-
-
-def _key(v: float) -> int:
-    return round(v * _KEY_SCALE) % _KEY_SCALE
 
 
 class IfsSystem:
@@ -95,13 +91,6 @@ class OrbitSet:
     def values(self) -> List[float]:
         return [p.value for p, _ in self.points]
 
-    def witness(self, p) -> Word:
-        v = as_value(p)
-        for q, w in self.points:
-            if circ_dist(q.value, v) <= DEDUP_RESOLUTION:
-                return w
-        raise KeyError(f"{v} is not an orbit point")
-
     def __len__(self):
         return len(self.points)
 
@@ -123,48 +112,30 @@ def word_derivative(ifs: IfsSystem, w: Word, x) -> float:
     return deriv
 
 
-def _orbit(ifs: IfsSystem, x, depth: int, cap: int, inverse: bool) -> OrbitSet:
+def _orbit_set(ifs: IfsSystem, x, depth: int, cap: int, inverse: bool) -> OrbitSet:
     if depth < 0:
         raise ValueError("depth must be non-negative")
-    base = as_value(x)
     gens = ifs.inverse_system().generators if inverse else ifs.generators
-    entries: List[Tuple[float, Word]] = [(base, ())]
-    seen = {_key(base): 0}
-    frontier = [0]
-    for _ in range(depth):
-        if not frontier or len(entries) >= cap:
-            break
-        next_frontier = []
-        for idx in frontier:
-            v, w = entries[idx]
-            for letter in range(1, ifs.k + 1):
-                if len(entries) >= cap:
-                    break
-                nv = gens[letter - 1].eval(v)
-                key = _key(nv)
-                if key in seen:
-                    continue
-                # Backward orbits accumulate the inverse of a growing word, so
-                # the witness letter goes in front; forward witnesses append.
-                nw = (letter,) + w if inverse else w + (letter,)
-                seen[key] = len(entries)
-                entries.append((nv, nw))
-                next_frontier.append(len(entries) - 1)
-        frontier = next_frontier
-    pts = tuple(sorted(((CirclePoint(v), w) for v, w in entries), key=lambda e: e[0].value))
-    return OrbitSet(CirclePoint(base), "backward" if inverse else "forward", depth, pts)
+    cloud = orbit_cloud(ifs, x, depth, cap, generators=gens)
+    # A backward cloud applies inverse letters in path order, so the word
+    # carrying a point back to x is that path reversed.
+    step = -1 if inverse else 1
+    words = [cloud.word_for(i)[::step] for i in range(cloud.values.size)]
+    pts = tuple(sorted(zip(map(CirclePoint, cloud.values.tolist()), words),
+                       key=lambda e: e[0].value))
+    return OrbitSet(CirclePoint(as_value(x)), "backward" if inverse else "forward",
+                    depth, pts)
 
 
 def forward_orbit(ifs: IfsSystem, x, depth: int, cap: int = 100_000) -> OrbitSet:
     """All images of x under words of length <= depth (breadth-first, capped)."""
-    return _orbit(ifs, x, depth, cap, inverse=False)
+    return _orbit_set(ifs, x, depth, cap, inverse=False)
 
 
 def backward_orbit(ifs: IfsSystem, x, depth: int, cap: int = 100_000) -> OrbitSet:
-    """All preimages of x under word maps of length <= depth."""
-    if not ifs.all_invertible:
-        raise NonInvertible("backward orbit needs every generator invertible")
-    return _orbit(ifs, x, depth, cap, inverse=True)
+    """All preimages of x under word maps of length <= depth; raises
+    NonInvertible unless every generator is invertible."""
+    return _orbit_set(ifs, x, depth, cap, inverse=True)
 
 
 def periodic_points(ifs: IfsSystem, max_len: int, tol: float = 1e-12,

@@ -45,10 +45,23 @@ def test_reals_as_decimal_strings():
     {"generators": []},
     {"schema": "other/9", "generators": [{"type": "flip"}]},
     {"generators": [{"type": "piecewise_linear", "breakpoints": [[0, 0]]}]},
+    {"generators": [{"type": "rotation", "alpha": "nan"}]},
+    {"generators": [{"type": "rotation", "alpha": float("inf")}]},
+    {"generators": [{"type": "north_south", "q": 0.0, "lambda": "inf"}]},
+    {"generators": [{"type": "north_south", "q": "-1e999", "lambda": 2.0}]},
+    {"generators": [{"type": "piecewise_linear",
+                     "breakpoints": [[0, 0], [0.5, "nan"], [1, 1]]}]},
 ])
 def test_malformed_documents_rejected(doc):
     with pytest.raises(MalformedInput):
         system_from_config(doc)
+
+
+def test_non_finite_real_names_its_field(tmp_path, capsys):
+    src = tmp_path / "sys.json"
+    src.write_text('{"generators": [{"type": "north_south", "q": 0, "lambda": "inf"}]}')
+    assert main(["analyze", "--system", str(src), "--props", "minimality"]) == EXIT_MALFORMED
+    assert f"{src}.generators[0].lambda: expected a finite real" in capsys.readouterr().err
 
 
 def test_load_system_file_errors(tmp_path):
@@ -73,6 +86,18 @@ def test_analyze_rotation_minimality(tmp_path, capsys):
     assert report["resolution"]["depth"] == 200
     # round-trip: re-serializing reproduces identical bytes
     assert render_report(report) == out.read_text()
+
+
+def test_analyze_without_out_writes_no_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["analyze", "--gallery", "prop35_expanding", "--props", "expanding"]) == EXIT_OK
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_threads_flag_is_gone():
+    with pytest.raises(SystemExit):
+        main(["analyze", "--gallery", "prop35_expanding", "--props", "expanding",
+              "--threads", "2"])
 
 
 def test_analyze_gallery_example_claims(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 
 from ifs_lab import (Expanding, Flip, NorthSouth, Rotation, UnknownExample,
                      build_example, forward_orbit)
-from ifs_lab.cli import PROPERTY_NAMES
+from ifs_lab.cli import PROPERTIES, PROPERTY_NAMES
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -75,6 +75,8 @@ def test_manifests_reference_known_properties():
         assert entry.expected, name
         for exp in entry.expected:
             assert exp.name in PROPERTY_NAMES, (name, exp.name)
+            # every manifest parameter is one the property reads
+            assert set(exp.params) <= set(PROPERTIES[exp.name].params), (name, exp)
 
 
 @pytest.mark.parametrize("name", ["rotation_flip", "ex42_hinges",

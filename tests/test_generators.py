@@ -179,6 +179,19 @@ def test_piecewise_inverse_breakpoints():
             assert circ_dist(inv.eval(base.eval(x)), x) <= 1e-12
 
 
+@pytest.mark.parametrize("bps", [
+    ((0.0, -0.1), (0.5, 0.4), (1.0, 0.9)),     # preserving, starts below 0
+    ((0.0, 1.3), (0.5, 1.7), (1.0, 2.3)),      # preserving, starts above 1
+    ((0.0, 1.1), (0.5, 0.6), (1.0, 0.1)),      # reversing, ends above 0
+    ((0.0, -0.2), (0.5, -0.9), (1.0, -1.2)),   # reversing, starts below 0
+])
+def test_piecewise_inverse_of_offset_lifts(bps):
+    g = PiecewiseLinear(bps)
+    inv = g.inverse()
+    for x in np.linspace(0.0, 1.0, 201)[:-1]:
+        assert circ_dist(inv.eval(g.eval(x)), x) <= 1e-12
+
+
 def test_map_arc_examples():
     out = map_arc(Rotation(0.25), Arc(CirclePoint(0.1), 0.1))
     assert out.start.value == pytest.approx(0.35) and out.length == pytest.approx(0.1)

@@ -7,6 +7,7 @@ from ifs_lab import (Flip, IfsSystem, NonInvertible,
                      Rotation, backward_orbit, circ_dist, compose_word, concat,
                      forward_orbit, periodic_points, word_derivative)
 from ifs_lab.semigroup import orbit_cloud
+from ifs_lab.symbolic import enumerate_words
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -94,6 +95,8 @@ def test_forward_orbit_depth_zero(golden_rotation):
     orb = forward_orbit(golden_rotation, 0.3, 0)
     assert orb.values() == [pytest.approx(0.3)]
     assert orb.points[0][1] == ()
+    with pytest.raises(ValueError):
+        forward_orbit(golden_rotation, 0.3, -1)
 
 
 def test_forward_orbit_quarter_rotation():
@@ -115,6 +118,26 @@ def test_forward_orbit_witnesses_replay(hinge_system):
     for p, w in orb.points:
         assert circ_dist(hinge_system.apply_word(w, 0.31), p) <= 1e-12
     assert len(orb) <= 500
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+def test_orbit_witnesses_are_shortest(ns_rotation_sym, inverse):
+    # oracle: every word up to the depth, applied letter by letter
+    x, depth = 0.42, 3
+    apply = ns_rotation_sym.apply_inverse_word if inverse else ns_rotation_sym.apply_word
+    orbit = backward_orbit if inverse else forward_orbit
+    shortest = {}
+    for w in enumerate_words(ns_rotation_sym.k, depth):
+        shortest.setdefault(round(apply(w, x), 9), len(w))
+    orb = orbit(ns_rotation_sym, x, depth)
+    assert len(orb) == len(shortest)
+    for p, w in orb.points:
+        assert len(w) == shortest[round(p.value, 9)]
+    # a cap keeps a prefix of the breadth-first order; each kept witness replays
+    capped = orbit(ns_rotation_sym, x, depth, cap=20)
+    assert len(capped) == 20
+    for p, w in capped.points:
+        assert circ_dist(apply(w, x), p) <= 1e-12
 
 
 def test_backward_orbit_examples(doubling):

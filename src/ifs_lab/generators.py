@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circle import Arc, CirclePoint, as_value, circ_dist, normalize, normalize_array
+from .circle import Arc, CirclePoint, as_value, normalize, normalize_array
 
 
 class NonInvertible(Exception):
@@ -30,6 +30,11 @@ class NotDifferentiable(Exception):
         self.location = location
         self.left = left
         self.right = right
+
+
+def _require_finite(field: str, *values) -> None:
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{field} must be finite, got {values[0] if len(values) == 1 else values}")
 
 
 class Generator:
@@ -81,6 +86,7 @@ class Rotation(Generator):
     alpha: float
 
     def __post_init__(self):
+        _require_finite("alpha", self.alpha)
         object.__setattr__(self, "alpha", normalize(self.alpha))
 
     def lift(self, t: float) -> float:
@@ -137,6 +143,8 @@ class NorthSouth(Generator):
     lam: float
 
     def __post_init__(self):
+        _require_finite("q", self.q)
+        _require_finite("lam", self.lam)
         object.__setattr__(self, "q", normalize(self.q))
         if not self.lam > 1.0:
             raise ValueError(f"multiplier must exceed 1, got {self.lam}")
@@ -212,6 +220,8 @@ class PiecewiseLinear(Generator):
 
     def __post_init__(self):
         bps = tuple((float(x), float(y)) for x, y in self.breakpoints)
+        for bp in bps:
+            _require_finite("breakpoints", *bp)
         object.__setattr__(self, "breakpoints", bps)
         xs = [x for x, _ in bps]
         ys = [y for _, y in bps]
@@ -305,6 +315,8 @@ class Expanding(Generator):
     invertible = False
 
     def __post_init__(self):
+        if isinstance(self.m, float):
+            _require_finite("m", self.m)
         if int(self.m) != self.m or self.m < 2:
             raise ValueError(f"expanding factor must be an integer >= 2, got {self.m}")
         object.__setattr__(self, "m", int(self.m))
@@ -381,46 +393,66 @@ class FixedPointRecord:
 # Non-hyperbolicity margin for classifying multipliers against 1.
 _CLASS_TOL = 1e-9
 _FP_GRID = 4096
+# Basin starts sit at p -+ 1e-4 * 2^k for the radii below 0.49 (k = 0..12).
+_BASIN_RADII = 1e-4 * 2.0 ** np.arange(13)
 
 
-def _lift_fixed_values(lift, tol: float, identity_samples: int):
+def _lift_fixed_values(lift_array, tol: float, identity_samples: int):
     """Roots in [0, 1) of lift(x) - x - m over all integer branches m.
 
+    One array pass: lift(x) - x on a grid of _FP_GRID cells, every (cell,
+    branch) crossing listed at once, and all crossings bisected together.
     Returns (values, identity) where identity=True means the map fixes every
     point up to tol; in that case `values` is a uniform sample.
     """
     n = _FP_GRID
-    xs = [i / n for i in range(n + 1)]
-    phi = [lift(x) - x for x in xs]
-    lo = math.ceil(min(phi) - tol)
-    hi = math.floor(max(phi) + tol)
-    roots = []
-    for m in range(lo, hi + 1):
-        psi = [p - m for p in phi]
-        if max(abs(p) for p in psi) <= tol:
-            return [(i + 0.5) / identity_samples for i in range(identity_samples)], True
-        for i in range(n):
-            a, b = psi[i], psi[i + 1]
-            if a == 0.0:
-                roots.append(xs[i])
-            elif a * b < 0.0:
-                ra, rb = xs[i], xs[i + 1]
-                fa = a
-                for _ in range(64):
-                    mid = 0.5 * (ra + rb)
-                    fm = lift(mid) - mid - m
-                    if fm == 0.0 or rb - ra <= tol * 0.5:
-                        ra = rb = mid
-                        break
-                    if fa * fm < 0.0:
-                        rb = mid
-                    else:
-                        ra, fa = mid, fm
-                roots.append(0.5 * (ra + rb))
-        if abs(psi[n]) <= tol * 0.5 and not any(abs(r - 1.0) <= 4 * tol for r in roots):
-            roots.append(1.0)
+    xs = np.arange(n + 1) / n
+    phi = lift_array(xs) - xs
+    lo = math.ceil(phi.min() - tol)
+    hi = math.floor(phi.max() + tol)
+    # a lift can stay within tol of one branch only if it is nearly constant
+    if phi.max() - phi.min() <= 4 * tol:
+        for m in range(lo, hi + 1):
+            if np.abs(phi - m).max() <= tol:
+                return [(i + 0.5) / identity_samples for i in range(identity_samples)], True
+    a, b = phi[:-1], phi[1:]
+    # a grid point lying on its branch m = phi[i] is a root as it stands
+    on_grid = np.flatnonzero(a == np.floor(a))
+    # every branch m strictly between phi[i] and phi[i + 1], cell by cell
+    first = np.floor(np.minimum(a, b)) + 1.0
+    count = np.maximum(np.ceil(np.maximum(a, b)) - first, 0.0).astype(np.int64)
+    cell = np.repeat(np.arange(n), count)
+    m = np.repeat(first, count) + (np.arange(cell.size) - np.repeat(np.cumsum(count) - count, count))
+    fa = phi[cell] - m
+    cross = fa * (phi[cell + 1] - m) < 0.0
+    cell, m, fa = cell[cross], m[cross], fa[cross]
+    branches = np.concatenate([a[on_grid], m])
+    ra, rb = xs[cell], xs[cell + 1]
+    bisected = np.empty(cell.size)
+    live = np.arange(cell.size)
+    for _ in range(64):
+        if not live.size:
+            break
+        mid = 0.5 * (ra + rb)
+        fm = lift_array(mid) - mid - m
+        done = (fm == 0.0) | (rb - ra <= tol * 0.5)
+        bisected[live[done]] = mid[done]
+        go = ~done
+        live, ra, rb, fa, m, mid, fm = (v[go] for v in (live, ra, rb, fa, m, mid, fm))
+        left = fa * fm < 0.0
+        rb = np.where(left, mid, rb)
+        ra = np.where(left, ra, mid)
+        fa = np.where(left, fa, fm)
+    bisected[live] = 0.5 * (ra + rb)
+    roots = np.concatenate([xs[on_grid], bisected])
+    # x = 1 is a root on the lowest branch that phi(1) meets within tol/2,
+    # unless a root of a branch up to that one already lies within 4 tol of 1
+    end = [k for k in range(max(lo, math.floor(phi[n])), min(hi, math.ceil(phi[n])) + 1)
+           if abs(phi[n] - k) <= tol * 0.5]
+    if end and not np.any((np.abs(roots - 1.0) <= 4 * tol) & (branches <= end[0])):
+        roots = np.append(roots, 1.0)
     out = []
-    for r in sorted(normalize(r) for r in roots):
+    for r in np.sort(normalize_array(roots)).tolist():
         if not out or r - out[-1] > max(tol, 1e-11):
             out.append(r)
     if len(out) > 1 and (1.0 - out[-1] + out[0]) <= max(tol, 1e-11):
@@ -447,60 +479,71 @@ def _classify(mult: tuple) -> str:
     return "semistable"
 
 
-def _nearest_preimage(g: Generator, y: float, near: float) -> float:
-    """The preimage of y closest to `near` (the local inverse branch)."""
+def _circ_dist_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    d = np.abs(a - b)
+    return np.where(d <= 0.5, d, 1.0 - d)
+
+
+def _local_inverse(g: Generator):
+    """step(y, p): the preimage of each y on the branch through p."""
     if g.invertible:
-        return g.inverse().eval(y)
-    m = g.degree
-    best = None
-    for j in range(m):
-        cand = normalize((y + j) / m)
-        if best is None or circ_dist(cand, near) < circ_dist(best, near):
-            best = cand
-    return best
+        inv = g.inverse()
+        return lambda y, p: inv.eval_array(y)
+    m = g.degree  # an Expanding covering: the preimages are (y + j) / m
+
+    def step(y, p):
+        # the nearest of the m preimages has j within one of m p - y (mod m);
+        # argmin over ascending j keeps the lowest j among equal distances
+        j0 = np.rint(m * p - y) % m
+        cand = normalize_array((y + np.sort([(j0 - 1.0) % m, j0, (j0 + 1.0) % m], axis=0)) / m)
+        return cand[_circ_dist_array(cand, p).argmin(axis=0), np.arange(y.size)]
+
+    return step
 
 
-def _basin_arc(g: Generator, p: float, classification: str) -> Arc:
-    """Grow a symmetric arc around p verified to converge to p under the map
-    (attracting) or its local inverse (repelling)."""
-    if classification == "attracting":
-        step = g.eval
-    elif classification == "repelling":
-        step = lambda y: _nearest_preimage(g, y, p)  # noqa: E731
-    else:
-        return Arc(CirclePoint(p), 0.0)
+def _converging(step, p: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Whether each start y comes within 1e-9 of its p in at most 500 steps."""
+    ok = np.zeros(y.size, dtype=bool)
+    live = np.arange(y.size)
+    for k in range(501):
+        near = _circ_dist_array(y, p) <= 1e-9
+        ok[live[near]] = True
+        live, p, y = live[~near], p[~near], y[~near]
+        if k == 500 or not live.size:
+            return ok
+        y = step(y, p)
 
-    def converges(y: float) -> bool:
-        for _ in range(500):
-            if circ_dist(y, p) <= 1e-9:
-                return True
-            y = step(y)
-        return circ_dist(y, p) <= 1e-9
 
-    good = 0.0
-    r = 1e-4
-    while r < 0.49:
-        if converges(normalize(p - r)) and converges(normalize(p + r)):
-            good = r
-            r *= 2.0
-        else:
-            break
-    if good == 0.0:
-        return Arc(CirclePoint(p), 0.0)
-    return Arc(CirclePoint(p - good), min(2.0 * good, 1.0))
+def _basin_radii(g: Generator, values: list, classes: list) -> list:
+    """Per fixed point, the largest radius 1e-4 * 2^k such that the starts
+    p -+ 1e-4 * 2^j for all j <= k converge to p under the map (attracting)
+    or its local inverse (repelling); 0.0 when none does or p is neither."""
+    radii = [0.0] * len(values)
+    for cls in ("attracting", "repelling"):
+        idx = [i for i, c in enumerate(classes) if c == cls]
+        if not idx:
+            continue
+        step = (lambda y, p: g.eval_array(y)) if cls == "attracting" else _local_inverse(g)
+        p = np.asarray(values)[idx, None, None]
+        starts = p + _BASIN_RADII[:, None] * np.array([-1.0, 1.0])
+        ok = _converging(step, np.broadcast_to(p, starts.shape).ravel(),
+                         normalize_array(starts.ravel())).reshape(starts.shape).all(axis=2)
+        # the number of radii before the first one with a failing start
+        for i, k in zip(idx, ok.cumprod(axis=1).sum(axis=1).tolist()):
+            radii[i] = float(_BASIN_RADII[k - 1]) if k else 0.0
+    return radii
 
 
 def fixed_points(g: Generator, tol: float = 1e-12, identity_samples: int = 512):
     """All fixed points of the map, classified by one-sided multipliers."""
-    values, identity = _lift_fixed_values(g.lift, tol, identity_samples)
+    values, identity = _lift_fixed_values(g.lift_array, tol, identity_samples)
+    if identity:
+        return [FixedPointRecord(CirclePoint(v), (1.0, 1.0), "nonhyperbolic", Arc(CirclePoint(v), 0.0))
+                for v in values]
+    mults = [_one_sided_multipliers(g, v) for v in values]
+    classes = [_classify(mult) for mult in mults]
     records = []
-    for v in values:
-        if identity:
-            records.append(
-                FixedPointRecord(CirclePoint(v), (1.0, 1.0), "nonhyperbolic", Arc(CirclePoint(v), 0.0))
-            )
-            continue
-        mult = _one_sided_multipliers(g, v)
-        cls = _classify(mult)
-        records.append(FixedPointRecord(CirclePoint(v), mult, cls, _basin_arc(g, v, cls)))
+    for v, mult, cls, r in zip(values, mults, classes, _basin_radii(g, values, classes)):
+        basin = Arc(CirclePoint(v - r), min(2.0 * r, 1.0)) if r else Arc(CirclePoint(v), 0.0)
+        records.append(FixedPointRecord(CirclePoint(v), mult, cls, basin))
     return records

@@ -138,6 +138,17 @@ def backward_orbit(ifs: IfsSystem, x, depth: int, cap: int = 100_000) -> OrbitSe
     return _orbit_set(ifs, x, depth, cap, inverse=True)
 
 
+def _word_lift_array(ifs: IfsSystem, w: Word):
+    gens = [ifs.generators[letter - 1] for letter in w]
+
+    def lifted(t: np.ndarray) -> np.ndarray:
+        for g in gens:
+            t = g.lift_array(t)
+        return t
+
+    return lifted
+
+
 def periodic_points(ifs: IfsSystem, max_len: int, tol: float = 1e-12,
                     identity_samples: int = 512) -> List[Tuple[CirclePoint, Word]]:
     """Fixed points of every word map of length 1..max_len.
@@ -155,8 +166,7 @@ def periodic_points(ifs: IfsSystem, max_len: int, tol: float = 1e-12,
     for w in enumerate_words(ifs.k, max_len):
         if not w:
             continue
-        lift = ifs.word_lift(w)
-        values, _identity = _lift_fixed_values(lift, tol, identity_samples)
+        values, _identity = _lift_fixed_values(_word_lift_array(ifs, w), tol, identity_samples)
         for v in values:
             key = round(v / max(tol, 1e-15))
             if key in seen_keys:

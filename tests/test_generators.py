@@ -269,3 +269,19 @@ def test_identity_fixed_points_sampled():
     recs = fixed_points(Rotation(0.0), identity_samples=32)
     assert len(recs) == 32
     assert all(r.classification == "nonhyperbolic" for r in recs)
+
+
+@pytest.mark.parametrize("build,field", [
+    (lambda: Rotation(float("nan")), "alpha"),
+    (lambda: Rotation(float("inf")), "alpha"),
+    (lambda: NorthSouth(0.0, float("inf")), "lam"),
+    (lambda: NorthSouth(0.0, float("nan")), "lam"),
+    (lambda: NorthSouth(float("-inf"), 2.0), "q"),
+    (lambda: PiecewiseLinear(((0.0, 0.0), (0.5, float("nan")), (1.0, 1.0))), "breakpoints"),
+    (lambda: PiecewiseLinear(((0.0, 0.0), (float("inf"), 0.5), (1.0, 1.0))), "breakpoints"),
+    (lambda: Expanding(float("inf")), "m"),
+    (lambda: Expanding(float("nan")), "m"),
+])
+def test_constructors_reject_non_finite_parameters(build, field):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        build()

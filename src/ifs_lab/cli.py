@@ -22,16 +22,15 @@ import numpy as np
 from . import __version__
 from .detectors import (DEFAULT_RESOLUTION, NotApplicable, Resolution,
                         Verdict, almost_periodic_verdict,
-                        cofinite_sensitivity_verdict, max_cyclic_gap,
-                        minimality_verdict, s_transitivity_verdict,
+                        cofinite_sensitivity_verdict, generator_fixed_points,
+                        max_cyclic_gap, minimality_verdict, s_transitivity_verdict,
                         sensitivity_estimate,
                         sensitivity_witness_from_nonminimality,
                         strong_transitivity_verdict,
                         topological_transitivity_verdict)
 from .gallery import GALLERY_NAMES, UnknownExample, build_example
 from .generators import (Expanding, Flip, Generator, NonInvertible, NorthSouth,
-                         NotDifferentiable, PiecewiseLinear, Rotation,
-                         fixed_points)
+                         NotDifferentiable, PiecewiseLinear, Rotation)
 from .semigroup import IfsSystem, periodic_points
 from .smooth import NotLocallyExpanding, expanding_verdict, local_expanding_cover
 
@@ -186,12 +185,11 @@ def _dense_periodic(ifs: IfsSystem, res: Resolution, max_len: int) -> dict:
 
 
 def _repelling_fixed_point(ifs: IfsSystem, res: Resolution) -> dict:
-    for letter, g in enumerate(ifs.generators, start=1):
-        for rec in fixed_points(g, identity_samples=16):
-            if rec.classification == "repelling":
-                witnesses = {"generator": letter, "location": rec.location.value,
-                             "multipliers": list(rec.one_sided_multipliers)}
-                return Verdict("repelling_fixed_point", True, res, witnesses).to_dict()
+    for letter, rec in generator_fixed_points(ifs):
+        if rec.classification == "repelling":
+            witnesses = {"generator": letter, "location": rec.location.value,
+                         "multipliers": list(rec.one_sided_multipliers)}
+            return Verdict("repelling_fixed_point", True, res, witnesses).to_dict()
     return Verdict("repelling_fixed_point", False, res, {},
                    "no generator has a repelling fixed point").to_dict()
 

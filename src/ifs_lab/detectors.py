@@ -10,13 +10,14 @@ exactly evaluated word, so witnesses are always genuine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
+from numbers import Integral
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .circle import Arc, as_value, circ_dist, normalize, normalize_array
-from .generators import fixed_points, map_arc, map_arcs
+from .generators import fixed_points, map_arcs
 from .semigroup import IfsSystem, orbit_cloud
 from .symbolic import Word
 
@@ -42,13 +43,7 @@ class Resolution:
             raise ValueError("depth, net_size and budget must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "eps": self.eps,
-            "r": self.r,
-            "depth": self.depth,
-            "net_size": self.net_size,
-            "budget": self.budget,
-        }
+        return asdict(self)
 
     def replaced(self, **kw) -> "Resolution":
         return replace(self, **kw)
@@ -111,9 +106,15 @@ def _sorted_distinct(values) -> List[float]:
     return out
 
 
+def generator_fixed_points(ifs: IfsSystem):
+    """(letter, record) per generator fixed point, in letter order (16 identity samples)."""
+    for letter, g in enumerate(ifs.generators, start=1):
+        for rec in fixed_points(g, identity_samples=16):
+            yield letter, rec
+
+
 def generator_fixed_values(ifs: IfsSystem) -> List[float]:
-    return _sorted_distinct(rec.location.value for g in ifs.generators
-                            for rec in fixed_points(g, identity_samples=16))
+    return _sorted_distinct(rec.location.value for _, rec in generator_fixed_points(ifs))
 
 
 def system_net(ifs: IfsSystem, n: int) -> List[float]:
@@ -670,6 +671,125 @@ def s_transitivity_verdict(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION)
 
 
 # ---------------------------------------------------------------------------
+# rule-driven chains: each arc follows one letter per step, picked by a rule
+
+
+def periodic_rule(pattern: Sequence[int]):
+    """Extension rule cycling through a fixed pattern of letters."""
+    pattern = tuple(pattern)
+    if not pattern or any(not isinstance(v, Integral) or v < 1 for v in pattern):
+        raise ValueError(f"a rule needs one or more integer letters >= 1; got {pattern}")
+
+    def rule(ifs: IfsSystem, step: int, s, ln, c):
+        letter = pattern[step % len(pattern)]
+        return (np.full(s.size, letter), *map_arcs(ifs.generator(letter), s, ln))
+
+    rule.label = f"periodic{pattern}"
+    return rule
+
+
+def constant_rule(letter: int):
+    """Extension rule that always plays the same letter."""
+    rule = periodic_rule((letter,))
+    rule.label = f"constant({letter})"
+    return rule
+
+
+def greedy_diameter_rule():
+    """Extension rule that picks the letter maximizing the next image diameter,
+    breaking ties toward the smallest letter."""
+
+    def rule(ifs: IfsSystem, step: int, s, ln, c):
+        pick, best = np.zeros(s.size, dtype=np.int64), np.full(s.size, -1.0)
+        ns, nl = np.empty(s.size), np.empty(s.size)
+        for letter, g in enumerate(ifs.generators, start=1):
+            ms, ml = map_arcs(g, s, ln)
+            d = np.minimum(ml, 0.5)
+            up = d > best + 1e-15
+            pick[up], best[up], ns[up], nl[up] = letter, d[up], ms[up], ml[up]
+        return pick, ns, nl
+
+    rule.label = "greedy_diameter"
+    return rule
+
+
+def _greedy_derivative_rule(ifs: IfsSystem, step: int, s, ln, c) -> np.ndarray:
+    """Extension rule that picks the letter maximizing the absolute derivative
+    at the tracked center, ties toward the smallest letter; a chain whose
+    center is a corner of every letter stops."""
+    pick, best = np.zeros(c.size, dtype=np.int64), np.full(c.size, -1.0)
+    for letter, g in enumerate(ifs.generators, start=1):
+        d = np.abs(g.derivative_array(c))
+        up = d > best + 1e-15  # False at a corner, where d is NaN
+        pick[up], best[up] = letter, d[up]
+    return pick
+
+
+_greedy_derivative_rule.label = "greedy_derivative"
+
+
+def _rule_paths(ifs: IfsSystem, s, ln, c, steps: int, rule) -> Tuple[np.ndarray, np.ndarray]:
+    """Letters (n x steps) and image diameters (times 0..steps) along one
+    chain per arc [s, s + ln].
+
+    Each step, `rule(ifs, step, s, ln, c)` picks the letters of all live
+    arcs at once from their current starts, lengths and tracked centers `c`
+    (each arc's center moves with it; None tracks none).  Letter 0 stops a
+    chain: letter 0 and diameter -1 from there on.  A rule may map the arcs
+    itself and return (letters, starts, lengths), the images under its
+    letters; they are not mapped again."""
+    s, ln = np.array(s, dtype=float), np.array(ln, dtype=float)
+    c = None if c is None else np.array(c, dtype=float)
+    letters = np.zeros((s.size, steps), dtype=np.int16)
+    diams = np.full((s.size, steps + 1), -1.0)
+    diams[:, 0] = np.minimum(ln, 0.5)
+    live = slice(None)  # the chains still running (all until one stops); s, ln, c hold theirs
+    for step in range(steps):
+        out = rule(ifs, step, s, ln, c)
+        pick, *images = out if isinstance(out, tuple) else (out,)
+        if not pick.all():
+            go = pick != 0
+            live, pick, s, ln = np.arange(len(diams))[live][go], pick[go], s[go], ln[go]
+            images, c = [v[go] for v in images], None if c is None else c[go]
+            if live.size == 0:
+                break
+        s, ln = images or (s, ln)  # the rule's own images, if it mapped the arcs
+        if not images or c is not None:
+            for letter in np.unique(pick).tolist():
+                m = pick == letter
+                g = ifs.generator(letter)
+                if not images:
+                    s[m], ln[m] = map_arcs(g, s[m], ln[m])
+                if c is not None:
+                    c[m] = g.eval_array(c[m])
+        letters[live, step] = pick
+        diams[live, step + 1] = np.minimum(ln, 0.5)
+    return letters, diams
+
+
+def _best_from(diams: np.ndarray, first: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Per chain, the best image diameter from time `first` on and the time
+    reaching it; a later time wins only on a gain above 1e-15."""
+    best, at = diams[:, first].copy(), np.full(diams.shape[0], first)
+    for t in range(first + 1, diams.shape[1]):
+        up = diams[:, t] > best + 1e-15
+        best[up], at[up] = diams[up, t], t
+    return best, at
+
+
+def separation_times(ifs: IfsSystem, U: Arc, omega_rule, delta: float,
+                     horizon: int) -> List[int]:
+    """Times n <= horizon at which the image of U, extended letter by letter
+    by `omega_rule` (its tracked center the midpoint of U), exceeds diameter
+    delta."""
+    if horizon < 0:
+        raise ValueError("horizon must be non-negative")
+    s, ln = U.start.value, U.length
+    diams = _rule_paths(ifs, [s], [ln], [normalize(s + ln / 2.0)], horizon, omega_rule)[1]
+    return np.flatnonzero(diams[0] > delta).tolist()
+
+
+# ---------------------------------------------------------------------------
 # sensitivity machinery
 
 
@@ -700,21 +820,29 @@ def _refined_separation(ifs: IfsSystem, w: Word, x: float, r: float) -> Tuple[fl
     return best, best_y
 
 
+def _most_separating(ifs: IfsSystem, words, x: float, r: float, best: Tuple[float, Word],
+                     enough: float = np.inf) -> Tuple[float, Word]:
+    """The (separation, word) of the first word separating B(x, r) more than
+    `best` and every word before it; the scan stops past `enough`."""
+    for w in words:
+        sep, _ = _refined_separation(ifs, w, x, r)
+        if sep > best[0]:
+            best = (sep, w)
+        if best[0] > enough:
+            break
+    return best
+
+
 def _repeller_steering_data(ifs: IfsSystem, res: Resolution):
     """Backward-orbit clouds of every repelling generator fixed point."""
     if not ifs.all_invertible:
         return []
     inverse = ifs.inverse_system()
-    data = []
-    for letter, g in enumerate(ifs.generators, start=1):
-        for rec in fixed_points(g, identity_samples=16):
-            if rec.classification != "repelling":
-                continue
-            cloud = orbit_cloud(ifs, rec.location.value, res.depth, res.budget,
-                                generators=inverse.generators,
-                                merge=_merge_cell(res))
-            data.append((rec.location.value, letter, cloud))
-    return data
+    return [(rec.location.value, letter,
+             orbit_cloud(ifs, rec.location.value, res.depth, res.budget,
+                         generators=inverse.generators, merge=_merge_cell(res)))
+            for letter, rec in generator_fixed_points(ifs)
+            if rec.classification == "repelling"]
 
 
 def _bfs_best(ifs: IfsSystem, starts, lengths, depth, budget: int, cell: float,
@@ -738,56 +866,16 @@ def _bfs_best(ifs: IfsSystem, starts, lengths, depth, budget: int, cell: float,
     return out
 
 
-def _greedy_paths(ifs: IfsSystem, s: np.ndarray, ln: np.ndarray, c: np.ndarray,
-                  steps: int, by_derivative: bool) -> Tuple[np.ndarray, np.ndarray]:
-    """Letters and image diameters (times 0..steps) along one greedy
-    extension chain per arc [s, s + ln] with tracked center c.
-
-    Each step appends the letter maximizing the next image diameter, or the
-    absolute derivative at the tracked center; ties go to the smallest
-    letter.  A chain with no differentiable letter stops: letter 0 and
-    diameter -1 from there on."""
-    gens = ifs.generators
-    s, ln, c = s.copy(), ln.copy(), c.copy()
-    letters = np.zeros((s.size, steps), dtype=np.int64)
-    diams = np.full((s.size, steps + 1), -1.0)
-    diams[:, 0] = np.minimum(ln, 0.5)
-    live = np.arange(s.size)
-    for step in range(steps):
-        pick = np.zeros(live.size, dtype=np.int64)
-        score = np.full(live.size, -1.0)
-        ns, nl = np.empty(live.size), np.empty(live.size)
-        for letter, g in enumerate(gens, start=1):
-            ms, ml = map_arcs(g, s[live], ln[live])
-            sc = (np.abs(g.derivative_array(c[live])) if by_derivative
-                  else np.minimum(ml, 0.5))
-            up = sc > score + 1e-15  # False at a corner, where sc is NaN
-            pick[up], score[up], ns[up], nl[up] = letter, sc[up], ms[up], ml[up]
-        moved = pick > 0
-        live, pick, ns, nl = live[moved], pick[moved], ns[moved], nl[moved]
-        if live.size == 0:
-            break
-        if by_derivative:
-            for letter, g in enumerate(gens, start=1):
-                m = live[pick == letter]
-                c[m] = g.eval_array(c[m])
-        s[live], ln[live] = ns, nl
-        letters[live, step] = pick
-        diams[live, step + 1] = np.minimum(nl, 0.5)
-    return letters, diams
-
-
 def _greedy_chains(ifs: IfsSystem, x: np.ndarray, r: np.ndarray, depth: int,
                    by_derivative: bool):
-    """The best diameter along the greedy chain of each ball B(x, r), and
+    """The best diameter along the greedy chain of each ball B(x, r), by
+    image diameter or by the derivative at the ball's tracked center, and
     the word of ball i reaching it.  Cheap, and it follows exactly the
     growth mechanism that expanding words certify."""
-    letters, diams = _greedy_paths(ifs, normalize_array(x - r), 2.0 * r, x, depth,
-                                   by_derivative)
-    best, size = diams[:, 0].copy(), np.zeros(x.size, dtype=np.int64)
-    for step in range(1, depth + 1):
-        up = diams[:, step] > best + 1e-15
-        best[up], size[up] = diams[up, step], step
+    rule = _greedy_derivative_rule if by_derivative else greedy_diameter_rule()
+    letters, diams = _rule_paths(ifs, normalize_array(x - r), 2.0 * r,
+                                 x if by_derivative else None, depth, rule)
+    best, size = _best_from(diams, 0)
     return best, lambda i: tuple(letters[i, :size[i]].tolist())
 
 
@@ -807,7 +895,6 @@ def _steered_candidates(ifs: IfsSystem, steering, x: np.ndarray, r: np.ndarray, 
     B(x, r) and iterating its generator (-1 if no repeller can be pulled
     in), that q, and the word of pair i reaching it; mirrors the
     unstable-point separation argument."""
-    gens = ifs.generators
     best, which = np.full(x.size, -1.0), np.full(x.size, -1)
     pulled, reps = np.zeros(x.size, dtype=np.int64), np.zeros(x.size, dtype=np.int64)
     for e, (q, letter, cloud) in enumerate(steering):
@@ -820,18 +907,18 @@ def _steered_candidates(ifs: IfsSystem, steering, x: np.ndarray, r: np.ndarray, 
         node, steps = first.copy(), np.full(rows.size, depth)
         while (live := np.flatnonzero(node > 0)).size:
             lets = cloud.letters[node[live]]
-            for let, g in enumerate(gens, start=1):
+            for let, g in enumerate(ifs.generators, start=1):
                 m = live[lets == let]
                 s[m], ln[m] = map_arcs(g, s[m], ln[m])
             steps[live] -= 1
             node[live] = cloud.parents[node[live]]
-        local, local_n = np.zeros(rows.size), np.zeros(rows.size, dtype=np.int64)
-        for step in range(int(steps.max(initial=0))):
-            live = np.flatnonzero(steps > step)
-            s[live], ln[live] = map_arcs(gens[letter - 1], s[live], ln[live])
-            diam = np.minimum(ln[live], 0.5)
-            up = (diam > local[live] + 1e-15) | (step == 0)
-            local[live[up]], local_n[live[up]] = diam[up], step + 1
+        # then the repeller's letter, for the rest of each pair's depth
+        horizon = int(steps.max(initial=0))
+        if horizon < 1:
+            continue
+        diams = _rule_paths(ifs, s, ln, None, horizon, constant_rule(letter))[1]
+        diams[np.arange(horizon + 1) > steps[:, None]] = -1.0
+        local, local_n = _best_from(diams, 1)
         up = (steps > 0) & (local > best[rows] + 1e-15)
         best[rows[up]], which[rows[up]] = local[up], e
         pulled[rows[up]], reps[rows[up]] = first[up], local_n[up]
@@ -867,9 +954,8 @@ def sensitivity_estimate(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION
     steered, steered_q, steered_word = _steered_candidates(ifs, steering, xs, rs, res.depth)
     # auxiliary chains catch expanding structure that has no repelling
     # fixed point to steer by; they only claim strictly better results
-    chains = [(label, *_greedy_chains(ifs, xs, rs, res.depth, by_derivative))
-              for by_derivative, label in ((False, "greedy_diameter"),
-                                           (True, "greedy_derivative"))]
+    chains = [(label, *_greedy_chains(ifs, xs, rs, res.depth, flag))
+              for flag, label in ((False, "greedy_diameter"), (True, "greedy_derivative"))]
     per_point = []
     notes: Dict[str, int] = {}
     delta_hat = None
@@ -883,8 +969,7 @@ def sensitivity_estimate(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION
             if diams[i] > best_diam + 1e-15:
                 best_diam, best_word, strategy = float(diams[i]), word(i), label
         sep, partner = _refined_separation(ifs, best_word, x, r)
-        note_key = ("repeller_steered" if strategy.startswith("repeller")
-                    else strategy)
+        note_key = strategy.split("(")[0]
         notes[note_key] = notes.get(note_key, 0) + 1
         per_point.append({
             "x": x,
@@ -911,63 +996,7 @@ def sensitivity_estimate(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION
 
 
 # ---------------------------------------------------------------------------
-# separation times and cofinite sensitivity
-
-
-def constant_rule(letter: int):
-    """Extension rule that always plays the same letter."""
-
-    def rule(ifs: IfsSystem, prefix: Word, arc: Arc) -> int:
-        return letter
-
-    rule.label = f"constant({letter})"
-    return rule
-
-
-def periodic_rule(pattern: Sequence[int]):
-    """Extension rule cycling through a fixed pattern of letters."""
-    pattern = tuple(pattern)
-
-    def rule(ifs: IfsSystem, prefix: Word, arc: Arc) -> int:
-        return pattern[len(prefix) % len(pattern)]
-
-    rule.label = f"periodic{pattern}"
-    return rule
-
-
-def greedy_diameter_rule():
-    """Extension rule that picks the letter maximizing the next image diameter,
-    breaking ties toward the smallest letter."""
-
-    def rule(ifs: IfsSystem, prefix: Word, arc: Arc) -> int:
-        best_letter, best_diam = 1, -1.0
-        for letter, g in enumerate(ifs.generators, start=1):
-            diam = min(map_arc(g, arc).length, 0.5)
-            if diam > best_diam + 1e-15:
-                best_diam, best_letter = diam, letter
-        return best_letter
-
-    rule.label = "greedy_diameter"
-    return rule
-
-
-def separation_times(ifs: IfsSystem, U: Arc, omega_rule, delta: float,
-                     horizon: int) -> List[int]:
-    """Times n <= horizon at which the tracked image of U exceeds diameter delta."""
-    if horizon < 0:
-        raise ValueError("horizon must be non-negative")
-    times = []
-    arc = U
-    word: Word = ()
-    if min(arc.length, 0.5) > delta:
-        times.append(0)
-    for n in range(1, horizon + 1):
-        letter = omega_rule(ifs, word, arc)
-        arc = map_arc(ifs.generator(letter), arc)
-        word = word + (letter,)
-        if min(arc.length, 0.5) > delta:
-            times.append(n)
-    return times
+# cofinite sensitivity
 
 
 def cofinite_sensitivity_verdict(ifs: IfsSystem, delta: float,
@@ -978,28 +1007,20 @@ def cofinite_sensitivity_verdict(ifs: IfsSystem, delta: float,
 
     The rules, tried in order, are `greedy_diameter_rule()` and each
     `constant_rule`; every net arc follows them together, as
-    `separation_times` would follow it alone."""
+    `separation_times` follows one arc."""
     if window < 1:
         raise ValueError("window must be positive")
     horizon = res.depth + window
-    labels = ["greedy_diameter"] + [f"constant({i})" for i in range(1, ifs.k + 1)]
+    rules = [greedy_diameter_rule()] + [constant_rule(i) for i in range(1, ifs.k + 1)]
     centers = system_net(ifs, res.net_size)
     starts, lengths = _net_arcs(centers, res.r)
     first_n = np.full(len(centers), -1)
     rule = np.zeros(len(centers), dtype=np.int64)
-    for i in range(len(labels)):
+    for i, omega in enumerate(rules):
         todo = np.flatnonzero(first_n < 0)
         if todo.size == 0:
             break
-        s, ln = starts[todo], lengths[todo]
-        if i == 0:
-            diams = _greedy_paths(ifs, s, ln, np.asarray(centers)[todo], horizon, False)[1]
-        else:
-            diams = np.empty((todo.size, horizon + 1))
-            diams[:, 0] = np.minimum(ln, 0.5)
-            for n in range(1, horizon + 1):
-                s, ln = map_arcs(ifs.generator(i), s, ln)
-                diams[:, n] = np.minimum(ln, 0.5)
+        diams = _rule_paths(ifs, starts[todo], lengths[todo], None, horizon, omega)[1]
         # the times N with every n in [N, N + window] separated
         run = np.cumsum(np.pad(diams > delta, ((0, 0), (1, 0))), axis=1)
         full = run[:, window + 1:] - run[:, :horizon - window + 1] == window + 1
@@ -1009,11 +1030,11 @@ def cofinite_sensitivity_verdict(ifs: IfsSystem, delta: float,
         return Verdict(
             "cofinite_sensitivity", False, res,
             {"stuck_arc_center": centers[int(np.argmax(first_n < 0))], "delta": delta,
-             "window": window, "rules_tried": labels},
+             "window": window, "rules_tried": [omega.label for omega in rules]},
             caveat="no rule produced a separation window within the horizon",
         )
     j = int(np.argmax(first_n))
-    worst = {"arc_center": centers[j], "rule": labels[rule[j]], "N": int(first_n[j])}
+    worst = {"arc_center": centers[j], "rule": rules[rule[j]].label, "N": int(first_n[j])}
     return Verdict(
         "cofinite_sensitivity", True, res,
         {"delta": delta, "window": window, "max_N": worst["N"],
@@ -1061,15 +1082,9 @@ def sensitivity_witness_from_nonminimality(ifs: IfsSystem,
     steered, _, steered_word = _steered_candidates(ifs, steering, xs, rs, res.depth)
     chains = [_greedy_chains(ifs, xs, rs, res.depth, by_derivative)[1]
               for by_derivative in (False, True)]
-    achieved: List[Tuple[float, Word]] = []
-    for i, x in enumerate(net):
-        best: Tuple[float, Word] = (0.0, ())
-        cands = ([steered_word(i)] if steered[i] >= 0 else []) + [word(i) for word in chains]
-        for cand in cands:
-            sep, _ = _refined_separation(ifs, cand, x, r)
-            if sep > best[0]:
-                best = (sep, cand)
-        achieved.append(best)
+    achieved = [_most_separating(ifs, ([steered_word(i)] if steered[i] >= 0 else [])
+                                 + [word(i) for word in chains], x, r, (0.0, ()))
+                for i, x in enumerate(net)]
     # net points the cheap candidates leave unseparated: cover the circle
     # with images of the ball, then extend each covering word
     hard = [i for i, (sep, _) in enumerate(achieved) if sep <= delta_candidate]
@@ -1078,22 +1093,14 @@ def sensitivity_witness_from_nonminimality(ifs: IfsSystem,
                               net, res.eps):
         for j, hits in enumerate(images.first_hit):
             i = hard[images.first + j]
-            x, best = net[i], achieved[i]
             cover = sorted(set(hits[hits >= 0].tolist()))
             words = images.words_for(cover)
             ext = _bfs_best(ifs, images.starts[cover], images.lengths[cover],
                             [max(1, res.depth - len(w)) for w in words], ext_budget,
                             cell, stop_above=2.5 * delta_candidate)
-            for T, (_, e) in zip(words, ext):
-                for w in (T, T + e):
-                    sep, _ = _refined_separation(ifs, w, x, r)
-                    if sep > best[0]:
-                        best = (sep, w)
-                    if best[0] > delta_candidate:
-                        break
-                if best[0] > delta_candidate:
-                    break
-            achieved[i] = best
+            achieved[i] = _most_separating(ifs, (w for T, (_, e) in zip(words, ext)
+                                                 for w in (T, T + e)),
+                                           net[i], r, achieved[i], delta_candidate)
         del images  # free this chunk before the next one is searched
     checked = len(net)
     failures: List[float] = []

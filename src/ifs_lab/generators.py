@@ -357,21 +357,14 @@ def eval_derivative(g: Generator, x) -> float:
 
 
 def map_arc(g: Generator, a: Arc) -> Arc:
-    """Image of an arc; endpoint images plus orientation fix the result."""
-    s = a.start.value
-    if isinstance(g, Expanding):
-        return Arc(CirclePoint(g.eval(s)), min(g.m * a.length, 1.0))
-    lo = g.lift(s)
-    hi = g.lift(s + a.length)
-    length = min(abs(hi - lo), 1.0)
-    start = lo if g.orientation > 0 else hi
-    return Arc(CirclePoint(start), length)
+    """Image of one arc: `map_arcs` on a single (start, length)."""
+    s, ln = map_arcs(g, np.array([a.start.value]), np.array([a.length]))
+    return Arc(CirclePoint(float(s[0])), float(ln[0]))
 
 
 def map_arcs(g: Generator, starts: np.ndarray, lengths: np.ndarray):
-    """`map_arc` over arrays of (start, length): the image starts and lengths.
-
-    Equal to `map_arc` bitwise wherever `lift_array` equals `lift`."""
+    """Images of arcs given as arrays of (start, length): the image starts
+    and lengths.  Endpoint images plus orientation fix each result."""
     if isinstance(g, Expanding):
         return g.eval_array(starts), np.minimum(g.m * lengths, 1.0)
     lo = g.lift_array(starts)

@@ -82,15 +82,15 @@ def expanding_verdict(ifs: IfsSystem, grid: int = 1024) -> Tuple[bool, Optional[
         raise ValueError("grid must be at least 2")
 
     def sweep(offset: float):
-        eta = 0.0
-        for g in ifs.generators:
-            for i in range(grid):
-                x = (i + offset) / grid
-                d = abs(g.derivative(x))
-                if d <= 1.0:
-                    return False, None
-                eta = max(eta, 1.0 / d)
-        return True, eta
+        # the first weak point, generator by generator, decides
+        xs = (np.arange(grid) + offset) / grid
+        d = np.abs([g.derivative_array(xs) for g in ifs.generators]).ravel()
+        weak = np.flatnonzero(~(d > 1.0))  # |d| <= 1, or NaN at a corner
+        if weak.size == 0:
+            return True, float(np.max(1.0 / d))
+        if np.isnan(d[weak[0]]):  # a corner, where the scalar derivative raises
+            ifs.generators[weak[0] // grid].derivative(float(xs[weak[0] % grid]))
+        return False, None
 
     try:
         return sweep(0.0)

@@ -1,5 +1,6 @@
-"""Test-only reference: the scalar, one-source-at-a-time arc searches that the
-batched kernel in `ifs_lab.detectors` replaced, kept verbatim in behaviour.
+"""Test-only reference: the scalar, one-source-at-a-time arc searches and
+per-step extension rules that the batched kernels in `ifs_lab.detectors`
+replaced, kept verbatim in behaviour.
 
 `arc_search` also records, per level, the words it visited and the frontier
 the greedy dominance rule kept, so a test can compare the kernel level by
@@ -182,3 +183,58 @@ def steered_candidate(ifs, steering, x: float, r: float, depth: int, mapper=map_
             if best is None or cand[0] > best[0] + 1e-15:
                 best = cand
     return best
+
+
+# The per-step extension rules and `separation_times`, one arc at a time.  A
+# rule takes (ifs, prefix, arc), the word so far and the current (start,
+# length), and returns the next letter.
+
+
+def constant_rule(letter: int):
+    def rule(ifs, prefix, arc) -> int:
+        return letter
+
+    rule.label = f"constant({letter})"
+    return rule
+
+
+def periodic_rule(pattern):
+    pattern = tuple(pattern)
+
+    def rule(ifs, prefix, arc) -> int:
+        return pattern[len(prefix) % len(pattern)]
+
+    rule.label = f"periodic{pattern}"
+    return rule
+
+
+def greedy_diameter_rule(mapper=map_arc_raw):
+    def rule(ifs, prefix, arc) -> int:
+        best_letter, best_diam = 1, -1.0
+        for letter, g in enumerate(ifs.generators, start=1):
+            diam = min(mapper(g, *arc)[1], 0.5)
+            if diam > best_diam + 1e-15:
+                best_diam, best_letter = diam, letter
+        return best_letter
+
+    rule.label = "greedy_diameter"
+    return rule
+
+
+def separation_times(ifs, U, omega_rule, delta: float, horizon: int, mapper=map_arc_raw):
+    """Times n <= horizon at which the tracked image of the arc U exceeds
+    diameter delta."""
+    if horizon < 0:
+        raise ValueError("horizon must be non-negative")
+    times = []
+    arc = (U.start.value, U.length)
+    word: tuple = ()
+    if min(arc[1], 0.5) > delta:
+        times.append(0)
+    for n in range(1, horizon + 1):
+        letter = omega_rule(ifs, word, arc)
+        arc = mapper(ifs.generator(letter), *arc)
+        word = word + (letter,)
+        if min(arc[1], 0.5) > delta:
+            times.append(n)
+    return times

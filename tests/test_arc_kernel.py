@@ -10,12 +10,13 @@ import pytest
 
 import ifs_lab.detectors as detectors
 
+import arc_oracle as oracle
 from arc_oracle import (TargetSet, arc_search, array_map, greedy_chain, greedy_keep,
-                        steered_candidate)
+                        map_arc_raw, steered_candidate)
 from ifs_lab import (Arc, CirclePoint, Expanding, Flip, GALLERY_NAMES, IfsSystem, NorthSouth,
                      PiecewiseLinear, Rotation, build_example, cofinite_sensitivity_verdict,
-                     constant_rule, greedy_diameter_rule, s_transitivity_verdict,
-                     separation_times)
+                     constant_rule, greedy_diameter_rule, map_arc, periodic_rule,
+                     s_transitivity_verdict, separation_times)
 from ifs_lab.detectors import (_arc_search, _bfs_best, _dominance_keep, _greedy_chains,
                                _repeller_steering_data, _steered_candidates, system_net,
                                DEFAULT_RESOLUTION)
@@ -269,3 +270,68 @@ def test_dominance_sweep_keeps_the_greedy_frontier():
             rows = np.flatnonzero(src == j)
             expected += [w for _, _, w in greedy_keep([(s[i], ln[i], int(i)) for i in rows])]
         assert _dominance_keep(src, s, ln).tolist() == expected
+
+
+def reference_mapper(ifs):
+    """The scalar arc map, or for a system with a NorthSouth generator the
+    one-arc array map (numpy's tan/arctan may differ from math's by an ulp)."""
+    return array_map if any(isinstance(g, NorthSouth) for g in ifs.generators) else map_arc_raw
+
+
+def rule_pairs(ifs, mapper):
+    """(public rule, reference rule) for every public rule: the greedy rule,
+    each constant rule and several periodic patterns."""
+    k = ifs.k
+    pairs = [(greedy_diameter_rule(), oracle.greedy_diameter_rule(mapper))]
+    pairs += [(constant_rule(i), oracle.constant_rule(i)) for i in range(1, k + 1)]
+    for pattern in [tuple(1 + (3 * j + n) % k for j in range(n)) for n in (2, 3, 5)] + \
+            [tuple(range(k, 0, -1))]:
+        pairs.append((periodic_rule(pattern), oracle.periodic_rule(pattern)))
+    return pairs
+
+
+@pytest.mark.parametrize("ifs", SYSTEMS, ids=IDS)
+def test_separation_times_match_the_per_step_reference(ifs):
+    mapper = reference_mapper(ifs)
+    arcs = [Arc(CirclePoint(c - r), 2.0 * r) for c in system_net(ifs, 3)
+            for r in (0.002, 0.02, 0.15)]
+    arcs += [Arc(CirclePoint(0.97), 0.06), Arc(CirclePoint(0.3), 1.0)]
+    for rule, ref in rule_pairs(ifs, mapper):
+        assert rule.label == ref.label
+        for U in arcs:
+            for delta, horizon in ((0.0, 0), (0.01, 1), (0.1, 9), (0.3, 60), (0.49, 25)):
+                assert separation_times(ifs, U, rule, delta, horizon) == \
+                    oracle.separation_times(ifs, U, ref, delta, horizon, mapper=mapper)
+
+
+@pytest.mark.parametrize("kind", [k for k in KINDS if k != "north_south"])
+def test_map_arc_equals_the_scalar_reference_bitwise(kind):
+    rng = np.random.default_rng(23)
+    gens = [random_generator(rng, kind) for _ in range(12)]
+    kind_type = dict(zip(KINDS, (Rotation, Flip, NorthSouth, PiecewiseLinear, Expanding)))
+    gens += [g for ifs in SYSTEMS for g in ifs.generators if type(g) is kind_type[kind]]
+    starts = np.concatenate([rng.random(200), [0.0, 0.5, 1.0 - 1e-16, 0.999]])
+    lengths = np.concatenate([rng.random(200) ** 2, [0.0, 1.0, 1.0 - 1e-13, 0.25]])
+    for g in gens:
+        for s, ln in zip(starts.tolist(), lengths.tolist()):
+            a = Arc(CirclePoint(s), ln)
+            image = map_arc(g, a)
+            assert (image.start.value, image.length) == map_arc_raw(g, a.start.value, a.length)
+
+
+@pytest.mark.parametrize("ifs", SYSTEMS, ids=IDS)
+def test_steering_cut_by_depth_matches_reference(ifs):
+    """At small depths the pull-back word leaves each pair a different number
+    of repeats, and the chain must stop at each pair's own depth."""
+    xs = np.repeat(np.array(system_net(ifs, 8)), 2)
+    rs = np.tile([0.003, 0.0125], xs.size // 2)
+    steering = _repeller_steering_data(ifs, DEFAULT_RESOLUTION.replaced(depth=6, budget=500))
+    for depth in (1, 2, 3, 5, 8):
+        steered, steered_q, steered_word = _steered_candidates(ifs, steering, xs, rs, depth)
+        for i, (x, r) in enumerate(zip(xs.tolist(), rs.tolist())):
+            ref = steered_candidate(ifs, steering, x, r, depth, mapper=array_map)
+            if ref is None:
+                assert steered[i] == -1.0 and steered_q[i] is None
+            else:
+                assert (steered_word(i), steered_q[i]) == ref[1:3]
+                assert steered[i] == pytest.approx(ref[0], abs=1e-12)

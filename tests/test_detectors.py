@@ -12,7 +12,9 @@ from ifs_lab import (Arc, CirclePoint, Flip, IfsSystem, NonInvertible,
                      sensitivity_witness_from_nonminimality,
                      separation_times, strong_transitivity_verdict,
                      topological_transitivity_verdict)
-from ifs_lab.detectors import DEFAULT_RESOLUTION, _radius_ladder, max_cyclic_gap
+from ifs_lab.detectors import (DEFAULT_RESOLUTION, _radius_ladder, _rule_paths,
+                               generator_fixed_points, max_cyclic_gap)
+from ifs_lab.generators import fixed_points, map_arcs
 from ifs_lab.semigroup import orbit_cloud
 
 DEEP = DEFAULT_RESOLUTION.replaced(depth=200)
@@ -217,3 +219,89 @@ def test_max_cyclic_gap():
     assert gap == pytest.approx(0.25)
     gap, mid = max_cyclic_gap(np.array([0.4, 0.9]))
     assert gap == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("make", [lambda: constant_rule(0), lambda: constant_rule(-1),
+                                  lambda: constant_rule(2.0), lambda: periodic_rule(()),
+                                  lambda: periodic_rule((1, 0)), lambda: periodic_rule([2, -3, 1]),
+                                  lambda: periodic_rule((1, 2.5))],
+                         ids=["constant0", "constant-1", "constant2.0", "empty", "pattern0",
+                              "pattern-3", "pattern2.5"])
+def test_rules_reject_bad_letters_at_construction(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_rule_letter_above_k_fails_when_played(rotation_flip):
+    U = Arc(CirclePoint(0.4), 0.03)
+    rule = constant_rule(3)
+    assert separation_times(rotation_flip, U, rule, 0.02, 0) == [0]
+    with pytest.raises(ValueError, match=r"letter 3 outside 1\.\.2"):
+        separation_times(rotation_flip, U, rule, 0.02, 5)
+    # a pattern fails only once it reaches the bad letter
+    assert separation_times(rotation_flip, U, periodic_rule((1, 3)), 0.02, 1) == [0, 1]
+    with pytest.raises(ValueError, match=r"letter 3 outside 1\.\.2"):
+        separation_times(rotation_flip, U, periodic_rule((1, 3)), 0.02, 2)
+
+
+def test_rule_labels():
+    assert constant_rule(2).label == "constant(2)"
+    assert periodic_rule([1, 2, 2]).label == "periodic(1, 2, 2)"
+    assert greedy_diameter_rule().label == "greedy_diameter"
+
+
+def test_batched_rules_pick_for_every_arc_and_letter_zero_stops(doubling, rotation_flip):
+    s, ln = np.array([0.1, 0.5, 0.9]), np.array([0.02, 0.3, 0.6])
+    pick, starts, lengths = periodic_rule((1, 2, 2))(rotation_flip, 4, s, ln, None)
+    flipped = map_arcs(rotation_flip.generator(2), s, ln)
+    assert pick.tolist() == [2, 2, 2]
+    assert starts.tolist() == flipped[0].tolist() and lengths.tolist() == flipped[1].tolist()
+    pick, starts, lengths = greedy_diameter_rule()(doubling, 0, s, ln, None)
+    assert pick.tolist() == [1, 1, 1]
+    assert lengths.tolist() == [0.04, 0.6, 1.0] and starts.tolist() == [0.2, 0.0, 0.8]
+
+    def three_steps(ifs, step, s, ln, c):
+        return np.full(s.size, 1 if step < 3 else 0)
+
+    U = Arc(CirclePoint(0.1), 0.02)
+    assert separation_times(doubling, U, three_steps, 0.01, 10) == [0, 1, 2, 3]
+
+
+def test_generator_fixed_points_in_letter_order(hinge_system):
+    pairs = list(generator_fixed_points(hinge_system))
+    assert [letter for letter, _ in pairs] == sorted(letter for letter, _ in pairs)
+    assert [(letter, rec) for letter, g in enumerate(hinge_system.generators, start=1)
+            for rec in fixed_points(g, identity_samples=16)] == pairs
+
+
+def test_a_rule_sees_the_tracked_midpoint(rotation_flip):
+    """`separation_times` hands a rule the image of U's midpoint, moved with
+    the letters the rule plays."""
+    seen = []
+
+    def alternate(ifs, step, s, ln, c):
+        seen.append(float(c[0]))
+        return np.full(s.size, 1 + step % 2)
+
+    U = Arc(CirclePoint(0.9), 0.2)
+    separation_times(rotation_flip, U, alternate, 0.1, 4)
+    expected, x = [], 0.0
+    for step in range(4):
+        expected.append(x)
+        x = rotation_flip.generator(1 + step % 2).eval(x)
+    assert seen == pytest.approx(expected, abs=1e-15)
+
+
+def test_rule_paths_stop_each_chain_at_its_own_letter_zero(doubling):
+    """Chains that stop at different steps keep their own rows."""
+    ln0 = np.array([0.001, 0.064, 0.004, 0.016])
+
+    def until_wide(ifs, step, s, ln, c):
+        return np.where(ln < 0.1, 1, 0)
+
+    letters, diams = _rule_paths(doubling, np.full(4, 0.3), ln0, None, 9, until_wide)
+    stops = [7, 1, 5, 3]  # doublings to pass 0.1
+    for row, (width, stop) in enumerate(zip(ln0.tolist(), stops)):
+        assert letters[row].tolist() == [1] * stop + [0] * (9 - stop)
+        assert diams[row].tolist() == [min(width * 2 ** t, 0.5) for t in range(stop + 1)] + \
+            [-1.0] * (9 - stop)

@@ -1,9 +1,10 @@
+import numpy as np
 import pytest
 
-from ifs_lab import (Arc, CirclePoint, Expanding, IfsSystem,
-                     NotACover, NotLocallyExpanding, PiecewiseLinear, Rotation,
-                     admissible_itinerary, expanding_verdict, lebesgue_number,
-                     local_expanding_cover, word_derivative)
+from ifs_lab import (Arc, CirclePoint, Expanding, Flip, GALLERY_NAMES, IfsSystem, NorthSouth,
+                     NotACover, NotDifferentiable, NotLocallyExpanding, PiecewiseLinear,
+                     Rotation, admissible_itinerary, build_example, expanding_verdict,
+                     lebesgue_number, local_expanding_cover, word_derivative)
 from ifs_lab.smooth import CoverPiece, ExpandingCover
 
 
@@ -150,3 +151,70 @@ def test_itinerary_escape_raises(doubling):
     cover = ExpandingCover(pieces, 0.5, 0.1, doubling)
     with pytest.raises(NotACover):
         admissible_itinerary(cover, 0.2, 3)  # doubling leaves the single piece
+
+
+def expanding_sweep_reference(ifs, grid=1024):
+    """The scalar sweep that `expanding_verdict` replaced, kept as a test-only
+    reference: point by point, generator by generator."""
+
+    def sweep(offset):
+        eta = 0.0
+        for g in ifs.generators:
+            for i in range(grid):
+                d = abs(g.derivative((i + offset) / grid))
+                if d <= 1.0:
+                    return False, None
+                eta = max(eta, 1.0 / d)
+        return True, eta
+
+    try:
+        return sweep(0.0)
+    except NotDifferentiable:
+        return sweep(0.5)
+
+
+def outcome(f, ifs, grid):
+    try:
+        return f(ifs, grid)
+    except NotDifferentiable as exc:
+        return ("corner", exc.location, exc.left, exc.right)
+
+
+def random_smooth_generator(rng, kind):
+    if kind == "rotation":
+        return Rotation(float(rng.random()))
+    if kind == "flip":
+        return Flip()
+    if kind == "north_south":
+        return NorthSouth(float(rng.random()), float(rng.uniform(1.1, 4.0)))
+    if kind == "expanding":
+        return Expanding(int(rng.integers(2, 6)))
+    # knots on a coarse dyadic grid, so some fall on grid points of either offset
+    xs = np.unique(rng.integers(1, 16, int(rng.integers(1, 4)))) / 16.0
+    ys = np.sort(rng.uniform(0.05, 0.95, xs.size))
+    return PiecewiseLinear(((0.0, 0.0),) + tuple(zip(xs.tolist(), ys.tolist())) + ((1.0, 1.0),))
+
+
+def smooth_systems():
+    rng = np.random.default_rng(5)
+    kinds = ("rotation", "flip", "north_south", "expanding", "piecewise_linear")
+    systems = [build_example(name).system for name in GALLERY_NAMES]
+    for _ in range(60):
+        picks = rng.choice(kinds, int(rng.integers(1, 4)), p=(0.1, 0.1, 0.1, 0.4, 0.3))
+        systems.append(IfsSystem([random_smooth_generator(rng, str(k)) for k in picks]))
+    # a corner on the offset-0.5 grid, behind an expanding generator; a
+    # non-expanding point ahead of a corner; a corner then expansion
+    corner = PiecewiseLinear(((0.0, 0.0), (0.25, 0.5), (1.0, 1.0)))
+    systems += [IfsSystem([Expanding(2), corner]), IfsSystem([corner, Expanding(3)]),
+                IfsSystem([Rotation(0.1), corner]), IfsSystem([Expanding(3), Expanding(2)])]
+    return systems
+
+
+def test_expanding_verdict_matches_the_scalar_sweep():
+    seen = set()
+    for ifs in smooth_systems():
+        for grid in (2, 3, 8, 100, 1024):
+            got = outcome(expanding_verdict, ifs, grid)
+            assert got == outcome(expanding_sweep_reference, ifs, grid)
+            seen.add("corner" if got[0] == "corner" else got[0])
+    assert seen == {True, False, "corner"}

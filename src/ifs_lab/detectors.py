@@ -18,7 +18,8 @@ import numpy as np
 
 from .circle import Arc, as_value, circ_dist, normalize, normalize_array
 from .generators import fixed_points, map_arcs
-from .semigroup import IfsSystem, orbit_cloud
+from .semigroup import (STOP_REASONS, IfsSystem, _BUDGET, _DEPTH, _EXHAUSTED, _FOUND,
+                        orbit_cloud)
 from .symbolic import Word
 
 
@@ -128,17 +129,36 @@ def system_net(ifs: IfsSystem, n: int) -> List[float]:
 
 def max_cyclic_gap(values: np.ndarray) -> Tuple[float, float]:
     """Largest gap between consecutive points and its midpoint."""
-    s = np.sort(np.asarray(values))
+    s = np.sort(np.asarray(values, dtype=float))
     if s.size == 0:
         return 1.0, 0.0
-    if s.size == 1:
-        return 1.0, normalize(float(s[0]) + 0.5)
-    gaps = np.diff(s)
-    wrap = 1.0 - float(s[-1]) + float(s[0])
-    i = int(np.argmax(gaps))
-    if wrap > float(gaps[i]):
-        return wrap, normalize(float(s[-1]) + wrap / 2.0)
-    return float(gaps[i]), normalize(float(s[i]) + float(gaps[i]) / 2.0)
+    gap, mid = _cyclic_gaps(s, np.zeros(s.size, dtype=np.int64), 1)
+    return float(gap[0]), float(mid[0])
+
+
+def _cyclic_gaps(s: np.ndarray, seg: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Per segment id below n of s (ascending within a segment, segment ids
+    non-decreasing), the largest cyclic gap between consecutive values, the
+    first on ties unless the wrap-around gap is larger, and its midpoint;
+    inf and nan for an id with no values.  A single value's gap is 1.0."""
+    gap, mid = np.full(n, np.inf), np.full(n, np.nan)
+    if s.size == 0:
+        return gap, mid
+    starts = np.flatnonzero(np.r_[True, seg[1:] != seg[:-1]])
+    ends = np.r_[starts[1:], s.size] - 1
+    d = np.append(np.where(seg[1:] == seg[:-1], np.diff(s), -np.inf), -np.inf)
+    top = np.maximum.reduceat(d, starts)
+    # the first diff reaching its segment's top
+    reach = np.flatnonzero(d == np.repeat(top, ends - starts + 1))
+    first = reach[np.unique(np.searchsorted(starts, reach, side="right"), return_index=True)[1]]
+    wrap = 1.0 - s[ends] + s[starts]
+    single, by_wrap = ends == starts, wrap > top
+    ids = seg[starts]
+    gap[ids] = np.where(single, 1.0, np.where(by_wrap, wrap, top))
+    mid[ids] = normalize_array(np.where(single, s[starts] + 0.5,
+                                        np.where(by_wrap, s[ends] + wrap / 2.0,
+                                                 s[first] + top / 2.0)))
+    return gap, mid
 
 
 def _merge_cell(res: Resolution) -> float:
@@ -147,29 +167,9 @@ def _merge_cell(res: Resolution) -> float:
     return res.eps / 8.0
 
 
-def _dense_orbit(ifs: IfsSystem, x: float, res: Resolution,
-                 generators=None) -> Tuple[bool, float, float, np.ndarray]:
-    """Expand the orbit of x until it is eps-dense or bounds are exhausted."""
-    target = 2.0 * res.eps
-
-    def stop(vals: np.ndarray) -> bool:
-        if vals.size < 1.0 / target:
-            return False
-        gap, _ = max_cyclic_gap(vals)
-        return gap <= target
-
-    cloud = orbit_cloud(ifs, x, res.depth, res.budget, stop_when=stop,
-                        generators=generators, merge=_merge_cell(res))
-    gap, mid = max_cyclic_gap(cloud.values)
-    return gap <= target, gap, mid, cloud.values
-
-
 # ---------------------------------------------------------------------------
 # batched arc-image search: many source arcs, breadth first, level by level,
 # with state merging and dominance pruning
-
-STOP_REASONS = ("found", "exhausted", "depth", "budget")
-_FOUND, _EXHAUSTED, _DEPTH, _BUDGET = range(4)
 
 # Working-set bounds.  Sources are searched a chunk at a time; a chunk holds
 # about _CHUNK_NODES arc nodes at the rate per source of the chunk before it,
@@ -483,22 +483,84 @@ def _prior_max(seg, v) -> np.ndarray:
 # orbit-density detectors
 
 
+# Orbit roots are expanded a chunk at a time, as `_arc_search` batches arcs:
+# the first chunk has _FIRST_ORBITS roots, each later one at most twice as
+# many and about _ORBIT_NODES points at the rate per root of the one before.
+_ORBIT_NODES = 1 << 14
+_FIRST_ORBITS = 4
+
+
+def _orbit_chunks(ifs: IfsSystem, roots, res: Resolution, make_test):
+    """(first root, cloud, stop test) per chunk of roots, each orbit merged
+    at eps/8 within the depth and budget bounds; `make_test(chunk_roots)`
+    builds the chunk's stop test."""
+    lo, size = 0, _FIRST_ORBITS
+    while lo < len(roots):
+        chunk = np.asarray(roots[lo:lo + size], dtype=float)
+        test = make_test(chunk)
+        cloud = orbit_cloud(ifs, chunk, res.depth, res.budget, stop_when=test,
+                            merge=_merge_cell(res))
+        size = max(1, min(2 * chunk.size, _ORBIT_NODES * chunk.size // cloud.values.size))
+        yield lo, cloud, test
+        lo += chunk.size
+
+
+class _Density:
+    """Stop test: a source stops once it holds 1/target points with no
+    cyclic gap above target.  `gap` and `mid` keep each source's largest
+    gap and its midpoint as of its last level, the roots' to start with.
+    Unless `every`, a source that ends above target also stops every later
+    source of the chunk."""
+
+    def __init__(self, target: float, every: bool, roots: np.ndarray):
+        self.target, self.every = target, every
+        self.gap, self.mid = np.ones(roots.size), normalize_array(roots + 0.5)
+
+    def __call__(self, level) -> np.ndarray:
+        fire = np.zeros(level.counts.size, dtype=bool)
+        if not (level.running & (level.ending | (level.counts >= 1.0 / self.target))).any():
+            return fire
+        gap, mid = _cyclic_gaps(level.cell_values, level.cell_source, level.counts.size)
+        self.gap[level.running], self.mid[level.running] = gap[level.running], mid[level.running]
+        fire = (level.counts >= 1.0 / self.target) & (gap <= self.target)
+        failed = np.flatnonzero(level.ending & ~(gap <= self.target))
+        if failed.size and not self.every:
+            fire[failed[0] + 1:] = True
+        return fire
+
+
+def _dense_orbits(ifs: IfsSystem, roots, res: Resolution, every: bool = False):
+    """Per chunk of roots: (first root, cloud, gaps, midpoints), each orbit
+    expanded until 2 eps-dense or out of bounds, with its largest cyclic gap
+    and that gap's midpoint.  Unless `every`, the roots after one whose
+    orbit is not 2 eps-dense are dropped (their gaps mean nothing)."""
+    for first, cloud, density in _orbit_chunks(
+            ifs, roots, res, lambda chunk: _Density(2.0 * res.eps, every, chunk)):
+        yield first, cloud, density.gap, density.mid
+
+
+_NOT_DENSE = "orbit not eps-dense within depth/budget bounds"
+
+
 def minimality_verdict(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION) -> Verdict:
     """Every net point's forward orbit must be eps-dense in the circle."""
     net = system_net(ifs, res.net_size)
     worst = None
-    for x in net:
-        dense, gap, mid, vals = _dense_orbit(ifs, x, res)
-        if worst is None or gap > worst["gap"]:
-            worst = {"point": x, "gap": gap, "gap_midpoint": mid,
-                     "orbit_points": int(vals.size)}
-        if not dense:
-            return Verdict(
-                "minimality", False, res,
-                {"witness_point": x, "uncovered_gap": gap, "gap_midpoint": mid,
-                 "orbit_points": int(vals.size), "checked_points": len(net)},
-                caveat="orbit not eps-dense within depth/budget bounds",
-            )
+    for first, cloud, gaps, mids in _dense_orbits(ifs, net, res):
+        sizes = np.bincount(cloud.source, minlength=gaps.size).tolist()
+        for j, (gap, mid) in enumerate(zip(gaps.tolist(), mids.tolist())):
+            x = net[first + j]
+            if worst is None or gap > worst["gap"]:
+                worst = {"point": x, "gap": gap, "gap_midpoint": mid, "orbit_points": sizes[j]}
+            if not gap <= 2.0 * res.eps:
+                reason = cloud.stop[j]
+                return Verdict(
+                    "minimality", False, res,
+                    {"witness_point": x, "uncovered_gap": gap, "gap_midpoint": mid,
+                     "orbit_points": sizes[j], "checked_points": len(net),
+                     "stop_reason": reason, "depth_reached": int(cloud.depths[j])},
+                    caveat=f"{_NOT_DENSE}: {_stopped_by(reason, res, orbit=True)}",
+                )
     return Verdict(
         "minimality", True, res,
         {"checked_points": len(net), "worst": worst},
@@ -512,8 +574,57 @@ def strong_transitivity_verdict(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLU
     inner = minimality_verdict(inverse, res)
     witnesses = dict(inner.witnesses)
     witnesses["orbit_direction"] = "backward"
-    return Verdict("strong_transitivity", inner.holds, res, witnesses,
-                   caveat=(inner.caveat + "; witness orbits use inverse generators").strip("; "))
+    caveat = "witness orbits use inverse generators"
+    if inner.holds:
+        caveat = f"{inner.caveat}; {caveat}"
+    else:
+        caveat = f"{_NOT_DENSE}; {caveat}: " + _stopped_by(witnesses["stop_reason"], res, orbit=True)
+    return Verdict("strong_transitivity", inner.holds, res, witnesses, caveat=caveat)
+
+
+class _Coverage:
+    """Stop test: a source stops once its orbit comes within eps of every
+    closure point, that is min(|a - v|, 1 - |a - v|) <= eps for some orbit
+    point v of each closure point a.  `covered` is the sources x closure
+    points record of it, the roots counted from the start; a source that
+    ends short of it also stops every later source of the chunk."""
+
+    def __init__(self, closure: np.ndarray, eps: float, roots: np.ndarray):
+        self.closure, self.eps = closure, eps
+        # the closure repeated one turn either way, so that the closure
+        # points near v form one run of it
+        self._ring = np.concatenate([closure - 1.0, closure, closure + 1.0])
+        self.covered = np.zeros((roots.size, closure.size), dtype=bool)
+        self._mark(roots, np.arange(roots.size))
+
+    def _mark(self, v: np.ndarray, src: np.ndarray):
+        reach = self.eps + 1e-9  # beyond any rounding of the test below
+        lo = np.searchsorted(self._ring, v - reach)
+        cnt = np.searchsorted(self._ring, v + reach, side="right") - lo
+        pair = np.repeat(np.arange(v.size), cnt)
+        m = (np.repeat(lo - np.cumsum(cnt) + cnt, cnt) + np.arange(pair.size)) % self.closure.size
+        d = np.abs(self.closure[m] - v[pair])
+        near = np.minimum(d, 1.0 - d) <= self.eps
+        self.covered[src[pair[near]], m[near]] = True
+
+    def __call__(self, level) -> np.ndarray:
+        self._mark(level.values, level.source)
+        fire = self.covered.all(axis=1)
+        failed = np.flatnonzero(level.ending & ~fire)
+        if failed.size:
+            fire[failed[0] + 1:] = True
+        return fire
+
+
+def _nearest_distances(points: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per point, min(|a - v|, 1 - |a - v|) over the values v, a block of
+    points at a time."""
+    out = np.empty(points.size)
+    block = max(1, (1 << 16) // max(1, values.size))
+    for b in range(0, points.size, block):
+        d = np.abs(points[b:b + block, None] - values[None, :])
+        out[b:b + block] = np.minimum(d, 1.0 - d).min(axis=1)
+    return out
 
 
 def almost_periodic_verdict(ifs: IfsSystem, x, res: Resolution = DEFAULT_RESOLUTION) -> Verdict:
@@ -522,6 +633,7 @@ def almost_periodic_verdict(ifs: IfsSystem, x, res: Resolution = DEFAULT_RESOLUT
     The closure is approximated by the eps-thinned orbit of x, augmented with
     any generator fixed point that the orbit approaches within eps/2 (those
     are the accumulation points a finite orbit sample cannot reach exactly).
+    Then the orbit of every closure point must come within eps of each.
     """
     x = as_value(x)
     # no early density exit here: the closure sample must include the slow
@@ -546,31 +658,24 @@ def almost_periodic_verdict(ifs: IfsSystem, x, res: Resolution = DEFAULT_RESOLUT
             closure.append(fp)
     closure = sorted(set(normalize(v) for v in closure))
     arr = np.array(closure)
-
-    def distances(vals_y: np.ndarray) -> np.ndarray:
-        """Distance from each closure point to the nearest of vals_y."""
-        s = np.sort(vals_y)
-        i = np.searchsorted(s, arr) % s.size
-        d1 = np.abs(arr - s[i - 1])
-        d2 = np.abs(arr - s[i])
-        return np.minimum(np.minimum(d1, 1.0 - d1), np.minimum(d2, 1.0 - d2))
-
-    def covered(vals_y: np.ndarray) -> bool:
-        return bool((distances(vals_y) <= res.eps).all())
-
-    for y in closure:
-        cloud = orbit_cloud(ifs, y, res.depth, res.budget, stop_when=covered,
-                            merge=_merge_cell(res))
-        d = distances(cloud.values)
-        if not (d <= res.eps).all():
+    for first, cloud, coverage in _orbit_chunks(ifs, closure, res,
+                                                lambda chunk: _Coverage(arr, res.eps, chunk)):
+        short = np.flatnonzero(~coverage.covered.all(axis=1))
+        if short.size:
+            j = int(short[0])
+            vals = cloud.values[cloud.source == j]
+            d = _nearest_distances(arr, vals)
             far = int(np.argmax(d))
+            reason = cloud.stop[j]
             return Verdict(
                 "almost_periodic", False, res,
-                {"base_point": x, "witness_y": y, "closure_size": len(closure),
+                {"base_point": x, "witness_y": closure[first + j], "closure_size": len(closure),
                  "unreached_example": float(arr[far]),
-                 "unreached_distance": float(d[far])},
+                 "unreached_distance": float(d[far]),
+                 "stop_reason": reason, "depth_reached": int(cloud.depths[j]),
+                 "orbit_points": int(vals.size)},
                 caveat="orbit of witness_y not eps-dense in the orbit closure of x "
-                       "within bounds",
+                       "within bounds: " + _stopped_by(reason, res, orbit=True),
             )
     return Verdict(
         "almost_periodic", True, res,
@@ -589,11 +694,13 @@ def _net_arcs(centers: Sequence[float], r: float):
     return normalize_array(c - r), np.full(c.size, 2.0 * r)
 
 
-def _stopped_by(reason: str, res: Resolution) -> str:
-    """The bound that ended a search, for a negative verdict's caveat."""
+def _stopped_by(reason: str, res: Resolution, orbit: bool = False) -> str:
+    """The bound that ended a search (of image arcs, or of orbit points), for
+    a negative verdict's caveat."""
+    states, spent = ("orbit points", "point") if orbit else ("image arcs", "word")
     return {"depth": f"the search reached its depth bound (depth={res.depth})",
-            "budget": f"the search spent its word budget (budget={res.budget})",
-            "exhausted": "the search ran out of new image arcs at merge cell eps/8",
+            "budget": f"the search spent its {spent} budget (budget={res.budget})",
+            "exhausted": f"the search ran out of new {states} at merge cell eps/8",
             }[reason]
 
 
@@ -679,6 +786,7 @@ def periodic_rule(pattern: Sequence[int]):
     pattern = tuple(pattern)
     if not pattern or any(not isinstance(v, Integral) or v < 1 for v in pattern):
         raise ValueError(f"a rule needs one or more integer letters >= 1; got {pattern}")
+    pattern = tuple(int(v) for v in pattern)
 
     def rule(ifs: IfsSystem, step: int, s, ln, c):
         letter = pattern[step % len(pattern)]
@@ -837,12 +945,11 @@ def _repeller_steering_data(ifs: IfsSystem, res: Resolution):
     """Backward-orbit clouds of every repelling generator fixed point."""
     if not ifs.all_invertible:
         return []
-    inverse = ifs.inverse_system()
-    return [(rec.location.value, letter,
-             orbit_cloud(ifs, rec.location.value, res.depth, res.budget,
-                         generators=inverse.generators, merge=_merge_cell(res)))
-            for letter, rec in generator_fixed_points(ifs)
-            if rec.classification == "repelling"]
+    repellers = [(rec.location.value, letter) for letter, rec in generator_fixed_points(ifs)
+                 if rec.classification == "repelling"]
+    clouds = orbit_cloud(ifs, [q for q, _ in repellers], res.depth, res.budget,
+                         generators=ifs.inverse_system().generators, merge=_merge_cell(res))
+    return [(q, letter, clouds.of(j)) for j, (q, letter) in enumerate(repellers)]
 
 
 def _bfs_best(ifs: IfsSystem, starts, lengths, depth, budget: int, cell: float,
@@ -1061,10 +1168,11 @@ def sensitivity_witness_from_nonminimality(ifs: IfsSystem,
     """
     net = system_net(ifs, res.net_size)
     worst_gap, worst_point, worst_vals = 0.0, None, None
-    for x in net:
-        dense, gap, _, vals = _dense_orbit(ifs, x, res)
-        if not dense and gap > worst_gap:
-            worst_gap, worst_point, worst_vals = gap, x, vals
+    for first, cloud, gaps, _ in _dense_orbits(ifs, net, res, every=True):
+        for j, gap in enumerate(gaps.tolist()):
+            if not gap <= 2.0 * res.eps and gap > worst_gap:
+                worst_gap, worst_point = gap, net[first + j]
+                worst_vals = cloud.values[cloud.source == j]
     if worst_point is None:
         raise NotApplicable("every net orbit is eps-dense at this resolution")
     gap, mid = max_cyclic_gap(worst_vals)

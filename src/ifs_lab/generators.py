@@ -306,9 +306,14 @@ class PiecewiseLinear(Generator):
         return PiecewiseLinear(tuple(knots))
 
 
+# The largest expanding degree: `fixed_points(Expanding(m))` lists all m - 1
+# fixed points, so a huge m would allocate that many.
+MAX_DEGREE = 2 ** 16
+
+
 @dataclass(frozen=True, slots=True)
 class Expanding(Generator):
-    """The standard m-fold covering x -> m x (mod 1), m >= 2."""
+    """The standard m-fold covering x -> m x (mod 1), 2 <= m <= MAX_DEGREE."""
 
     m: int
 
@@ -319,6 +324,8 @@ class Expanding(Generator):
             _require_finite("m", self.m)
         if int(self.m) != self.m or self.m < 2:
             raise ValueError(f"expanding factor must be an integer >= 2, got {self.m}")
+        if self.m > MAX_DEGREE:
+            raise ValueError(f"expanding factor m must be at most {MAX_DEGREE}, got {self.m}")
         object.__setattr__(self, "m", int(self.m))
 
     @property

@@ -13,7 +13,7 @@ from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .circle import CirclePoint, as_value, normalize
+from .circle import CirclePoint, as_value, normalize, normalize_array
 from .generators import Generator, NonInvertible, _lift_fixed_values
 from .symbolic import Word, validate_word
 
@@ -178,100 +178,196 @@ def periodic_points(ifs: IfsSystem, max_len: int, tol: float = 1e-12,
 
 
 # ---------------------------------------------------------------------------
-# vectorized orbit expansion (used by the detectors, where only the point
-# cloud and optional parent links matter, not OrbitSet packaging)
+# multi-source orbit expansion (used by the detectors, where only the point
+# clouds and optional parent links matter, not OrbitSet packaging)
+
+# Why a source's search ended: its stop test fired, it ran out of new
+# points, or it reached its depth or point bound.
+STOP_REASONS = ("found", "exhausted", "depth", "budget")
+_FOUND, _EXHAUSTED, _DEPTH, _BUDGET = range(4)
 
 
 class OrbitCloud:
-    """Breadth-first orbit points as flat arrays with parent/letter links."""
+    """Breadth-first orbit points of one or more roots (sources) as flat
+    arrays with parent/letter links.
 
-    def __init__(self, values, parents, letters, depth_reached, exhausted):
+    Rows are in visit order: the roots (row j is source j's root), then each
+    level's new points.  A row links to its parent row and the letter mapping
+    the parent onto it (-1 and 0 at a root) and names its source; restricted
+    to one source, the rows are exactly those a search from that root alone
+    visits.  Per source: `depths` (levels expanded) and `stop` (one of
+    STOP_REASONS); `depth_reached` is the most levels any source expanded.
+    """
+
+    def __init__(self, values, parents, letters, source, depths, stop):
         self.values = values
         self.parents = parents
         self.letters = letters
-        self.depth_reached = depth_reached
-        # True when the breadth-first expansion emptied out before hitting
-        # the depth or cap bound, i.e. the orbit is complete at resolution.
-        self.exhausted = exhausted
+        self.source = source
+        self.depths = depths
+        self.stop = [STOP_REASONS[c] for c in stop]
+        self.depth_reached = int(depths.max(initial=0))
+
+    def of(self, j: int) -> "OrbitCloud":
+        """Source j alone, its rows re-indexed from 0."""
+        rows = np.flatnonzero(self.source == j)
+        at = np.full(self.values.size, -1, dtype=np.int64)
+        at[rows] = np.arange(rows.size)
+        parents = self.parents[rows]
+        parents = np.where(parents < 0, -1, at[parents])
+        return OrbitCloud(self.values[rows], parents, self.letters[rows],
+                          np.zeros(rows.size, dtype=self.source.dtype), self.depths[j:j + 1],
+                          [STOP_REASONS.index(self.stop[j])])
 
     def word_for(self, index: int) -> Word:
         letters = []
         i = index
-        while i > 0:
+        while self.parents[i] >= 0:
             letters.append(int(self.letters[i]))
             i = int(self.parents[i])
         return tuple(reversed(letters))
 
 
+class OrbitLevel:
+    """What the stop test of `orbit_cloud` sees after each completed level.
+
+    `values` and `source` are the level's new points, in visit order.
+    `cell_values` and `cell_source` hold the points so far of at least every
+    running source, ordered by (source, merge cell).  With a `merge` width
+    that orders each source's values ascending (a value stops short of 1 by
+    more than any rounding of its cell); in DEDUP_RESOLUTION cells, a value
+    within half a cell of 1 shares cell 0 and comes first.  Per source:
+    `counts` (points so far), `running` (expanded this level) and `ending`
+    (a bound ends its search after this level, whatever the test says).
+    """
+
+    def __init__(self, values, source, seen, seen_values, scale, counts, running, ending):
+        self.values = values
+        self.source = source
+        self.cell_values = seen_values
+        self._seen, self._scale = seen, scale
+        self.counts = counts
+        self.running = running
+        self.ending = ending
+
+    @property
+    def cell_source(self) -> np.ndarray:
+        return self._seen // self._scale
+
+
 def orbit_cloud(ifs: IfsSystem, x, depth: int, cap: int,
                 stop_when=None, generators=None, merge: Optional[float] = None) -> OrbitCloud:
-    """Vectorized breadth-first orbit of x.
+    """Breadth-first orbits of the root x, or of each root of an array x,
+    in one level-synchronous pass.
 
-    `stop_when(values)` may end the expansion early (e.g. once the cloud is
-    dense enough); it is checked after each completed level.  When `merge` is
-    given, points landing within the same cell of that width are represented
-    by the first one found; every retained value is still an exactly
+    Each root is a source that runs its own search, as if alone.  A level
+    maps the source's frontier by each letter in turn; a child is kept when
+    its cell (of width `merge`, or DEDUP_RESOLUTION) is new to its source,
+    the first occurrence in letter-then-parent order winning, until the
+    source holds `cap` points, which may cut a level short.  A source stops
+    when a level adds nothing ("exhausted"), at its cap ("budget"), after
+    `depth` levels ("depth"), or when `stop_when(level)`, called with an
+    `OrbitLevel` after each completed level and returning one bool per
+    source, says so ("found").  Every retained value is an exactly
     evaluated orbit point, so witnesses stay genuine.
     """
     gens = ifs.generators if generators is None else tuple(generators)
     if merge is None:
-        scale = _KEY_SCALE
-
-        def keys_of(v: np.ndarray) -> np.ndarray:
-            return np.round(v * scale).astype(np.int64) % scale
+        scale, cell_of = _KEY_SCALE, np.round
     else:
-        scale = max(2, round(1.0 / merge))
+        scale, cell_of = max(2, round(1.0 / merge)), np.floor
+    roots = (np.array([as_value(x)]) if np.ndim(x) == 0
+             else normalize_array(np.array(x, dtype=float)))
+    n, k = roots.size, len(gens)
+    # merge-cell keys, offset by source, must fit in an int64
+    if n > 2 ** 62 // scale:
+        raise ValueError(f"merge cell {merge} is too fine for {n} orbit roots")
 
-        def keys_of(v: np.ndarray) -> np.ndarray:
-            return np.floor(v * scale).astype(np.int64) % scale
+    def keys_of(src: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return src * scale + cell_of(v * scale).astype(np.int64) % scale
 
-    base = as_value(x)
-    values = np.array([base])
-    parents = np.array([-1], dtype=np.int64)
-    letters = np.array([0], dtype=np.int64)
-    seen = np.sort(keys_of(values))
-    frontier = np.array([0], dtype=np.int64)
-    exhausted = False
-    level = 0
+    src = np.arange(n)
+    # node columns: values, parents, letters, source
+    cols = [[roots], [np.full(n, -1, dtype=np.int32)], [np.zeros(n, dtype=np.int16)],
+            [src.astype(np.int32)]]
+    count = n
+    counts = np.ones(n, dtype=np.int64)
+    depths = np.zeros(n, dtype=np.int64)
+    stop = np.where(counts >= cap, _BUDGET, -1)
+    keys = keys_of(src, roots)
+    by_cell = np.argsort(keys)
+    # the cells each source has reached, sorted, and (for a stop test) the
+    # value in each
+    seen = keys[by_cell]
+    seen_values = roots[by_cell] if stop_when is not None else None
+    f_val, f_src, f_id = roots, src, src
+    stopped = True  # some source stopped since the frontier was built
     for level in range(1, depth + 1):
-        if frontier.size == 0 or values.size >= cap:
-            exhausted = frontier.size == 0
-            level -= 1
-            break
-        fv = values[frontier]
-        child_vals = []
-        child_parents = []
-        child_letters = []
-        for letter, g in enumerate(gens, start=1):
-            child_vals.append(g.eval_array(fv))
-            child_parents.append(frontier)
-            child_letters.append(np.full(frontier.size, letter, dtype=np.int64))
-        cv = np.concatenate(child_vals)
-        cp = np.concatenate(child_parents)
-        cl = np.concatenate(child_letters)
-        ck = keys_of(cv)
-        # first occurrence within the level, in letter-then-parent order
-        _, first_idx = np.unique(ck, return_index=True)
-        first_idx.sort()
-        cv, cp, cl, ck = cv[first_idx], cp[first_idx], cl[first_idx], ck[first_idx]
-        pos = np.searchsorted(seen, ck)
-        pos = np.clip(pos, 0, seen.size - 1)
-        fresh = seen[pos] != ck
-        if not fresh.any():
-            exhausted = True
-            break
-        cv, cp, cl, ck = cv[fresh], cp[fresh], cl[fresh], ck[fresh]
-        room = cap - values.size
-        if cv.size > room:
-            cv, cp, cl, ck = cv[:room], cp[:room], cl[:room], ck[:room]
-        start = values.size
-        values = np.concatenate([values, cv])
-        parents = np.concatenate([parents, cp])
-        letters = np.concatenate([letters, cl])
-        seen = np.sort(np.concatenate([seen, ck]))
-        frontier = np.arange(start, values.size, dtype=np.int64)
-        if stop_when is not None and stop_when(values):
-            break
-    else:
-        level = depth
-    return OrbitCloud(values, parents, letters, level, exhausted)
+        run = stop < 0
+        if stopped:
+            if not run.any():
+                break
+            live = run[f_src]
+            f_val, f_src, f_id = f_val[live], f_src[live], f_id[live]
+        width = f_val.size
+        cv = np.concatenate([g.eval_array(f_val) for g in gens])
+        csrc = np.tile(f_src, k)
+        # per (source, cell), the first child in letter-then-parent order,
+        # kept if its cell is new to the source
+        uk, first = np.unique(keys_of(csrc, cv), return_index=True)
+        at = np.searchsorted(seen, uk)
+        fresh = seen[np.minimum(at, seen.size - 1)] != uk
+        uk, first, at = uk[fresh], first[fresh], at[fresh]
+        got = np.bincount(csrc[first], minlength=n)
+        room = cap - counts
+        if (got > room).any():
+            # each source keeps its first `room` fresh children in visit order
+            visit = np.sort(first)
+            vs = csrc[visit]
+            by_src = np.argsort(vs, kind="stable")
+            rank = np.empty(visit.size, dtype=np.int64)
+            rank[by_src] = np.arange(visit.size) - (np.cumsum(got) - got)[vs[by_src]]
+            kept = np.zeros(cv.size, dtype=bool)
+            kept[visit[rank < room[vs]]] = True
+            keep = kept[first]
+            uk, first, at = uk[keep], first[keep], at[keep]
+            got = np.minimum(got, room)
+        # merge the new cells into the sorted ones
+        at += np.arange(at.size)
+        old = np.ones(seen.size + at.size, dtype=bool)
+        old[at] = False
+        seen = _merged(seen, old, at, uk)
+        if seen_values is not None:
+            seen_values = _merged(seen_values, old, at, cv[first])
+        visit = np.sort(first)
+        parents = f_id[visit % width]
+        f_val, f_src, f_id = cv[visit], csrc[visit], np.arange(count, count + visit.size)
+        for col, v in zip(cols, (f_val, parents, visit // width + 1, f_src)):
+            col.append(v.astype(col[0].dtype, copy=False))
+        count += visit.size
+        counts += got
+        depths[run] = level
+        empty = run & (got == 0)
+        stop[empty] = _EXHAUSTED
+        if stop_when is not None:
+            ending = run & (empty | (counts >= cap) | (level == depth))
+            fire = np.asarray(stop_when(OrbitLevel(f_val, f_src, seen, seen_values, scale,
+                                                   counts, run, ending)), dtype=bool)
+            stop[run & ~empty & fire] = _FOUND
+        stop[(stop < 0) & (counts >= cap)] = _BUDGET
+        stopped = bool((stop[run] >= 0).any())
+        # drop the cells of stopped sources once they are most of them
+        if stopped and 0 < 2 * counts[stop < 0].sum() < seen.size:
+            alive = stop[seen // scale] < 0
+            seen = seen[alive]
+            seen_values = None if seen_values is None else seen_values[alive]
+    stop[stop < 0] = _DEPTH
+    return OrbitCloud(*[np.concatenate(col) for col in cols], depths, stop)
+
+
+def _merged(a: np.ndarray, old: np.ndarray, at: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """a with `new` inserted: the old entries where `old`, the new at `at`."""
+    out = np.empty(old.size, dtype=a.dtype)
+    out[old] = a
+    out[at] = new
+    return out

@@ -64,6 +64,16 @@ def test_non_finite_real_names_its_field(tmp_path, capsys):
     assert f"{src}.generators[0].lambda: expected a finite real" in capsys.readouterr().err
 
 
+def test_huge_expanding_degree_names_its_field(tmp_path, capsys):
+    doc = {"generators": [{"type": "flip"}, {"type": "expanding", "m": 10 ** 9}]}
+    with pytest.raises(MalformedInput, match=r"^system\.generators\[1\]: expanding factor m"):
+        system_from_config(doc)
+    src = tmp_path / "sys.json"
+    src.write_text(json.dumps(doc))
+    assert main(["analyze", "--system", str(src), "--props", "minimality"]) == EXIT_MALFORMED
+    assert f"{src}.generators[1]: expanding factor m must be at most" in capsys.readouterr().err
+
+
 def test_load_system_file_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -12,7 +12,7 @@ from ifs_lab import (Arc, CirclePoint, Flip, IfsSystem, NonInvertible,
                      sensitivity_witness_from_nonminimality,
                      separation_times, strong_transitivity_verdict,
                      topological_transitivity_verdict)
-from ifs_lab.detectors import (DEFAULT_RESOLUTION, _radius_ladder, _rule_paths,
+from ifs_lab.detectors import (DEFAULT_RESOLUTION, _radius_ladder, _rule_paths, _stopped_by,
                                generator_fixed_points, max_cyclic_gap)
 from ifs_lab.generators import fixed_points, map_arcs
 from ifs_lab.semigroup import orbit_cloud
@@ -186,6 +186,28 @@ def test_negative_arc_verdicts_name_their_stop_reason(reason, system, res):
         assert bound in v.caveat
 
 
+@pytest.mark.parametrize("reason, systems, res", [
+    ("depth", ([Rotation((5 ** 0.5 - 1) / 2), Flip()],) * 2, DEFAULT_RESOLUTION.replaced(depth=3)),
+    ("budget", ([Rotation((5 ** 0.5 - 1) / 2), Flip()],) * 2, DEFAULT_RESOLUTION.replaced(budget=5)),
+    ("exhausted", ([Rotation(0.25)], [NorthSouth(0.0, 2.0)]), DEFAULT_RESOLUTION),
+])
+def test_negative_orbit_verdicts_name_their_stop_reason(reason, systems, res):
+    """The first system fails minimality and strong transitivity, the second
+    almost periodicity at 0.3, each for the given reason."""
+    bound = {"depth": "depth=3", "budget": "budget=5",
+             "exhausted": "ran out of new orbit points"}[reason]
+    dense_family, closure_system = (IfsSystem(gens) for gens in systems)
+    for v in (minimality_verdict(dense_family, res),
+              strong_transitivity_verdict(dense_family, res),
+              almost_periodic_verdict(closure_system, 0.3, res)):
+        assert not v.holds
+        assert v.witnesses["stop_reason"] == reason
+        assert 1 <= v.witnesses["depth_reached"] <= res.depth
+        assert 1 <= v.witnesses["orbit_points"] <= res.budget
+        assert bound in v.caveat
+        assert v.caveat.endswith(_stopped_by(reason, res, orbit=True))
+
+
 def test_arc_search_rejects_a_merge_cell_its_keys_cannot_hold(rotation_flip):
     with pytest.raises(ValueError, match="too fine"):
         topological_transitivity_verdict(rotation_flip, DEFAULT_RESOLUTION.replaced(eps=1e-10))
@@ -248,6 +270,11 @@ def test_rule_labels():
     assert constant_rule(2).label == "constant(2)"
     assert periodic_rule([1, 2, 2]).label == "periodic(1, 2, 2)"
     assert greedy_diameter_rule().label == "greedy_diameter"
+
+
+def test_rule_labels_print_numpy_letters_as_plain_integers():
+    assert periodic_rule(np.array([1, 2])).label == "periodic(1, 2)"
+    assert constant_rule(np.int64(2)).label == "constant(2)"
 
 
 def test_batched_rules_pick_for_every_arc_and_letter_zero_stops(doubling, rotation_flip):

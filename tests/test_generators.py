@@ -7,7 +7,7 @@ from ifs_lab import (Arc, CirclePoint, Expanding, Flip, NonInvertible,
                      NorthSouth, NotDifferentiable, PiecewiseLinear, Rotation,
                      circ_dist, eval_derivative, eval_inverse, eval_map,
                      fixed_points, map_arc)
-from ifs_lab.generators import map_arcs
+from ifs_lab.generators import MAX_DEGREE, map_arcs
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -285,3 +285,13 @@ def test_identity_fixed_points_sampled():
 def test_constructors_reject_non_finite_parameters(build, field):
     with pytest.raises(ValueError, match=f"^{field} must be finite"):
         build()
+
+
+def test_expanding_degree_is_bounded():
+    # above the degrees the fixed-point kernel tests, and refused before any
+    # map of that degree exists
+    assert MAX_DEGREE >= 2000
+    assert Expanding(MAX_DEGREE).m == MAX_DEGREE
+    for m in (MAX_DEGREE + 1, 10 ** 9, float(10 ** 300)):
+        with pytest.raises(ValueError, match=f"^expanding factor m must be at most {MAX_DEGREE}"):
+            Expanding(m)

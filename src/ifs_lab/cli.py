@@ -1,11 +1,11 @@
 """Batch front door: parse a system (gallery name or JSON file), run the
-requested detectors at a given resolution, and emit a machine-readable
-report plus a human-readable summary.
+requested properties (`ifs_lab.properties`) at a given resolution, and emit
+a machine-readable report plus a human-readable summary.
 
-Every property is one entry of the `PROPERTIES` registry.  Reports are JSON
-with sorted keys so identical analyses produce identical bytes from run to
-run; wall-clock timings go to stdout (and into the report only with
---timing).
+Jobs look `evaluate_property` up in this module, so rebinding it here
+reaches every verdict.  Reports are JSON with sorted keys so identical
+analyses produce identical bytes from run to run; wall-clock timings go to
+stdout (and into the report only with --timing).
 """
 
 from __future__ import annotations
@@ -15,24 +15,15 @@ import json
 import math
 import sys
 import time
-from typing import Callable, List, NamedTuple, Optional, Tuple
-
-import numpy as np
+from typing import List, Optional, Tuple
 
 from . import __version__
-from .detectors import (DEFAULT_RESOLUTION, NotApplicable, Resolution,
-                        Verdict, almost_periodic_verdict,
-                        cofinite_sensitivity_verdict, generator_fixed_points,
-                        max_cyclic_gap, minimality_verdict, s_transitivity_verdict,
-                        sensitivity_estimate,
-                        sensitivity_witness_from_nonminimality,
-                        strong_transitivity_verdict,
-                        topological_transitivity_verdict)
+from .detectors import DEFAULT_RESOLUTION, Resolution
 from .gallery import GALLERY_NAMES, UnknownExample, build_example
 from .generators import (Expanding, Flip, Generator, NonInvertible, NorthSouth,
                          NotDifferentiable, PiecewiseLinear, Rotation)
-from .semigroup import IfsSystem, periodic_points
-from .smooth import NotLocallyExpanding, expanding_verdict, local_expanding_cover
+from .properties import PROPERTIES, PROPERTY_NAMES, evaluate_property, property_spec
+from .semigroup import IfsSystem
 
 SCHEMA = "ifs-lab/1"
 
@@ -151,112 +142,6 @@ def load_system_file(path: str) -> IfsSystem:
 
 
 # ---------------------------------------------------------------------------
-# property registry
-
-
-def _sensitivity(ifs: IfsSystem, res: Resolution) -> dict:
-    report, verdict = sensitivity_estimate(ifs, res)
-    return {**verdict.to_dict(), "report": report.to_dict()}
-
-
-def _expanding(ifs: IfsSystem, res: Resolution) -> dict:
-    holds, eta = expanding_verdict(ifs, grid=max(res.net_size, 2))
-    return Verdict("expanding", holds, res, {"eta": eta},
-                   "checked on a finite grid").to_dict()
-
-
-def _local_expanding(ifs: IfsSystem, res: Resolution) -> dict:
-    try:
-        cover = local_expanding_cover(ifs, res)
-    except NotLocallyExpanding as exc:
-        return Verdict("local_expanding", False, res, {"stuck_point": exc.point},
-                       "no expanding word found within bounds").to_dict()
-    return Verdict("local_expanding", True, res, cover.to_dict()).to_dict()
-
-
-def _dense_periodic(ifs: IfsSystem, res: Resolution, max_len: int) -> dict:
-    pts = periodic_points(ifs, max_len)
-    values = [p.value for p, _ in pts]
-    gap, _mid = max_cyclic_gap(np.array(values)) if values else (1.0, 0.0)
-    witnesses = {"count": len(values), "max_gap": gap, "max_word_length": max_len,
-                 "example_words": [list(pts[0][1])] if pts else []}
-    return Verdict("dense_periodic", bool(values) and gap <= 2.0 * res.eps, res,
-                   witnesses, "density measured at resolution eps").to_dict()
-
-
-def _repelling_fixed_point(ifs: IfsSystem, res: Resolution) -> dict:
-    for letter, rec in generator_fixed_points(ifs):
-        if rec.classification == "repelling":
-            witnesses = {"generator": letter, "location": rec.location.value,
-                         "multipliers": list(rec.one_sided_multipliers)}
-            return Verdict("repelling_fixed_point", True, res, witnesses).to_dict()
-    return Verdict("repelling_fixed_point", False, res, {},
-                   "no generator has a repelling fixed point").to_dict()
-
-
-def _witness_pipeline(ifs: IfsSystem, res: Resolution) -> dict:
-    try:
-        delta_candidate, verdict = sensitivity_witness_from_nonminimality(ifs, res)
-    except NotApplicable as exc:
-        return Verdict("sensitivity_witness_from_nonminimality", False, res,
-                       {"not_applicable": True}, str(exc)).to_dict()
-    return {**verdict.to_dict(), "delta_candidate": delta_candidate}
-
-
-class PropertySpec(NamedTuple):
-    """How to decide one property: `run(ifs, res, **params)` returns the
-    JSON-ready verdict; `params` maps each parameter it reads to its default."""
-
-    run: Callable[..., dict]
-    params: dict
-
-
-# Detectors are looked up when a property runs, not when the table is built,
-# so rebinding a module-level name (as a tracer does) reaches every call.
-PROPERTIES = {
-    "minimality": PropertySpec(
-        lambda ifs, res: minimality_verdict(ifs, res).to_dict(), {}),
-    "transitivity": PropertySpec(
-        lambda ifs, res: topological_transitivity_verdict(ifs, res).to_dict(), {}),
-    "strong_transitivity": PropertySpec(
-        lambda ifs, res: strong_transitivity_verdict(ifs, res).to_dict(), {}),
-    "s_transitivity": PropertySpec(
-        lambda ifs, res: s_transitivity_verdict(ifs, res).to_dict(), {}),
-    "sensitivity": PropertySpec(_sensitivity, {}),
-    "cofinite_sensitivity": PropertySpec(
-        lambda ifs, res, delta, window:
-            cofinite_sensitivity_verdict(ifs, delta, res, window).to_dict(),
-        {"delta": 0.2, "window": 100}),
-    "almost_periodic": PropertySpec(
-        lambda ifs, res, x: almost_periodic_verdict(ifs, x, res).to_dict(), {"x": 0.0}),
-    "expanding": PropertySpec(_expanding, {}),
-    "local_expanding": PropertySpec(_local_expanding, {}),
-    "dense_periodic": PropertySpec(_dense_periodic, {"max_len": 2}),
-    "repelling_fixed_point": PropertySpec(_repelling_fixed_point, {}),
-    "witness_pipeline": PropertySpec(_witness_pipeline, {}),
-}
-
-PROPERTY_NAMES = tuple(PROPERTIES)
-
-
-def _spec(prop: str) -> PropertySpec:
-    if prop not in PROPERTIES:
-        raise MalformedInput(f"unknown property {prop!r}; choose from {PROPERTY_NAMES}")
-    return PROPERTIES[prop]
-
-
-def evaluate_property(ifs: IfsSystem, prop: str, res: Resolution,
-                      params: Optional[dict] = None) -> dict:
-    """Run one detector and return its JSON-ready result.  Parameters the
-    property does not read are ignored; each one it reads is coerced to the
-    type of its default."""
-    spec = _spec(prop)
-    given = params or {}
-    return spec.run(ifs, res, **{name: type(default)(given.get(name, default))
-                                 for name, default in spec.params.items()})
-
-
-# ---------------------------------------------------------------------------
 # analyze / verify drivers
 
 
@@ -286,7 +171,7 @@ def run_analyze(ifs: IfsSystem, source: dict, props: List[str], res: Resolution,
                 out_path: Optional[str] = None, echo=print) -> dict:
     """Run the requested detectors and assemble the report document."""
     for p in props:
-        _spec(p)
+        property_spec(p)
     results = _run_timed(ifs, [(p, params) for p in props], res)
     report = {
         "schema": SCHEMA,

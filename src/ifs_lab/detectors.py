@@ -19,7 +19,7 @@ import numpy as np
 from .circle import Arc, as_value, circ_dist, normalize, normalize_array
 from .generators import fixed_points, map_arcs
 from .semigroup import (STOP_REASONS, IfsSystem, _BUDGET, _DEPTH, _EXHAUSTED, _FOUND,
-                        orbit_cloud)
+                        _SearchNodes, orbit_cloud, periodic_points)
 from .symbolic import Word
 
 
@@ -171,11 +171,11 @@ def _merge_cell(res: Resolution) -> float:
 # batched arc-image search: many source arcs, breadth first, level by level,
 # with state merging and dominance pruning
 
-# Working-set bounds.  Sources are searched a chunk at a time; a chunk holds
-# about _CHUNK_NODES arc nodes at the rate per source of the chunk before it,
-# but at most twice its sources (the first has _FIRST_CHUNK), and at most
-# _CHUNK_NODES (source, target) pairs.  Target hits expand at most
-# _HIT_PAIRS (arc, target) pairs at once.
+# Working-set bounds.  Sources, here and in the orbit searches, are searched
+# a chunk at a time (`_chunks`); a chunk holds about _CHUNK_NODES nodes at
+# the rate per source of the chunk before it, and, here, at most
+# _CHUNK_NODES (source, target) pairs.  The first chunk has _FIRST_CHUNK
+# arcs.  Target hits expand at most _HIT_PAIRS (arc, target) pairs at once.
 _CHUNK_NODES = 1 << 14
 _FIRST_CHUNK = 16
 _HIT_PAIRS = 1 << 13
@@ -186,7 +186,23 @@ _NEST_TOL = 1e-12        # containment tolerance of the dominance rule
 _CLEAR = 1e-13
 
 
-class ArcImages:
+def _chunks(n: int, first: int, search, nodes, most=np.inf):
+    """`search(lo, hi)` over consecutive chunks [lo, hi) of n sources, each
+    result yielded in turn.  The first chunk has `first` sources, each later
+    one at most twice as many as the one before, at most `most`, and about
+    _CHUNK_NODES nodes at the rate per source of the one before, which held
+    `nodes(result)` of them."""
+    lo, size = 0, first
+    while lo < n:
+        hi = min(n, lo + max(1, min(size, most)))
+        result = search(lo, hi)
+        size = min(2 * (hi - lo), _CHUNK_NODES * (hi - lo) // nodes(result))
+        yield result
+        del result  # free this chunk before the next one is searched
+        lo = hi
+
+
+class ArcImages(_SearchNodes):
     """One chunk of sources of the batched arc search, the first of them
     source `first` of the batch.
 
@@ -207,19 +223,6 @@ class ArcImages:
         self.depth_reached = depth_reached
         self.stop = [STOP_REASONS[c] for c in stop]
         self.first_hit = first_hit
-
-    def words_for(self, index) -> List[Word]:
-        """The words of the given nodes, read back along their parent links
-        (a node's level is its word's length)."""
-        index = np.asarray(index, dtype=np.int64)
-        size = self.level[index]
-        out = np.zeros((index.size, int(size.max(initial=0))), dtype=np.int64)
-        node = index.copy()
-        for back in range(out.shape[1]):
-            live = np.flatnonzero(size > back)
-            out[live, size[live] - 1 - back] = self.letters[node[live]]
-            node[live] = self.parents[node[live]]
-        return [tuple(row[:n]) for row, n in zip(out.tolist(), size.tolist())]
 
 
 def _arc_search(ifs: IfsSystem, starts, lengths, depth, budget: int, cell: float,
@@ -251,15 +254,9 @@ def _arc_search(ifs: IfsSystem, starts, lengths, depth, budget: int, cell: float
     if keyed < 1:
         raise ValueError(f"merge cell {cell} is too fine for the arc search")
     most = min(keyed, max(1, _CHUNK_NODES // (1 if tv is None else tv.size)))
-    lo, size = 0, _FIRST_CHUNK
-    while lo < starts.size:
-        hi = lo + max(1, min(size, most))
-        images = _search_chunk(lo, ifs.generators, starts[lo:hi], lengths[lo:hi],
-                               depths[lo:hi], budget, scale, tv, fat, stop_above)
-        size = min(2 * (hi - lo), _CHUNK_NODES * (hi - lo) // images.starts.size)
-        lo = hi
-        yield images
-        del images  # free this chunk before the next one is searched
+    yield from _chunks(starts.size, _FIRST_CHUNK, lambda lo, hi: _search_chunk(
+        lo, ifs.generators, starts[lo:hi], lengths[lo:hi], depths[lo:hi], budget, scale,
+        tv, fat, stop_above), lambda images: images.starts.size, most)
 
 
 def _arc_keys(src, s, ln, scale):
@@ -483,26 +480,21 @@ def _prior_max(seg, v) -> np.ndarray:
 # orbit-density detectors
 
 
-# Orbit roots are expanded a chunk at a time, as `_arc_search` batches arcs:
-# the first chunk has _FIRST_ORBITS roots, each later one at most twice as
-# many and about _ORBIT_NODES points at the rate per root of the one before.
-_ORBIT_NODES = 1 << 14
-_FIRST_ORBITS = 4
+_FIRST_ORBITS = 4  # orbit roots in the first chunk (see `_chunks`)
 
 
 def _orbit_chunks(ifs: IfsSystem, roots, res: Resolution, make_test):
     """(first root, cloud, stop test) per chunk of roots, each orbit merged
     at eps/8 within the depth and budget bounds; `make_test(chunk_roots)`
     builds the chunk's stop test."""
-    lo, size = 0, _FIRST_ORBITS
-    while lo < len(roots):
-        chunk = np.asarray(roots[lo:lo + size], dtype=float)
+
+    def search(lo, hi):
+        chunk = np.asarray(roots[lo:hi], dtype=float)
         test = make_test(chunk)
-        cloud = orbit_cloud(ifs, chunk, res.depth, res.budget, stop_when=test,
-                            merge=_merge_cell(res))
-        size = max(1, min(2 * chunk.size, _ORBIT_NODES * chunk.size // cloud.values.size))
-        yield lo, cloud, test
-        lo += chunk.size
+        return lo, orbit_cloud(ifs, chunk, res.depth, res.budget, stop_when=test,
+                               merge=_merge_cell(res)), test
+
+    yield from _chunks(len(roots), _FIRST_ORBITS, search, lambda r: r[1].values.size)
 
 
 class _Density:
@@ -682,6 +674,41 @@ def almost_periodic_verdict(ifs: IfsSystem, x, res: Resolution = DEFAULT_RESOLUT
         {"base_point": x, "closure_size": len(closure)},
         caveat="closure approximated by eps-thinned orbit sample",
     )
+
+
+# ---------------------------------------------------------------------------
+# periodic and fixed points
+
+
+def dense_periodic_verdict(ifs: IfsSystem, max_len: int,
+                           res: Resolution = DEFAULT_RESOLUTION) -> Verdict:
+    """The fixed points of the words of length 1..max_len must leave no
+    cyclic gap above 2 eps.  Every such word is solved, so their number
+    k + k**2 + ... + k**max_len may not exceed the budget."""
+    words, level = 0, 1
+    for _ in range(max_len):
+        level *= ifs.k
+        words += level
+        if words > res.budget:
+            raise ValueError(f"max_len {max_len}: the words of length up to {max_len} "
+                             f"over {ifs.k} letters exceed the budget ({res.budget})")
+    pts = periodic_points(ifs, max_len)
+    gap = max_cyclic_gap([p.value for p, _ in pts])[0]
+    witnesses = {"count": len(pts), "max_gap": gap, "max_word_length": max_len,
+                 "example_words": [list(pts[0][1])] if pts else []}
+    return Verdict("dense_periodic", bool(pts) and gap <= 2.0 * res.eps, res,
+                   witnesses, "density measured at resolution eps")
+
+
+def repelling_fixed_point_verdict(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION) -> Verdict:
+    """The first repelling generator fixed point, in letter order."""
+    for letter, rec in generator_fixed_points(ifs):
+        if rec.classification == "repelling":
+            return Verdict("repelling_fixed_point", True, res, {
+                "generator": letter, "location": rec.location.value,
+                "multipliers": list(rec.one_sided_multipliers)})
+    return Verdict("repelling_fixed_point", False, res, {},
+                   "no generator has a repelling fixed point")
 
 
 # ---------------------------------------------------------------------------
@@ -1030,11 +1057,24 @@ def _steered_candidates(ifs: IfsSystem, steering, x: np.ndarray, r: np.ndarray, 
         best[rows[up]], which[rows[up]] = local[up], e
         pulled[rows[up]], reps[rows[up]] = first[up], local_n[up]
 
-    def word(i: int) -> Word:
-        _, letter, cloud = steering[which[i]]
-        return tuple(reversed(cloud.word_for(int(pulled[i])))) + (letter,) * int(reps[i])
+    # the pull-back words of a repeller's pairs, read back in one call
+    words = [None] * x.size
+    for e, (_, letter, cloud) in enumerate(steering):
+        mine = np.flatnonzero(which == e).tolist()
+        for i, w in zip(mine, cloud.words_for(pulled[mine])):
+            words[i] = w[::-1] + (letter,) * int(reps[i])
+    return best, [steering[e][0] if e >= 0 else None for e in which.tolist()], words.__getitem__
 
-    return best, [steering[e][0] if e >= 0 else None for e in which.tolist()], word
+
+def _cheap_candidates(ifs: IfsSystem, res: Resolution, x: np.ndarray, r: np.ndarray):
+    """Per (x, r) pair, the best diameters of repeller steering and of the
+    greedy diameter and derivative chains, in that order, as (diameters,
+    word of pair i, strategy label of pair i); -1 where steering finds
+    nothing."""
+    best, q, word = _steered_candidates(ifs, _repeller_steering_data(ifs, res), x, r, res.depth)
+    return [(best, word, lambda i: f"repeller_steered(q={q[i]:.6f})")] + [
+        (*_greedy_chains(ifs, x, r, res.depth, flag), lambda i, label=label: label)
+        for flag, label in ((False, "greedy_diameter"), (True, "greedy_derivative"))]
 
 
 def sensitivity_estimate(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION
@@ -1052,29 +1092,23 @@ def sensitivity_estimate(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION
     """
     net = system_net(ifs, res.net_size)
     rungs = _radius_ladder(res.r)
-    steering = _repeller_steering_data(ifs, res)
     slice_budget = max(64, res.budget // max(1, len(net) * len(rungs)))
     xs = np.repeat(np.asarray(net, dtype=float), len(rungs))
     rs = np.tile(np.asarray(rungs, dtype=float), len(net))
     bfs = _bfs_best(ifs, normalize_array(xs - rs), 2.0 * rs, res.depth,
                     slice_budget, _merge_cell(res))
-    steered, steered_q, steered_word = _steered_candidates(ifs, steering, xs, rs, res.depth)
-    # auxiliary chains catch expanding structure that has no repelling
-    # fixed point to steer by; they only claim strictly better results
-    chains = [(label, *_greedy_chains(ifs, xs, rs, res.depth, flag))
-              for flag, label in ((False, "greedy_diameter"), (True, "greedy_derivative"))]
+    # steering and the chains (which catch expanding structure that has no
+    # repelling fixed point to steer by) only claim strictly better results
+    cheap = _cheap_candidates(ifs, res, xs, rs)
     per_point = []
     notes: Dict[str, int] = {}
     delta_hat = None
     for i, (x, r) in enumerate(zip(xs.tolist(), rs.tolist())):
         best_diam, best_word = bfs[i]
         strategy = "bfs"
-        if steered[i] > best_diam + 1e-15:
-            best_diam, best_word = float(steered[i]), steered_word(i)
-            strategy = f"repeller_steered(q={steered_q[i]:.6f})"
-        for label, diams, word in chains:
+        for diams, word, label in cheap:
             if diams[i] > best_diam + 1e-15:
-                best_diam, best_word, strategy = float(diams[i]), word(i), label
+                best_diam, best_word, strategy = float(diams[i]), word(i), label(i)
         sep, partner = _refined_separation(ifs, best_word, x, r)
         note_key = strategy.split("(")[0]
         notes[note_key] = notes.get(note_key, 0) + 1
@@ -1181,17 +1215,13 @@ def sensitivity_witness_from_nonminimality(ifs: IfsSystem,
     delta_candidate = dist / 4.0
 
     cell = _merge_cell(res)
-    steering = _repeller_steering_data(ifs, res)
     r = _radius_ladder(res.r)[-1]
     cover_budget = min(res.budget, 20_000)
     ext_budget = 1_000
     xs = np.asarray(net, dtype=float)
-    rs = np.full(xs.size, r)
-    steered, _, steered_word = _steered_candidates(ifs, steering, xs, rs, res.depth)
-    chains = [_greedy_chains(ifs, xs, rs, res.depth, by_derivative)[1]
-              for by_derivative in (False, True)]
-    achieved = [_most_separating(ifs, ([steered_word(i)] if steered[i] >= 0 else [])
-                                 + [word(i) for word in chains], x, r, (0.0, ()))
+    cheap = _cheap_candidates(ifs, res, xs, np.full(xs.size, r))
+    achieved = [_most_separating(ifs, [word(i) for diams, word, _ in cheap if diams[i] >= 0],
+                                 x, r, (0.0, ()))
                 for i, x in enumerate(net)]
     # net points the cheap candidates leave unseparated: cover the circle
     # with images of the ball, then extend each covering word
@@ -1210,7 +1240,6 @@ def sensitivity_witness_from_nonminimality(ifs: IfsSystem,
                                                  for w in (T, T + e)),
                                            net[i], r, achieved[i], delta_candidate)
         del images  # free this chunk before the next one is searched
-    checked = len(net)
     failures: List[float] = []
     example = None
     for x, (sep, w) in zip(net, achieved):
@@ -1223,7 +1252,7 @@ def sensitivity_witness_from_nonminimality(ifs: IfsSystem,
         "sensitivity_witness_from_nonminimality", holds, res,
         {"nondense_point_y": worst_point, "farthest_point_z": z,
          "distance_to_closure": dist, "delta_candidate": delta_candidate,
-         "checked_points": checked,
+         "checked_points": len(net),
          "failing_points": failures[:16],
          "hardest_verified": example},
         caveat="closure distance measured against the sampled orbit",

@@ -15,7 +15,7 @@ import numpy as np
 
 from .circle import CirclePoint, as_value, normalize, normalize_array
 from .generators import Generator, NonInvertible, _lift_fixed_values
-from .symbolic import Word, validate_word
+from .symbolic import Word, enumerate_words, validate_word
 
 # Orbit points closer than this are treated as the same point.
 DEDUP_RESOLUTION = 1e-12
@@ -120,7 +120,7 @@ def _orbit_set(ifs: IfsSystem, x, depth: int, cap: int, inverse: bool) -> OrbitS
     # A backward cloud applies inverse letters in path order, so the word
     # carrying a point back to x is that path reversed.
     step = -1 if inverse else 1
-    words = [cloud.word_for(i)[::step] for i in range(cloud.values.size)]
+    words = [w[::step] for w in cloud.words_for(np.arange(cloud.values.size))]
     pts = tuple(sorted(zip(map(CirclePoint, cloud.values.tolist()), words),
                        key=lambda e: e[0].value))
     return OrbitSet(CirclePoint(as_value(x)), "backward" if inverse else "forward",
@@ -161,8 +161,6 @@ def periodic_points(ifs: IfsSystem, max_len: int, tol: float = 1e-12,
         raise ValueError("max_len must be at least 1")
     found: List[Tuple[float, Word]] = []
     seen_keys = set()
-    from .symbolic import enumerate_words
-
     for w in enumerate_words(ifs.k, max_len):
         if not w:
             continue
@@ -187,7 +185,27 @@ STOP_REASONS = ("found", "exhausted", "depth", "budget")
 _FOUND, _EXHAUSTED, _DEPTH, _BUDGET = range(4)
 
 
-class OrbitCloud:
+class _SearchNodes:
+    """Nodes of a breadth-first search: `parents` and `letters` link each
+    node to its parent and the letter mapping the parent onto it (-1 and 0
+    at a root)."""
+
+    def words_for(self, index) -> List[Word]:
+        """The words of the given nodes, read back along the links one step
+        for all of them at once."""
+        node = np.array(index, dtype=np.int64).reshape(-1)
+        back = [np.zeros(node.size, dtype=self.letters.dtype)]  # a zero, then letters last first
+        while (up := node >= 0).any():
+            back.append(np.where(up, self.letters[node], 0))
+            node = np.where(up, self.parents[node], -1)
+        rows = np.stack(back, axis=1)
+        return [tuple(r[n:0:-1]) for r, n in zip(rows.tolist(), np.count_nonzero(rows, 1).tolist())]
+
+    def word_for(self, index: int) -> Word:
+        return self.words_for([index])[0]
+
+
+class OrbitCloud(_SearchNodes):
     """Breadth-first orbit points of one or more roots (sources) as flat
     arrays with parent/letter links.
 
@@ -218,14 +236,6 @@ class OrbitCloud:
         return OrbitCloud(self.values[rows], parents, self.letters[rows],
                           np.zeros(rows.size, dtype=self.source.dtype), self.depths[j:j + 1],
                           [STOP_REASONS.index(self.stop[j])])
-
-    def word_for(self, index: int) -> Word:
-        letters = []
-        i = index
-        while self.parents[i] >= 0:
-            letters.append(int(self.letters[i]))
-            i = int(self.parents[i])
-        return tuple(reversed(letters))
 
 
 class OrbitLevel:

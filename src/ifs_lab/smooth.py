@@ -15,7 +15,7 @@ import numpy as np
 
 from .circle import Arc, CirclePoint, as_value, normalize
 from .generators import NotDifferentiable
-from .detectors import Resolution, DEFAULT_RESOLUTION, uniform_net
+from .detectors import Resolution, DEFAULT_RESOLUTION, Verdict, uniform_net
 from .semigroup import IfsSystem, word_derivative
 from .symbolic import Word, enumerate_words
 
@@ -140,6 +140,17 @@ def local_expanding_cover(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION) 
     return ExpandingCover(pieces, sigma, leb, ifs)
 
 
+def local_expanding_verdict(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION) -> Verdict:
+    """Pointwise expansion: the cover of `local_expanding_cover`, or the net
+    point at which no expanding word was found."""
+    try:
+        cover = local_expanding_cover(ifs, res)
+    except NotLocallyExpanding as exc:
+        return Verdict("local_expanding", False, res, {"stuck_point": exc.point},
+                       "no expanding word found within bounds")
+    return Verdict("local_expanding", True, res, cover.to_dict())
+
+
 _GROW_SAMPLES = 17
 
 
@@ -193,30 +204,21 @@ def _merge_pieces(pieces: List[CoverPiece]) -> List[CoverPiece]:
     for word, group in sorted(by_word.items()):
         group.sort(key=lambda p: p.arc.start.value)
         pool = [(p.arc.start.value, p.arc.length, p.sigma_local) for p in group]
-        changed = True
-        while changed and len(pool) > 1:
-            changed = False
+        # each pass: every arc joins the first union so far that overlaps it
+        while True:
             out = []
-            used = [False] * len(pool)
-            for i in range(len(pool)):
-                if used[i]:
-                    continue
-                s, ln, sg = pool[i]
-                for j in range(i + 1, len(pool)):
-                    if used[j]:
-                        continue
-                    s2, ln2, sg2 = pool[j]
+            for s2, ln2, sg2 in pool:
+                for k, (s, ln, sg) in enumerate(out):
                     u = _arc_union(s, ln, s2, ln2)
                     if u is not None:
-                        s, ln = u
-                        sg = max(sg, sg2)
-                        used[j] = True
-                        changed = True
-                used[i] = True
-                out.append((s, ln, sg))
+                        out[k] = (*u, max(sg, sg2))
+                        break
+                else:
+                    out.append((s2, ln2, sg2))
+            if len(out) == len(pool):
+                break
             pool = out
-        for s, ln, sg in pool:
-            merged.append(CoverPiece(Arc(CirclePoint(s), ln), word, sg))
+        merged += [CoverPiece(Arc(CirclePoint(s), ln), word, sg) for s, ln, sg in pool]
     merged.sort(key=lambda p: (p.arc.start.value, -p.arc.length))
     return merged
 

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -185,3 +186,13 @@ def test_timing_flag_controls_report_content(tmp_path):
     b = json.loads(out2.read_text())
     assert "timing_s" not in a
     assert "timing_s" in b
+
+
+def test_dense_periodic_max_len_beyond_the_budget_exits_at_once(capsys):
+    # the words of length up to 40 over four letters are never enumerated
+    t0 = time.perf_counter()
+    code = main(["analyze", "--gallery", "thm34_ns_rotation", "--props", "dense_periodic",
+                 "--max-len", "40"])
+    assert code == EXIT_MALFORMED
+    assert time.perf_counter() - t0 < 5.0
+    assert "error: max_len 40: " in capsys.readouterr().err

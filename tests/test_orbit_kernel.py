@@ -252,10 +252,10 @@ def test_orbit_verdicts_do_not_depend_on_chunking(monkeypatch):
 
     together = run()
     monkeypatch.setattr(detectors, "_FIRST_ORBITS", 1)
-    monkeypatch.setattr(detectors, "_ORBIT_NODES", 1)
+    monkeypatch.setattr(detectors, "_CHUNK_NODES", 1)
     assert run() == together
     monkeypatch.setattr(detectors, "_FIRST_ORBITS", 1000)
-    monkeypatch.setattr(detectors, "_ORBIT_NODES", 1 << 30)
+    monkeypatch.setattr(detectors, "_CHUNK_NODES", 1 << 30)
     assert run() == together
 
 

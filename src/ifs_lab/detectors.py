@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .circle import Arc, as_value, circ_dist, normalize, normalize_array
-from .generators import fixed_points, map_arcs
+from .generators import _require_finite, fixed_points, map_arcs
 from .semigroup import (STOP_REASONS, IfsSystem, _BUDGET, _DEPTH, _EXHAUSTED, _FOUND,
                         _SearchNodes, orbit_cloud, periodic_points)
 from .symbolic import Word
@@ -521,16 +521,6 @@ class _Density:
         return fire
 
 
-def _dense_orbits(ifs: IfsSystem, roots, res: Resolution, every: bool = False):
-    """Per chunk of roots: (first root, cloud, gaps, midpoints), each orbit
-    expanded until 2 eps-dense or out of bounds, with its largest cyclic gap
-    and that gap's midpoint.  Unless `every`, the roots after one whose
-    orbit is not 2 eps-dense are dropped (their gaps mean nothing)."""
-    for first, cloud, density in _orbit_chunks(
-            ifs, roots, res, lambda chunk: _Density(2.0 * res.eps, every, chunk)):
-        yield first, cloud, density.gap, density.mid
-
-
 _NOT_DENSE = "orbit not eps-dense within depth/budget bounds"
 
 
@@ -538,9 +528,10 @@ def minimality_verdict(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION) -> 
     """Every net point's forward orbit must be eps-dense in the circle."""
     net = system_net(ifs, res.net_size)
     worst = None
-    for first, cloud, gaps, mids in _dense_orbits(ifs, net, res):
-        sizes = np.bincount(cloud.source, minlength=gaps.size).tolist()
-        for j, (gap, mid) in enumerate(zip(gaps.tolist(), mids.tolist())):
+    for first, cloud, density in _orbit_chunks(
+            ifs, net, res, lambda chunk: _Density(2.0 * res.eps, False, chunk)):
+        sizes = np.bincount(cloud.source, minlength=density.gap.size).tolist()
+        for j, (gap, mid) in enumerate(zip(density.gap.tolist(), density.mid.tolist())):
             x = net[first + j]
             if worst is None or gap > worst["gap"]:
                 worst = {"point": x, "gap": gap, "gap_midpoint": mid, "orbit_points": sizes[j]}
@@ -627,42 +618,32 @@ def almost_periodic_verdict(ifs: IfsSystem, x, res: Resolution = DEFAULT_RESOLUT
     are the accumulation points a finite orbit sample cannot reach exactly).
     Then the orbit of every closure point must come within eps of each.
     """
+    _require_finite("x", float(x))
     x = as_value(x)
     # no early density exit here: the closure sample must include the slow
     # tails that accumulate on fixed points
     cloud = orbit_cloud(ifs, x, res.depth, res.budget, merge=_merge_cell(res))
-    sorted_vals = np.sort(cloud.values)
-    closure = [x]
-    bins: Dict[int, float] = {}
+    vals = np.sort(cloud.values)
     nbins = max(1, round(1.0 / res.eps))
-    for v in sorted_vals.tolist():
-        b = min(int(v * nbins), nbins - 1)
-        if b not in bins:
-            bins[b] = v
-    closure.extend(bins.values())
-    for fp in generator_fixed_values(ifs):
-        i = int(np.searchsorted(sorted_vals, fp))
-        near = min(
-            circ_dist(fp, float(sorted_vals[j % sorted_vals.size]))
-            for j in (i - 1, i)
-        )
-        if near <= res.eps / 2.0:
-            closure.append(fp)
-    closure = sorted(set(normalize(v) for v in closure))
-    arr = np.array(closure)
+    # the least orbit value of each eps-bin
+    firsts = np.unique(np.minimum((vals * nbins).astype(np.int64), nbins - 1),
+                       return_index=True)[1]
+    fps = np.array(generator_fixed_values(ifs))
+    near = fps[_nearest_distances(fps, vals) <= res.eps / 2.0]
+    closure = np.unique(np.r_[x, vals[firsts], near])  # all canonical values already
     for first, cloud, coverage in _orbit_chunks(ifs, closure, res,
-                                                lambda chunk: _Coverage(arr, res.eps, chunk)):
+                                                lambda chunk: _Coverage(closure, res.eps, chunk)):
         short = np.flatnonzero(~coverage.covered.all(axis=1))
         if short.size:
             j = int(short[0])
             vals = cloud.values[cloud.source == j]
-            d = _nearest_distances(arr, vals)
+            d = _nearest_distances(closure, vals)
             far = int(np.argmax(d))
             reason = cloud.stop[j]
             return Verdict(
                 "almost_periodic", False, res,
-                {"base_point": x, "witness_y": closure[first + j], "closure_size": len(closure),
-                 "unreached_example": float(arr[far]),
+                {"base_point": x, "witness_y": float(closure[first + j]),
+                 "closure_size": closure.size, "unreached_example": float(closure[far]),
                  "unreached_distance": float(d[far]),
                  "stop_reason": reason, "depth_reached": int(cloud.depths[j]),
                  "orbit_points": int(vals.size)},
@@ -671,7 +652,7 @@ def almost_periodic_verdict(ifs: IfsSystem, x, res: Resolution = DEFAULT_RESOLUT
             )
     return Verdict(
         "almost_periodic", True, res,
-        {"base_point": x, "closure_size": len(closure)},
+        {"base_point": x, "closure_size": closure.size},
         caveat="closure approximated by eps-thinned orbit sample",
     )
 
@@ -835,14 +816,10 @@ def greedy_diameter_rule():
     breaking ties toward the smallest letter."""
 
     def rule(ifs: IfsSystem, step: int, s, ln, c):
-        pick, best = np.zeros(s.size, dtype=np.int64), np.full(s.size, -1.0)
-        ns, nl = np.empty(s.size), np.empty(s.size)
-        for letter, g in enumerate(ifs.generators, start=1):
-            ms, ml = map_arcs(g, s, ln)
-            d = np.minimum(ml, 0.5)
-            up = d > best + 1e-15
-            pick[up], best[up], ns[up], nl[up] = letter, d[up], ms[up], ml[up]
-        return pick, ns, nl
+        # no "no letter" column: a diameter is never below 0, so letter 1 leads
+        im = np.array([map_arcs(g, s, ln) for g in ifs.generators])
+        at = _best_from(np.minimum(im[:, 1].T, 0.5), 0)[1]
+        return (at + 1, *im[at, :, np.arange(s.size)].T)
 
     rule.label = "greedy_diameter"
     return rule
@@ -852,12 +829,9 @@ def _greedy_derivative_rule(ifs: IfsSystem, step: int, s, ln, c) -> np.ndarray:
     """Extension rule that picks the letter maximizing the absolute derivative
     at the tracked center, ties toward the smallest letter; a chain whose
     center is a corner of every letter stops."""
-    pick, best = np.zeros(c.size, dtype=np.int64), np.full(c.size, -1.0)
-    for letter, g in enumerate(ifs.generators, start=1):
-        d = np.abs(g.derivative_array(c))
-        up = d > best + 1e-15  # False at a corner, where d is NaN
-        pick[up], best[up] = letter, d[up]
-    return pick
+    # column 0, -1, stands for no letter; a NaN derivative (at a corner) never wins
+    d = [np.full(c.size, -1.0)] + [np.abs(g.derivative_array(c)) for g in ifs.generators]
+    return _best_from(np.array(d).T, 0)[1]
 
 
 _greedy_derivative_rule.label = "greedy_derivative"
@@ -908,7 +882,7 @@ def _best_from(diams: np.ndarray, first: int) -> Tuple[np.ndarray, np.ndarray]:
     best, at = diams[:, first].copy(), np.full(diams.shape[0], first)
     for t in range(first + 1, diams.shape[1]):
         up = diams[:, t] > best + 1e-15
-        best[up], at[up] = diams[up, t], t
+        best[up], at[up] = diams[:, t][up], t
     return best, at
 
 
@@ -1100,15 +1074,14 @@ def sensitivity_estimate(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION
     # steering and the chains (which catch expanding structure that has no
     # repelling fixed point to steer by) only claim strictly better results
     cheap = _cheap_candidates(ifs, res, xs, rs)
+    strategies = [([d for d, _ in bfs], lambda i: bfs[i][1], lambda i: "bfs")] + cheap
+    best, at = _best_from(np.column_stack([diams for diams, _, _ in strategies]), 0)
     per_point = []
     notes: Dict[str, int] = {}
     delta_hat = None
-    for i, (x, r) in enumerate(zip(xs.tolist(), rs.tolist())):
-        best_diam, best_word = bfs[i]
-        strategy = "bfs"
-        for diams, word, label in cheap:
-            if diams[i] > best_diam + 1e-15:
-                best_diam, best_word, strategy = float(diams[i]), word(i), label(i)
+    for i, (x, r, best_diam, k) in enumerate(zip(xs.tolist(), rs.tolist(), best.tolist(), at)):
+        _, word, label = strategies[k]
+        best_word, strategy = word(i), label(i)
         sep, partner = _refined_separation(ifs, best_word, x, r)
         note_key = strategy.split("(")[0]
         notes[note_key] = notes.get(note_key, 0) + 1
@@ -1151,6 +1124,8 @@ def cofinite_sensitivity_verdict(ifs: IfsSystem, delta: float,
     `separation_times` follows one arc."""
     if window < 1:
         raise ValueError("window must be positive")
+    if not 0.0 < delta < 0.5:  # image diameters are capped at 1/2
+        raise ValueError(f"delta must be finite and lie in (0, 1/2), got {delta}")
     horizon = res.depth + window
     rules = [greedy_diameter_rule()] + [constant_rule(i) for i in range(1, ifs.k + 1)]
     centers = system_net(ifs, res.net_size)
@@ -1201,17 +1176,16 @@ def sensitivity_witness_from_nonminimality(ifs: IfsSystem,
     ball, then extensions of each covering word.
     """
     net = system_net(ifs, res.net_size)
-    worst_gap, worst_point, worst_vals = 0.0, None, None
-    for first, cloud, gaps, _ in _dense_orbits(ifs, net, res, every=True):
-        for j, gap in enumerate(gaps.tolist()):
+    worst_gap, worst_point = 0.0, None
+    for first, cloud, density in _orbit_chunks(
+            ifs, net, res, lambda chunk: _Density(2.0 * res.eps, True, chunk)):
+        for j, (gap, mid) in enumerate(zip(density.gap.tolist(), density.mid.tolist())):
             if not gap <= 2.0 * res.eps and gap > worst_gap:
-                worst_gap, worst_point = gap, net[first + j]
+                worst_gap, worst_point, z = gap, net[first + j], mid
                 worst_vals = cloud.values[cloud.source == j]
     if worst_point is None:
         raise NotApplicable("every net orbit is eps-dense at this resolution")
-    gap, mid = max_cyclic_gap(worst_vals)
-    z = mid
-    dist = float(np.min(np.minimum(np.abs(worst_vals - z), 1.0 - np.abs(worst_vals - z))))
+    dist = float(_nearest_distances(np.array([z]), worst_vals)[0])
     delta_candidate = dist / 4.0
 
     cell = _merge_cell(res)

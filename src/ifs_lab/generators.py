@@ -48,7 +48,7 @@ class Generator:
         raise NotImplementedError
 
     def lift_array(self, t: np.ndarray) -> np.ndarray:
-        return np.array([self.lift(float(v)) for v in t])
+        raise NotImplementedError
 
     def eval(self, x: float) -> float:
         """Value on the circle; accepts any real, returns the canonical angle."""
@@ -63,13 +63,7 @@ class Generator:
 
     def derivative_array(self, x: np.ndarray) -> np.ndarray:
         """`derivative` over an array, NaN where the lift has a corner."""
-        out = np.empty(len(x))
-        for i, v in enumerate(x):
-            try:
-                out[i] = self.derivative(float(v))
-            except NotDifferentiable:
-                out[i] = np.nan
-        return out
+        raise NotImplementedError
 
     def inverse(self) -> "Generator":
         raise NonInvertible(f"{self!r} has no inverse")

@@ -5,7 +5,7 @@ import time
 import pytest
 
 from ifs_lab import circ_dist, compose_word
-from ifs_lab.cli import (EXIT_MALFORMED, EXIT_OK,
+from ifs_lab.cli import (EXIT_MALFORMED, EXIT_MISMATCH, EXIT_OK,
                          EXIT_UNSUPPORTED, MalformedInput, generator_to_config,
                          load_system_file, main, render_report,
                          system_from_config)
@@ -75,6 +75,41 @@ def test_huge_expanding_degree_names_its_field(tmp_path, capsys):
     assert f"{src}.generators[1]: expanding factor m must be at most" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, message", [
+    ([{"type": "flip"}], ": expected a JSON object"),
+    ({"generators": [{"alpha": 0.1}]}, ".generators[0]: each generator needs a 'type' field"),
+    ({"generators": [{"type": "rotation", "alpha": True}]},
+     ".generators[0].alpha: expected a number or decimal string"),
+    ({"generators": [{"type": "rotation", "alpha": [0.1]}]},
+     ".generators[0].alpha: expected a number or decimal string"),
+    ({"generators": [{"type": "rotation", "alpha": "one"}]},
+     ".generators[0].alpha: cannot parse 'one' as a real number"),
+    ({"generators": [{"type": "piecewise_linear", "breakpoints": [[0, 0], [0.5], [1, 1]]}]},
+     ".generators[0].breakpoints[1]: expected [x, y]"),
+    ({"generators": [{"type": "piecewise_linear",
+                      "breakpoints": [[0, 0], [0.5, 0.7], [0.7, 0.6], [1, 1]]}]},
+     ".generators[0]: lift must be strictly monotone"),
+])
+def test_malformed_document_exits_2_naming_its_field(tmp_path, capsys, doc, message):
+    src = tmp_path / "sys.json"
+    src.write_text(json.dumps(doc))
+    assert main(["analyze", "--system", str(src), "--props", "minimality"]) == EXIT_MALFORMED
+    assert capsys.readouterr().err == f"error: {src}{message}\n"
+
+
+@pytest.mark.parametrize("system, flags, message", [
+    ("rotation_flip", ["--props", "almost_periodic", "--x", "inf"], "x must be finite, got inf"),
+    ("rotation_flip", ["--props", "almost_periodic", "--x", "nan"], "x must be finite, got nan"),
+    ("prop35_expanding", ["--props", "cofinite_sensitivity", "--delta=-1.0"], "delta must be"),
+    ("prop35_expanding", ["--props", "cofinite_sensitivity", "--delta", "0.0"], "delta must be"),
+    ("prop35_expanding", ["--props", "cofinite_sensitivity", "--delta", "nan"], "delta must be"),
+    ("prop35_expanding", ["--props", "cofinite_sensitivity", "--delta", "inf"], "delta must be"),
+], ids=["x_inf", "x_nan", "delta_negative", "delta_zero", "delta_nan", "delta_inf"])
+def test_hostile_property_parameters_exit_2_naming_the_parameter(capsys, system, flags, message):
+    assert main(["analyze", "--gallery", system, *flags]) == EXIT_MALFORMED
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
 def test_load_system_file_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -138,6 +173,11 @@ def test_analyze_unknown_property(tmp_path):
     assert code == EXIT_MALFORMED
 
 
+def test_analyze_empty_property_list(capsys):
+    assert main(["analyze", "--gallery", "rotation_flip", "--props", ","]) == EXIT_MALFORMED
+    assert "--props must name at least one property" in capsys.readouterr().err
+
+
 def test_analyze_noninvertible_exit(tmp_path):
     src = tmp_path / "exp.json"
     src.write_text(json.dumps({"generators": [{"type": "expanding", "m": 2}]}))
@@ -157,6 +197,14 @@ def test_analyze_malformed_file_exit(tmp_path):
 def test_verify_gallery_pass_and_unknown():
     assert main(["verify", "--gallery", "rotation_flip"]) == EXIT_OK
     assert main(["verify", "--gallery", "unknown_name"]) == EXIT_MALFORMED
+
+
+def test_verify_failure_exits_1_and_prints_the_witnesses(capsys):
+    # one level of words is too shallow for the manifest's positive verdicts
+    assert main(["verify", "--gallery", "thm34_ns_rotation", "--depth", "1"]) == EXIT_MISMATCH
+    out = capsys.readouterr().out
+    assert "  FAIL strong_transitivity: expected holds=True, got False" in out
+    assert '       witnesses: {"checked_points": ' in out
 
 
 def test_sensitivity_report_witnesses_replay(tmp_path):

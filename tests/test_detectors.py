@@ -151,6 +151,25 @@ def test_cofinite_sensitivity(expanding_pair, rotation_flip, golden_rotation):
     assert not cofinite_sensitivity_verdict(golden_rotation, 0.05).holds
 
 
+@pytest.mark.parametrize("x", [float("inf"), float("-inf"), float("nan")])
+def test_almost_periodic_rejects_a_non_finite_base_point(rotation_flip, x):
+    with pytest.raises(ValueError, match="^x must be finite"):
+        almost_periodic_verdict(rotation_flip, x)
+
+
+@pytest.mark.parametrize("delta", [-1.0, 0.0, 0.5, float("nan"), float("inf")])
+def test_cofinite_sensitivity_rejects_delta_outside_its_range(delta):
+    # image diameters are capped at 1/2, and every diameter exceeds a delta <= 0
+    ifs = IfsSystem([Rotation(0.25)])
+    with pytest.raises(ValueError, match=r"^delta must be finite and lie in \(0, 1/2\)"):
+        cofinite_sensitivity_verdict(ifs, delta)
+
+
+def test_separation_times_rejects_a_negative_horizon(doubling):
+    with pytest.raises(ValueError, match="^horizon must be non-negative"):
+        separation_times(doubling, Arc(CirclePoint(0.1), 0.02), constant_rule(1), 0.2, -1)
+
+
 def test_almost_periodic(golden_rotation, ns_alone):
     assert almost_periodic_verdict(golden_rotation, 0.3).holds
     assert almost_periodic_verdict(golden_rotation, 0.0).holds

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from ifs_lab import (Expanding, Flip, NorthSouth, Rotation, UnknownExample,
+from ifs_lab import (GALLERY_NAMES, Expanding, Flip, NorthSouth, Rotation, UnknownExample,
                      build_example, forward_orbit)
 from ifs_lab.cli import PROPERTIES, PROPERTY_NAMES
 
@@ -69,14 +69,18 @@ def test_prop35_build():
 
 
 def test_manifests_reference_known_properties():
-    for name in ("rotation_flip", "ex42_hinges", "thm34_ns_rotation",
-                 "cor33_morse_smale", "prop35_expanding"):
+    # `evaluate_property` ignores a parameter the property does not read, so a
+    # misspelt one would silently run the default
+    for name in GALLERY_NAMES:
         entry = build_example(name)
         assert entry.expected, name
         for exp in entry.expected:
             assert exp.name in PROPERTY_NAMES, (name, exp.name)
-            # every manifest parameter is one the property reads
-            assert set(exp.params) <= set(PROPERTIES[exp.name].params), (name, exp)
+            defaults = PROPERTIES[exp.name].params
+            assert set(exp.params) <= set(defaults), (name, exp)
+            # and each value already has the type it is coerced to
+            for param, value in exp.params.items():
+                assert type(value) is type(defaults[param]), (name, exp, param)
 
 
 @pytest.mark.parametrize("name", ["rotation_flip", "ex42_hinges",

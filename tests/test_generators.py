@@ -287,6 +287,11 @@ def test_constructors_reject_non_finite_parameters(build, field):
         build()
 
 
+def test_north_south_needs_a_multiplier_above_one():
+    with pytest.raises(ValueError, match="^multiplier must exceed 1, got 1.0"):
+        NorthSouth(0, 1.0)
+
+
 def test_expanding_degree_is_bounded():
     # above the degrees the fixed-point kernel tests, and refused before any
     # map of that degree exists

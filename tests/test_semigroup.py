@@ -91,6 +91,11 @@ def test_word_derivative_concat_product(ns_rotation_sym):
         assert d_all == pytest.approx(d_split, rel=1e-10)
 
 
+def test_a_system_needs_a_generator():
+    with pytest.raises(ValueError, match="^need at least one generator"):
+        IfsSystem([])
+
+
 def test_forward_orbit_depth_zero(golden_rotation):
     orb = forward_orbit(golden_rotation, 0.3, 0)
     assert orb.values() == [pytest.approx(0.3)]

@@ -38,6 +38,30 @@ def oracle_lebesgue(cover, net=10_000, tol=1e-9):
     return lo
 
 
+def lebesgue_reference(cover, net=10_000):
+    """The point-by-arc loop that `lebesgue_number` replaced, kept as a
+    test-only reference."""
+    if not cover:
+        raise NotACover("empty cover")
+    rho = 0.5
+    for i in range(net):
+        x = (i + 0.5) / net
+        best = None
+        for a in cover:
+            if a.length >= 1.0 - 1e-15:
+                best = 0.5
+                break
+            dl = (x - a.start.value) % 1.0
+            if dl <= a.length:
+                slack = min(dl, a.length - dl)
+                if best is None or slack > best:
+                    best = slack
+        if best is None:
+            raise NotACover(f"net point {x} lies in no cover arc", point=x)
+        rho = min(rho, best)
+    return rho
+
+
 def test_expanding_verdict_examples(doubling, expanding_pair):
     assert expanding_verdict(doubling) == (True, 0.5)
     holds, eta = expanding_verdict(expanding_pair)
@@ -98,6 +122,50 @@ def test_lebesgue_touching_arcs_degenerate():
 def test_lebesgue_not_a_cover():
     with pytest.raises(NotACover):
         lebesgue_number([Arc(CirclePoint(0.0), 0.4)])
+
+
+def _outcome(lebesgue, cover, net):
+    try:
+        return lebesgue(cover, net).hex()
+    except NotACover as exc:
+        return str(exc), exc.point
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lebesgue_matches_the_reference_loop_bitwise(seed):
+    # random covers: arcs that wrap past 1, full circles, gaps that leave
+    # the net uncovered, and nets that end mid-block
+    rng = np.random.default_rng(seed)
+    outcomes = set()
+    for trial in range(40):
+        n = int(rng.integers(1, 9))
+        lengths = rng.uniform(0.05, 0.9, n)
+        lengths[rng.random(n) < 0.05] = 1.0
+        cover = [Arc(CirclePoint(float(s)), float(ln))
+                 for s, ln in zip(rng.random(n), lengths)]
+        net = int(rng.choice([1, 7, 1024, 1500, 2049, 3000]))
+        got = _outcome(lebesgue_number, cover, net)
+        assert got == _outcome(lebesgue_reference, cover, net)
+        outcomes.add(isinstance(got, tuple))
+    assert outcomes == {True, False}
+
+
+def test_lebesgue_of_a_local_cover_matches_the_reference_loop(ns_rotation_sym):
+    arcs = [p.arc for p in local_expanding_cover(ns_rotation_sym).pieces]
+    assert lebesgue_number(arcs) == lebesgue_reference(arcs)
+    assert _outcome(lebesgue_number, arcs[1:], 10_000) == \
+        _outcome(lebesgue_reference, arcs[1:], 10_000)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda ifs: expanding_verdict(ifs, grid=1), ValueError, "grid must be at least 2"),
+    (lambda ifs: lebesgue_number([]), NotACover, "empty cover"),
+    (lambda ifs: admissible_itinerary(local_expanding_cover(ifs), 0.3, 0), ValueError,
+     "length must be positive"),
+], ids=["expanding_grid", "empty_cover", "itinerary_length"])
+def test_degenerate_arguments_are_refused(doubling, call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call(doubling)
 
 
 def test_lebesgue_two_sided(ns_rotation_sym):

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ifs_lab import IDENTITY, concat, enumerate_words
+from ifs_lab.symbolic import validate_word
 
 
 def test_enumeration_order_k2():
@@ -44,6 +45,13 @@ def test_concat_examples():
 @settings(max_examples=200, deadline=None)
 def test_concat_length_additive(u, v):
     assert len(concat(tuple(u), tuple(v))) == len(u) + len(v)
+
+
+@pytest.mark.parametrize("word", [(1, 3), (0,), (2, -1)])
+def test_validate_word_rejects_letters_outside_the_alphabet(word):
+    validate_word((1, 2, 2), 2)
+    with pytest.raises(ValueError, match=r"has letters outside 1\.\.2"):
+        validate_word(word, 2)
 
 
 def test_invalid_parameters():

@@ -22,7 +22,7 @@ from .detectors import DEFAULT_RESOLUTION, Resolution
 from .gallery import GALLERY_NAMES, UnknownExample, build_example
 from .generators import (Expanding, Flip, Generator, NonInvertible, NorthSouth,
                          NotDifferentiable, PiecewiseLinear, Rotation)
-from .properties import PROPERTIES, PROPERTY_NAMES, evaluate_property, property_spec
+from .properties import PARAM_NAMES, PROPERTIES, PROPERTY_NAMES, evaluate_property, property_spec
 from .semigroup import IfsSystem
 
 SCHEMA = "ifs-lab/1"
@@ -152,8 +152,7 @@ def _resolution_from_args(args) -> Resolution:
 
 
 def _params_from_args(args) -> dict:
-    return {name: getattr(args, name) for spec in PROPERTIES.values()
-            for name in spec.params if getattr(args, name) is not None}
+    return {name: getattr(args, name) for name in PARAM_NAMES if getattr(args, name) is not None}
 
 
 def _run_timed(ifs: IfsSystem, jobs, res: Resolution) -> List[Tuple[dict, float]]:

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .circle import Arc, as_value, circ_dist, normalize, normalize_array
-from .generators import _require_finite, fixed_points, map_arcs
+from .generators import _require_finite, map_arcs
 from .semigroup import (STOP_REASONS, IfsSystem, _BUDGET, _DEPTH, _EXHAUSTED, _FOUND,
                         _SearchNodes, orbit_cloud, periodic_points)
 from .symbolic import Word
@@ -107,15 +107,8 @@ def _sorted_distinct(values) -> List[float]:
     return out
 
 
-def generator_fixed_points(ifs: IfsSystem):
-    """(letter, record) per generator fixed point, in letter order (16 identity samples)."""
-    for letter, g in enumerate(ifs.generators, start=1):
-        for rec in fixed_points(g, identity_samples=16):
-            yield letter, rec
-
-
 def generator_fixed_values(ifs: IfsSystem) -> List[float]:
-    return _sorted_distinct(rec.location.value for _, rec in generator_fixed_points(ifs))
+    return _sorted_distinct(rec.location.value for _, rec in ifs.generator_fixed_points())
 
 
 def system_net(ifs: IfsSystem, n: int) -> List[float]:
@@ -553,8 +546,7 @@ def minimality_verdict(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION) -> 
 
 def strong_transitivity_verdict(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION) -> Verdict:
     """Minimality of the system of inverse generators (backward minimality)."""
-    inverse = ifs.inverse_system()
-    inner = minimality_verdict(inverse, res)
+    inner = minimality_verdict(ifs.inverse_system(), res)
     witnesses = dict(inner.witnesses)
     witnesses["orbit_direction"] = "backward"
     caveat = "witness orbits use inverse generators"
@@ -683,7 +675,7 @@ def dense_periodic_verdict(ifs: IfsSystem, max_len: int,
 
 def repelling_fixed_point_verdict(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION) -> Verdict:
     """The first repelling generator fixed point, in letter order."""
-    for letter, rec in generator_fixed_points(ifs):
+    for letter, rec in ifs.generator_fixed_points():
         if rec.classification == "repelling":
             return Verdict("repelling_fixed_point", True, res, {
                 "generator": letter, "location": rec.location.value,
@@ -946,10 +938,10 @@ def _repeller_steering_data(ifs: IfsSystem, res: Resolution):
     """Backward-orbit clouds of every repelling generator fixed point."""
     if not ifs.all_invertible:
         return []
-    repellers = [(rec.location.value, letter) for letter, rec in generator_fixed_points(ifs)
+    repellers = [(rec.location.value, letter) for letter, rec in ifs.generator_fixed_points()
                  if rec.classification == "repelling"]
-    clouds = orbit_cloud(ifs, [q for q, _ in repellers], res.depth, res.budget,
-                         generators=ifs.inverse_system().generators, merge=_merge_cell(res))
+    clouds = orbit_cloud(ifs.inverse_system(), [q for q, _ in repellers], res.depth, res.budget,
+                         merge=_merge_cell(res))
     return [(q, letter, clouds.of(j)) for j, (q, letter) in enumerate(repellers)]
 
 

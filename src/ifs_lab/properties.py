@@ -66,6 +66,7 @@ PROPERTIES = {
 }
 
 PROPERTY_NAMES = tuple(PROPERTIES)
+PARAM_NAMES = tuple(sorted({name for spec in PROPERTIES.values() for name in spec.params}))
 
 
 def property_spec(prop: str) -> PropertySpec:
@@ -77,10 +78,12 @@ def property_spec(prop: str) -> PropertySpec:
 
 def evaluate_property(ifs: IfsSystem, prop: str, res: Resolution,
                       params: Optional[dict] = None) -> dict:
-    """Run one detector and return its JSON-ready result.  Parameters the
-    property does not read are ignored; each one it reads is coerced to the
-    type of its default."""
+    """Run one detector and return its JSON-ready result.  A parameter the
+    property does not read is ignored if another property reads it (ValueError
+    names any other); each one it reads is coerced to the type of its default."""
     spec = property_spec(prop)
     given = params or {}
+    if bad := sorted(set(given).difference(PARAM_NAMES)):
+        raise ValueError(f"unknown parameter {', '.join(map(repr, bad))}; choose from {PARAM_NAMES}")
     return spec.run(ifs, res, **{name: type(default)(given.get(name, default))
                                  for name, default in spec.params.items()})

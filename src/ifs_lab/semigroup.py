@@ -14,7 +14,7 @@ from typing import Iterable, List, Optional, Tuple
 import numpy as np
 
 from .circle import CirclePoint, as_value, normalize, normalize_array
-from .generators import Generator, NonInvertible, _lift_fixed_values
+from .generators import Generator, NonInvertible, _lift_fixed_values, fixed_points
 from .symbolic import Word, enumerate_words, validate_word
 
 # Orbit points closer than this are treated as the same point.
@@ -30,6 +30,7 @@ class IfsSystem:
         if not self.generators:
             raise ValueError("need at least one generator")
         self._inverse: Optional["IfsSystem"] = None
+        self._fixed_points: Optional[tuple] = None
 
     @property
     def k(self) -> int:
@@ -50,6 +51,14 @@ class IfsSystem:
         if self._inverse is None:
             self._inverse = IfsSystem(g.inverse() for g in self.generators)
         return self._inverse
+
+    def generator_fixed_points(self) -> tuple:
+        """(letter, FixedPointRecord) per generator fixed point, in letter
+        order, found on first use; a map fixing every point gives 16 samples."""
+        if self._fixed_points is None:
+            self._fixed_points = tuple((letter, rec) for letter, g in enumerate(self.generators, 1)
+                                       for rec in fixed_points(g, identity_samples=16))
+        return self._fixed_points
 
     def apply_word(self, w: Word, x: float) -> float:
         v = normalize(x)
@@ -115,12 +124,10 @@ def word_derivative(ifs: IfsSystem, w: Word, x) -> float:
 def _orbit_set(ifs: IfsSystem, x, depth: int, cap: int, inverse: bool) -> OrbitSet:
     if depth < 0:
         raise ValueError("depth must be non-negative")
-    gens = ifs.inverse_system().generators if inverse else ifs.generators
-    cloud = orbit_cloud(ifs, x, depth, cap, generators=gens)
+    cloud = orbit_cloud(ifs.inverse_system() if inverse else ifs, x, depth, cap)
     # A backward cloud applies inverse letters in path order, so the word
     # carrying a point back to x is that path reversed.
-    step = -1 if inverse else 1
-    words = [w[::step] for w in cloud.words_for(np.arange(cloud.values.size))]
+    words = [w[::-1] if inverse else w for w in cloud.words_for(np.arange(cloud.values.size))]
     pts = tuple(sorted(zip(map(CirclePoint, cloud.values.tolist()), words),
                        key=lambda e: e[0].value))
     return OrbitSet(CirclePoint(as_value(x)), "backward" if inverse else "forward",
@@ -266,7 +273,7 @@ class OrbitLevel:
 
 
 def orbit_cloud(ifs: IfsSystem, x, depth: int, cap: int,
-                stop_when=None, generators=None, merge: Optional[float] = None) -> OrbitCloud:
+                stop_when=None, merge: Optional[float] = None) -> OrbitCloud:
     """Breadth-first orbits of the root x, or of each root of an array x,
     in one level-synchronous pass.
 
@@ -281,14 +288,13 @@ def orbit_cloud(ifs: IfsSystem, x, depth: int, cap: int,
     source, says so ("found").  Every retained value is an exactly
     evaluated orbit point, so witnesses stay genuine.
     """
-    gens = ifs.generators if generators is None else tuple(generators)
     if merge is None:
         scale, cell_of = _KEY_SCALE, np.round
     else:
         scale, cell_of = max(2, round(1.0 / merge)), np.floor
     roots = (np.array([as_value(x)]) if np.ndim(x) == 0
              else normalize_array(np.array(x, dtype=float)))
-    n, k = roots.size, len(gens)
+    n, k = roots.size, ifs.k
     # merge-cell keys, offset by source, must fit in an int64
     if n > 2 ** 62 // scale:
         raise ValueError(f"merge cell {merge} is too fine for {n} orbit roots")
@@ -320,7 +326,7 @@ def orbit_cloud(ifs: IfsSystem, x, depth: int, cap: int,
             live = run[f_src]
             f_val, f_src, f_id = f_val[live], f_src[live], f_id[live]
         width = f_val.size
-        cv = np.concatenate([g.eval_array(f_val) for g in gens])
+        cv = np.concatenate([g.eval_array(f_val) for g in ifs.generators])
         csrc = np.tile(f_src, k)
         # per (source, cell), the first child in letter-then-parent order,
         # kept if its cell is new to the source

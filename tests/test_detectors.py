@@ -13,8 +13,8 @@ from ifs_lab import (Arc, CirclePoint, Flip, IfsSystem, NonInvertible,
                      separation_times, strong_transitivity_verdict,
                      topological_transitivity_verdict)
 from ifs_lab.detectors import (DEFAULT_RESOLUTION, _radius_ladder, _rule_paths, _stopped_by,
-                               generator_fixed_points, max_cyclic_gap)
-from ifs_lab.generators import fixed_points, map_arcs
+                               max_cyclic_gap)
+from ifs_lab.generators import map_arcs
 from ifs_lab.semigroup import orbit_cloud
 
 DEEP = DEFAULT_RESOLUTION.replaced(depth=200)
@@ -311,13 +311,6 @@ def test_batched_rules_pick_for_every_arc_and_letter_zero_stops(doubling, rotati
 
     U = Arc(CirclePoint(0.1), 0.02)
     assert separation_times(doubling, U, three_steps, 0.01, 10) == [0, 1, 2, 3]
-
-
-def test_generator_fixed_points_in_letter_order(hinge_system):
-    pairs = list(generator_fixed_points(hinge_system))
-    assert [letter for letter, _ in pairs] == sorted(letter for letter, _ in pairs)
-    assert [(letter, rec) for letter, g in enumerate(hinge_system.generators, start=1)
-            for rec in fixed_points(g, identity_samples=16)] == pairs
 
 
 def test_a_rule_sees_the_tracked_midpoint(rotation_flip):

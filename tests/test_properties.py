@@ -138,3 +138,15 @@ def test_registry_entry_is_the_library_verdict(name, prop):
 def test_unknown_property_names_the_choices(golden_rotation):
     with pytest.raises(ValueError, match="unknown property 'chaos'; choose from"):
         evaluate_property(golden_rotation, "chaos", SMALL)
+
+
+def test_a_parameter_no_property_reads_is_rejected():
+    ifs = build_example("prop35_expanding").system
+    # a misspelt delta used to run the default 0.2 and report holds=True
+    with pytest.raises(ValueError, match=r"^unknown parameter 'deltta'; choose from "
+                                         r"\('delta', 'max_len', 'window', 'x'\)$"):
+        evaluate_property(ifs, "cofinite_sensitivity", DEFAULT_RESOLUTION, {"deltta": 0.45})
+    # a parameter another property reads passes untouched
+    ifs = build_example("thm34_ns_rotation").system
+    assert (evaluate_property(ifs, "minimality", SMALL, {"delta": 0.3})
+            == detectors.minimality_verdict(ifs, SMALL).to_dict())

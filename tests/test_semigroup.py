@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from ifs_lab import (Flip, IfsSystem, NonInvertible,
-                     Rotation, backward_orbit, circ_dist, compose_word, concat,
-                     forward_orbit, periodic_points, word_derivative)
+import ifs_lab.semigroup as semigroup
+from ifs_lab import (GALLERY_NAMES, DEFAULT_RESOLUTION, Flip, IfsSystem, NonInvertible,
+                     Rotation, backward_orbit, build_example, circ_dist, compose_word, concat,
+                     fixed_points, forward_orbit, periodic_points, word_derivative)
+from ifs_lab.cli import run_analyze
+from ifs_lab.properties import PROPERTY_NAMES
 from ifs_lab.semigroup import orbit_cloud
 from ifs_lab.symbolic import enumerate_words
 
@@ -197,3 +200,38 @@ def test_orbit_cloud_matches_forward_orbit(rotation_flip):
     for i in range(cloud.values.size):
         w = cloud.word_for(i)
         assert circ_dist(rotation_flip.apply_word(w, 0.2), float(cloud.values[i])) <= 1e-12
+
+
+@pytest.mark.parametrize("name", GALLERY_NAMES)
+def test_generator_fixed_points_in_letter_order(name):
+    ifs = build_example(name).system
+    table = ifs.generator_fixed_points()
+    assert table == tuple((letter, rec) for letter, g in enumerate(ifs.generators, start=1)
+                          for rec in fixed_points(g, identity_samples=16))
+    assert ifs.generator_fixed_points() is table
+
+
+def test_the_inverse_system_keeps_its_own_fixed_points(hinge_system):
+    inverse = hinge_system.inverse_system()
+    table = inverse.generator_fixed_points()
+    assert table == tuple((letter, rec) for letter, g in enumerate(inverse.generators, start=1)
+                          for rec in fixed_points(g, identity_samples=16))
+    assert table != hinge_system.generator_fixed_points()
+    assert hinge_system.inverse_system().generator_fixed_points() is table
+
+
+def test_an_analyze_run_finds_each_generator_fixed_points_once(monkeypatch):
+    calls = []
+
+    def counted(g, *args, **kwargs):
+        calls.append(g)
+        return fixed_points(g, *args, **kwargs)
+
+    monkeypatch.setattr(semigroup, "fixed_points", counted)
+    res = DEFAULT_RESOLUTION.replaced(eps=0.02, r=0.02, depth=20, net_size=12, budget=4000)
+    ifs = build_example("ex42_hinges").system
+    run_analyze(ifs, {}, ["repelling_fixed_point"], res, {}, echo=lambda _: None)
+    assert calls == list(ifs.generators)
+    run_analyze(ifs, {}, list(PROPERTY_NAMES), res, {"x": 0.237}, echo=lambda _: None)
+    # strong transitivity reads the fixed points of the inverse generators
+    assert calls == list(ifs.generators) + list(ifs.inverse_system().generators)

@@ -13,19 +13,25 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .circle import Arc, CirclePoint, as_value, normalize
+from .circle import Arc, CirclePoint, as_value, normalize_array
 from .generators import NotDifferentiable
-from .detectors import Resolution, DEFAULT_RESOLUTION, Verdict, uniform_net
-from .semigroup import IfsSystem, word_derivative
-from .symbolic import Word, enumerate_words
+from .detectors import (Resolution, DEFAULT_RESOLUTION, Verdict, _CHUNK_NODES, _chunks,
+                        _stopped_by, uniform_net)
+from .semigroup import IfsSystem, _word_values
+from .symbolic import Word
 
 
 class NotLocallyExpanding(Exception):
     """No word expands at the carried point within the search bounds."""
 
-    def __init__(self, point: float, depth: int, budget: int):
+    def __init__(self, point: float, depth: int, budget: int,
+                 stop_reason: Optional[str] = None, words_examined: Optional[int] = None):
         super().__init__(f"no expanding word at {point} within depth {depth}, budget {budget}")
         self.point = point
+        # where the word search gave up: the bound that ended it, and the words
+        # it enumerated (the identity included); None for a gap in the cover
+        self.stop_reason = stop_reason
+        self.words_examined = words_examined
 
 
 class NotACover(Exception):
@@ -67,14 +73,6 @@ class ExpandingCover:
         }
 
 
-def _abs_derivative(ifs: IfsSystem, w: Word, x: float) -> Optional[float]:
-    """|word derivative| at x, or None when a corner is hit on the way."""
-    try:
-        return abs(word_derivative(ifs, w, x))
-    except NotDifferentiable:
-        return None
-
-
 def expanding_verdict(ifs: IfsSystem, grid: int = 1024) -> Tuple[bool, Optional[float]]:
     """Whether every generator has |derivative| > 1 on the grid; eta is the
     largest reciprocal when it does."""
@@ -106,31 +104,28 @@ _MARGIN = 1e-3
 def local_expanding_cover(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION) -> ExpandingCover:
     """Build arcs-with-words certifying pointwise expansion everywhere.
 
-    For each net point the shortest word with |derivative| > 1 is found
-    breadth-first; an arc on which the inequality persists is grown around
-    the point by bisection, and overlapping arcs sharing a word are merged.
+    Each net point takes the first word, in `enumerate_words` order within
+    the depth and budget, with |derivative| > 1 + _MARGIN that keeps that
+    margin _EXTENT to either side; an arc on which it persists is grown
+    around the point by doubling and bisection, and overlapping arcs sharing
+    a word are merged.  Net points are searched a chunk at a time, in net
+    order; the first chunk with a point that has no such word raises
+    NotLocallyExpanding there, before any later chunk is searched.
     """
-    net = uniform_net(res.net_size)
-    raw: List[CoverPiece] = []
-    for x in net:
-        piece = None
-        for w in enumerate_words(ifs.k, res.depth, res.budget):
-            if not w:
-                continue
-            d = _abs_derivative(ifs, w, x)
-            if d is None or d <= 1.0 + _MARGIN:
-                continue
-            # the expansion must persist on an open arc around the point,
-            # otherwise the word cannot anchor a cover piece
-            left = _grow_extent(ifs, w, x, -1.0)
-            right = _grow_extent(ifs, w, x, +1.0)
-            if left > 0.0 and right > 0.0:
-                arc = Arc(CirclePoint(x - left), min(left + right, 1.0))
-                piece = CoverPiece(arc, w, _sigma_on(ifs, w, arc))
-                break
-        if piece is None:
-            raise NotLocallyExpanding(x, res.depth, res.budget)
-        raw.append(piece)
+    net = np.array(uniform_net(res.net_size))
+    words: List[Word] = []
+    for found, _rows in _chunks(net.size, _FIRST_POINTS,
+                                lambda lo, hi: _first_words(ifs, net[lo:hi], res),
+                                lambda result: result[1]):
+        words += found
+    letters = np.zeros((net.size, max(map(len, words))), dtype=np.int64)
+    for row, w in zip(letters, words):
+        row[:len(w)] = w
+    sides = np.repeat([-1.0, 1.0], net.size)
+    extent = _extents(ifs, np.tile(letters, (2, 1)), np.tile(net, 2), sides)
+    arcs = [Arc(CirclePoint(x - left), min(left + right, 1.0)) for x, left, right in
+            zip(net.tolist(), extent[:net.size].tolist(), extent[net.size:].tolist())]
+    raw = [CoverPiece(arc, w, sg) for arc, w, sg in zip(arcs, words, _sigmas(ifs, letters, arcs))]
     pieces = _merge_pieces(raw)
     sigma = max(p.sigma_local for p in pieces)
     try:
@@ -146,54 +141,128 @@ def local_expanding_verdict(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION
     try:
         cover = local_expanding_cover(ifs, res)
     except NotLocallyExpanding as exc:
-        return Verdict("local_expanding", False, res, {"stuck_point": exc.point},
-                       "no expanding word found within bounds")
+        caveat = "no expanding word found within bounds"
+        witnesses = {"stuck_point": exc.point}
+        if exc.stop_reason is not None:
+            caveat += ": " + _stopped_by(exc.stop_reason, res)
+            witnesses.update(stop_reason=exc.stop_reason, words_examined=exc.words_examined)
+        return Verdict("local_expanding", False, res, witnesses, caveat)
     return Verdict("local_expanding", True, res, cover.to_dict())
 
 
+# Net points are searched _FIRST_POINTS at a time, then in chunks that double
+# up to about _CHUNK_NODES evaluated words (`_chunks`).  A word anchors a
+# piece at x when it expands on [x - _EXTENT, x + _EXTENT]; the piece grows
+# to at most _CAP on either side.
+_FIRST_POINTS = 1
+_EXTENT = 1.0 / 512.0
+_CAP = 0.25
 _GROW_SAMPLES = 17
+_SIGMA_SAMPLES = 257
 
 
-def _holds_on(ifs: IfsSystem, w: Word, a: float, b: float) -> bool:
-    for t in np.linspace(a, b, _GROW_SAMPLES):
-        d = _abs_derivative(ifs, w, normalize(float(t)))
-        if d is None or d <= 1.0 + _MARGIN:
-            return False
-    return True
+def _evaluate(ifs: IfsSystem, letters: np.ndarray, x: np.ndarray):
+    """`_word_values` in passes of at most _CHUNK_NODES rows."""
+    parts = [_word_values(ifs, letters[lo:lo + _CHUNK_NODES], x[lo:lo + _CHUNK_NODES])
+             for lo in range(0, max(1, x.size), _CHUNK_NODES)]
+    return [np.concatenate(column) for column in zip(*parts)]
 
 
-def _grow_extent(ifs: IfsSystem, w: Word, x: float, sign: float) -> float:
-    """Largest one-sided extent (capped at 1/4) keeping |derivative| > 1."""
-    cap = 0.25
-    t = 1.0 / 512.0
-    if not _holds_on(ifs, w, x, x + sign * t):
-        return 0.0
-    while t < cap and _holds_on(ifs, w, x, x + sign * min(2.0 * t, cap)):
-        t = min(2.0 * t, cap)
-    if t >= cap:
-        return cap
-    lo, hi = t, min(2.0 * t, cap)
+def _holds(ifs: IfsSystem, letters: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per row, whether its word expands at all _GROW_SAMPLES points of
+    np.linspace(a, b).  Row by row, np.linspace over arrays matches the
+    scalar calls bitwise while no row has a == b; here b - a >= _EXTENT."""
+    t = normalize_array(np.linspace(a, b, _GROW_SAMPLES, axis=1))
+    d = _evaluate(ifs, np.repeat(letters, _GROW_SAMPLES, axis=0), t.ravel())[1]
+    return (np.abs(d) > 1.0 + _MARGIN).reshape(t.shape).all(axis=1)
+
+
+def _first_words(ifs: IfsSystem, xs: np.ndarray, res: Resolution):
+    """Per point of xs, its word as `local_expanding_cover` defines it, and
+    the number of words evaluated; raises NotLocallyExpanding at the first
+    point that has none.
+
+    One prefix tree in `enumerate_words` order serves all points: a level
+    extends each open point's words of the level before by one letter, in
+    value and derivative, and the budget (which counts the identity) may end
+    it part way.  Each round then tests every open point's next candidate,
+    a word of the level that expands at the point, on both sides.
+    """
+    k = ifs.k
+    found: List[Word] = [()] * xs.size
+    live = np.arange(xs.size)  # the open points
+    val, der = xs[:, None], np.ones((xs.size, 1))
+    spent, rows, reason = 1, 0, "depth"
+    for length in range(1, res.depth + 1):
+        width = min(k ** length, res.budget - spent)
+        if width < k ** length:
+            reason = "budget"
+        if width <= 0:
+            break
+        spent += width
+        # word j of this length extends word j // k of the last by letter j % k + 1
+        parent = (np.arange(live.size) * val.shape[1])[:, None] + np.arange(width) // k
+        letters = np.broadcast_to(np.arange(width) % k + 1, parent.shape).reshape(-1, 1)
+        v, d = _evaluate(ifs, letters, val.ravel()[parent.ravel()])
+        val, der = v.reshape(parent.shape), der.ravel()[parent] * d.reshape(parent.shape)
+        rows += v.size
+        point, index = np.nonzero(np.abs(der) > 1.0 + _MARGIN)
+        rank = np.arange(point.size) - np.searchsorted(point, point)
+        done = np.zeros(live.size, dtype=bool)
+        for r in range(int(rank.max(initial=-1)) + 1):
+            at = np.flatnonzero((rank == r) & ~done[point])
+            x, words = xs[live[point[at]]], _level_words(index[at], k, length)
+            ok = _holds(ifs, np.tile(words, (2, 1)), np.tile(x, 2),
+                        np.r_[x - _EXTENT, x + _EXTENT]).reshape(2, -1).all(axis=0)
+            done[point[at[ok]]] = True
+            for i, w in zip(live[point[at[ok]]].tolist(), words[ok].tolist()):
+                found[i] = tuple(w)
+        live, val, der = live[~done], val[~done], der[~done]
+        if not live.size:
+            return found, rows
+    raise NotLocallyExpanding(float(xs[live[0]]), res.depth, res.budget, reason, spent)
+
+
+def _level_words(index: np.ndarray, k: int, length: int) -> np.ndarray:
+    """Letter rows of the words of one length at their enumeration indices."""
+    out = np.empty((index.size, length), dtype=np.int64)
+    for j in range(length - 1, -1, -1):
+        index, out[:, j] = np.divmod(index, k)
+    return out + 1
+
+
+def _extents(ifs: IfsSystem, letters: np.ndarray, x: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """Per row, the largest extent t <= _CAP such that its word expands on the
+    samples from x to x + sign * t: _EXTENT doubled while that holds, then 20
+    bisection steps.  Below _CAP, t is a power of two, so 2 t <= _CAP."""
+    t = np.full(x.size, _EXTENT)
+    grow = np.arange(x.size)
+    while grow.size:
+        ok = _holds(ifs, letters[grow], x[grow], x[grow] + sign[grow] * (2.0 * t[grow]))
+        t[grow[ok]] *= 2.0
+        grow = grow[ok][t[grow[ok]] < _CAP]
+    part = np.flatnonzero(t < _CAP)
+    lo, hi = t[part], 2.0 * t[part]
     for _ in range(20):
         mid = 0.5 * (lo + hi)
-        if _holds_on(ifs, w, x, x + sign * mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+        ok = _holds(ifs, letters[part], x[part], x[part] + sign[part] * mid)
+        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+    t[part] = lo
+    return t
 
 
-def _sigma_on(ifs: IfsSystem, w: Word, arc: Arc, samples: int = 257) -> float:
-    worst, best = 0.0, math.inf
-    for t in np.linspace(0.0, arc.length, samples):
-        d = _abs_derivative(ifs, w, normalize(arc.start.value + float(t)))
-        if d is None:
-            continue
-        worst = max(worst, 1.0 / d)
-        best = min(best, 1.0 / d)
-    # pad by a slice of the observed variation to absorb between-sample dips;
-    # exact for constant-derivative words
-    pad = 0.05 * (worst - best) if math.isfinite(best) else 0.0
-    return min(worst + pad, 1.0 / (1.0 + _MARGIN))
+def _sigmas(ifs: IfsSystem, letters: np.ndarray, arcs: List[Arc]) -> List[float]:
+    """Per arc, the largest 1/|derivative| of its word over _SIGMA_SAMPLES
+    points, padded by 5% of the spread to absorb dips between samples (exact
+    for constant-derivative words) and capped below 1; corners are skipped."""
+    start, length = np.array([(a.start.value, a.length) for a in arcs]).T
+    t = normalize_array(start[:, None] + np.linspace(0.0, length, _SIGMA_SAMPLES, axis=1))
+    d = _evaluate(ifs, np.repeat(letters, _SIGMA_SAMPLES, axis=0), t.ravel())[1]
+    inv = 1.0 / np.abs(d).reshape(t.shape)
+    corner = np.isnan(inv)
+    return [min(w + (0.05 * (w - b) if math.isfinite(b) else 0.0), 1.0 / (1.0 + _MARGIN))
+            for w, b in zip(np.where(corner, 0.0, inv).max(axis=1).tolist(),
+                            np.where(corner, math.inf, inv).min(axis=1).tolist())]
 
 
 def _merge_pieces(pieces: List[CoverPiece]) -> List[CoverPiece]:

@@ -80,8 +80,10 @@ def test_local_expanding_negative(golden_rotation, ns_alone):
     # a rotation expands nowhere: the search sticks at the first net point
     v = local_expanding_verdict(golden_rotation, SMALL)
     assert not v.holds
-    assert v.witnesses == {"stuck_point": 0.5 / SMALL.net_size}
-    assert v.caveat == "no expanding word found within bounds"
+    assert v.witnesses == {"stuck_point": 0.5 / SMALL.net_size, "stop_reason": "depth",
+                           "words_examined": SMALL.depth + 1}
+    assert v.caveat == ("no expanding word found within bounds: "
+                        "the search reached its depth bound (depth=20)")
     # a north-south map expands only near its repeller
     v = local_expanding_verdict(ns_alone, SMALL)
     assert not v.holds

@@ -10,16 +10,18 @@ exactly evaluated word, so witnesses are always genuine.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import asdict, dataclass, replace
 from numbers import Integral
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .circle import Arc, as_value, circ_dist, normalize, normalize_array
+# circ_dist stays bound here, where the benchmark's tracer tests read it
+from .circle import Arc, as_value, circ_dist, normalize, normalize_array  # noqa: F401
 from .generators import _require_finite, map_arcs
 from .semigroup import (STOP_REASONS, IfsSystem, _BUDGET, _DEPTH, _EXHAUSTED, _FOUND,
-                        _SearchNodes, orbit_cloud, periodic_points)
+                        _SearchNodes, _word_values, orbit_cloud, periodic_points)
 from .symbolic import Word
 
 
@@ -169,6 +171,8 @@ def _merge_cell(res: Resolution) -> float:
 # the rate per source of the chunk before it, and, here, at most
 # _CHUNK_NODES (source, target) pairs.  The first chunk has _FIRST_CHUNK
 # arcs.  Target hits expand at most _HIT_PAIRS (arc, target) pairs at once.
+# A pass of the word evaluator (`_word_images`) holds at most _CHUNK_NODES
+# (word, point) rows.
 _CHUNK_NODES = 1 << 14
 _FIRST_CHUNK = 16
 _HIT_PAIRS = 1 << 13
@@ -904,34 +908,66 @@ def _radius_ladder(r: float) -> List[float]:
     return rungs
 
 
+# words at points on arrays, for the partner refinement here and the cover
+# search in `smooth`
+
+def _letter_rows(ifs: IfsSystem, words: Sequence[Word]) -> np.ndarray:
+    """The words as rows of letters, zero-padded on the right, in the
+    smallest unsigned dtype holding letter k."""
+    lengths = np.fromiter(map(len, words), np.int64, len(words))
+    out = np.zeros((lengths.size, lengths.max(initial=0)), dtype=np.min_scalar_type(ifs.k))
+    out[np.arange(out.shape[1]) < lengths[:, None]] = np.fromiter(
+        itertools.chain.from_iterable(words), out.dtype, lengths.sum())
+    return out
+
+
+def _word_images(ifs: IfsSystem, letters: np.ndarray, x: np.ndarray):
+    """Images and derivatives, shaped like the 2-d x, of the word of
+    `letters[i]` at every point of x[i]: `_word_values` over the points in
+    passes of at most _CHUNK_NODES rows."""
+    flat, m = x.ravel(), x.shape[1]
+    parts = [_word_values(ifs, letters[np.arange(lo, min(lo + _CHUNK_NODES, flat.size)) // m],
+                          flat[lo:lo + _CHUNK_NODES])
+             for lo in range(0, max(1, flat.size), _CHUNK_NODES)]
+    return [np.concatenate(column).reshape(x.shape) for column in zip(*parts)]
+
+
 _PARTNERS = 16
 
 
-def _refined_separation(ifs: IfsSystem, w: Word, x: float, r: float) -> Tuple[float, float]:
-    """Largest observed separation of x from partners across B(x, r) under w."""
-    cx = ifs.apply_word(w, x)
-    best = 0.0
-    best_y = normalize(x - r)
-    for t in range(_PARTNERS):
-        y = normalize(x - r + 2.0 * r * t / (_PARTNERS - 1))
-        sep = circ_dist(cx, ifs.apply_word(w, y))
-        if sep > best:
-            best = sep
-            best_y = y
-    return best, best_y
+def _refined_separations(ifs: IfsSystem, words: Sequence[Word], x: np.ndarray, r: np.ndarray):
+    """Per ball B(x[i], r[i]), the largest separation words[i] makes between
+    x[i] and one of _PARTNERS partners evenly spaced across the ball, and the
+    first partner reaching it: lists (separations, partners).  Each
+    separation is circ_dist(w(x), w(y)) bit for bit."""
+    y = normalize_array((x - r)[:, None] + 2.0 * r[:, None] * np.arange(_PARTNERS)
+                        / (_PARTNERS - 1))
+    images = _word_images(ifs, _letter_rows(ifs, words), np.column_stack([x, y]))[0]
+    d = np.abs(images[:, :1] - images[:, 1:])
+    sep = np.where(d <= 0.5, d, 1.0 - d)
+    first = np.arange(x.size), sep.argmax(axis=1)
+    return sep[first].tolist(), y[first].tolist()
 
 
-def _most_separating(ifs: IfsSystem, words, x: float, r: float, best: Tuple[float, Word],
-                     enough: float = np.inf) -> Tuple[float, Word]:
-    """The (separation, word) of the first word separating B(x, r) more than
-    `best` and every word before it; the scan stops past `enough`."""
-    for w in words:
-        sep, _ = _refined_separation(ifs, w, x, r)
-        if sep > best[0]:
-            best = (sep, w)
-        if best[0] > enough:
-            break
-    return best
+def _most_separating(ifs: IfsSystem, words: Sequence[Sequence[Word]], x: np.ndarray, r: float,
+                     best: Sequence[Tuple[float, Word]], enough: float = np.inf
+                     ) -> List[Tuple[float, Word]]:
+    """Per point x[i], the (separation, word) of the first of words[i]
+    separating B(x[i], r) more than best[i] and every word before it; each
+    scan stops past `enough`.  All the words are refined in one batch."""
+    owner = np.repeat(np.arange(len(words)), [len(ws) for ws in words])
+    seps = _refined_separations(ifs, [w for ws in words for w in ws], x[owner],
+                                np.full(owner.size, r))[0]
+    out, at = [], 0
+    for ws, b in zip(words, best):
+        for w, sep in zip(ws, seps[at:at + len(ws)]):
+            if sep > b[0]:
+                b = (sep, w)
+            if b[0] > enough:
+                break
+        at += len(ws)
+        out.append(b)
+    return out
 
 
 def _repeller_steering_data(ifs: IfsSystem, res: Resolution):
@@ -1068,13 +1104,13 @@ def sensitivity_estimate(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION
     cheap = _cheap_candidates(ifs, res, xs, rs)
     strategies = [([d for d, _ in bfs], lambda i: bfs[i][1], lambda i: "bfs")] + cheap
     best, at = _best_from(np.column_stack([diams for diams, _, _ in strategies]), 0)
+    chosen = [(strategies[k][1](i), strategies[k][2](i)) for i, k in enumerate(at.tolist())]
+    seps, partners = _refined_separations(ifs, [w for w, _ in chosen], xs, rs)
     per_point = []
     notes: Dict[str, int] = {}
     delta_hat = None
-    for i, (x, r, best_diam, k) in enumerate(zip(xs.tolist(), rs.tolist(), best.tolist(), at)):
-        _, word, label = strategies[k]
-        best_word, strategy = word(i), label(i)
-        sep, partner = _refined_separation(ifs, best_word, x, r)
+    for x, r, best_diam, (best_word, strategy), sep, partner in zip(
+            xs.tolist(), rs.tolist(), best.tolist(), chosen, seps, partners):
         note_key = strategy.split("(")[0]
         notes[note_key] = notes.get(note_key, 0) + 1
         per_point.append({
@@ -1186,25 +1222,27 @@ def sensitivity_witness_from_nonminimality(ifs: IfsSystem,
     ext_budget = 1_000
     xs = np.asarray(net, dtype=float)
     cheap = _cheap_candidates(ifs, res, xs, np.full(xs.size, r))
-    achieved = [_most_separating(ifs, [word(i) for diams, word, _ in cheap if diams[i] >= 0],
-                                 x, r, (0.0, ()))
-                for i, x in enumerate(net)]
+    achieved = _most_separating(ifs, [[word(i) for diams, word, _ in cheap if diams[i] >= 0]
+                                      for i in range(xs.size)], xs, r, [(0.0, ())] * xs.size)
     # net points the cheap candidates leave unseparated: cover the circle
     # with images of the ball, then extend each covering word
     hard = [i for i, (sep, _) in enumerate(achieved) if sep <= delta_candidate]
     starts, lengths = _net_arcs(xs[hard], r)
     for images in _arc_search(ifs, starts, lengths, res.depth, cover_budget, cell,
                               net, res.eps):
-        for j, hits in enumerate(images.first_hit):
-            i = hard[images.first + j]
+        points = hard[images.first:images.first + len(images.first_hit)]
+        candidates = []
+        for hits in images.first_hit:
             cover = sorted(set(hits[hits >= 0].tolist()))
             words = images.words_for(cover)
             ext = _bfs_best(ifs, images.starts[cover], images.lengths[cover],
                             [max(1, res.depth - len(w)) for w in words], ext_budget,
                             cell, stop_above=2.5 * delta_candidate)
-            achieved[i] = _most_separating(ifs, (w for T, (_, e) in zip(words, ext)
-                                                 for w in (T, T + e)),
-                                           net[i], r, achieved[i], delta_candidate)
+            candidates.append([w for T, (_, e) in zip(words, ext) for w in (T, T + e)])
+        got = _most_separating(ifs, candidates, xs[points], r, [achieved[i] for i in points],
+                               delta_candidate)
+        for i, sep_word in zip(points, got):
+            achieved[i] = sep_word
         del images  # free this chunk before the next one is searched
     failures: List[float] = []
     example = None

@@ -10,6 +10,7 @@ so they stay consistent with wraparound.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -65,12 +66,24 @@ class Generator:
         """`derivative` over an array, NaN where the lift has a corner."""
         raise NotImplementedError
 
+    def eval_and_derivative_array(self, x: np.ndarray):
+        """`eval` and `derivative` over an array, each element bitwise equal
+        to the scalar methods (NaN where `derivative` raises): the array
+        methods, for a map whose array arithmetic is IEEE-exact."""
+        return self.eval_array(x), self.derivative_array(x)
+
     def inverse(self) -> "Generator":
         raise NonInvertible(f"{self!r} has no inverse")
 
     @property
     def orientation(self) -> int:
         return 1 if self.degree > 0 else -1
+
+
+def _libm(f, x: np.ndarray, *args) -> np.ndarray:
+    """The scalar function f (a `math` function) over an array, element by
+    element."""
+    return np.fromiter(map(f, x.tolist(), *args), float, x.size)
 
 
 @dataclass(frozen=True, slots=True)
@@ -191,6 +204,25 @@ class NorthSouth(Generator):
         lam2 = self.lam * self.lam
         return np.where(inner, self.lam * (1.0 + T) / (1.0 + lam2 * T),
                         self.lam * (1.0 + T) / (lam2 + T))
+
+    def eval_and_derivative_array(self, x: np.ndarray):
+        # numpy's SIMD tan and arctan may differ from libm's in the last bit,
+        # so the scalar methods' libm calls run element by element; lift and
+        # derivative share the one tan per point, and the square is libm's
+        # pow, as Python's ** takes it
+        tq = x - self.q
+        n = np.floor(tq + 0.5)
+        s = tq - n
+        inner = np.abs(s) <= 0.25
+        tan = _libm(math.tan, np.pi * np.where(inner, s, 0.5 - np.abs(s)))
+        T = _libm(math.pow, tan, itertools.repeat(2.0))
+        lam2 = self.lam * self.lam
+        deriv = np.where(inner, self.lam * (1.0 + T) / (1.0 + lam2 * T),
+                         self.lam * (1.0 + T) / (lam2 + T))
+        core = _libm(math.atan, np.where(inner, self.lam * tan, tan / self.lam)) / np.pi
+        u = 0.5 - core
+        core = np.where(inner, core, np.where(s > 0, u, -u))
+        return normalize_array(self.q + n + core), deriv
 
     def inverse(self) -> "NorthSouth":
         # Swapping the roles of the two fixed points inverts the map exactly.

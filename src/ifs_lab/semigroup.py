@@ -14,7 +14,7 @@ from typing import Iterable, List, Optional, Tuple
 import numpy as np
 
 from .circle import CirclePoint, as_value, normalize, normalize_array
-from .generators import Generator, NonInvertible, NorthSouth, _lift_fixed_values, fixed_points
+from .generators import Generator, NonInvertible, _lift_fixed_values, fixed_points
 from .symbolic import Word, enumerate_words, validate_word
 
 # Orbit points closer than this are treated as the same point.
@@ -125,23 +125,17 @@ def _word_values(ifs: IfsSystem, letters: np.ndarray, x: np.ndarray):
     """Images and chain-rule derivatives of many words at many points: row i
     applies `letters[i]` (0 meaning no letter) to x[i], position by position,
     the rows of each letter at once.  Each row is bitwise equal to `apply_word`
-    and `word_derivative` (NaN where a corner makes it raise); NorthSouth rows
-    take the scalar methods, as numpy's tan and arctan may differ from libm's.
+    and `word_derivative` (NaN where a corner makes it raise), for every
+    generator type: each step is the generator's `eval_and_derivative_array`.
     """
     v = normalize_array(np.array(x, dtype=float))
     d = np.ones(v.size)
     for column in np.asarray(letters).T:
         for letter, g in enumerate(ifs.generators, 1):
             rows = np.flatnonzero(column == letter)
-            if not rows.size:
-                continue
-            if isinstance(g, NorthSouth):
-                at = v[rows].tolist()
-                d[rows] *= [g.derivative(t) for t in at]
-                v[rows] = [g.eval(t) for t in at]
-            else:
-                d[rows] *= g.derivative_array(v[rows])
-                v[rows] = g.eval_array(v[rows])
+            if rows.size:
+                v[rows], step = g.eval_and_derivative_array(v[rows])
+                d[rows] *= step
     return v, d
 
 

@@ -15,9 +15,9 @@ import numpy as np
 
 from .circle import Arc, CirclePoint, as_value, normalize_array
 from .generators import NotDifferentiable
-from .detectors import (Resolution, DEFAULT_RESOLUTION, Verdict, _CHUNK_NODES, _chunks,
-                        _stopped_by, uniform_net)
-from .semigroup import IfsSystem, _word_values
+from .detectors import (Resolution, DEFAULT_RESOLUTION, Verdict, _chunks, _letter_rows,
+                        _stopped_by, _word_images, uniform_net)
+from .semigroup import IfsSystem
 from .symbolic import Word
 
 
@@ -118,9 +118,7 @@ def local_expanding_cover(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION) 
                                 lambda lo, hi: _first_words(ifs, net[lo:hi], res),
                                 lambda result: result[1]):
         words += found
-    letters = np.zeros((net.size, max(map(len, words))), dtype=np.int64)
-    for row, w in zip(letters, words):
-        row[:len(w)] = w
+    letters = _letter_rows(ifs, words)
     sides = np.repeat([-1.0, 1.0], net.size)
     extent = _extents(ifs, np.tile(letters, (2, 1)), np.tile(net, 2), sides)
     arcs = [Arc(CirclePoint(x - left), min(left + right, 1.0)) for x, left, right in
@@ -161,20 +159,13 @@ _GROW_SAMPLES = 17
 _SIGMA_SAMPLES = 257
 
 
-def _evaluate(ifs: IfsSystem, letters: np.ndarray, x: np.ndarray):
-    """`_word_values` in passes of at most _CHUNK_NODES rows."""
-    parts = [_word_values(ifs, letters[lo:lo + _CHUNK_NODES], x[lo:lo + _CHUNK_NODES])
-             for lo in range(0, max(1, x.size), _CHUNK_NODES)]
-    return [np.concatenate(column) for column in zip(*parts)]
-
-
 def _holds(ifs: IfsSystem, letters: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per row, whether its word expands at all _GROW_SAMPLES points of
     np.linspace(a, b).  Row by row, np.linspace over arrays matches the
     scalar calls bitwise while no row has a == b; here b - a >= _EXTENT."""
     t = normalize_array(np.linspace(a, b, _GROW_SAMPLES, axis=1))
-    d = _evaluate(ifs, np.repeat(letters, _GROW_SAMPLES, axis=0), t.ravel())[1]
-    return (np.abs(d) > 1.0 + _MARGIN).reshape(t.shape).all(axis=1)
+    d = _word_images(ifs, letters, t)[1]
+    return (np.abs(d) > 1.0 + _MARGIN).all(axis=1)
 
 
 def _first_words(ifs: IfsSystem, xs: np.ndarray, res: Resolution):
@@ -203,7 +194,7 @@ def _first_words(ifs: IfsSystem, xs: np.ndarray, res: Resolution):
         # word j of this length extends word j // k of the last by letter j % k + 1
         parent = (np.arange(live.size) * val.shape[1])[:, None] + np.arange(width) // k
         letters = np.broadcast_to(np.arange(width) % k + 1, parent.shape).reshape(-1, 1)
-        v, d = _evaluate(ifs, letters, val.ravel()[parent.ravel()])
+        v, d = _word_images(ifs, letters, val.ravel()[parent.reshape(-1, 1)])
         val, der = v.reshape(parent.shape), der.ravel()[parent] * d.reshape(parent.shape)
         rows += v.size
         point, index = np.nonzero(np.abs(der) > 1.0 + _MARGIN)
@@ -257,8 +248,7 @@ def _sigmas(ifs: IfsSystem, letters: np.ndarray, arcs: List[Arc]) -> List[float]
     for constant-derivative words) and capped below 1; corners are skipped."""
     start, length = np.array([(a.start.value, a.length) for a in arcs]).T
     t = normalize_array(start[:, None] + np.linspace(0.0, length, _SIGMA_SAMPLES, axis=1))
-    d = _evaluate(ifs, np.repeat(letters, _SIGMA_SAMPLES, axis=0), t.ravel())[1]
-    inv = 1.0 / np.abs(d).reshape(t.shape)
+    inv = 1.0 / np.abs(_word_images(ifs, letters, t)[1])
     corner = np.isnan(inv)
     return [min(w + (0.05 * (w - b) if math.isfinite(b) else 0.0), 1.0 / (1.0 + _MARGIN))
             for w, b in zip(np.where(corner, 0.0, inv).max(axis=1).tolist(),

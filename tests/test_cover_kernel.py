@@ -14,10 +14,12 @@ import numpy as np
 import pytest
 
 import cover_oracle as oracle
+import ifs_lab.detectors as detectors
 import ifs_lab.smooth as smooth
 from ifs_lab import (Expanding, Flip, GALLERY_NAMES, IfsSystem, NorthSouth, NotDifferentiable,
                      PiecewiseLinear, Resolution, Rotation, build_example, local_expanding_cover,
                      local_expanding_verdict, word_derivative)
+from ifs_lab.circle import normalize_array
 from ifs_lab.detectors import DEFAULT_RESOLUTION, _stopped_by
 from ifs_lab.semigroup import _word_values
 from ifs_lab.smooth import NotLocallyExpanding
@@ -97,14 +99,27 @@ def test_word_values_match_the_scalar_word_calls():
     assert corners and (lengths == 0).any() and np.count_nonzero(letters == 3) > 1000
 
 
-def test_word_values_take_north_south_rows_through_the_scalar_methods():
+@pytest.mark.parametrize("lam", [1.0001, 1.2, 2.5, 4.0])
+def test_word_values_match_the_north_south_scalar_methods_bitwise(lam):
     # numpy's vectorised tan and arctan may differ from libm's in the last
-    # bit, so these rows must not take derivative_array and eval_array
-    ns = NorthSouth(0.37, 2.5)
-    x = np.random.default_rng(1).random(2000)
-    values, derivs = _word_values(IfsSystem([ns]), np.ones((x.size, 1), dtype=np.int64), x)
-    assert values.tolist() == [ns.eval(t) for t in x.tolist()]
-    assert derivs.tolist() == [ns.derivative(t) for t in x.tolist()]
+    # bit; these rows take libm's, at the seams of the map (its fixed points,
+    # either side of |s| = 1/4 and of the half-turns) and at random points
+    rng = np.random.default_rng(1)
+    for q in (0.0, 0.37, 0.75):
+        ns = NorthSouth(q, lam)
+        seams = [0.0, 0.25, 0.5, 0.75, ns.q, 1.0 - 2.0 ** -53]
+        for c in (ns.q - 0.25, ns.q + 0.25, ns.q + 0.5, ns.q + 0.75):
+            c %= 1.0
+            seams += [c, np.nextafter(c, 0.0), np.nextafter(c, 1.0)]
+        x = np.r_[seams, rng.random(10_000)]
+        values, derivs = ns.eval_and_derivative_array(x)
+        assert [v.hex() for v in values.tolist()] == [ns.eval(t).hex() for t in x.tolist()]
+        assert [d.hex() for d in derivs.tolist()] == [ns.derivative(t).hex() for t in x.tolist()]
+        # a row starts from its normalized point, as apply_word does
+        x = normalize_array(x)
+        values, derivs = _word_values(IfsSystem([ns]), np.ones((x.size, 1), dtype=np.int64), x)
+        assert [v.hex() for v in values.tolist()] == [ns.eval(t).hex() for t in x.tolist()]
+        assert [d.hex() for d in derivs.tolist()] == [ns.derivative(t).hex() for t in x.tolist()]
 
 
 # -- the cover against the scalar reference ----------------------------------
@@ -127,7 +142,7 @@ def test_cover_matches_the_reference_on_the_smooth_systems(monkeypatch, res, kin
         corners.append(np.isnan(derivs).any())
         return values, derivs
 
-    monkeypatch.setattr(smooth, "_word_values", recorded)
+    monkeypatch.setattr(detectors, "_word_values", recorded)
     assert check_all((ifs, res) for ifs in smooth_systems()) == kinds
     assert any(corners)
 
@@ -157,7 +172,7 @@ def test_a_stuck_search_stops_after_the_first_chunk(monkeypatch, rotation_flip):
         rows.append(np.size(x))
         return _word_values(ifs, letters, x)
 
-    monkeypatch.setattr(smooth, "_word_values", counted)
+    monkeypatch.setattr(detectors, "_word_values", counted)
     with pytest.raises(NotLocallyExpanding) as exc:
         local_expanding_cover(rotation_flip, DEFAULT_RESOLUTION)
     assert exc.value.point == 0.005

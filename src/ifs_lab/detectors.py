@@ -21,7 +21,7 @@ import numpy as np
 from .circle import Arc, as_value, circ_dist, normalize, normalize_array  # noqa: F401
 from .generators import _require_finite, map_arcs
 from .semigroup import (STOP_REASONS, IfsSystem, _BUDGET, _DEPTH, _EXHAUSTED, _FOUND,
-                        _SearchNodes, _word_values, orbit_cloud, periodic_points)
+                        _SearchNodes, _merged, _word_values, orbit_cloud, periodic_points)
 from .symbolic import Word
 
 
@@ -181,6 +181,7 @@ _NEST_TOL = 1e-12        # containment tolerance of the dominance rule
 # A sweep margin farther than this from the tolerance decides containment
 # whatever the rounding; nearer ones are re-tested exactly, in rule order.
 _CLEAR = 1e-13
+_NO_CUT = np.iinfo(np.int64).max  # a level the word budget does not cut
 
 
 def _chunks(n: int, first: int, search, nodes, most=np.inf):
@@ -262,35 +263,64 @@ def _arc_keys(src, s, ln, scale):
     return (src * scale + ks) * (scale + 1) + kl
 
 
-def _target_ranges(s, ln, targets, fat):
+def _target_cells(targets):
+    """Per cell c of a grid of 2**k >= 4 * targets.size cells on [0, 1], the
+    number of the (sorted, in [0, 1)) targets in the cells before it, for
+    c = 0 .. 2**k + 1."""
+    cells = 1 << (4 * targets.size).bit_length()
+    return np.searchsorted(np.floor(targets * cells).astype(np.int64), np.arange(cells + 2))
+
+
+def _targets_below(targets, below, x, right):
+    """`np.searchsorted(targets, x, "right" if right else "left")` for x in
+    [0, 1], by the grid of `_target_cells`.  Scaling by a power of two is
+    exact, so the targets of an earlier cell than x's lie below x, those of
+    a later one above it, and only those of its own cell are compared."""
+    cells = below.size - 2
+    c = np.floor(x * cells).astype(np.int64)
+    lo, hi = below[c], below[c + 1]
+    out = lo.copy()
+    for m in range(int(np.max(hi - lo, initial=0))):
+        t = targets[np.minimum(lo + m, targets.size - 1)]
+        out += (lo + m < hi) & ((t <= x) if right else (t < x))
+    return out
+
+
+def _target_ranges(s, ln, targets, below, fat):
     """Per arc, the (sorted) targets within `fat` of it: the index ranges
     [a, b) and [0, c), the second non-empty only where the arc wraps past 1."""
     span = ln + 2.0 * fat
     lo = (s - fat) % 1.0
     hi = lo + span
     full = span >= 1.0
-    a = np.where(full, 0, np.searchsorted(targets, lo, side="left"))
-    b = np.where(full, targets.size, np.searchsorted(targets, np.minimum(hi, 1.0), side="right"))
-    c = np.where(~full & (hi > 1.0), np.searchsorted(targets, hi - 1.0, side="right"), 0)
+    wrap = ~full & (hi > 1.0)
+    a = np.where(full, 0, _targets_below(targets, below, lo, False))
+    b = np.where(full, targets.size, _targets_below(targets, below, np.minimum(hi, 1.0), True))
+    c = np.where(wrap, _targets_below(targets, below, np.where(wrap, hi - 1.0, 0.0), True), 0)
     return a, b, c
 
 
-def _first_hits(src, s, ln, targets, fat, open_pairs, n):
-    """Per open (source, target) pair, the first of the arcs (in order) within
-    `fat` of the target; -1 where none is.  Pairs are numbered
-    source * targets.size + target, and `open_pairs` lists them sorted.  The
-    matching (arc, pair) hits are expanded a block of arcs at a time."""
+def _first_hits(src, s, ln, targets, below, fat, open_pair, n):
+    """Per (source, target) pair, the first of the arcs (in order) within
+    `fat` of the target; -1 where none is or the pair is not open.  Pairs
+    are numbered source * targets.size + target, and `open_pair` marks the
+    open ones.  The matching (arc, open pair) hits are expanded a block of
+    arcs at a time."""
     nt = targets.size
     hit = np.full(n * nt, -1, dtype=np.int64)
-    if s.size == 0 or open_pairs.size == 0:
+    if s.size == 0:
         return hit
-    a, b, c = _target_ranges(s, ln, targets, fat)
+    a, b, c = _target_ranges(s, ln, targets, below, fat)
     base = src * nt
-    # two ranges per arc, interleaved so that hits stay in arc order
-    lo = np.searchsorted(open_pairs, np.stack([base + a, base], axis=1).reshape(-1))
-    cnt = np.maximum(np.searchsorted(open_pairs, np.stack([base + b, base + c],
-                                                          axis=1).reshape(-1)) - lo, 0)
+    # open pairs before each pair id, so two ranges of open pairs per arc
+    opened = np.zeros(open_pair.size + 1, dtype=np.int64)
+    np.cumsum(open_pair, out=opened[1:])
+    lo = opened[np.concatenate([base + a, base])]
+    cnt = opened[np.concatenate([base + b, base + c])] - lo
+    ranges = np.flatnonzero(cnt)
+    lo, cnt, arc = lo[ranges], cnt[ranges], ranges % s.size
     cum = np.cumsum(cnt)
+    first_arc = np.full(int(opened[-1]), s.size, dtype=np.int64)
     first = 0
     while first < cnt.size:
         last = max(first + 1, int(np.searchsorted(cum, cum[first] - cnt[first] + _HIT_PAIRS,
@@ -298,10 +328,10 @@ def _first_hits(src, s, ln, targets, fat, open_pairs, n):
         k = cnt[first:last]
         piece = np.repeat(np.arange(first, last), k)
         offset = np.arange(piece.size) - np.repeat(np.cumsum(k) - k, k)
-        pair, at = np.unique(open_pairs[lo[piece] + offset], return_index=True)
-        new = hit[pair] < 0
-        hit[pair[new]] = piece[at[new]] // 2
+        np.minimum.at(first_arc, lo[piece] + offset, arc[piece])
         first = last
+    got = first_arc < s.size
+    hit[np.flatnonzero(open_pair)[got]] = first_arc[got]
     return hit
 
 
@@ -311,10 +341,12 @@ def _search_chunk(first, gens, starts, lengths, depths, budget, scale, targets, 
     reached = np.zeros(n, dtype=np.int64)
     stop = np.full(n, -1, dtype=np.int64)
     first_hit = None if targets is None else np.full((n, targets.size), -1, dtype=np.int64)
-    # node columns: starts, lengths, parents, letters, source, level, kept
-    dtypes = (float, float, np.int32, np.int16, np.int16, np.int32, bool)
+    below = None if targets is None else _target_cells(targets)
+    # node columns: starts, lengths, parents, letters, source (then level
+    # and kept, built at the end)
+    dtypes = (float, float, np.int32, np.int16, np.int16)
     cols = [[] for _ in dtypes]
-    kept, count = [], 0
+    kept, sizes, count = [], [], 0
     seen = np.zeros(0, dtype=np.int64)
 
     def early_stop(src, s, ln):
@@ -328,13 +360,14 @@ def _search_chunk(first, gens, starts, lengths, depths, budget, scale, targets, 
             at[firsts] = fire[pos]
         if targets is None:
             return at, None
-        open_pairs = np.flatnonzero(first_hit.reshape(-1) < 0)
-        hit = _first_hits(src, s, ln, targets, fat, open_pairs, n)
+        open_pair = first_hit.reshape(-1) < 0
+        hit = _first_hits(src, s, ln, targets, below, fat, open_pair, n)
         got = np.flatnonzero(hit >= 0)
         owner = got // targets.size
         # a source is done once every target it still needed is hit
         gained = np.bincount(owner, minlength=n)
-        done = (gained > 0) & (gained == np.bincount(open_pairs // targets.size, minlength=n))
+        done = (gained > 0) & (gained == np.count_nonzero(open_pair.reshape(n, targets.size),
+                                                          axis=1))
         last = np.full(n, -1, dtype=np.int64)
         np.maximum.at(last, owner, hit[got])
         at[done] = last[done]
@@ -343,7 +376,8 @@ def _search_chunk(first, gens, starts, lengths, depths, budget, scale, targets, 
     # level 0 visits the sources' own arcs, for no words
     src, s, ln = np.arange(n), starts, lengths
     parents, letters, j = np.full(n, -1), np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
-    keys = _arc_keys(src, s, ln, scale)
+    # level 0's cell keys increase with the source
+    cells = (np.arange(n), _arc_keys(src, s, ln, scale), np.zeros(n, dtype=np.int64))
     for level in range(int(depths.max(initial=0)) + 1):
         if level:
             present = np.bincount(f_src, minlength=n) > 0
@@ -354,7 +388,7 @@ def _search_chunk(first, gens, starts, lengths, depths, budget, scale, targets, 
                 break
             reached[active] += 1
             par = np.flatnonzero(active[f_src] & (f_l < _FULL))
-            src, s, ln, parents, letters, keys, j, spent = _expand(
+            src, s, ln, parents, letters, cells, j, spent = _expand(
                 gens, f_s[par], f_l[par], f_src[par], f_id[par], budget - words, seen, scale)
         at, hit_at = early_stop(src, s, ln)
         found = at >= 0
@@ -366,14 +400,19 @@ def _search_chunk(first, gens, starts, lengths, depths, budget, scale, targets, 
         stop[(stop < 0) & (words >= budget)] = _BUDGET
         # the visited arcs become nodes
         node = count - 1 + np.cumsum(inside)
-        for col, v, t in zip(cols, (s, ln, parents, letters, src, level, False), dtypes):
-            col.append(np.asarray(np.broadcast_to(v, src.shape)[inside], dtype=t))
-        count += int(inside.sum())
+        for col, v, t in zip(cols, (s, ln, parents, letters, src), dtypes):
+            col.append(v[inside].astype(t, copy=False))
+        sizes.append(int(np.count_nonzero(inside)))
+        count += sizes[-1]
         if hit_at is not None:
             got = hit_at >= 0
             first_hit[got] = node[hit_at[got]]
-        ins = np.sort(keys[inside])
-        seen = np.insert(seen, np.searchsorted(seen, ins), ins)
+        row, key, at = cells
+        vis = inside[row]
+        at = at[vis] + np.arange(np.count_nonzero(vis))
+        old = np.ones(seen.size + at.size, dtype=bool)
+        old[at] = False
+        seen = _merged(seen, old, at, key[vis])
         # the next frontier: the visited arcs no sibling contains
         go = np.flatnonzero(inside & (stop[src] != _FOUND))
         nxt = go[_dominance_keep(src[go], s[go], ln[go])]
@@ -382,6 +421,8 @@ def _search_chunk(first, gens, starts, lengths, depths, budget, scale, targets, 
     stop[stop < 0] = np.where(np.bincount(f_src, minlength=n)[stop < 0] > 0, _DEPTH, _EXHAUSTED)
     # one column at a time, so the pieces of only one are held twice
     nodes = [np.concatenate(cols.pop(0)) for _ in dtypes]
+    nodes.append(np.repeat(np.arange(len(sizes), dtype=np.int32), sizes))
+    nodes.append(np.zeros(count, dtype=bool))
     for ids in kept:
         nodes[6][ids] = True
     return ArcImages(first, nodes, words, reached, stop, first_hit)
@@ -392,9 +433,14 @@ def _expand(gens, f_s, f_l, f_src, f_id, room, seen, scale):
     letter by letter, whose merge cell is new to their source (the first
     occurrence wins), up to the source's word budget `room`: the child that
     spends it ends the level or, if its cell was seen, the parent's next
-    fresh child or last letter does.  Returns their sources, starts,
-    lengths, parents, letters, cell keys and word positions, and per source
-    the words the level spends if no early stop ends it."""
+    fresh child or last letter does.  Sources must not decrease along the
+    frontier, so that each source's children are consecutive; they then do
+    not decrease along the result either.
+
+    Returns their sources, starts, lengths, parents, letters, new cells
+    (row, key and insertion point in the sorted `seen`, in key order) and
+    word positions, and per source the words the level spends if no early
+    stop ends it."""
     k, n = len(gens), room.size
     cs, cl = np.empty((f_s.size, k)), np.empty((f_s.size, k))
     for i, g in enumerate(gens):
@@ -405,24 +451,38 @@ def _expand(gens, f_s, f_l, f_src, f_id, room, seen, scale):
     ncand = np.bincount(csrc, minlength=n)
     first_row = np.cumsum(ncand) - ncand
     j = np.arange(cs.size) - first_row[csrc]
-    fresh = np.zeros(cs.size, dtype=bool)
-    fresh[np.unique(keys, return_index=True)[1]] = True
+    # one sort of the keys: the first child in each cell (the least row of
+    # its run of equal keys), unless `seen` holds the cell
+    by_key = np.argsort(keys)
+    uk = keys[by_key]
+    lead = np.ones(uk.size, dtype=bool)
+    lead[1:] = uk[1:] != uk[:-1]
+    first, uk = np.minimum.reduceat(by_key, np.flatnonzero(lead)), uk[lead]
+    at = np.searchsorted(seen, uk)
     if seen.size:
-        pos = np.minimum(np.searchsorted(seen, keys), seen.size - 1)
-        fresh &= seen[pos] != keys
-    cut = np.full(n, np.iinfo(np.int64).max)
+        new = seen[np.minimum(at, seen.size - 1)] != uk
+        first, uk, at = first[new], uk[new], at[new]
+    fresh = np.zeros(cs.size, dtype=bool)
+    fresh[first] = True
+    cut = np.full(n, _NO_CUT)
     for src in np.flatnonzero((ncand > 0) & (ncand >= room)).tolist():
         jb = room[src] - 1
         pend = (jb // k) * k + k - 1
         later = np.flatnonzero(fresh[first_row[src] + jb:first_row[src] + pend + 1])
         cut[src] = jb + later[0] if later.size else pend
-    rows = np.flatnonzero(fresh & (j <= cut[csrc]))
-    return (csrc[rows], cs[rows], cl[rows], f_id[rows // k], rows % k + 1, keys[rows],
+    taken = fresh & (j <= cut[csrc])
+    rows = np.flatnonzero(taken)
+    got = taken[first]
+    cells = ((np.cumsum(taken) - 1)[first[got]], uk[got], at[got])
+    return (csrc[rows], cs[rows], cl[rows], f_id[rows // k], rows % k + 1, cells,
             j[rows], np.minimum(cut, ncand - 1) + 1)
 
 
 def _dominance_keep(src, s, ln) -> np.ndarray:
     """Indices of the arcs the greedy dominance rule keeps, in its order.
+
+    Sources must not decrease along the input, as the search visits arcs
+    source by source; sorting by source is then a stable regroup.
 
     The rule, per source: take the arcs longest first (ties in input order)
     and keep each one unless a kept arc is the full circle or contains it,
@@ -436,40 +496,66 @@ def _dominance_keep(src, s, ln) -> np.ndarray:
     n = s.size
     if n == 0:
         return np.zeros(0, dtype=np.int64)
-    idx = np.arange(n)
-    order = np.lexsort((idx, -ln, src))
+    group = src - src[0]
+    group = group.astype(np.min_scalar_type(group[-1]))  # 8 or 16 bits: a radix sort
+
+    def regroup(perm):
+        return perm[np.argsort(group[perm], kind="stable")]
+
+    order = regroup(_stable_argsort(-ln))
     rank = np.empty(n, dtype=np.int64)
-    rank[order] = idx
-    by_src = src[order]
+    rank[order] = np.arange(n)
+    lead = np.ones(n, dtype=bool)
+    lead[1:] = src[1:] != src[:-1]
     head = np.zeros(n, dtype=bool)
-    head[order[np.r_[True, by_src[1:] != by_src[:-1]]]] = True
+    head[order[lead]] = True
     end = s + ln
-    pos = np.lexsort((rank, s, src))
+    pos = regroup(order[_stable_argsort(s[order])])
     seg, reach = src[pos], np.where(ln >= _FULL, np.inf, end)[pos]
-    farthest = np.maximum(_prior_max(seg, reach),
-                          _prior_max(seg[-1] - seg[::-1], reach[::-1])[::-1] - 1.0)
+    by_reach = np.argsort(reach)
+    farthest = np.maximum(_prior_max(seg, reach, by_reach),
+                          _prior_max(seg[-1] - seg[::-1], reach[::-1],
+                                     n - 1 - by_reach)[::-1] - 1.0)
     margin = np.empty(n)
     margin[pos] = farthest - end[pos]
     keep = head | (margin <= _CLEAR)
     unsure = np.flatnonzero(~head & (margin >= -(_NEST_TOL + _CLEAR)) & (margin <= _CLEAR))
     for c in unsure[np.argsort(rank[unsure])].tolist():
-        b = order[np.searchsorted(by_src, src[c]):rank[c]]
+        b = order[np.searchsorted(src, src[c]):rank[c]]
         b = b[keep[b]]
         keep[c] = not np.any((ln[b] >= _FULL)
                              | (((s[c] - s[b]) % 1.0) + ln[c] <= ln[b] + _NEST_TOL))
     return order[keep[order]]
 
 
-def _prior_max(seg, v) -> np.ndarray:
+def _stable_argsort(v) -> np.ndarray:
+    """`np.argsort(v, kind="stable")` for v without NaN, from numpy's faster
+    unstable sort: runs of equal values are put back in index order."""
+    by_v = np.argsort(v)
+    sv = v[by_v]
+    tie = sv[1:] == sv[:-1]
+    if not tie.any():
+        return by_v
+    run = np.zeros(v.size, dtype=np.int64)
+    np.cumsum(~tie, out=run[1:])
+    return np.sort(run * v.size + by_v) % v.size
+
+
+def _prior_max(seg, v, by_v=None) -> np.ndarray:
     """Per position, the largest v at the earlier positions of its segment
-    (-inf if none); segment ids are non-decreasing.  Ranks of v offset by
-    segment make one running maximum restart at each segment."""
+    (-inf if none); segment ids are non-decreasing.  `by_v` sorts v, ties in
+    any order (by default `np.argsort(v)`): the values do not depend on it.
+    Ranks of v offset by segment make one running maximum restart at each
+    segment."""
     n = v.size
-    by_v = np.argsort(v, kind="stable")
+    if by_v is None:
+        by_v = np.argsort(v)
     rank = np.empty(n, dtype=np.int64)
     rank[by_v] = np.arange(n)
     base = seg.astype(np.int64) * n
-    prev = np.r_[-1, np.maximum.accumulate(base + rank)[:-1]]
+    prev = np.empty(n, dtype=np.int64)
+    prev[:1] = -1
+    np.maximum.accumulate((base + rank)[:-1], out=prev[1:])
     return np.where(prev >= base, v[by_v[prev % n]], -np.inf)
 
 

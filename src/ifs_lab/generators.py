@@ -400,8 +400,7 @@ def map_arcs(g: Generator, starts: np.ndarray, lengths: np.ndarray):
     and lengths.  Endpoint images plus orientation fix each result."""
     if isinstance(g, Expanding):
         return g.eval_array(starts), np.minimum(g.m * lengths, 1.0)
-    lo = g.lift_array(starts)
-    hi = g.lift_array(starts + lengths)
+    lo, hi = g.lift_array(np.concatenate([starts, starts + lengths])).reshape(2, -1)
     return (normalize_array(lo if g.orientation > 0 else hi),
             np.minimum(np.abs(hi - lo), 1.0))
 

@@ -5,6 +5,8 @@ order, keep the same frontier, spend the same number of words and stop for
 the same reason as the one-source-at-a-time search it replaced.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -17,9 +19,12 @@ from ifs_lab import (Arc, CirclePoint, Expanding, Flip, GALLERY_NAMES, IfsSystem
                      PiecewiseLinear, Rotation, build_example, cofinite_sensitivity_verdict,
                      constant_rule, greedy_diameter_rule, map_arc, periodic_rule,
                      s_transitivity_verdict, separation_times)
-from ifs_lab.detectors import (_arc_search, _bfs_best, _dominance_keep, _greedy_chains,
-                               _repeller_steering_data, _steered_candidates, system_net,
-                               DEFAULT_RESOLUTION)
+from ifs_lab.detectors import (_arc_keys, _arc_search, _bfs_best, _dominance_keep, _expand,
+                               _greedy_chains, _prior_max, _repeller_steering_data,
+                               _stable_argsort, _steered_candidates, _target_cells,
+                               _targets_below, system_net, DEFAULT_RESOLUTION, Resolution)
+from ifs_lab.generators import map_arcs
+from ifs_lab.properties import evaluate_property
 
 EPS = R = 0.01
 CELL = EPS / 8.0
@@ -263,13 +268,177 @@ def random_arc_sets(rng, count):
 
 
 def test_dominance_sweep_keeps_the_greedy_frontier():
+    """Source ids as the kernel numbers them, then starting above 0, and
+    spread past what 8 and 16 bits hold: the sweep regroups by source in the
+    narrowest unsigned type that holds the ids' span."""
     rng = np.random.default_rng(11)
     for src, s, ln in random_arc_sets(rng, 400):
         expected = []
         for j in np.unique(src):
             rows = np.flatnonzero(src == j)
             expected += [w for _, _, w in greedy_keep([(s[i], ln[i], int(i)) for i in rows])]
-        assert _dominance_keep(src, s, ln).tolist() == expected
+        for ids in (src, src + 3, src + 70_000, 100 * src + 7, 30_000 * src + 5):
+            assert _dominance_keep(ids, s, ln).tolist() == expected
+
+
+ARC_PROPERTIES = ("transitivity", "s_transitivity", "sensitivity", "witness_pipeline")
+RANDOM_SYSTEMS_RES = Resolution(net_size=12, depth=30, budget=4000, eps=0.02, r=0.02)
+
+
+def test_arc_search_hands_on_arcs_grouped_by_source(monkeypatch):
+    """`_dominance_keep` and `_expand` read their input as runs of one
+    source each: in every search they run, sources never decrease."""
+    calls = Counter()
+    dominance_keep, expand = detectors._dominance_keep, detectors._expand
+
+    def check(name, src):
+        assert np.all(src[1:] >= src[:-1]), name
+        calls[name] += 1
+
+    def checked_dominance_keep(src, s, ln):
+        check("_dominance_keep", src)
+        return dominance_keep(src, s, ln)
+
+    def checked_expand(gens, f_s, f_l, f_src, *rest):
+        check("_expand frontier", f_src)
+        out = expand(gens, f_s, f_l, f_src, *rest)
+        check("_expand children", out[0])
+        return out
+
+    monkeypatch.setattr(detectors, "_dominance_keep", checked_dominance_keep)
+    monkeypatch.setattr(detectors, "_expand", checked_expand)
+    runs = [(build_example(name).system, DEFAULT_RESOLUTION) for name in GALLERY_NAMES]
+    runs += [(ifs, RANDOM_SYSTEMS_RES) for ifs in random_systems(seed=12, count=10)]
+    for ifs, res in runs:
+        for prop in ARC_PROPERTIES:
+            evaluate_property(ifs, prop, res)
+    assert min(calls.values()) > 500 and len(calls) == 3
+
+
+def prior_max_reference(seg, v):
+    out, best = np.full(v.size, -np.inf), {}
+    for i, (g, x) in enumerate(zip(seg.tolist(), v.tolist())):
+        if g in best:
+            out[i] = best[g]
+            best[g] = max(best[g], x)
+        else:
+            best[g] = x
+    return out
+
+
+def test_prior_max_does_not_depend_on_how_ties_are_ranked():
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        n = int(rng.integers(1, 80))
+        # many one-element segments, and a few long ones
+        seg = np.sort(rng.integers(0, int(rng.integers(1, n + 1)), n))
+        v = rng.choice([0.0, 0.25, 0.5, 1.0, np.inf, -np.inf], n)
+        v = np.where(rng.random(n) < 0.3, rng.random(n), v)
+        expected = prior_max_reference(seg, v)
+        by_v = np.argsort(v, kind="stable")
+        rankings = [None, by_v, by_v[::-1][np.argsort(v[by_v[::-1]], kind="stable")]]
+        rankings += [np.lexsort((rng.random(n), v)) for _ in range(4)]
+        for ranking in rankings:
+            got = _prior_max(seg, v, ranking)
+            assert got.tobytes() == expected.tobytes()
+
+
+def test_stable_argsort_equals_numpy_stable_sort():
+    rng = np.random.default_rng(9)
+    for n in (0, 1, 2, 7, 100, 5000):
+        for v in (rng.random(n), np.round(rng.random(n), 2), -np.round(rng.random(n), 1),
+                  rng.choice([0.0, -0.0, 1.0, np.inf], n)):
+            assert _stable_argsort(v).tolist() == np.argsort(v, kind="stable").tolist()
+
+
+def test_target_cells_count_like_searchsorted():
+    rng = np.random.default_rng(4)
+    grid = np.arange(40) / 40.0
+    target_sets = [np.array([0.0]), np.array([0.5]), grid, np.sort(rng.random(300)),
+                   # clusters within one cell, and equal neighbours
+                   np.sort(np.r_[grid, grid[::7] + 1e-12, [0.3] * 3, np.nextafter(0.3, 1.0)])]
+    for targets in target_sets:
+        below = _target_cells(targets)
+        cells = below.size - 2
+        x = np.r_[rng.random(2000), targets, np.nextafter(targets, -1.0), np.nextafter(targets, 2.0),
+                  np.arange(cells + 1) / cells, 0.0, 1.0]
+        x = np.clip(x, 0.0, 1.0)
+        for side in ("left", "right"):
+            assert (_targets_below(targets, below, x, side == "right")
+                    == np.searchsorted(targets, x, side)).all()
+
+
+def unique_expand(gens, f_s, f_l, f_src, f_id, room, seen, scale):
+    """`_expand` as it was written with `np.unique` and an unsorted
+    `searchsorted`: the children whose cell is new, up to the budget cut,
+    and their cell keys in visit order."""
+    k, n = len(gens), room.size
+    cs, cl = np.empty((f_s.size, k)), np.empty((f_s.size, k))
+    for i, g in enumerate(gens):
+        cs[:, i], cl[:, i] = map_arcs(g, f_s, f_l)
+    cs, cl = cs.reshape(-1), cl.reshape(-1)
+    csrc = np.repeat(f_src, k)
+    keys = _arc_keys(csrc, cs, cl, scale)
+    ncand = np.bincount(csrc, minlength=n)
+    first_row = np.cumsum(ncand) - ncand
+    j = np.arange(cs.size) - first_row[csrc]
+    fresh = np.zeros(cs.size, dtype=bool)
+    fresh[np.unique(keys, return_index=True)[1]] = True
+    if seen.size:
+        pos = np.minimum(np.searchsorted(seen, keys), seen.size - 1)
+        fresh &= seen[pos] != keys
+    cut = np.full(n, np.iinfo(np.int64).max)
+    for src in np.flatnonzero((ncand > 0) & (ncand >= room)).tolist():
+        jb = room[src] - 1
+        pend = (jb // k) * k + k - 1
+        later = np.flatnonzero(fresh[first_row[src] + jb:first_row[src] + pend + 1])
+        cut[src] = jb + later[0] if later.size else pend
+    rows = np.flatnonzero(fresh & (j <= cut[csrc]))
+    return (csrc[rows], cs[rows], cl[rows], f_id[rows // k], rows % k + 1, keys[rows],
+            j[rows], np.minimum(cut, ncand - 1) + 1)
+
+
+def test_expand_matches_the_unique_and_searchsorted_form():
+    rng = np.random.default_rng(17)
+    # repeated generators and coarse cells give duplicate keys in a level
+    gens = [Rotation(0.25), Rotation(0.25), Flip(), NorthSouth(0.3, 2.0), Expanding(2)]
+    cut_levels = duplicate_levels = seen_levels = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 6))
+        m = int(rng.integers(0, 40))
+        f_src = np.sort(rng.integers(0, n, m))
+        f_s = np.round(rng.random(m), 1) % 1.0
+        f_l = np.round(rng.random(m) ** 2, 2)
+        f_id = rng.permutation(m) + 1000
+        pick = [gens[i] for i in rng.choice(len(gens), int(rng.integers(1, 4)))]
+        scale = int(rng.choice([2, 8, 80]))
+        level_keys = _arc_keys(np.repeat(f_src, len(pick)), *map_arcs_all(pick, f_s, f_l), scale)
+        keys = np.unique(level_keys)
+        duplicate_levels += keys.size < level_keys.size
+        # some of this level's cells already seen, among others that are not
+        seen = np.unique(np.r_[keys[rng.random(keys.size) < 0.3],
+                               rng.integers(0, n * scale * (scale + 1), 5)])
+        room = rng.integers(1, 3 * len(pick) * max(1, m // max(n, 1)) + 2, n)
+        ncand = np.bincount(f_src, minlength=n) * len(pick)
+        cut_levels += bool(((ncand > 0) & (ncand >= room)).any())
+        seen_levels += bool(np.isin(keys, seen).any())
+        args = (pick, f_s, f_l, f_src, f_id, room, seen, scale)
+        *ref, ref_keys, ref_j, ref_spent = unique_expand(*args)
+        *got, (row, key, at), got_j, got_spent = _expand(*args)
+        for a, b in zip(ref + [ref_j, ref_spent], got + [got_j, got_spent]):
+            assert a.tobytes() == b.tobytes()
+        # every returned child brings one new cell, listed in key order
+        assert sorted(row.tolist()) == list(range(ref_keys.size))
+        assert key.tobytes() == np.sort(ref_keys).tobytes() == ref_keys[row].tobytes()
+        assert at.tolist() == np.searchsorted(seen, key).tolist()
+    assert min(cut_levels, duplicate_levels, seen_levels) > 50
+
+
+def map_arcs_all(gens, s, ln):
+    """Child starts and lengths in (parent, letter) order."""
+    images = [map_arcs(g, s, ln) for g in gens]
+    return (np.stack([a for a, _ in images], axis=1).reshape(-1),
+            np.stack([b for _, b in images], axis=1).reshape(-1))
 
 
 def reference_mapper(ifs):
@@ -317,6 +486,28 @@ def test_map_arc_equals_the_scalar_reference_bitwise(kind):
             a = Arc(CirclePoint(s), ln)
             image = map_arc(g, a)
             assert (image.start.value, image.length) == map_arc_raw(g, a.start.value, a.length)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_map_arcs_lifts_both_ends_in_one_call_bitwise(kind):
+    """One `lift_array` call on the starts and ends together gives what two
+    calls give, element by element; numpy's dispatched tan and arctan
+    (NorthSouth) must not depend on where in the array a value sits."""
+    rng = np.random.default_rng(29)
+    gens = [random_generator(rng, kind) for _ in range(12)]
+    for n in (1, 2, 3, 7, 8, 9, 16, 17, 1000, 1001):
+        starts = rng.random(n)
+        lengths = np.where(rng.random(n) < 0.1, 1.0, rng.random(n) ** 2)
+        for g in gens:
+            got_s, got_l = map_arcs(g, starts, lengths)
+            if kind == "expanding":
+                want_s, want_l = g.eval_array(starts), np.minimum(g.m * lengths, 1.0)
+            else:
+                lo, hi = g.lift_array(starts), g.lift_array(starts + lengths)
+                want_s = detectors.normalize_array(lo if g.orientation > 0 else hi)
+                want_l = np.minimum(np.abs(hi - lo), 1.0)
+            assert got_s.tobytes() == want_s.tobytes()
+            assert got_l.tobytes() == want_l.tobytes()
 
 
 @pytest.mark.parametrize("ifs", SYSTEMS, ids=IDS)

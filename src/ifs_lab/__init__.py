@@ -5,14 +5,12 @@ __version__ = "0.1.0"
 
 from types import ModuleType as _ModuleType
 
-from .circle import Arc, CirclePoint, arc_diameter, arc_gap, arcs_intersect, circ_dist
+from .circle import Arc, CirclePoint, circ_dist
 from .generators import (Expanding, FixedPointRecord, Flip, Generator,
                          NonInvertible, NorthSouth, NotDifferentiable,
-                         PiecewiseLinear, Rotation, eval_derivative,
-                         eval_inverse, eval_map, fixed_points, map_arc)
-from .symbolic import IDENTITY, Word, concat, enumerate_words
-from .semigroup import (IfsSystem, OrbitSet, backward_orbit, compose_word,
-                        forward_orbit, periodic_points, word_derivative)
+                         PiecewiseLinear, Rotation, fixed_points)
+from .symbolic import Word, concat, enumerate_words
+from .semigroup import IfsSystem, compose_word, periodic_points, word_derivative
 from .detectors import (DEFAULT_RESOLUTION, NotApplicable, Resolution,
                         SensitivityReport, Verdict, almost_periodic_verdict,
                         cofinite_sensitivity_verdict, constant_rule,

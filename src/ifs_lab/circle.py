@@ -26,8 +26,9 @@ def normalize(x: float) -> float:
 
 
 def normalize_array(x: np.ndarray) -> np.ndarray:
-    """`normalize` over an array, bitwise equal element by element."""
-    v = x % 1.0
+    """`normalize` over an array, bitwise equal element by element, except
+    that -0.0 gives +0.0."""
+    v = x - np.floor(x)
     v[v >= 1.0 - _WRAP_SNAP] = 0.0
     return v
 
@@ -69,10 +70,6 @@ class Arc:
         if not 0.0 <= self.length <= 1.0:
             raise ValueError(f"arc length must lie in [0, 1], got {self.length}")
 
-    @property
-    def end(self) -> CirclePoint:
-        return CirclePoint(self.start.value + self.length)
-
     def contains(self, p, tol: float = 1e-12) -> bool:
         if self.length >= 1.0 - tol:
             return True
@@ -92,28 +89,8 @@ def circ_dist(a, b) -> float:
     return d if d <= 0.5 else 1.0 - d
 
 
-def arc_diameter(a: Arc) -> float:
-    """Largest pairwise distance between points of the arc: min(length, 1/2)."""
-    return min(a.length, 0.5)
-
-
-def arc_gap(a: Arc, b: Arc) -> float:
-    """Smallest distance between a point of `a` and a point of `b` (0 if they meet)."""
-    if arcs_intersect(a, b):
-        return 0.0
-    # Disjoint closed arcs leave two gaps on the circle; the nearest endpoints
-    # face each other across the smaller one, which can never exceed 1/2.
-    end_a = (a.start.value + a.length) % 1.0
-    end_b = (b.start.value + b.length) % 1.0
-    gap_ab = (b.start.value - end_a) % 1.0
-    gap_ba = (a.start.value - end_b) % 1.0
-    return min(gap_ab, gap_ba)
-
-
-def arcs_intersect(a: Arc, b: Arc, tol: float = 0.0) -> bool:
-    """Whether the two closed arcs share a point."""
-    if a.length >= 1.0 or b.length >= 1.0:
-        return True
-    off_ba = (b.start.value - a.start.value) % 1.0
-    off_ab = (a.start.value - b.start.value) % 1.0
-    return off_ba <= a.length + tol or off_ab <= b.length + tol
+def _circ_dist_array(a, b) -> np.ndarray:
+    """`circ_dist` over arrays of angles in [0, 1), broadcast, bitwise equal
+    element by element."""
+    d = np.abs(a - b)
+    return np.minimum(d, 1.0 - d)

@@ -18,7 +18,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 # circ_dist stays bound here, where the benchmark's tracer tests read it
-from .circle import Arc, as_value, circ_dist, normalize, normalize_array  # noqa: F401
+from .circle import (Arc, _circ_dist_array, as_value, circ_dist,  # noqa: F401
+                     normalize, normalize_array)
 from .generators import _require_finite, map_arcs
 from .semigroup import (STOP_REASONS, IfsSystem, _BUDGET, _DEPTH, _EXHAUSTED, _FOUND,
                         _SearchNodes, _merged, _word_values, orbit_cloud, periodic_points)
@@ -668,8 +669,7 @@ class _Coverage:
         cnt = np.searchsorted(self._ring, v + reach, side="right") - lo
         pair = np.repeat(np.arange(v.size), cnt)
         m = (np.repeat(lo - np.cumsum(cnt) + cnt, cnt) + np.arange(pair.size)) % self.closure.size
-        d = np.abs(self.closure[m] - v[pair])
-        near = np.minimum(d, 1.0 - d) <= self.eps
+        near = _circ_dist_array(self.closure[m], v[pair]) <= self.eps
         self.covered[src[pair[near]], m[near]] = True
 
     def __call__(self, level) -> np.ndarray:
@@ -687,8 +687,7 @@ def _nearest_distances(points: np.ndarray, values: np.ndarray) -> np.ndarray:
     out = np.empty(points.size)
     block = max(1, (1 << 16) // max(1, values.size))
     for b in range(0, points.size, block):
-        d = np.abs(points[b:b + block, None] - values[None, :])
-        out[b:b + block] = np.minimum(d, 1.0 - d).min(axis=1)
+        out[b:b + block] = _circ_dist_array(points[b:b + block, None], values[None, :]).min(axis=1)
     return out
 
 
@@ -1029,8 +1028,7 @@ def _refined_separations(ifs: IfsSystem, words: Sequence[Word], x: np.ndarray, r
     y = normalize_array((x - r)[:, None] + 2.0 * r[:, None] * np.arange(_PARTNERS)
                         / (_PARTNERS - 1))
     images = _word_images(ifs, _letter_rows(ifs, words), np.column_stack([x, y]))[0]
-    d = np.abs(images[:, :1] - images[:, 1:])
-    sep = np.where(d <= 0.5, d, 1.0 - d)
+    sep = _circ_dist_array(images[:, :1], images[:, 1:])
     first = np.arange(x.size), sep.argmax(axis=1)
     return sep[first].tolist(), y[first].tolist()
 
@@ -1106,8 +1104,7 @@ def _first_within(values: np.ndarray, x: np.ndarray, r: np.ndarray) -> np.ndarra
     out = np.full(x.size, -1, dtype=np.int64)
     block = max(1, (1 << 12) // max(1, values.size))
     for b in range(0, x.size, block):
-        d = np.abs(values[None, :] - x[b:b + block, None])
-        near = np.minimum(d, 1.0 - d) <= r[b:b + block, None]
+        near = _circ_dist_array(values[None, :], x[b:b + block, None]) <= r[b:b + block, None]
         out[b:b + block] = np.where(near.any(axis=1), near.argmax(axis=1), -1)
     return out
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circle import Arc, CirclePoint, as_value, normalize, normalize_array
+from .circle import Arc, CirclePoint, _circ_dist_array, normalize, normalize_array
 
 
 class NonInvertible(Exception):
@@ -371,30 +371,6 @@ class Expanding(Generator):
         return np.full(len(x), float(self.m))
 
 
-# ---------------------------------------------------------------------------
-# spec-level operations
-
-
-def eval_map(g: Generator, x) -> CirclePoint:
-    return CirclePoint(g.eval(as_value(x)))
-
-
-def eval_inverse(g: Generator, y) -> CirclePoint:
-    if not g.invertible:
-        raise NonInvertible(f"{g!r} is not injective")
-    return CirclePoint(g.inverse().eval(as_value(y)))
-
-
-def eval_derivative(g: Generator, x) -> float:
-    return g.derivative(as_value(x))
-
-
-def map_arc(g: Generator, a: Arc) -> Arc:
-    """Image of one arc: `map_arcs` on a single (start, length)."""
-    s, ln = map_arcs(g, np.array([a.start.value]), np.array([a.length]))
-    return Arc(CirclePoint(float(s[0])), float(ln[0]))
-
-
 def map_arcs(g: Generator, starts: np.ndarray, lengths: np.ndarray):
     """Images of arcs given as arrays of (start, length): the image starts
     and lengths.  Endpoint images plus orientation fix each result."""
@@ -502,11 +478,6 @@ def _classify(mult: tuple) -> str:
     if left < 1.0 and right < 1.0:
         return "attracting"
     return "semistable"
-
-
-def _circ_dist_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    d = np.abs(a - b)
-    return np.where(d <= 0.5, d, 1.0 - d)
 
 
 def _local_inverse(g: Generator):

@@ -2,13 +2,12 @@
 
 Words act by applying their letters left to right: letter w[0] first,
 letter w[-1] last.  Orbits are computed breadth-first by `orbit_cloud`, one
-level at a time, with points deduplicated at resolution 1e-12, keeping the
-first (hence shortest) witness word per point.
+level at a time, keeping the first (hence shortest) witness word per merge
+cell.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -16,10 +15,6 @@ import numpy as np
 from .circle import CirclePoint, as_value, normalize, normalize_array
 from .generators import Generator, NonInvertible, _lift_fixed_values, fixed_points
 from .symbolic import Word, enumerate_words, validate_word
-
-# Orbit points closer than this are treated as the same point.
-DEDUP_RESOLUTION = 1e-12
-_KEY_SCALE = round(1.0 / DEDUP_RESOLUTION)
 
 
 class IfsSystem:
@@ -88,22 +83,6 @@ class IfsSystem:
         return f"IfsSystem({list(self.generators)!r})"
 
 
-@dataclass(frozen=True)
-class OrbitSet:
-    """Deduplicated orbit points together with one witness word per point."""
-
-    base: CirclePoint
-    direction: str
-    depth: int
-    points: tuple  # of (CirclePoint, Word), sorted by point value
-
-    def values(self) -> List[float]:
-        return [p.value for p, _ in self.points]
-
-    def __len__(self):
-        return len(self.points)
-
-
 def compose_word(ifs: IfsSystem, w: Word, x) -> CirclePoint:
     validate_word(w, ifs.k)
     return CirclePoint(ifs.apply_word(w, as_value(x)))
@@ -137,30 +116,6 @@ def _word_values(ifs: IfsSystem, letters: np.ndarray, x: np.ndarray):
                 v[rows], step = g.eval_and_derivative_array(v[rows])
                 d[rows] *= step
     return v, d
-
-
-def _orbit_set(ifs: IfsSystem, x, depth: int, cap: int, inverse: bool) -> OrbitSet:
-    if depth < 0:
-        raise ValueError("depth must be non-negative")
-    cloud = orbit_cloud(ifs.inverse_system() if inverse else ifs, x, depth, cap)
-    # A backward cloud applies inverse letters in path order, so the word
-    # carrying a point back to x is that path reversed.
-    words = [w[::-1] if inverse else w for w in cloud.words_for(np.arange(cloud.values.size))]
-    pts = tuple(sorted(zip(map(CirclePoint, cloud.values.tolist()), words),
-                       key=lambda e: e[0].value))
-    return OrbitSet(CirclePoint(as_value(x)), "backward" if inverse else "forward",
-                    depth, pts)
-
-
-def forward_orbit(ifs: IfsSystem, x, depth: int, cap: int = 100_000) -> OrbitSet:
-    """All images of x under words of length <= depth (breadth-first, capped)."""
-    return _orbit_set(ifs, x, depth, cap, inverse=False)
-
-
-def backward_orbit(ifs: IfsSystem, x, depth: int, cap: int = 100_000) -> OrbitSet:
-    """All preimages of x under word maps of length <= depth; raises
-    NonInvertible unless every generator is invertible."""
-    return _orbit_set(ifs, x, depth, cap, inverse=True)
 
 
 def _word_lift_array(ifs: IfsSystem, w: Word):
@@ -201,8 +156,7 @@ def periodic_points(ifs: IfsSystem, max_len: int, tol: float = 1e-12,
 
 
 # ---------------------------------------------------------------------------
-# multi-source orbit expansion (used by the detectors, where only the point
-# clouds and optional parent links matter, not OrbitSet packaging)
+# multi-source orbit expansion
 
 # Why a source's search ended: its stop test fired, it ran out of new
 # points, or it reached its depth or point bound.
@@ -225,9 +179,6 @@ class _SearchNodes:
             node = np.where(up, self.parents[node], -1)
         rows = np.stack(back, axis=1)
         return [tuple(r[n:0:-1]) for r, n in zip(rows.tolist(), np.count_nonzero(rows, 1).tolist())]
-
-    def word_for(self, index: int) -> Word:
-        return self.words_for([index])[0]
 
 
 class OrbitCloud(_SearchNodes):
@@ -268,12 +219,11 @@ class OrbitLevel:
 
     `values` and `source` are the level's new points, in visit order.
     `cell_values` and `cell_source` hold the points so far of at least every
-    running source, ordered by (source, merge cell).  With a `merge` width
-    that orders each source's values ascending (a value stops short of 1 by
-    more than any rounding of its cell); in DEDUP_RESOLUTION cells, a value
-    within half a cell of 1 shares cell 0 and comes first.  Per source:
-    `counts` (points so far), `running` (expanded this level) and `ending`
-    (a bound ends its search after this level, whatever the test says).
+    running source, ordered by (source, merge cell): each source's values
+    ascending, as a value stops short of 1 by more than any rounding of its
+    cell.  Per source: `counts` (points so far), `running` (expanded this
+    level) and `ending` (a bound ends its search after this level, whatever
+    the test says).
     """
 
     def __init__(self, values, source, seen, seen_values, scale, counts, running, ending):
@@ -290,26 +240,23 @@ class OrbitLevel:
         return self._seen // self._scale
 
 
-def orbit_cloud(ifs: IfsSystem, x, depth: int, cap: int,
-                stop_when=None, merge: Optional[float] = None) -> OrbitCloud:
+def orbit_cloud(ifs: IfsSystem, x, depth: int, cap: int, merge: float,
+                stop_when=None) -> OrbitCloud:
     """Breadth-first orbits of the root x, or of each root of an array x,
     in one level-synchronous pass.
 
     Each root is a source that runs its own search, as if alone.  A level
     maps the source's frontier by each letter in turn; a child is kept when
-    its cell (of width `merge`, or DEDUP_RESOLUTION) is new to its source,
-    the first occurrence in letter-then-parent order winning, until the
-    source holds `cap` points, which may cut a level short.  A source stops
-    when a level adds nothing ("exhausted"), at its cap ("budget"), after
-    `depth` levels ("depth"), or when `stop_when(level)`, called with an
+    its merge cell, of width 1 / round(1 / merge), is new to its source, the
+    first occurrence in letter-then-parent order winning, until the source
+    holds `cap` points, which may cut a level short.  A source stops when a
+    level adds nothing ("exhausted"), at its cap ("budget"), after `depth`
+    levels ("depth"), or when `stop_when(level)`, called with an
     `OrbitLevel` after each completed level and returning one bool per
     source, says so ("found").  Every retained value is an exactly
     evaluated orbit point, so witnesses stay genuine.
     """
-    if merge is None:
-        scale, cell_of = _KEY_SCALE, np.round
-    else:
-        scale, cell_of = max(2, round(1.0 / merge)), np.floor
+    scale = max(2, round(1.0 / merge))
     roots = (np.array([as_value(x)]) if np.ndim(x) == 0
              else normalize_array(np.array(x, dtype=float)))
     n, k = roots.size, ifs.k
@@ -318,7 +265,7 @@ def orbit_cloud(ifs: IfsSystem, x, depth: int, cap: int,
         raise ValueError(f"merge cell {merge} is too fine for {n} orbit roots")
 
     def keys_of(src: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return src * scale + cell_of(v * scale).astype(np.int64) % scale
+        return src * scale + np.floor(v * scale).astype(np.int64) % scale
 
     src = np.arange(n)
     # node columns: values, parents, letters, source

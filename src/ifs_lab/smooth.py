@@ -24,12 +24,12 @@ from .symbolic import Word
 class NotLocallyExpanding(Exception):
     """No word expands at the carried point within the search bounds."""
 
-    def __init__(self, point: float, depth: int, budget: int,
-                 stop_reason: Optional[str] = None, words_examined: Optional[int] = None):
+    def __init__(self, point: float, depth: int, budget: int, stop_reason: str,
+                 words_examined: int):
         super().__init__(f"no expanding word at {point} within depth {depth}, budget {budget}")
         self.point = point
         # where the word search gave up: the bound that ended it, and the words
-        # it enumerated (the identity included); None for a gap in the cover
+        # it enumerated (the identity included)
         self.stop_reason = stop_reason
         self.words_examined = words_examined
 
@@ -110,7 +110,8 @@ def local_expanding_cover(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION) 
     around the point by doubling and bisection, and overlapping arcs sharing
     a word are merged.  Net points are searched a chunk at a time, in net
     order; the first chunk with a point that has no such word raises
-    NotLocallyExpanding there, before any later chunk is searched.
+    NotLocallyExpanding there, before any later chunk is searched.  Pieces
+    that leave a point of the Lebesgue sweep uncovered raise NotACover.
     """
     net = np.array(uniform_net(res.net_size))
     words: List[Word] = []
@@ -126,25 +127,24 @@ def local_expanding_cover(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION) 
     raw = [CoverPiece(arc, w, sg) for arc, w, sg in zip(arcs, words, _sigmas(ifs, letters, arcs))]
     pieces = _merge_pieces(raw)
     sigma = max(p.sigma_local for p in pieces)
-    try:
-        leb = lebesgue_number([p.arc for p in pieces], net=10_000)
-    except NotACover as exc:
-        raise NotLocallyExpanding(exc.point, res.depth, res.budget)
-    return ExpandingCover(pieces, sigma, leb, ifs)
+    return ExpandingCover(pieces, sigma, lebesgue_number([p.arc for p in pieces], net=10_000), ifs)
 
 
 def local_expanding_verdict(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION) -> Verdict:
-    """Pointwise expansion: the cover of `local_expanding_cover`, or the net
-    point at which no expanding word was found."""
+    """Pointwise expansion: the cover of `local_expanding_cover`, the net
+    point at which no expanding word was found, or a point that the pieces
+    grown around the net points leave uncovered."""
     try:
         cover = local_expanding_cover(ifs, res)
     except NotLocallyExpanding as exc:
-        caveat = "no expanding word found within bounds"
-        witnesses = {"stuck_point": exc.point}
-        if exc.stop_reason is not None:
-            caveat += ": " + _stopped_by(exc.stop_reason, res)
-            witnesses.update(stop_reason=exc.stop_reason, words_examined=exc.words_examined)
+        witnesses = {"stuck_point": exc.point, "stop_reason": exc.stop_reason,
+                     "words_examined": exc.words_examined}
+        caveat = "no expanding word found within bounds: " + _stopped_by(exc.stop_reason, res)
         return Verdict("local_expanding", False, res, witnesses, caveat)
+    except NotACover as exc:
+        caveat = ("the pieces grown around the net points leave a gap: a finer net"
+                  f" (--net, now {res.net_size}) may close it")
+        return Verdict("local_expanding", False, res, {"uncovered_point": exc.point}, caveat)
     return Verdict("local_expanding", True, res, cover.to_dict())
 
 

@@ -13,8 +13,6 @@ from typing import Iterator, Optional, Tuple
 
 Word = Tuple[int, ...]
 
-IDENTITY: Word = ()
-
 
 def validate_word(w: Word, k: int) -> None:
     if any(not 1 <= letter <= k for letter in w):

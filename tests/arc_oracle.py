@@ -163,7 +163,7 @@ def steered_candidate(ifs, steering, x: float, r: float, depth: int, mapper=map_
         if idx.size == 0:
             continue
         i = int(idx.min())
-        pull = tuple(reversed(cloud.word_for(i)))
+        pull = tuple(reversed(cloud.words_for([i])[0]))
         if len(pull) >= depth:
             continue
         s, ln = normalize(x - r), 2.0 * r

@@ -10,6 +10,8 @@ the Lebesgue number taken by the library's `_merge_pieces` and
 also names the bound that ended its search ("budget" when `enumerate_words`
 stopped short of the depth bound, else "depth") and the number of words
 enumerated for it, the identity included, so that failures compare whole.
+Pieces that leave a gap raise `lebesgue_number`'s NotACover, as in the
+library.
 """
 
 import math
@@ -21,8 +23,8 @@ from ifs_lab.circle import Arc, CirclePoint, normalize
 from ifs_lab.detectors import DEFAULT_RESOLUTION, Resolution, uniform_net
 from ifs_lab.generators import NotDifferentiable
 from ifs_lab.semigroup import IfsSystem, word_derivative
-from ifs_lab.smooth import (_MARGIN, CoverPiece, ExpandingCover, NotACover,
-                            NotLocallyExpanding, _merge_pieces, lebesgue_number)
+from ifs_lab.smooth import (_MARGIN, CoverPiece, ExpandingCover, NotLocallyExpanding,
+                            _merge_pieces, lebesgue_number)
 from ifs_lab.symbolic import Word, enumerate_words
 
 GROW_SAMPLES = 17
@@ -102,8 +104,4 @@ def local_expanding_cover(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION) 
         raw.append(piece)
     pieces = _merge_pieces(raw)
     sigma = max(p.sigma_local for p in pieces)
-    try:
-        leb = lebesgue_number([p.arc for p in pieces], net=10_000)
-    except NotACover as exc:
-        raise NotLocallyExpanding(exc.point, res.depth, res.budget)
-    return ExpandingCover(pieces, sigma, leb, ifs)
+    return ExpandingCover(pieces, sigma, lebesgue_number([p.arc for p in pieces], net=10_000), ifs)

@@ -9,16 +9,14 @@ that their dicts compare whole against the kernel's: a cloud that emptied
 out is "exhausted", one at its cap "budget", any other "depth".
 """
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from ifs_lab.circle import as_value, circ_dist, normalize
 from ifs_lab.detectors import (Resolution, Verdict, _stopped_by, generator_fixed_values,
                                system_net)
-from ifs_lab.semigroup import DEDUP_RESOLUTION, IfsSystem
-
-_KEY_SCALE = round(1.0 / DEDUP_RESOLUTION)
+from ifs_lab.semigroup import IfsSystem
 
 
 class Cloud:
@@ -30,21 +28,15 @@ class Cloud:
         self.exhausted = exhausted
 
 
-def orbit_cloud(ifs: IfsSystem, x, depth: int, cap: int,
-                stop_when=None, generators=None, merge: Optional[float] = None) -> Cloud:
+def orbit_cloud(ifs: IfsSystem, x, depth: int, cap: int, merge: float,
+                stop_when=None, generators=None) -> Cloud:
     """Breadth-first orbit of the one root x; `stop_when(values)` sees the
     whole cloud after each completed level."""
     gens = ifs.generators if generators is None else tuple(generators)
-    if merge is None:
-        scale = _KEY_SCALE
+    scale = max(2, round(1.0 / merge))
 
-        def keys_of(v: np.ndarray) -> np.ndarray:
-            return np.round(v * scale).astype(np.int64) % scale
-    else:
-        scale = max(2, round(1.0 / merge))
-
-        def keys_of(v: np.ndarray) -> np.ndarray:
-            return np.floor(v * scale).astype(np.int64) % scale
+    def keys_of(v: np.ndarray) -> np.ndarray:
+        return np.floor(v * scale).astype(np.int64) % scale
 
     base = as_value(x)
     values = np.array([base])

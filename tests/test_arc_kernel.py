@@ -17,7 +17,7 @@ from arc_oracle import (TargetSet, arc_search, array_map, greedy_chain, greedy_k
                         map_arc_raw, steered_candidate)
 from ifs_lab import (Arc, CirclePoint, Expanding, Flip, GALLERY_NAMES, IfsSystem, NorthSouth,
                      PiecewiseLinear, Rotation, build_example, cofinite_sensitivity_verdict,
-                     constant_rule, greedy_diameter_rule, map_arc, periodic_rule,
+                     constant_rule, greedy_diameter_rule, periodic_rule,
                      s_transitivity_verdict, separation_times)
 from ifs_lab.detectors import (_arc_keys, _arc_search, _bfs_best, _dominance_keep, _expand,
                                _greedy_chains, _prior_max, _repeller_steering_data,
@@ -481,11 +481,11 @@ def test_map_arc_equals_the_scalar_reference_bitwise(kind):
     gens += [g for ifs in SYSTEMS for g in ifs.generators if type(g) is kind_type[kind]]
     starts = np.concatenate([rng.random(200), [0.0, 0.5, 1.0 - 1e-16, 0.999]])
     lengths = np.concatenate([rng.random(200) ** 2, [0.0, 1.0, 1.0 - 1e-13, 0.25]])
+    starts = np.array([Arc(CirclePoint(s), ln).start.value for s, ln in zip(starts, lengths)])
     for g in gens:
-        for s, ln in zip(starts.tolist(), lengths.tolist()):
-            a = Arc(CirclePoint(s), ln)
-            image = map_arc(g, a)
-            assert (image.start.value, image.length) == map_arc_raw(g, a.start.value, a.length)
+        images = zip(*(v.tolist() for v in map_arcs(g, starts, lengths)))
+        assert list(images) == [map_arc_raw(g, s, ln)
+                                for s, ln in zip(starts.tolist(), lengths.tolist())]
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -3,15 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ifs_lab import Arc, CirclePoint, arc_diameter, arc_gap, arcs_intersect, circ_dist
-
-
-def brute_force_gap(a: Arc, b: Arc, n: int = 800) -> float:
-    """Independent oracle: minimize over fine nets of both arcs."""
-    pa = (a.start.value + a.length * np.arange(n + 1) / n) % 1.0
-    pb = (b.start.value + b.length * np.arange(n + 1) / n) % 1.0
-    d = np.abs(pa[:, None] - pb[None, :])
-    return float(np.minimum(d, 1.0 - d).min())
+from ifs_lab import Arc, CirclePoint, circ_dist
+from ifs_lab.circle import _circ_dist_array, normalize, normalize_array
 
 
 def test_circ_dist_examples():
@@ -27,49 +20,48 @@ def test_point_normalization():
     assert CirclePoint(-1e-18).value == 0.0  # snaps instead of returning 1.0
 
 
-def test_arc_diameter_examples():
-    assert arc_diameter(Arc(CirclePoint(0.0), 0.3)) == pytest.approx(0.3)
-    assert arc_diameter(Arc(CirclePoint(0.2), 0.8)) == 0.5
-    assert arc_diameter(Arc(CirclePoint(0.0), 1.0)) == 0.5
+def special_values():
+    """Integers, values one ulp either side of them and of the snap, tiny
+    and huge magnitudes, signed zeros and non-finite values."""
+    ints = np.arange(-4.0, 5.0)
+    edges = np.concatenate([ints, np.nextafter(ints, -np.inf), np.nextafter(ints, np.inf)])
+    return np.concatenate([edges, [2.0 ** -60, -2.0 ** -60, 1.0 - 2.0 ** -53, 1.0 - 1e-15,
+                                   -1e-15, -1e-16, 2.0 ** 53, -2.0 ** 53, 2.0 ** 52 + 0.5,
+                                   0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan]])
 
 
-def test_arc_diameter_equals_endpoint_distance_for_short_arcs():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        s, ln = rng.random(), rng.random() * 0.5
-        a = Arc(CirclePoint(s), ln)
-        assert arc_diameter(a) == pytest.approx(circ_dist(a.start, a.end), abs=1e-12)
+def test_normalize_array_is_the_scalar_formula_bitwise():
+    rng = np.random.default_rng(5)
+    x = np.concatenate([special_values(), rng.uniform(-2.0, 2.0, 100_000),
+                        rng.standard_normal(100_000) * 10.0 ** rng.integers(-20, 17, 100_000)])
+    with np.errstate(invalid="ignore"):
+        got = normalize_array(x.copy())
+        by_fmod = x % 1.0
+        by_fmod[by_fmod >= 1.0 - 1e-15] = 0.0
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in by_fmod.tolist()]
+    # the scalar form keeps the sign of -0.0 (math.floor returns the int 0)
+    scalar = np.isfinite(x) & ~((x == 0.0) & np.signbit(x))
+    assert ([v.hex() for v in got[scalar].tolist()]
+            == [normalize(v).hex() for v in x[scalar].tolist()])
+    assert normalize(-0.0) == got[(x == 0.0) & np.signbit(x)][0] == 0.0
+    assert np.isnan(got[~np.isfinite(x)]).all()
 
 
-def test_arc_gap_examples():
-    assert arc_gap(Arc(CirclePoint(0.0), 0.1), Arc(CirclePoint(0.2), 0.1)) == pytest.approx(0.1)
-    assert arc_gap(Arc(CirclePoint(0.0), 0.3), Arc(CirclePoint(0.2), 0.3)) == 0.0
-
-
-def test_arc_gap_across_wraparound_matches_brute_force():
-    # oracle value: the nearest endpoints are 0.95 and 0.05, giving 0.10
-    a = Arc(CirclePoint(0.9), 0.05)
-    b = Arc(CirclePoint(0.05), 0.05)
-    oracle = brute_force_gap(a, b)
-    assert oracle == pytest.approx(0.10, abs=1e-3)
-    assert arc_gap(a, b) == pytest.approx(oracle, abs=1e-3)
-
-
-def test_arc_gap_matches_brute_force_random():
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        a = Arc(CirclePoint(rng.random()), rng.random() * 0.6)
-        b = Arc(CirclePoint(rng.random()), rng.random() * 0.6)
-        assert arc_gap(a, b) == pytest.approx(brute_force_gap(a, b), abs=2e-3)
-
-
-def test_gap_zero_iff_closed_arcs_intersect():
-    rng = np.random.default_rng(13)
-    for _ in range(300):
-        a = Arc(CirclePoint(rng.random()), rng.random() * 0.7)
-        b = Arc(CirclePoint(rng.random()), rng.random() * 0.7)
-        meets = arcs_intersect(a, b)
-        assert (arc_gap(a, b) == 0.0) == meets
+def test_circ_dist_array_is_circ_dist_bitwise():
+    rng = np.random.default_rng(6)
+    # differences walking ulp by ulp across a half-turn, and random pairs
+    walk = np.r_[0.5 + np.arange(-40, 41) * 2.0 ** -53, np.nextafter(0.5, 0.0)]
+    a = np.concatenate([walk, walk + 0.25, [0.0, 1.0 - 2e-15], rng.random(200_000)])
+    b = np.concatenate([np.zeros(walk.size), np.full(walk.size, 0.25), [1.0 - 2e-15, 0.0],
+                        rng.random(200_000)])
+    got = _circ_dist_array(a, b)
+    assert ([v.hex() for v in got.tolist()]
+            == [circ_dist(x, y).hex() for x, y in zip(a.tolist(), b.tolist())])
+    d = np.abs(a - b)
+    assert np.array_equal(got, np.where(d <= 0.5, d, 1.0 - d))
+    # broadcast, as the detectors' block loops call it
+    assert np.array_equal(_circ_dist_array(a[:50, None], b[None, :60]),
+                          [[circ_dist(x, y) for y in b[:60].tolist()] for x in a[:50].tolist()])
 
 
 def test_membership_wraparound():

@@ -7,7 +7,7 @@ from ifs_lab import (Arc, CirclePoint, Flip, IfsSystem, NonInvertible,
                      NorthSouth, NotApplicable, Resolution, Rotation, circ_dist,
                      almost_periodic_verdict, cofinite_sensitivity_verdict,
                      compose_word, constant_rule, greedy_diameter_rule,
-                     map_arc, minimality_verdict, periodic_rule,
+                     minimality_verdict, periodic_rule,
                      s_transitivity_verdict, sensitivity_estimate,
                      sensitivity_witness_from_nonminimality,
                      separation_times, strong_transitivity_verdict,
@@ -18,6 +18,14 @@ from ifs_lab.generators import map_arcs
 from ifs_lab.semigroup import orbit_cloud
 
 DEEP = DEFAULT_RESOLUTION.replaced(depth=200)
+
+
+def word_image(ifs, w, arc):
+    """The image of an arc under the word w, one `map_arcs` step per letter."""
+    s, ln = np.array([arc.start.value]), np.array([arc.length])
+    for letter in w:
+        s, ln = map_arcs(ifs.generator(letter), s, ln)
+    return Arc(CirclePoint(float(s[0])), float(ln[0]))
 
 
 def test_resolution_validation():
@@ -59,9 +67,7 @@ def test_topological_transitivity(rotation_flip, ns_alone):
     assert v.holds
     # the hardest witness replays: the image arc of U meets the target ball
     h = v.witnesses["hardest_pair"]
-    arc = Arc(CirclePoint(h["source_center"] - 0.01), 0.02)
-    for letter in h["word"]:
-        arc = map_arc(rotation_flip.generator(letter), arc)
+    arc = word_image(rotation_flip, h["word"], Arc(CirclePoint(h["source_center"] - 0.01), 0.02))
     assert arc.fattened(0.01).contains(h["target_center"], tol=1e-10)
 
     v = topological_transitivity_verdict(ns_alone)
@@ -93,9 +99,7 @@ def test_s_transitivity_cover_replays(golden_rotation):
     net = [(i + 0.5) / 100 for i in range(100)]
     covered = set()
     for w in words:
-        arc = Arc(CirclePoint(center - 0.01), 0.02)
-        for letter in w:
-            arc = map_arc(golden_rotation.generator(letter), arc)
+        arc = word_image(golden_rotation, w, Arc(CirclePoint(center - 0.01), 0.02))
         fat = arc.fattened(0.01)
         covered.update(p for p in net if fat.contains(p, tol=1e-10))
     assert len(covered) == len(net)

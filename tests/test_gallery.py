@@ -3,8 +3,9 @@ import math
 import pytest
 
 from ifs_lab import (GALLERY_NAMES, Expanding, Flip, NorthSouth, Rotation, UnknownExample,
-                     build_example, forward_orbit)
+                     build_example)
 from ifs_lab.cli import PROPERTIES, PROPERTY_NAMES
+from ifs_lab.semigroup import orbit_cloud
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -33,8 +34,8 @@ def test_hinge_build_conditions():
     assert h1.eval(0.0) == 0.0 and h1.eval(0.5) == pytest.approx(0.6)
     assert h2.eval(0.0) == 0.0 and h2.eval(0.5) == pytest.approx(0.4)
     # the shared fixed point never moves
-    orb = forward_orbit(entry.system, 0.0, 6)
-    assert orb.values() == [0.0]
+    orb = orbit_cloud(entry.system, 0.0, 6, 100_000, merge=1e-9)
+    assert orb.values.tolist() == [0.0]
     # multiplier of the contracting side sits inside (1/2, 1)
     assert 0.5 < f.derivative(0.0) < 1.0
 

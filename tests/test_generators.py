@@ -5,8 +5,7 @@ import pytest
 
 from ifs_lab import (Arc, CirclePoint, Expanding, Flip, NonInvertible,
                      NorthSouth, NotDifferentiable, PiecewiseLinear, Rotation,
-                     circ_dist, eval_derivative, eval_inverse, eval_map,
-                     fixed_points, map_arc)
+                     circ_dist, fixed_points)
 from ifs_lab.generators import MAX_DEGREE, map_arcs
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -24,33 +23,39 @@ def central_difference(g, x, h=1e-6):
     return (g.lift(x + h) - g.lift(x - h)) / (2.0 * h)
 
 
+def image_arc(g, a: Arc) -> Arc:
+    """`map_arcs` on the one arc a."""
+    s, ln = map_arcs(g, np.array([a.start.value]), np.array([a.length]))
+    return Arc(CirclePoint(float(s[0])), float(ln[0]))
+
+
 def test_eval_examples():
-    assert eval_map(Rotation(0.25), 0.9).value == pytest.approx(0.15, abs=1e-15)
-    assert eval_map(Flip(), 0.3).value == pytest.approx(0.7, abs=1e-15)
-    assert eval_map(NorthSouth(0.0, 2.0), 0.0).value == 0.0
-    assert eval_map(NorthSouth(0.0, 2.0), 0.5).value == 0.5
+    assert Rotation(0.25).eval(0.9) == pytest.approx(0.15, abs=1e-15)
+    assert Flip().eval(0.3) == pytest.approx(0.7, abs=1e-15)
+    assert NorthSouth(0.0, 2.0).eval(0.0) == 0.0
+    assert NorthSouth(0.0, 2.0).eval(0.5) == 0.5
+    # any real is accepted and the canonical angle returned
+    assert Rotation(0.25).eval(-1.1) == pytest.approx(0.15, abs=1e-15)
 
 
 def test_inverse_examples():
-    assert eval_inverse(Rotation(0.25), 0.15).value == pytest.approx(0.9, abs=1e-12)
+    assert Rotation(0.25).inverse().eval(0.15) == pytest.approx(0.9, abs=1e-12)
     # the flip is an involution: applying it twice is the identity
-    assert eval_map(Flip(), eval_map(Flip(), 0.3)).value == pytest.approx(0.3)
+    assert Flip().eval(Flip().eval(0.3)) == pytest.approx(0.3)
     assert Flip().inverse() == Flip()
-    with pytest.raises(NonInvertible):
-        eval_inverse(Expanding(2), 0.3)
     with pytest.raises(NonInvertible):
         Expanding(2).inverse()
 
 
 def test_derivative_examples():
-    assert eval_derivative(Rotation(GOLDEN), 0.42) == 1.0
-    assert eval_derivative(Expanding(2), 0.77) == 2.0
+    assert Rotation(GOLDEN).derivative(0.42) == 1.0
+    assert Expanding(2).derivative(0.77) == 2.0
     ns = NorthSouth(0.0, 2.0)
     # finite-difference oracle at the repelling fixed point
     fd = (ns.lift(1e-7) - ns.lift(-1e-7)) / 2e-7
     assert fd == pytest.approx(2.0, abs=1e-5)
-    assert eval_derivative(ns, 0.0) == 2.0
-    assert eval_derivative(ns, 0.5) == 0.5
+    assert ns.derivative(0.0) == 2.0
+    assert ns.derivative(0.5) == 0.5
 
 
 def test_north_south_multipliers_exact():
@@ -107,7 +112,7 @@ def test_lift_array_equals_lift_bitwise(g):
     lengths = np.random.default_rng(14).random(xs.size)
     sources = [Arc(CirclePoint(float(x)), ln) for x, ln in zip(xs, lengths)]
     starts, lens = map_arcs(g, np.array([a.start.value for a in sources]), lengths)
-    arcs = [map_arc(g, a) for a in sources]
+    arcs = [image_arc(g, a) for a in sources]
     assert np.array_equal(starts, [a.start.value for a in arcs])
     assert np.array_equal(lens, [a.length for a in arcs])
 
@@ -193,21 +198,21 @@ def test_piecewise_inverse_of_offset_lifts(bps):
 
 
 def test_map_arc_examples():
-    out = map_arc(Rotation(0.25), Arc(CirclePoint(0.1), 0.1))
+    out = image_arc(Rotation(0.25), Arc(CirclePoint(0.1), 0.1))
     assert out.start.value == pytest.approx(0.35) and out.length == pytest.approx(0.1)
-    out = map_arc(Flip(), Arc(CirclePoint(0.1), 0.1))
+    out = image_arc(Flip(), Arc(CirclePoint(0.1), 0.1))
     assert out.start.value == pytest.approx(0.8) and out.length == pytest.approx(0.1)
     # oracle: endpoint images under the monotone lift 2x are 0.8 and 1.2
     g = Expanding(2)
     lo, hi = g.lift(0.4), g.lift(0.6)
     assert (lo % 1.0, hi - lo) == (pytest.approx(0.8), pytest.approx(0.4))
-    out = map_arc(g, Arc(CirclePoint(0.4), 0.2))
+    out = image_arc(g, Arc(CirclePoint(0.4), 0.2))
     assert out.start.value == pytest.approx(0.8) and out.length == pytest.approx(0.4)
 
 
 def test_map_arc_full_and_saturated():
-    assert map_arc(Rotation(0.3), Arc(CirclePoint(0.2), 1.0)).length == pytest.approx(1.0)
-    assert map_arc(Expanding(3), Arc(CirclePoint(0.1), 0.5)).length == 1.0
+    assert image_arc(Rotation(0.3), Arc(CirclePoint(0.2), 1.0)).length == pytest.approx(1.0)
+    assert image_arc(Expanding(3), Arc(CirclePoint(0.1), 0.5)).length == 1.0
 
 
 @pytest.mark.parametrize("g", ALL_KINDS, ids=lambda g: repr(g)[:30])
@@ -215,7 +220,7 @@ def test_map_arc_contains_net_images(g):
     rng = np.random.default_rng(12)
     for _ in range(100):
         a = Arc(CirclePoint(rng.random()), rng.random())
-        image = map_arc(g, a)
+        image = image_arc(g, a)
         for i in range(101):
             p = a.start.value + a.length * i / 100
             assert image.contains(g.eval(p), tol=1e-10)

@@ -5,14 +5,15 @@ import pytest
 
 import ifs_lab.semigroup as semigroup
 from ifs_lab import (GALLERY_NAMES, DEFAULT_RESOLUTION, Flip, IfsSystem, NonInvertible,
-                     Rotation, backward_orbit, build_example, circ_dist, compose_word, concat,
-                     fixed_points, forward_orbit, periodic_points, word_derivative)
+                     Rotation, build_example, circ_dist, compose_word, concat, fixed_points,
+                     periodic_points, word_derivative)
 from ifs_lab.cli import run_analyze
 from ifs_lab.properties import PROPERTY_NAMES
 from ifs_lab.semigroup import orbit_cloud
 from ifs_lab.symbolic import enumerate_words
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+CELL = 1e-9
 
 
 def random_words(rng, k, n, max_len=6):
@@ -99,12 +100,18 @@ def test_a_system_needs_a_generator():
         IfsSystem([])
 
 
+def orbit_words(ifs, x, depth, cap=100_000, inverse=False):
+    """(value, witness word) per point of the forward orbit of x, or of its
+    backward orbit through `inverse_system()`; a backward cloud applies
+    inverse letters in path order, so the word carrying a point back to x
+    is that path reversed."""
+    cloud = orbit_cloud(ifs.inverse_system() if inverse else ifs, x, depth, cap, merge=CELL)
+    words = cloud.words_for(np.arange(cloud.values.size))
+    return list(zip(cloud.values.tolist(), [w[::-1] if inverse else w for w in words]))
+
+
 def test_forward_orbit_depth_zero(golden_rotation):
-    orb = forward_orbit(golden_rotation, 0.3, 0)
-    assert orb.values() == [pytest.approx(0.3)]
-    assert orb.points[0][1] == ()
-    with pytest.raises(ValueError):
-        forward_orbit(golden_rotation, 0.3, -1)
+    assert orbit_words(golden_rotation, 0.3, 0) == [(0.3, ())]
 
 
 def test_forward_orbit_quarter_rotation():
@@ -112,57 +119,56 @@ def test_forward_orbit_quarter_rotation():
     quarter = IfsSystem([Rotation(0.25)])
     expected = sorted((0.25 * i) % 1.0 for i in range(4))
     for depth in (3, 5, 10):
-        orb = forward_orbit(quarter, 0.0, depth)
-        assert orb.values() == [pytest.approx(v, abs=1e-12) for v in expected]
+        cloud = orbit_cloud(quarter, 0.0, depth, 100_000, merge=CELL)
+        assert sorted(cloud.values) == [pytest.approx(v, abs=1e-12) for v in expected]
 
 
 def test_forward_orbit_fixed_point_of_hinges(hinge_system):
-    orb = forward_orbit(hinge_system, 0.0, 8)
-    assert len(orb) == 1 and orb.values() == [0.0]
+    assert orbit_cloud(hinge_system, 0.0, 8, 100_000, merge=CELL).values.tolist() == [0.0]
 
 
 def test_forward_orbit_witnesses_replay(hinge_system):
-    orb = forward_orbit(hinge_system, 0.31, 4, cap=500)
-    for p, w in orb.points:
+    orb = orbit_words(hinge_system, 0.31, 4, cap=500)
+    for p, w in orb:
         assert circ_dist(hinge_system.apply_word(w, 0.31), p) <= 1e-12
     assert len(orb) <= 500
 
 
 @pytest.mark.parametrize("inverse", [False, True])
 def test_orbit_witnesses_are_shortest(ns_rotation_sym, inverse):
-    # oracle: every word up to the depth, applied letter by letter
+    # oracle: every word up to the depth, applied letter by letter, its
+    # image keyed by the merge cell it lies in
     x, depth = 0.42, 3
     apply = ns_rotation_sym.apply_inverse_word if inverse else ns_rotation_sym.apply_word
-    orbit = backward_orbit if inverse else forward_orbit
+    scale = round(1.0 / CELL)
     shortest = {}
     for w in enumerate_words(ns_rotation_sym.k, depth):
-        shortest.setdefault(round(apply(w, x), 9), len(w))
-    orb = orbit(ns_rotation_sym, x, depth)
+        shortest.setdefault(math.floor(apply(w, x) * scale), len(w))
+    orb = orbit_words(ns_rotation_sym, x, depth, inverse=inverse)
     assert len(orb) == len(shortest)
-    for p, w in orb.points:
-        assert len(w) == shortest[round(p.value, 9)]
+    for p, w in orb:
+        assert len(w) == shortest[math.floor(p * scale)]
     # a cap keeps a prefix of the breadth-first order; each kept witness replays
-    capped = orbit(ns_rotation_sym, x, depth, cap=20)
-    assert len(capped) == 20
-    for p, w in capped.points:
+    capped = orbit_words(ns_rotation_sym, x, depth, cap=20, inverse=inverse)
+    assert capped == orb[:20]
+    for p, w in capped:
         assert circ_dist(apply(w, x), p) <= 1e-12
 
 
 def test_backward_orbit_examples(doubling):
     flip_sys = IfsSystem([Flip()])
-    fwd = forward_orbit(flip_sys, 0.3, 4)
-    bwd = backward_orbit(flip_sys, 0.3, 4)
-    assert fwd.values() == bwd.values()
+    fwd = orbit_cloud(flip_sys, 0.3, 4, 100_000, merge=CELL)
+    bwd = orbit_cloud(flip_sys.inverse_system(), 0.3, 4, 100_000, merge=CELL)
+    assert sorted(fwd.values) == sorted(bwd.values)
     with pytest.raises(NonInvertible):
-        backward_orbit(doubling, 0.3, 4)
+        doubling.inverse_system()
     quarter = IfsSystem([Rotation(0.25)])
-    bwd = backward_orbit(quarter, 0.0, 6)
-    assert bwd.values() == [pytest.approx(v) for v in (0.0, 0.25, 0.5, 0.75)]
+    bwd = orbit_cloud(quarter.inverse_system(), 0.0, 6, 100_000, merge=CELL)
+    assert sorted(bwd.values) == [pytest.approx(v) for v in (0.0, 0.25, 0.5, 0.75)]
 
 
 def test_backward_orbit_witnesses_are_inverse_word_images(ns_rotation_sym):
-    orb = backward_orbit(ns_rotation_sym, 0.42, 3)
-    for p, w in orb.points:
+    for p, w in orbit_words(ns_rotation_sym, 0.42, 3, inverse=True):
         assert circ_dist(ns_rotation_sym.apply_inverse_word(w, 0.42), p) <= 1e-12
 
 
@@ -192,14 +198,18 @@ def test_periodic_points_north_south(ns_alone):
 
 
 def test_orbit_cloud_matches_forward_orbit(rotation_flip):
-    orb = forward_orbit(rotation_flip, 0.2, 5, cap=10_000)
-    cloud = orbit_cloud(rotation_flip, 0.2, 5, 10_000)
-    assert sorted(np.round(cloud.values, 10)) == [
-        pytest.approx(v, abs=1e-9) for v in orb.values()]
+    # oracle: the images of 0.2 under every word of length <= 5, the first
+    # per merge cell
+    scale = round(1.0 / CELL)
+    images = {}
+    for w in enumerate_words(rotation_flip.k, 5):
+        v = rotation_flip.apply_word(w, 0.2)
+        images.setdefault(math.floor(v * scale), v)
+    cloud = orbit_cloud(rotation_flip, 0.2, 5, 10_000, merge=CELL)
+    assert sorted(cloud.values.tolist()) == sorted(images.values())
     # words reconstructed from parent links replay
-    for i in range(cloud.values.size):
-        w = cloud.word_for(i)
-        assert circ_dist(rotation_flip.apply_word(w, 0.2), float(cloud.values[i])) <= 1e-12
+    for w, v in zip(cloud.words_for(np.arange(cloud.values.size)), cloud.values.tolist()):
+        assert circ_dist(rotation_flip.apply_word(w, 0.2), v) <= 1e-12
 
 
 @pytest.mark.parametrize("name", GALLERY_NAMES)

@@ -22,12 +22,13 @@ def normalize(x: float) -> float:
     v = x - math.floor(x)
     if v >= 1.0 - _WRAP_SNAP:
         return 0.0
-    return v
+    # math.floor(-0.0) is the int 0, so v is -0.0 there; adding 0.0 gives
+    # +0.0 as normalize_array does and leaves every other value as it is
+    return v + 0.0
 
 
 def normalize_array(x: np.ndarray) -> np.ndarray:
-    """`normalize` over an array, bitwise equal element by element, except
-    that -0.0 gives +0.0."""
+    """`normalize` over an array, bitwise equal element by element."""
     v = x - np.floor(x)
     v[v >= 1.0 - _WRAP_SNAP] = 0.0
     return v

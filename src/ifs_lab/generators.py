@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circle import Arc, CirclePoint, _circ_dist_array, normalize, normalize_array
+from .circle import CirclePoint, normalize, normalize_array
 
 
 class NonInvertible(Exception):
@@ -383,38 +383,38 @@ def map_arcs(g: Generator, starts: np.ndarray, lengths: np.ndarray):
 
 @dataclass(frozen=True, slots=True)
 class FixedPointRecord:
-    """A fixed point with its one-sided multipliers, type and local basin."""
+    """A fixed point with its one-sided multipliers and type."""
 
     location: CirclePoint
     one_sided_multipliers: tuple
     classification: str
-    basin_estimate: Arc
 
 
 # Non-hyperbolicity margin for classifying multipliers against 1.
 _CLASS_TOL = 1e-9
 _FP_GRID = 4096
-# Basin starts sit at p -+ 1e-4 * 2^k for the radii below 0.49 (k = 0..12).
-_BASIN_RADII = 1e-4 * 2.0 ** np.arange(13)
+# Root tolerance: a lift within it of a branch fixes the point.
+_FP_TOL = 1e-12
 
 
-def _lift_fixed_values(lift_array, tol: float, identity_samples: int):
+def _lift_fixed_values(lift_array, identity_samples: int):
     """Roots in [0, 1) of lift(x) - x - m over all integer branches m.
 
     One array pass: lift(x) - x on a grid of _FP_GRID cells, every (cell,
     branch) crossing listed at once, and all crossings bisected together.
     Returns (values, identity) where identity=True means the map fixes every
-    point up to tol; in that case `values` is a uniform sample.
+    point up to _FP_TOL; in that case `values` is a uniform sample of
+    `identity_samples` points.
     """
     n = _FP_GRID
     xs = np.arange(n + 1) / n
     phi = lift_array(xs) - xs
-    lo = math.ceil(phi.min() - tol)
-    hi = math.floor(phi.max() + tol)
-    # a lift can stay within tol of one branch only if it is nearly constant
-    if phi.max() - phi.min() <= 4 * tol:
+    lo = math.ceil(phi.min() - _FP_TOL)
+    hi = math.floor(phi.max() + _FP_TOL)
+    # a lift can stay within _FP_TOL of one branch only if it is nearly constant
+    if phi.max() - phi.min() <= 4 * _FP_TOL:
         for m in range(lo, hi + 1):
-            if np.abs(phi - m).max() <= tol:
+            if np.abs(phi - m).max() <= _FP_TOL:
                 return [(i + 0.5) / identity_samples for i in range(identity_samples)], True
     a, b = phi[:-1], phi[1:]
     # a grid point lying on its branch m = phi[i] is a root as it stands
@@ -436,7 +436,7 @@ def _lift_fixed_values(lift_array, tol: float, identity_samples: int):
             break
         mid = 0.5 * (ra + rb)
         fm = lift_array(mid) - mid - m
-        done = (fm == 0.0) | (rb - ra <= tol * 0.5)
+        done = (fm == 0.0) | (rb - ra <= _FP_TOL * 0.5)
         bisected[live[done]] = mid[done]
         go = ~done
         live, ra, rb, fa, m, mid, fm = (v[go] for v in (live, ra, rb, fa, m, mid, fm))
@@ -446,17 +446,18 @@ def _lift_fixed_values(lift_array, tol: float, identity_samples: int):
         fa = np.where(left, fa, fm)
     bisected[live] = 0.5 * (ra + rb)
     roots = np.concatenate([xs[on_grid], bisected])
-    # x = 1 is a root on the lowest branch that phi(1) meets within tol/2,
-    # unless a root of a branch up to that one already lies within 4 tol of 1
+    # x = 1 is a root on the lowest branch that phi(1) meets within _FP_TOL/2,
+    # unless a root of a branch up to that one already lies within 4 * _FP_TOL of 1
     end = [k for k in range(max(lo, math.floor(phi[n])), min(hi, math.ceil(phi[n])) + 1)
-           if abs(phi[n] - k) <= tol * 0.5]
-    if end and not np.any((np.abs(roots - 1.0) <= 4 * tol) & (branches <= end[0])):
+           if abs(phi[n] - k) <= _FP_TOL * 0.5]
+    if end and not np.any((np.abs(roots - 1.0) <= 4 * _FP_TOL) & (branches <= end[0])):
         roots = np.append(roots, 1.0)
+    # roots within 1e-11 of each other, around the circle too, are one
     out = []
     for r in np.sort(normalize_array(roots)).tolist():
-        if not out or r - out[-1] > max(tol, 1e-11):
+        if not out or r - out[-1] > 1e-11:
             out.append(r)
-    if len(out) > 1 and (1.0 - out[-1] + out[0]) <= max(tol, 1e-11):
+    if len(out) > 1 and (1.0 - out[-1] + out[0]) <= 1e-11:
         out.pop()
     return out, False
 
@@ -480,66 +481,13 @@ def _classify(mult: tuple) -> str:
     return "semistable"
 
 
-def _local_inverse(g: Generator):
-    """step(y, p): the preimage of each y on the branch through p."""
-    if g.invertible:
-        inv = g.inverse()
-        return lambda y, p: inv.eval_array(y)
-    m = g.degree  # an Expanding covering: the preimages are (y + j) / m
-
-    def step(y, p):
-        # the nearest of the m preimages has j within one of m p - y (mod m);
-        # argmin over ascending j keeps the lowest j among equal distances
-        j0 = np.rint(m * p - y) % m
-        cand = normalize_array((y + np.sort([(j0 - 1.0) % m, j0, (j0 + 1.0) % m], axis=0)) / m)
-        return cand[_circ_dist_array(cand, p).argmin(axis=0), np.arange(y.size)]
-
-    return step
-
-
-def _converging(step, p: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Whether each start y comes within 1e-9 of its p in at most 500 steps."""
-    ok = np.zeros(y.size, dtype=bool)
-    live = np.arange(y.size)
-    for k in range(501):
-        near = _circ_dist_array(y, p) <= 1e-9
-        ok[live[near]] = True
-        live, p, y = live[~near], p[~near], y[~near]
-        if k == 500 or not live.size:
-            return ok
-        y = step(y, p)
-
-
-def _basin_radii(g: Generator, values: list, classes: list) -> list:
-    """Per fixed point, the largest radius 1e-4 * 2^k such that the starts
-    p -+ 1e-4 * 2^j for all j <= k converge to p under the map (attracting)
-    or its local inverse (repelling); 0.0 when none does or p is neither."""
-    radii = [0.0] * len(values)
-    for cls in ("attracting", "repelling"):
-        idx = [i for i, c in enumerate(classes) if c == cls]
-        if not idx:
-            continue
-        step = (lambda y, p: g.eval_array(y)) if cls == "attracting" else _local_inverse(g)
-        p = np.asarray(values)[idx, None, None]
-        starts = p + _BASIN_RADII[:, None] * np.array([-1.0, 1.0])
-        ok = _converging(step, np.broadcast_to(p, starts.shape).ravel(),
-                         normalize_array(starts.ravel())).reshape(starts.shape).all(axis=2)
-        # the number of radii before the first one with a failing start
-        for i, k in zip(idx, ok.cumprod(axis=1).sum(axis=1).tolist()):
-            radii[i] = float(_BASIN_RADII[k - 1]) if k else 0.0
-    return radii
-
-
-def fixed_points(g: Generator, tol: float = 1e-12, identity_samples: int = 512):
-    """All fixed points of the map, classified by one-sided multipliers."""
-    values, identity = _lift_fixed_values(g.lift_array, tol, identity_samples)
+def fixed_points(g: Generator):
+    """All fixed points of the map, each a `FixedPointRecord`: its location,
+    its one-sided multipliers and its class (repelling, attracting,
+    semistable or nonhyperbolic).  A map fixing every point gives 16 uniform
+    samples, each nonhyperbolic with multipliers (1, 1)."""
+    values, identity = _lift_fixed_values(g.lift_array, 16)
     if identity:
-        return [FixedPointRecord(CirclePoint(v), (1.0, 1.0), "nonhyperbolic", Arc(CirclePoint(v), 0.0))
-                for v in values]
+        return [FixedPointRecord(CirclePoint(v), (1.0, 1.0), "nonhyperbolic") for v in values]
     mults = [_one_sided_multipliers(g, v) for v in values]
-    classes = [_classify(mult) for mult in mults]
-    records = []
-    for v, mult, cls, r in zip(values, mults, classes, _basin_radii(g, values, classes)):
-        basin = Arc(CirclePoint(v - r), min(2.0 * r, 1.0)) if r else Arc(CirclePoint(v), 0.0)
-        records.append(FixedPointRecord(CirclePoint(v), mult, cls, basin))
-    return records
+    return [FixedPointRecord(CirclePoint(v), mult, _classify(mult)) for v, mult in zip(values, mults)]

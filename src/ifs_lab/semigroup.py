@@ -13,7 +13,7 @@ from typing import Iterable, List, Optional, Tuple
 import numpy as np
 
 from .circle import CirclePoint, as_value, normalize, normalize_array
-from .generators import Generator, NonInvertible, _lift_fixed_values, fixed_points
+from .generators import _FP_TOL, Generator, NonInvertible, _lift_fixed_values, fixed_points
 from .symbolic import Word, enumerate_words, validate_word
 
 
@@ -52,7 +52,7 @@ class IfsSystem:
         order, found on first use; a map fixing every point gives 16 samples."""
         if self._fixed_points is None:
             self._fixed_points = tuple((letter, rec) for letter, g in enumerate(self.generators, 1)
-                                       for rec in fixed_points(g, identity_samples=16))
+                                       for rec in fixed_points(g))
         return self._fixed_points
 
     def apply_word(self, w: Word, x: float) -> float:
@@ -129,13 +129,12 @@ def _word_lift_array(ifs: IfsSystem, w: Word):
     return lifted
 
 
-def periodic_points(ifs: IfsSystem, max_len: int, tol: float = 1e-12,
-                    identity_samples: int = 512) -> List[Tuple[CirclePoint, Word]]:
+def periodic_points(ifs: IfsSystem, max_len: int) -> List[Tuple[CirclePoint, Word]]:
     """Fixed points of every word map of length 1..max_len.
 
     Words whose composed lift is the identity fix the whole circle; they
-    contribute a uniform sample of `identity_samples` points.  Points are
-    deduplicated at tol, keeping the first (shortest) witness word.
+    contribute a uniform sample of 512 points.  Points are deduplicated on
+    a 1e-12 grid, keeping the first (shortest) witness word.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
@@ -144,9 +143,9 @@ def periodic_points(ifs: IfsSystem, max_len: int, tol: float = 1e-12,
     for w in enumerate_words(ifs.k, max_len):
         if not w:
             continue
-        values, _identity = _lift_fixed_values(_word_lift_array(ifs, w), tol, identity_samples)
+        values, _identity = _lift_fixed_values(_word_lift_array(ifs, w), 512)
         for v in values:
-            key = round(v / max(tol, 1e-15))
+            key = round(v / _FP_TOL)
             if key in seen_keys:
                 continue
             seen_keys.add(key)

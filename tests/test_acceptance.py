@@ -310,7 +310,7 @@ def run_lattice_comparison(system, gens, fixed_pts, x_ap):
     want["dense_periodic"] = oracle.dense_periodic(gens)
     got["repelling_fixed_point"] = any(
         r.classification == "repelling"
-        for g in system.generators for r in fixed_points(g, identity_samples=8))
+        for g in system.generators for r in fixed_points(g))
     want["repelling_fixed_point"] = False
 
     delta_candidate, verdict = sensitivity_witness_from_nonminimality(system, RES6)

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ifs_lab import Arc, CirclePoint, circ_dist
+from ifs_lab import Arc, CirclePoint, Flip, IfsSystem, circ_dist
 from ifs_lab.circle import _circ_dist_array, normalize, normalize_array
+from ifs_lab.semigroup import _word_values
 
 
 def test_circ_dist_examples():
@@ -39,12 +40,18 @@ def test_normalize_array_is_the_scalar_formula_bitwise():
         by_fmod = x % 1.0
         by_fmod[by_fmod >= 1.0 - 1e-15] = 0.0
     assert [v.hex() for v in got.tolist()] == [v.hex() for v in by_fmod.tolist()]
-    # the scalar form keeps the sign of -0.0 (math.floor returns the int 0)
-    scalar = np.isfinite(x) & ~((x == 0.0) & np.signbit(x))
-    assert ([v.hex() for v in got[scalar].tolist()]
-            == [normalize(v).hex() for v in x[scalar].tolist()])
-    assert normalize(-0.0) == got[(x == 0.0) & np.signbit(x)][0] == 0.0
-    assert np.isnan(got[~np.isfinite(x)]).all()
+    finite = np.isfinite(x)
+    assert ([v.hex() for v in got[finite].tolist()]
+            == [normalize(v).hex() for v in x[finite].tolist()])
+    assert np.isnan(got[~finite]).all()
+
+
+def test_the_flip_of_zero_is_plus_zero_on_every_path():
+    # -0.0 reduces to +0.0 in the scalar methods as in the array evaluator
+    ifs = IfsSystem([Flip()])
+    values, _ = _word_values(ifs, np.array([[1]]), np.array([0.0]))
+    assert (Flip().eval(0.0).hex() == ifs.apply_word((1,), 0.0).hex()
+            == Flip().eval_array(np.array([0.0]))[0].hex() == values[0].hex() == (0.0).hex())
 
 
 def test_circ_dist_array_is_circ_dist_bitwise():

@@ -243,13 +243,6 @@ def test_fixed_points_north_south():
     assert rep.one_sided_multipliers == (pytest.approx(2.0, abs=1e-6),) * 2
     assert att.classification == "attracting"
     assert att.one_sided_multipliers == (pytest.approx(0.5, abs=1e-6),) * 2
-    # basin points converge under the right iteration
-    for t in (0.1, 0.25, 0.45):
-        p = att.basin_estimate.start.value + att.basin_estimate.length * t
-        g = NorthSouth(0.0, 2.0)
-        for _ in range(300):
-            p = g.eval(p)
-        assert circ_dist(p, 0.5) <= 1e-6
 
 
 def test_fixed_points_flip_and_expanding():
@@ -271,8 +264,8 @@ def test_fixed_points_hinge_semistable():
 
 
 def test_identity_fixed_points_sampled():
-    recs = fixed_points(Rotation(0.0), identity_samples=32)
-    assert len(recs) == 32
+    recs = fixed_points(Rotation(0.0))
+    assert len(recs) == 16
     assert all(r.classification == "nonhyperbolic" for r in recs)
 
 

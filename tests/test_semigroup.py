@@ -217,7 +217,7 @@ def test_generator_fixed_points_in_letter_order(name):
     ifs = build_example(name).system
     table = ifs.generator_fixed_points()
     assert table == tuple((letter, rec) for letter, g in enumerate(ifs.generators, start=1)
-                          for rec in fixed_points(g, identity_samples=16))
+                          for rec in fixed_points(g))
     assert ifs.generator_fixed_points() is table
 
 
@@ -225,7 +225,7 @@ def test_the_inverse_system_keeps_its_own_fixed_points(hinge_system):
     inverse = hinge_system.inverse_system()
     table = inverse.generator_fixed_points()
     assert table == tuple((letter, rec) for letter, g in enumerate(inverse.generators, start=1)
-                          for rec in fixed_points(g, identity_samples=16))
+                          for rec in fixed_points(g))
     assert table != hinge_system.generator_fixed_points()
     assert hinge_system.inverse_system().generator_fixed_points() is table
 

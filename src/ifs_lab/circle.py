@@ -77,12 +77,6 @@ class Arc:
         off = (as_value(p) - self.start.value) % 1.0
         return off <= self.length + tol or off >= 1.0 - tol
 
-    def fattened(self, eps: float) -> "Arc":
-        """The arc enlarged by eps on both sides (capped at the full circle)."""
-        if eps <= 0.0:
-            return self
-        return Arc(CirclePoint(self.start.value - eps), min(self.length + 2.0 * eps, 1.0))
-
 
 def circ_dist(a, b) -> float:
     """Arc-length distance between two points, in [0, 1/2]."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from .generators import (Expanding, Flip, NorthSouth, PiecewiseLinear,
                          Rotation)
@@ -38,9 +38,8 @@ class GalleryEntry:
     description: str
 
 
-def _rotation_flip(params: dict) -> GalleryEntry:
-    alpha = float(params.get("alpha", GOLDEN))
-    system = IfsSystem([Rotation(alpha), Flip()])
+def _rotation_flip() -> GalleryEntry:
+    system = IfsSystem([Rotation(GOLDEN), Flip()])
     expected = [
         ExpectedProperty("transitivity", True, "flip mirrors the dense rotation orbit"),
         ExpectedProperty("dense_periodic", True, "the flip squared fixes every point",
@@ -54,25 +53,13 @@ def _rotation_flip(params: dict) -> GalleryEntry:
     )
 
 
-def _ex42_hinges(params: dict) -> GalleryEntry:
-    lam = float(params.get("lam", 1.8))
-    s = float(params.get("s", 0.1))
-    if not 1.0 < lam < 2.0:
-        raise ValueError("hinge example needs multiplier strictly between 1 and 2")
-    if not 0.0 < s < 0.5:
-        raise ValueError("hinge bulge must lie in (0, 1/2)")
-    f = NorthSouth(0.5, lam)        # attracts at 0, repels at 0.5
-    h1 = PiecewiseLinear(((0.0, 0.0), (0.5, 0.5 + s), (1.0, 1.0)))
-    h2 = PiecewiseLinear(((0.0, 0.0), (0.5, 0.5 - s), (1.0, 1.0)))
+def _ex42_hinges() -> GalleryEntry:
+    # multiplier 1.8 in (1, 2) and hinge bulge 0.1 in (0, 1/2): each hinge
+    # pushes its half-circle strictly past the antipode and keeps 0 fixed
+    f = NorthSouth(0.5, 1.8)        # attracts at 0, repels at 0.5
+    h1 = PiecewiseLinear(((0.0, 0.0), (0.5, 0.6), (1.0, 1.0)))
+    h2 = PiecewiseLinear(((0.0, 0.0), (0.5, 0.4), (1.0, 1.0)))
     system = IfsSystem([f, f.inverse(), h1, h2])
-
-    # build-time checks: each hinge pushes its half-circle strictly past the
-    # antipode while keeping 0 fixed on the boundary
-    assert h1.eval(0.0) == 0.0 and h2.eval(0.0) == 0.0
-    assert h1.eval(0.5) > 0.5 and h2.eval(0.5) < 0.5
-    assert f.eval(0.0) == 0.0 and f.derivative(0.0) == 1.0 / lam
-    assert 0.5 < f.derivative(0.0) < 1.0
-
     expected = [
         ExpectedProperty("s_transitivity", True, "hinges sweep every arc across the circle"),
         ExpectedProperty("minimality", False, "the common fixed point never moves"),
@@ -90,11 +77,9 @@ def _ex42_hinges(params: dict) -> GalleryEntry:
     )
 
 
-def _thm34_ns_rotation(params: dict) -> GalleryEntry:
-    lam = float(params.get("lam", 2.0))
-    alpha = float(params.get("alpha", GOLDEN))
-    ns = NorthSouth(0.0, lam)
-    rot = Rotation(alpha)
+def _thm34_ns_rotation() -> GalleryEntry:
+    ns = NorthSouth(0.0, 2.0)
+    rot = Rotation(GOLDEN)
     system = IfsSystem([ns, ns.inverse(), rot, rot.inverse()])
     expected = [
         ExpectedProperty("strong_transitivity", True, "symmetric family with a dense rotation"),
@@ -108,13 +93,12 @@ def _thm34_ns_rotation(params: dict) -> GalleryEntry:
     )
 
 
-def _cor33_morse_smale(params: dict) -> GalleryEntry:
-    alpha = float(params.get("alpha", GOLDEN))
+def _cor33_morse_smale() -> GalleryEntry:
     system = IfsSystem([
         NorthSouth(0.0, 2.0),
         NorthSouth(0.3, 3.0),
-        Rotation(alpha),
-        Rotation(alpha).inverse(),
+        Rotation(GOLDEN),
+        Rotation(GOLDEN).inverse(),
     ])
     expected = [
         ExpectedProperty("sensitivity", True, "hyperbolic fixed points plus dense rotations"),
@@ -126,7 +110,7 @@ def _cor33_morse_smale(params: dict) -> GalleryEntry:
     )
 
 
-def _prop35_expanding(params: dict) -> GalleryEntry:
+def _prop35_expanding() -> GalleryEntry:
     system = IfsSystem([Expanding(2), Expanding(3)])
     expected = [
         ExpectedProperty("expanding", True, "constant derivatives 2 and 3"),
@@ -151,10 +135,9 @@ _BUILDERS = {
 GALLERY_NAMES = tuple(sorted(_BUILDERS))
 
 
-def build_example(name: str, params: Optional[dict] = None, **overrides) -> GalleryEntry:
-    """Construct a gallery system by name, with optional parameter overrides."""
+def build_example(name: str) -> GalleryEntry:
+    """Construct a gallery system by name, at the one parameter choice its
+    manifest is stated for."""
     if name not in _BUILDERS:
         raise UnknownExample(f"unknown gallery name {name!r}; choose from {GALLERY_NAMES}")
-    merged = dict(params or {})
-    merged.update(overrides)
-    return _BUILDERS[name](merged)
+    return _BUILDERS[name]()

@@ -156,10 +156,6 @@ class NorthSouth(Generator):
         if not self.lam > 1.0:
             raise ValueError(f"multiplier must exceed 1, got {self.lam}")
 
-    @property
-    def attractor(self) -> float:
-        return normalize(self.q + 0.5)
-
     def _core(self, s: float) -> float:
         # s in [-1/2, 1/2); the cotangent form keeps precision near +-1/2.
         if abs(s) <= 0.25:

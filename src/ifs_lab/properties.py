@@ -3,12 +3,13 @@
 Each entry runs one library verdict and returns it JSON-ready.  Entries look
 their detector up as a module attribute when they run, not when the table is
 built, so rebinding a library function (as a tracer does) reaches every call.
-Only sensitivity, the witness pipeline and expansion add to the verdict or
-adapt a tuple, in a function of their own.
+Only sensitivity and the witness pipeline adapt their results, in a function
+of their own.
 """
 
 from __future__ import annotations
 
+from numbers import Integral
 from typing import Callable, NamedTuple, Optional
 
 from . import detectors, smooth
@@ -38,11 +39,6 @@ def _witness_pipeline(ifs: IfsSystem, res: Resolution) -> dict:
     return {**verdict.to_dict(), "delta_candidate": delta_candidate}
 
 
-def _expanding(ifs: IfsSystem, res: Resolution) -> dict:
-    holds, eta = smooth.expanding_verdict(ifs, grid=max(res.net_size, 2))
-    return Verdict("expanding", holds, res, {"eta": eta}, "checked on a finite grid").to_dict()
-
-
 def _verdict(module, name: str, **params) -> PropertySpec:
     """The entry running `module.<name>(ifs, res=res, **params)`."""
     return PropertySpec(
@@ -58,7 +54,7 @@ PROPERTIES = {
     "cofinite_sensitivity": _verdict(detectors, "cofinite_sensitivity_verdict",
                                      delta=0.2, window=100),
     "almost_periodic": _verdict(detectors, "almost_periodic_verdict", x=0.0),
-    "expanding": PropertySpec(_expanding, {}),
+    "expanding": _verdict(smooth, "expanding_verdict"),
     "local_expanding": _verdict(smooth, "local_expanding_verdict"),
     "dense_periodic": _verdict(detectors, "dense_periodic_verdict", max_len=2),
     "repelling_fixed_point": _verdict(detectors, "repelling_fixed_point_verdict"),
@@ -76,14 +72,27 @@ def property_spec(prop: str) -> PropertySpec:
     return PROPERTIES[prop]
 
 
+def _coerced(name: str, value, default):
+    """`value` as the type of `default`.  A bool, or a value that is not a
+    whole number for an integer parameter, raises ValueError naming it;
+    NaN and inf pass to a real parameter for the verdict to check."""
+    kind = type(default)
+    if isinstance(value, bool) or (kind is int and not isinstance(value, Integral)
+                                   and not float(value).is_integer()):
+        noun = "an integer" if kind is int else "a real number"
+        raise ValueError(f"parameter {name!r} takes {noun}, got {value!r}")
+    return kind(value)
+
+
 def evaluate_property(ifs: IfsSystem, prop: str, res: Resolution,
                       params: Optional[dict] = None) -> dict:
     """Run one detector and return its JSON-ready result.  A parameter the
     property does not read is ignored if another property reads it (ValueError
-    names any other); each one it reads is coerced to the type of its default."""
+    names any other); each one it reads is coerced to the type of its default,
+    without truncation (`_coerced`)."""
     spec = property_spec(prop)
     given = params or {}
     if bad := sorted(set(given).difference(PARAM_NAMES)):
         raise ValueError(f"unknown parameter {', '.join(map(repr, bad))}; choose from {PARAM_NAMES}")
-    return spec.run(ifs, res, **{name: type(default)(given.get(name, default))
+    return spec.run(ifs, res, **{name: _coerced(name, given.get(name, default), default)
                                  for name, default in spec.params.items()})

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -73,11 +73,10 @@ class ExpandingCover:
         }
 
 
-def expanding_verdict(ifs: IfsSystem, grid: int = 1024) -> Tuple[bool, Optional[float]]:
-    """Whether every generator has |derivative| > 1 on the grid; eta is the
-    largest reciprocal when it does."""
-    if grid < 2:
-        raise ValueError("grid must be at least 2")
+def expanding_verdict(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION) -> Verdict:
+    """Whether every generator has |derivative| > 1 at max(net_size, 2) grid
+    points; eta is the largest reciprocal when it does."""
+    grid = max(res.net_size, 2)
 
     def sweep(offset: float):
         # the first weak point, generator by generator, decides
@@ -91,9 +90,10 @@ def expanding_verdict(ifs: IfsSystem, grid: int = 1024) -> Tuple[bool, Optional[
         return False, None
 
     try:
-        return sweep(0.0)
+        holds, eta = sweep(0.0)
     except NotDifferentiable:
-        return sweep(0.5)
+        holds, eta = sweep(0.5)
+    return Verdict("expanding", holds, res, {"eta": eta}, "checked on a finite grid")
 
 
 # Words only count as expanding with this much derivative margin, so grown
@@ -127,7 +127,7 @@ def local_expanding_cover(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION) 
     raw = [CoverPiece(arc, w, sg) for arc, w, sg in zip(arcs, words, _sigmas(ifs, letters, arcs))]
     pieces = _merge_pieces(raw)
     sigma = max(p.sigma_local for p in pieces)
-    return ExpandingCover(pieces, sigma, lebesgue_number([p.arc for p in pieces], net=10_000), ifs)
+    return ExpandingCover(pieces, sigma, lebesgue_number([p.arc for p in pieces]), ifs)
 
 
 def local_expanding_verdict(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION) -> Verdict:
@@ -297,7 +297,12 @@ def _arc_union(s1: float, l1: float, s2: float, l2: float):
     return None
 
 
-def lebesgue_number(cover: Sequence[Arc], net: int = 10_000) -> float:
+# The Lebesgue number is sampled at the points (i + 0.5) / _LEBESGUE_NET; the
+# acceptance suite and the tests' reference loops define rho on this same net.
+_LEBESGUE_NET = 10_000
+
+
+def lebesgue_number(cover: Sequence[Arc]) -> float:
     """Largest rho (up to the net) such that every radius-rho ball centered on
     the net sits inside a single cover arc; capped at 1/2."""
     if not cover:
@@ -306,6 +311,7 @@ def lebesgue_number(cover: Sequence[Arc], net: int = 10_000) -> float:
     if (lengths >= 1.0 - 1e-15).any():
         return 0.5
     rho = 0.5
+    net = _LEBESGUE_NET
     # 1,024 net points at a time against every arc, so memory stays flat
     for lo in range(0, net, 1024):
         x = (np.arange(lo, min(lo + 1024, net)) + 0.5) / net

@@ -9,7 +9,7 @@ run is reproducible.
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Tuple
 
 Word = Tuple[int, ...]
 
@@ -24,19 +24,11 @@ def concat(u: Word, v: Word) -> Word:
     return tuple(u) + tuple(v)
 
 
-def enumerate_words(k: int, max_len: int, budget: Optional[int] = None) -> Iterator[Word]:
-    """Yield words of length 0..max_len in breadth-first lexicographic order.
-
-    Stops after `budget` words when a budget is given.
-    """
+def enumerate_words(k: int, max_len: int) -> Iterator[Word]:
+    """Yield words of length 0..max_len in breadth-first lexicographic order."""
     if k < 1:
         raise ValueError("alphabet size must be at least 1")
     if max_len < 0:
         raise ValueError("max_len must be non-negative")
-    emitted = 0
     for length in range(max_len + 1):
-        for letters in product(range(1, k + 1), repeat=length):
-            if budget is not None and emitted >= budget:
-                return
-            yield letters
-            emitted += 1
+        yield from product(range(1, k + 1), repeat=length)

@@ -2,19 +2,21 @@
 word search in `ifs_lab.smooth.local_expanding_cover` replaced, kept
 verbatim in behaviour.
 
-Net point by net point, `enumerate_words` yields the candidate words; each
-derivative is one scalar `word_derivative` call, and `grow_extent` and
-`sigma_on` sample a word at one point at a time.  The pieces are merged and
-the Lebesgue number taken by the library's `_merge_pieces` and
-`lebesgue_number`, which the array search does not replace.  A stuck point
-also names the bound that ended its search ("budget" when `enumerate_words`
-stopped short of the depth bound, else "depth") and the number of words
-enumerated for it, the identity included, so that failures compare whole.
+Net point by net point, `enumerate_words`, cut at the word budget, yields
+the candidate words; each derivative is one scalar `word_derivative` call,
+and `grow_extent` and `sigma_on` sample a word at one point at a time.  The
+pieces are merged and the Lebesgue number taken by the library's
+`_merge_pieces` and `lebesgue_number`, which the array search does not
+replace.  A stuck point also names the bound that ended its search
+("budget" when the budget stopped the words short of the depth bound, else
+"depth") and the number of words enumerated for it, the identity included,
+so that failures compare whole.
 Pieces that leave a gap raise `lebesgue_number`'s NotACover, as in the
 library.
 """
 
 import math
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -85,7 +87,7 @@ def local_expanding_cover(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION) 
     for x in net:
         piece = None
         enumerated = 0
-        for w in enumerate_words(ifs.k, res.depth, res.budget):
+        for w in islice(enumerate_words(ifs.k, res.depth), res.budget):
             enumerated += 1
             if not w:
                 continue
@@ -104,4 +106,4 @@ def local_expanding_cover(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION) 
         raw.append(piece)
     pieces = _merge_pieces(raw)
     sigma = max(p.sigma_local for p in pieces)
-    return ExpandingCover(pieces, sigma, lebesgue_number([p.arc for p in pieces], net=10_000), ifs)
+    return ExpandingCover(pieces, sigma, lebesgue_number([p.arc for p in pieces]), ifs)

@@ -136,8 +136,9 @@ def test_criterion_4_ns_rotation_conformance():
 def test_criterion_5_expanding_conformance():
     system = build_example("prop35_expanding").system
 
-    holds, eta = expanding_verdict(system)
-    eta_ok = holds and eta == 0.5
+    v = expanding_verdict(system, DEFAULT_RESOLUTION.replaced(net_size=1024))
+    eta = v.witnesses["eta"]
+    eta_ok = v.holds and eta == 0.5
 
     res = DEFAULT_RESOLUTION.replaced(r=0.01)
     cof = cofinite_sensitivity_verdict(system, 0.2, res, window=100)
@@ -295,8 +296,7 @@ def run_lattice_comparison(system, gens, fixed_pts, x_ap):
     want["cofinite_sensitivity"] = oracle.cofinite_sensitivity(0.1)
     got["almost_periodic"] = almost_periodic_verdict(system, float(x_ap), RES6).holds
     want["almost_periodic"] = oracle.almost_periodic(x_ap)
-    holds, _ = expanding_verdict(system)
-    got["expanding"] = holds
+    got["expanding"] = expanding_verdict(system, DEFAULT_RESOLUTION.replaced(net_size=1024)).holds
     want["expanding"] = False
     pts = periodic_points(system, 2)
     vals = [p.value for p, _ in pts]
@@ -417,8 +417,8 @@ def test_criterion_7_property_suites():
     # is cofinitely sensitive, and a pointwise expanding cover forces the
     # sensitivity verdict
     expanding_gallery = build_example("prop35_expanding").system
-    holds, _eta = expanding_verdict(expanding_gallery)
-    if holds and not cofinite_sensitivity_verdict(
+    expanding = expanding_verdict(expanding_gallery, DEFAULT_RESOLUTION.replaced(net_size=1024))
+    if expanding.holds and not cofinite_sensitivity_verdict(
             expanding_gallery, 0.2, DEFAULT_RESOLUTION, 100).holds:
         violations.append(("expanding_implies_cofinite", "prop35_expanding"))
     for name in ("thm34_ns_rotation", "prop35_expanding"):

@@ -68,7 +68,8 @@ def test_topological_transitivity(rotation_flip, ns_alone):
     # the hardest witness replays: the image arc of U meets the target ball
     h = v.witnesses["hardest_pair"]
     arc = word_image(rotation_flip, h["word"], Arc(CirclePoint(h["source_center"] - 0.01), 0.02))
-    assert arc.fattened(0.01).contains(h["target_center"], tol=1e-10)
+    fat = Arc(CirclePoint(arc.start.value - 0.01), min(arc.length + 0.02, 1.0))
+    assert fat.contains(h["target_center"], tol=1e-10)
 
     v = topological_transitivity_verdict(ns_alone)
     assert not v.holds
@@ -100,7 +101,7 @@ def test_s_transitivity_cover_replays(golden_rotation):
     covered = set()
     for w in words:
         arc = word_image(golden_rotation, w, Arc(CirclePoint(center - 0.01), 0.02))
-        fat = arc.fattened(0.01)
+        fat = Arc(CirclePoint(arc.start.value - 0.01), min(arc.length + 0.02, 1.0))
         covered.update(p for p in net if fat.contains(p, tol=1e-10))
     assert len(covered) == len(net)
 

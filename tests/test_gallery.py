@@ -20,8 +20,6 @@ def test_rotation_flip_build():
     g1, g2 = entry.system.generators
     assert isinstance(g1, Rotation) and g1.alpha == pytest.approx(GOLDEN)
     assert isinstance(g2, Flip)
-    entry2 = build_example("rotation_flip", alpha=0.3)
-    assert entry2.system.generators[0].alpha == pytest.approx(0.3)
 
 
 def test_hinge_build_conditions():
@@ -36,20 +34,9 @@ def test_hinge_build_conditions():
     # the shared fixed point never moves
     orb = orbit_cloud(entry.system, 0.0, 6, 100_000, merge=1e-9)
     assert orb.values.tolist() == [0.0]
-    # multiplier of the contracting side sits inside (1/2, 1)
+    # multiplier of the contracting side sits inside (1/2, 1), exactly 1/lam
     assert 0.5 < f.derivative(0.0) < 1.0
-
-
-def test_hinge_overrides():
-    entry = build_example("ex42_hinges", s=0.2)
-    h1 = entry.system.generators[2]
-    assert h1.breakpoints[1] == (0.5, pytest.approx(0.7))
-    h2 = entry.system.generators[3]
-    assert h2.breakpoints[1] == (0.5, pytest.approx(0.3))
-    with pytest.raises(ValueError):
-        build_example("ex42_hinges", lam=2.5)
-    with pytest.raises(ValueError):
-        build_example("ex42_hinges", s=0.6)
+    assert f.derivative(0.0) == 1.0 / 1.8
 
 
 def test_thm34_build():

@@ -103,10 +103,6 @@ def _library(ifs, prop, res):
                     "resolution": res.to_dict(), "witnesses": {"not_applicable": True},
                     "caveat": str(exc)}
         return {**verdict.to_dict(), "delta_candidate": delta}
-    if prop == "expanding":
-        holds, eta = smooth.expanding_verdict(ifs, grid=max(res.net_size, 2))
-        return {"property": "expanding", "holds": holds, "resolution": res.to_dict(),
-                "witnesses": {"eta": eta}, "caveat": "checked on a finite grid"}
     verdict = {
         "minimality": lambda: detectors.minimality_verdict(ifs, res),
         "transitivity": lambda: detectors.topological_transitivity_verdict(ifs, res),
@@ -115,6 +111,7 @@ def _library(ifs, prop, res):
         "cofinite_sensitivity": lambda: detectors.cofinite_sensitivity_verdict(
             ifs, 0.2, res, 100),
         "almost_periodic": lambda: detectors.almost_periodic_verdict(ifs, 0.237, res),
+        "expanding": lambda: smooth.expanding_verdict(ifs, res),
         "local_expanding": lambda: smooth.local_expanding_verdict(ifs, res),
         "dense_periodic": lambda: detectors.dense_periodic_verdict(ifs, 2, res),
         "repelling_fixed_point": lambda: detectors.repelling_fixed_point_verdict(ifs, res),
@@ -152,3 +149,21 @@ def test_a_parameter_no_property_reads_is_rejected():
     ifs = build_example("thm34_ns_rotation").system
     assert (evaluate_property(ifs, "minimality", SMALL, {"delta": 0.3})
             == detectors.minimality_verdict(ifs, SMALL).to_dict())
+
+
+@pytest.mark.parametrize("prop, name, value", [
+    ("dense_periodic", "max_len", 2.9),          # used to run max_len 2
+    ("dense_periodic", "max_len", True),         # used to run max_len 1
+    ("cofinite_sensitivity", "window", 7.5),     # used to run window 7
+    ("dense_periodic", "max_len", float("inf")),
+    ("almost_periodic", "x", True),              # used to run x = 0.0
+], ids=["max_len_fraction", "max_len_bool", "window_fraction", "max_len_inf", "x_bool"])
+def test_a_parameter_is_never_truncated(rotation_flip, prop, name, value):
+    with pytest.raises(ValueError, match=rf"^parameter '{name}' takes an? (integer|real number)"
+                                         rf", got {value!r}$"):
+        evaluate_property(rotation_flip, prop, SMALL, {name: value})
+
+
+def test_a_whole_number_float_runs_as_its_integer(rotation_flip):
+    assert (evaluate_property(rotation_flip, "dense_periodic", SMALL, {"max_len": 2.0})
+            == evaluate_property(rotation_flip, "dense_periodic", SMALL, {"max_len": 2}))

@@ -5,6 +5,8 @@ from ifs_lab import (Arc, CirclePoint, Expanding, Flip, GALLERY_NAMES, IfsSystem
                      NotACover, NotDifferentiable, NotLocallyExpanding, PiecewiseLinear,
                      Rotation, admissible_itinerary, build_example, expanding_verdict,
                      lebesgue_number, local_expanding_cover, word_derivative)
+from ifs_lab import smooth
+from ifs_lab.detectors import DEFAULT_RESOLUTION
 from ifs_lab.smooth import CoverPiece, ExpandingCover
 
 
@@ -63,17 +65,20 @@ def lebesgue_reference(cover, net=10_000):
 
 
 def test_expanding_verdict_examples(doubling, expanding_pair):
-    assert expanding_verdict(doubling) == (True, 0.5)
-    holds, eta = expanding_verdict(expanding_pair)
-    assert holds and eta == 0.5
-    holds, eta = expanding_verdict(IfsSystem([Rotation(0.3), Expanding(2)]))
-    assert not holds and eta is None
+    res = DEFAULT_RESOLUTION.replaced(net_size=1024)
+    v = expanding_verdict(doubling, res)
+    assert v.to_dict() == {"property": "expanding", "holds": True, "resolution": res.to_dict(),
+                           "witnesses": {"eta": 0.5}, "caveat": "checked on a finite grid"}
+    v = expanding_verdict(expanding_pair, res)
+    assert v.holds and v.witnesses["eta"] == 0.5
+    v = expanding_verdict(IfsSystem([Rotation(0.3), Expanding(2)]), res)
+    assert not v.holds and v.witnesses["eta"] is None
 
 
 def test_expanding_verdict_retries_on_breakpoint():
     pwl = PiecewiseLinear(((0.0, 0.0), (0.5, 0.6), (1.0, 1.0)))
-    holds, eta = expanding_verdict(IfsSystem([pwl]), grid=10)
-    assert not holds and eta is None
+    v = expanding_verdict(IfsSystem([pwl]), DEFAULT_RESOLUTION.replaced(net_size=10))
+    assert not v.holds and v.witnesses["eta"] is None
 
 
 def test_local_cover_doubling(doubling):
@@ -124,17 +129,18 @@ def test_lebesgue_not_a_cover():
         lebesgue_number([Arc(CirclePoint(0.0), 0.4)])
 
 
-def _outcome(lebesgue, cover, net):
+def _outcome(lebesgue, cover):
     try:
-        return lebesgue(cover, net).hex()
+        return lebesgue(cover).hex()
     except NotACover as exc:
         return str(exc), exc.point
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_lebesgue_matches_the_reference_loop_bitwise(seed):
+def test_lebesgue_matches_the_reference_loop_bitwise(seed, monkeypatch):
     # random covers: arcs that wrap past 1, full circles, gaps that leave
-    # the net uncovered, and nets that end mid-block
+    # the net uncovered, and nets that end mid-block (the library's net is
+    # fixed at 10,000 points; other sizes reach the same sweep here)
     rng = np.random.default_rng(seed)
     outcomes = set()
     for trial in range(40):
@@ -144,8 +150,9 @@ def test_lebesgue_matches_the_reference_loop_bitwise(seed):
         cover = [Arc(CirclePoint(float(s)), float(ln))
                  for s, ln in zip(rng.random(n), lengths)]
         net = int(rng.choice([1, 7, 1024, 1500, 2049, 3000]))
-        got = _outcome(lebesgue_number, cover, net)
-        assert got == _outcome(lebesgue_reference, cover, net)
+        monkeypatch.setattr(smooth, "_LEBESGUE_NET", net)
+        got = _outcome(lebesgue_number, cover)
+        assert got == _outcome(lambda arcs: lebesgue_reference(arcs, net), cover)
         outcomes.add(isinstance(got, tuple))
     assert outcomes == {True, False}
 
@@ -153,16 +160,14 @@ def test_lebesgue_matches_the_reference_loop_bitwise(seed):
 def test_lebesgue_of_a_local_cover_matches_the_reference_loop(ns_rotation_sym):
     arcs = [p.arc for p in local_expanding_cover(ns_rotation_sym).pieces]
     assert lebesgue_number(arcs) == lebesgue_reference(arcs)
-    assert _outcome(lebesgue_number, arcs[1:], 10_000) == \
-        _outcome(lebesgue_reference, arcs[1:], 10_000)
+    assert _outcome(lebesgue_number, arcs[1:]) == _outcome(lebesgue_reference, arcs[1:])
 
 
 @pytest.mark.parametrize("call, error, message", [
-    (lambda ifs: expanding_verdict(ifs, grid=1), ValueError, "grid must be at least 2"),
     (lambda ifs: lebesgue_number([]), NotACover, "empty cover"),
     (lambda ifs: admissible_itinerary(local_expanding_cover(ifs), 0.3, 0), ValueError,
      "length must be positive"),
-], ids=["expanding_grid", "empty_cover", "itinerary_length"])
+], ids=["empty_cover", "itinerary_length"])
 def test_degenerate_arguments_are_refused(doubling, call, error, message):
     with pytest.raises(error, match=f"^{message}$"):
         call(doubling)
@@ -241,6 +246,12 @@ def expanding_sweep_reference(ifs, grid=1024):
         return sweep(0.5)
 
 
+def library_sweep(ifs, grid):
+    """`expanding_verdict` on `grid` points, as the reference's pair."""
+    v = expanding_verdict(ifs, DEFAULT_RESOLUTION.replaced(net_size=grid))
+    return v.holds, v.witnesses["eta"]
+
+
 def outcome(f, ifs, grid):
     try:
         return f(ifs, grid)
@@ -282,7 +293,7 @@ def test_expanding_verdict_matches_the_scalar_sweep():
     seen = set()
     for ifs in smooth_systems():
         for grid in (2, 3, 8, 100, 1024):
-            got = outcome(expanding_verdict, ifs, grid)
+            got = outcome(library_sweep, ifs, grid)
             assert got == outcome(expanding_sweep_reference, ifs, grid)
             seen.add("corner" if got[0] == "corner" else got[0])
     assert seen == {True, False, "corner"}

@@ -16,11 +16,6 @@ def test_enumeration_k1():
     assert list(enumerate_words(1, 3)) == [(), (1,), (1, 1), (1, 1, 1)]
 
 
-def test_enumeration_budget():
-    assert len(list(enumerate_words(3, 5, budget=10))) == 10
-    assert list(enumerate_words(2, 3, budget=4)) == [(), (1,), (2,), (1, 1)]
-
-
 @pytest.mark.parametrize("k,L", [(2, 6), (3, 4), (4, 3)])
 def test_enumeration_count_formula(k, L):
     count = len(list(enumerate_words(k, L)))

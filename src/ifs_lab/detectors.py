@@ -11,6 +11,7 @@ exactly evaluated word, so witnesses are always genuine.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import asdict, dataclass, replace
 from numbers import Integral
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -918,16 +919,18 @@ def _greedy_derivative_rule(ifs: IfsSystem, step: int, s, ln, c) -> np.ndarray:
 _greedy_derivative_rule.label = "greedy_derivative"
 
 
-def _rule_paths(ifs: IfsSystem, s, ln, c, steps: int, rule) -> Tuple[np.ndarray, np.ndarray]:
+def _rule_paths(ifs: IfsSystem, s, ln, c, steps: int, rule,
+                capped_from: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
     """Letters (n x steps) and image diameters (times 0..steps) along one
     chain per arc [s, s + ln].
 
     Each step, `rule(ifs, step, s, ln, c)` picks the letters of all live
     arcs at once from their current starts, lengths and tracked centers `c`
     (each arc's center moves with it; None tracks none).  Letter 0 stops a
-    chain: letter 0 and diameter -1 from there on.  A rule may map the arcs
-    itself and return (letters, starts, lengths), the images under its
-    letters; they are not mapped again."""
+    chain: letter 0 and diameter -1 from there on.  From step `capped_from`
+    on (never if None), so does an arc of length >= 1/2, whose diameter is
+    capped.  A rule may map the arcs itself and return (letters, starts,
+    lengths), the images under its letters; they are not mapped again."""
     s, ln = np.array(s, dtype=float), np.array(ln, dtype=float)
     c = None if c is None else np.array(c, dtype=float)
     letters = np.zeros((s.size, steps), dtype=np.int16)
@@ -935,6 +938,13 @@ def _rule_paths(ifs: IfsSystem, s, ln, c, steps: int, rule) -> Tuple[np.ndarray,
     diams[:, 0] = np.minimum(ln, 0.5)
     live = slice(None)  # the chains still running (all until one stops); s, ln, c hold theirs
     for step in range(steps):
+        if capped_from is not None and step >= capped_from:
+            go = ~(ln >= 0.5)  # a NaN length runs on, as it would uncapped
+            if not go.all():
+                live, s, ln = np.arange(len(diams))[live][go], s[go], ln[go]
+                c = None if c is None else c[go]
+                if live.size == 0:
+                    break
         out = rule(ifs, step, s, ln, c)
         pick, *images = out if isinstance(out, tuple) else (out,)
         if not pick.all():
@@ -1093,8 +1103,10 @@ def _greedy_chains(ifs: IfsSystem, x: np.ndarray, r: np.ndarray, depth: int,
     the word of ball i reaching it.  Cheap, and it follows exactly the
     growth mechanism that expanding words certify."""
     rule = _greedy_derivative_rule if by_derivative else greedy_diameter_rule()
+    # a capped chain stops: `_best_from` keeps the first time reaching the
+    # cap (or one within 1e-15 of it), so it reads no later time or letter
     letters, diams = _rule_paths(ifs, normalize_array(x - r), 2.0 * r,
-                                 x if by_derivative else None, depth, rule)
+                                 x if by_derivative else None, depth, rule, capped_from=0)
     best, size = _best_from(diams, 0)
     return best, lambda i: tuple(letters[i, :size[i]].tolist())
 
@@ -1117,11 +1129,12 @@ def _steered_candidates(ifs: IfsSystem, steering, x: np.ndarray, r: np.ndarray, 
     best, which = np.full(x.size, -1.0), np.full(x.size, -1)
     pulled, reps = np.zeros(x.size, dtype=np.int64), np.zeros(x.size, dtype=np.int64)
     for e, (q, letter, cloud) in enumerate(steering):
-        # earliest found = shortest pull-back word: the cloud node's letters
-        # back to its root, replayed on the ball
-        first = _first_within(cloud.values, x, r)
-        rows = np.flatnonzero(first >= 0)
-        first = first[rows]
+        # a later repeller wins a pair only on a gain above 1e-15, so one
+        # capped at 1/2 is settled; earliest found = shortest pull-back word:
+        # the cloud node's letters back to its root, replayed on the ball
+        open_ = np.flatnonzero(best < 0.5)
+        first = _first_within(cloud.values, x[open_], r[open_])
+        rows, first = open_[first >= 0], first[first >= 0]
         s, ln = normalize_array(x[rows] - r[rows]), 2.0 * r[rows]
         node, steps = first.copy(), np.full(rows.size, depth)
         while (live := np.flatnonzero(node > 0)).size:
@@ -1135,7 +1148,9 @@ def _steered_candidates(ifs: IfsSystem, steering, x: np.ndarray, r: np.ndarray, 
         horizon = int(steps.max(initial=0))
         if horizon < 1:
             continue
-        diams = _rule_paths(ifs, s, ln, None, horizon, constant_rule(letter))[1]
+        # the scan starts at time 1, so a capped chain stops only from its
+        # second step on: a pull-back capped at time 0 still takes one repeat
+        diams = _rule_paths(ifs, s, ln, None, horizon, constant_rule(letter), capped_from=1)[1]
         diams[np.arange(horizon + 1) > steps[:, None]] = -1.0
         local, local_n = _best_from(diams, 1)
         up = (steps > 0) & (local > best[rows] + 1e-15)
@@ -1151,15 +1166,44 @@ def _steered_candidates(ifs: IfsSystem, steering, x: np.ndarray, r: np.ndarray, 
     return best, [steering[e][0] if e >= 0 else None for e in which.tolist()], words.__getitem__
 
 
-def _cheap_candidates(ifs: IfsSystem, res: Resolution, x: np.ndarray, r: np.ndarray):
+def _cheap_candidates(ifs: IfsSystem, res: Resolution, x: np.ndarray, r: np.ndarray,
+                      best: Optional[np.ndarray] = None):
     """Per (x, r) pair, the best diameters of repeller steering and of the
     greedy diameter and derivative chains, in that order, as (diameters,
     word of pair i, strategy label of pair i); -1 where steering finds
-    nothing."""
-    best, q, word = _steered_candidates(ifs, _repeller_steering_data(ifs, res), x, r, res.depth)
-    return [(best, word, lambda i: f"repeller_steered(q={q[i]:.6f})")] + [
-        (*_greedy_chains(ifs, x, r, res.depth, flag), lambda i, label=label: label)
-        for flag, label in ((False, "greedy_diameter"), (True, "greedy_derivative"))]
+    nothing.
+
+    Given `best`, the diameters of the columns before these, the strategies
+    run as a cascade for `_best_from`: each runs only on the pairs whose
+    running best is still below 1/2, and gives -1 elsewhere.  Every diameter
+    is capped at 1/2 and a later column wins only on a gain above 1e-15, so
+    no skipped pair could have changed its winner; and each strategy's
+    result for a pair depends on that pair alone.  The witness pipeline
+    passes no `best`: it measures every candidate word's separation through
+    `_most_separating`, which a word of smaller diameter can win, so it
+    keeps every strategy on every point.
+    """
+    def steered(x, r):
+        got, q, word = _steered_candidates(ifs, _repeller_steering_data(ifs, res), x, r,
+                                           res.depth)
+        return got, word, lambda i: f"repeller_steered(q={q[i]:.6f})"
+
+    def chain(by_derivative, label):
+        return lambda x, r: (*_greedy_chains(ifs, x, r, res.depth, by_derivative),
+                             lambda i: label)
+
+    columns = []
+    for strategy in (steered, chain(False, "greedy_diameter"), chain(True, "greedy_derivative")):
+        rows = np.arange(x.size) if best is None else np.flatnonzero(best < 0.5)
+        diams, at = np.full(x.size, -1.0), np.full(x.size, -1)
+        at[rows] = np.arange(rows.size)
+        got, word, label = strategy(x[rows], r[rows]) if rows.size else ([], None, None)
+        diams[rows] = got
+        columns.append((diams, lambda i, word=word, at=at: word(at[i]),
+                        lambda i, label=label, at=at: label(at[i])))
+        if best is not None:
+            best = _best_from(np.column_stack([best, diams]), 0)[0]
+    return columns
 
 
 def sensitivity_estimate(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION
@@ -1170,22 +1214,27 @@ def sensitivity_estimate(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION
     tracked through word images.  Search strategies, in order: plain
     breadth-first arc images; repeller steering (pull a repelling fixed
     point into the ball, then iterate its generator); and two greedy
-    extension chains for expanding structure without repellers.  Every
-    (point, rung) pair runs through each strategy in one batch.  The
-    recorded separation always replays as circ_dist(w(x), w(y)) for the
-    listed partner y.
+    extension chains for expanding structure without repellers.  Each
+    strategy runs in one batch, on the (point, rung) pairs where no strategy
+    before it reached the diameter cap 1/2: a later strategy wins only on a
+    gain above 1e-15, so it could not win those.  The recorded separation
+    always replays as circ_dist(w(x), w(y)) for the listed partner y.
     """
     net = system_net(ifs, res.net_size)
     rungs = _radius_ladder(res.r)
     slice_budget = max(64, res.budget // max(1, len(net) * len(rungs)))
     xs = np.repeat(np.asarray(net, dtype=float), len(rungs))
     rs = np.tile(np.asarray(rungs, dtype=float), len(net))
+    # a source stops at its first arc capped at 1/2: that arc wins its scan,
+    # or an earlier one within 1e-15 of it does
     bfs = _bfs_best(ifs, normalize_array(xs - rs), 2.0 * rs, res.depth,
-                    slice_budget, _merge_cell(res))
+                    slice_budget, _merge_cell(res), stop_above=math.nextafter(0.5, 0.0))
     # steering and the chains (which catch expanding structure that has no
-    # repelling fixed point to steer by) only claim strictly better results
-    cheap = _cheap_candidates(ifs, res, xs, rs)
-    strategies = [([d for d, _ in bfs], lambda i: bfs[i][1], lambda i: "bfs")] + cheap
+    # repelling fixed point to steer by) only claim strictly better results,
+    # so each runs only where no column before it reached the cap
+    bfs_diams = np.array([d for d, _ in bfs])
+    cheap = _cheap_candidates(ifs, res, xs, rs, bfs_diams)
+    strategies = [(bfs_diams, lambda i: bfs[i][1], lambda i: "bfs")] + cheap
     best, at = _best_from(np.column_stack([diams for diams, _, _ in strategies]), 0)
     chosen = [(strategies[k][1](i), strategies[k][2](i)) for i, k in enumerate(at.tolist())]
     seps, partners = _refined_separations(ifs, [w for w, _ in chosen], xs, rs)

@@ -433,9 +433,12 @@ def _lift_fixed_values(lift_array, identity_samples: int):
         mid = 0.5 * (ra + rb)
         fm = lift_array(mid) - mid - m
         done = (fm == 0.0) | (rb - ra <= _FP_TOL * 0.5)
-        bisected[live[done]] = mid[done]
-        go = ~done
-        live, ra, rb, fa, m, mid, fm = (v[go] for v in (live, ra, rb, fa, m, mid, fm))
+        # every cell halves from width 1/_FP_GRID, so all reach the tolerance
+        # on one step; before it, only an exact zero ends a root
+        if done.any():
+            bisected[live[done]] = mid[done]
+            go = ~done
+            live, ra, rb, fa, m, mid, fm = (v[go] for v in (live, ra, rb, fa, m, mid, fm))
         left = fa * fm < 0.0
         rb = np.where(left, mid, rb)
         ra = np.where(left, ra, mid)

@@ -3,8 +3,14 @@
 Every source of a batch must see, level by level, the same words in the same
 order, keep the same frontier, spend the same number of words and stop for
 the same reason as the one-source-at-a-time search it replaced.
+
+Sensitivity's strategy skips against the full composition in
+`strategy_oracle`: the BFS stopped at the 1/2 cap, the chains stopped once
+capped, and the cascade that runs each strategy only where no earlier one
+reached the cap pick what running everything everywhere picks.
 """
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -13,6 +19,7 @@ import pytest
 import ifs_lab.detectors as detectors
 
 import arc_oracle as oracle
+import strategy_oracle
 from arc_oracle import (TargetSet, arc_search, array_map, greedy_chain, greedy_keep,
                         map_arc_raw, steered_candidate)
 from ifs_lab import (Arc, CirclePoint, Expanding, Flip, GALLERY_NAMES, IfsSystem, NorthSouth,
@@ -22,9 +29,11 @@ from ifs_lab import (Arc, CirclePoint, Expanding, Flip, GALLERY_NAMES, IfsSystem
 from ifs_lab.detectors import (_arc_keys, _arc_search, _bfs_best, _dominance_keep, _expand,
                                _greedy_chains, _prior_max, _repeller_steering_data,
                                _stable_argsort, _steered_candidates, _target_cells,
-                               _targets_below, system_net, DEFAULT_RESOLUTION, Resolution)
+                               _targets_below, sensitivity_estimate, system_net,
+                               DEFAULT_RESOLUTION, Resolution)
 from ifs_lab.generators import map_arcs
 from ifs_lab.properties import evaluate_property
+from test_cover_kernel import BENCH_RES, random_systems as seeded_systems
 
 EPS = R = 0.01
 CELL = EPS / 8.0
@@ -526,3 +535,89 @@ def test_steering_cut_by_depth_matches_reference(ifs):
             else:
                 assert (steered_word(i), steered_q[i]) == ref[1:3]
                 assert steered[i] == pytest.approx(ref[0], abs=1e-12)
+
+
+# -- sensitivity's skips against the full composition ------------------------
+
+def cap_cases():
+    """The gallery at the default resolution and random seeds 0-1 at the
+    random_systems resolution."""
+    return ([(build_example(name).system, DEFAULT_RESOLUTION) for name in GALLERY_NAMES]
+            + [(ifs, BENCH_RES) for seed in (0, 1) for ifs in seeded_systems(seed, 10)])
+
+
+def test_bfs_stopped_at_the_cap_equals_the_full_search():
+    capped = total = 0
+    for ifs, res in cap_cases():
+        xs, rs, budget = strategy_oracle.sensitivity_pairs(ifs, res)
+        args = (ifs, (xs - rs) % 1.0, 2.0 * rs, res.depth, budget, detectors._merge_cell(res))
+        full = _bfs_best(*args)
+        assert _bfs_best(*args, stop_above=math.nextafter(0.5, 0.0)) == full
+        capped += sum(d == 0.5 for d, _ in full)
+        total += len(full)
+    assert 0 < capped < total
+
+
+def test_cascaded_strategies_pick_what_the_full_composition_picks():
+    """Per pair, the report's strategy, image diameter and word are the
+    winning column, diameter and word of every strategy run on every pair."""
+    columns = Counter()
+    for ifs, res in cap_cases():
+        report = sensitivity_estimate(ifs, res)[0]
+        want = strategy_oracle.strategy_table(ifs, res)
+        assert [(e["strategy"], e["image_diameter"], tuple(e["best_word"]))
+                for e in report.per_point] == [(label, d, w) for _, d, w, label in want]
+        columns.update((k, d == 0.5) for k, d, _, _ in want)
+    # BFS caps pairs that the later strategies then skip; steering and the
+    # diameter chain win pairs that the columns before them left open
+    assert columns[0, True] and columns[1, True] and columns[2, True] + columns[2, False]
+
+
+def test_the_cascade_skips_only_pairs_at_the_cap():
+    """A running best 1e-13 below 1/2 is not capped: a later strategy that
+    reaches 1/2 still wins the pair, so the pair must run.  A pair at 1/2 is
+    skipped, with -1 in every later column.  At this ball every strategy
+    reaches 1/2, so steering caps the pairs it runs on for the chains."""
+    ifs = build_example("thm34_ns_rotation").system
+    before = np.array([0.5, 0.5 - 1e-13, 0.2])
+    xs, rs = np.full(before.size, 0.1), np.full(before.size, 0.05)
+    full = detectors._cheap_candidates(ifs, DEFAULT_RESOLUTION, xs, rs)
+    assert [diams.tolist() for diams, _, _ in full] == [[0.5] * 3] * 3
+    cascade = detectors._cheap_candidates(ifs, DEFAULT_RESOLUTION, xs, rs, before)
+    assert [diams.tolist() for diams, _, _ in cascade] == [[-1.0, 0.5, 0.5], [-1.0] * 3, [-1.0] * 3]
+    (_, word, label), (_, ref_word, ref_label) = cascade[0], full[0]
+    assert [(word(i), label(i)) for i in (1, 2)] == [(ref_word(i), ref_label(i)) for i in (1, 2)]
+
+
+@pytest.mark.parametrize("ifs", SYSTEMS, ids=IDS)
+def test_capped_chains_equal_uncapped_ones(ifs):
+    """Radius 0.3 caps a ball at time 0; 0.05 and 0.004 reach the cap, if at
+    all, along the way."""
+    xs = np.repeat(np.array(system_net(ifs, 12)), 3)
+    rs = np.tile([0.3, 0.05, 0.004], xs.size // 3)
+    for flag in (False, True):
+        best, word = _greedy_chains(ifs, xs, rs, 30, flag)
+        ref_best, ref_word = strategy_oracle.greedy_chains(ifs, xs, rs, 30, flag)
+        assert best.tobytes() == ref_best.tobytes()
+        assert list(map(word, range(xs.size))) == list(map(ref_word, range(xs.size)))
+    steering = _repeller_steering_data(ifs, DEFAULT_RESOLUTION.replaced(depth=20, budget=2000))
+    best, q, word = _steered_candidates(ifs, steering, xs, rs, 30)
+    ref_best, ref_q, ref_word = strategy_oracle.steered_candidates(ifs, steering, xs, rs, 30)
+    assert (best.tobytes(), q) == (ref_best.tobytes(), ref_q)
+    assert list(map(word, range(xs.size))) == list(map(ref_word, range(xs.size)))
+
+
+def test_steering_repeats_a_pull_back_that_is_capped_at_time_0():
+    """A ball around a repeller needs no pull-back word; at radius 0.3 it is
+    capped at time 0, and steering, which reads times 1 on, must still take
+    the first repeat of the repeller's letter."""
+    ifs = build_example("thm34_ns_rotation").system
+    steering = _repeller_steering_data(ifs, DEFAULT_RESOLUTION)
+    xs = np.array([q for q, _, _ in steering])
+    rs = np.full(xs.size, 0.3)
+    best, q, word = _steered_candidates(ifs, steering, xs, rs, 10)
+    ref_best, ref_q, ref_word = strategy_oracle.steered_candidates(ifs, steering, xs, rs, 10)
+    assert (best.tobytes(), q) == (ref_best.tobytes(), ref_q)
+    assert list(map(word, range(xs.size))) == list(map(ref_word, range(xs.size)))
+    assert xs.size and best.tolist() == [0.5] * xs.size
+    assert word(0) == (steering[0][1],)

@@ -97,6 +97,18 @@ def test_roots_on_grid_points_are_exact():
     assert not identity and values == [0.0, 0.5]
 
 
+def test_a_root_on_a_dyadic_midpoint_ends_its_bisection_early():
+    """The root 4001/16384 is the second bisection midpoint of its grid cell
+    [1000, 1001] / 4096, where the lift lands on it exactly (a breakpoint),
+    so that root ends on fm == 0.0 while the other one bisects on."""
+    x0 = 4001 / 16384
+    g = PiecewiseLinear(((0.0, 0.05), (x0, x0), (0.75, 0.71), (1.0, 1.05)))
+    values, identity = _lift_fixed_values(g.lift_array, 16)
+    assert not identity and len(values) == 2 and x0 in values
+    assert (values, identity) == oracle.lift_fixed_values(g.lift, 16)
+    assert repr(fixed_points(g)) == repr(oracle.fixed_points(g))
+
+
 def test_identity_maps_are_sampled():
     values, identity = _lift_fixed_values(Rotation(0.0).lift_array, 16)
     assert identity and values == [(i + 0.5) / 16 for i in range(16)]

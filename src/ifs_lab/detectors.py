@@ -23,7 +23,8 @@ from .circle import (Arc, _circ_dist_array, as_value, circ_dist,  # noqa: F401
                      normalize, normalize_array)
 from .generators import _require_finite, map_arcs
 from .semigroup import (STOP_REASONS, IfsSystem, _BUDGET, _DEPTH, _EXHAUSTED, _FOUND,
-                        _SearchNodes, _merged, _word_values, orbit_cloud, periodic_points)
+                        _SearchNodes, _fresh_cells, _merged, _word_values, orbit_cloud,
+                        periodic_points)
 from .symbolic import Word
 
 
@@ -147,7 +148,8 @@ def _cyclic_gaps(s: np.ndarray, seg: np.ndarray, n: int) -> Tuple[np.ndarray, np
     top = np.maximum.reduceat(d, starts)
     # the first diff reaching its segment's top
     reach = np.flatnonzero(d == np.repeat(top, ends - starts + 1))
-    first = reach[np.unique(np.searchsorted(starts, reach, side="right"), return_index=True)[1]]
+    owner = np.searchsorted(starts, reach, side="right")  # non-decreasing, as reach ascends
+    first = reach[np.r_[True, owner[1:] != owner[:-1]]]
     wrap = 1.0 - s[ends] + s[starts]
     single, by_wrap = ends == starts, wrap > top
     ids = seg[starts]
@@ -453,17 +455,8 @@ def _expand(gens, f_s, f_l, f_src, f_id, room, seen, scale):
     ncand = np.bincount(csrc, minlength=n)
     first_row = np.cumsum(ncand) - ncand
     j = np.arange(cs.size) - first_row[csrc]
-    # one sort of the keys: the first child in each cell (the least row of
-    # its run of equal keys), unless `seen` holds the cell
-    by_key = np.argsort(keys)
-    uk = keys[by_key]
-    lead = np.ones(uk.size, dtype=bool)
-    lead[1:] = uk[1:] != uk[:-1]
-    first, uk = np.minimum.reduceat(by_key, np.flatnonzero(lead)), uk[lead]
-    at = np.searchsorted(seen, uk)
-    if seen.size:
-        new = seen[np.minimum(at, seen.size - 1)] != uk
-        first, uk, at = first[new], uk[new], at[new]
+    # the first child in each cell, unless `seen` holds the cell
+    first, uk, at = _fresh_cells(keys, seen)
     fresh = np.zeros(cs.size, dtype=bool)
     fresh[first] = True
     cut = np.full(n, _NO_CUT)
@@ -707,9 +700,9 @@ def almost_periodic_verdict(ifs: IfsSystem, x, res: Resolution = DEFAULT_RESOLUT
     cloud = orbit_cloud(ifs, x, res.depth, res.budget, merge=_merge_cell(res))
     vals = np.sort(cloud.values)
     nbins = max(1, round(1.0 / res.eps))
-    # the least orbit value of each eps-bin
-    firsts = np.unique(np.minimum((vals * nbins).astype(np.int64), nbins - 1),
-                       return_index=True)[1]
+    # the least orbit value of each eps-bin: the first of its run, as vals ascend
+    bins = np.minimum((vals * nbins).astype(np.int64), nbins - 1)
+    firsts = np.r_[True, bins[1:] != bins[:-1]]
     fps = np.array(generator_fixed_values(ifs))
     near = fps[_nearest_distances(fps, vals) <= res.eps / 2.0]
     closure = np.unique(np.r_[x, vals[firsts], near])  # all canonical values already

@@ -170,18 +170,19 @@ class NorthSouth(Generator):
         return self.q + n + self._core(tq - n)
 
     def lift_array(self, t: np.ndarray) -> np.ndarray:
+        """`lift` over an array on numpy's tan and arctan, with no branch:
+        one tan and one arctan over the whole array, each element's
+        argument picked by its branch of `_core`, so that every element
+        meets the same ufuncs on the same values as it would under a
+        boolean mask of its branch."""
         tq = t - self.q
         n = np.floor(tq + 0.5)
         s = tq - n
-        out = np.empty_like(s)
         inner = np.abs(s) <= 0.25
-        si = s[inner]
-        out[inner] = np.arctan(self.lam * np.tan(np.pi * si)) / np.pi
-        so = s[~inner]
-        sp = 0.5 - np.abs(so)
-        u = 0.5 - np.arctan(np.tan(np.pi * sp) / self.lam) / np.pi
-        out[~inner] = np.where(so > 0, u, -u)
-        return self.q + n + out
+        tan = np.tan(np.pi * np.where(inner, s, 0.5 - np.abs(s)))
+        core = np.arctan(np.where(inner, self.lam * tan, tan / self.lam)) / np.pi
+        u = 0.5 - core
+        return self.q + n + np.where(inner, core, np.where(s > 0, u, -u))
 
     def derivative(self, x: float) -> float:
         tq = x - self.q
@@ -389,22 +390,26 @@ class FixedPointRecord:
 # Non-hyperbolicity margin for classifying multipliers against 1.
 _CLASS_TOL = 1e-9
 _FP_GRID = 4096
+# The root grid, read by `_lift_fixed_values`' callers and never written.
+_FP_XS = np.arange(_FP_GRID + 1) / _FP_GRID
+_FP_XS.setflags(write=False)
 # Root tolerance: a lift within it of a branch fixes the point.
 _FP_TOL = 1e-12
 
 
-def _lift_fixed_values(lift_array, identity_samples: int):
+def _lift_fixed_values(lift_array, grid_lift: np.ndarray, identity_samples: int):
     """Roots in [0, 1) of lift(x) - x - m over all integer branches m.
 
-    One array pass: lift(x) - x on a grid of _FP_GRID cells, every (cell,
-    branch) crossing listed at once, and all crossings bisected together.
-    Returns (values, identity) where identity=True means the map fixes every
-    point up to _FP_TOL; in that case `values` is a uniform sample of
-    `identity_samples` points.
+    One array pass: lift(x) - x on the _FP_GRID cells of the root grid
+    `_FP_XS`, whose lift `grid_lift` (`lift_array(_FP_XS)`) the caller
+    gives, every (cell, branch) crossing listed at once, and all crossings
+    bisected together.  Returns (values, identity) where identity=True means
+    the map fixes every point up to _FP_TOL; in that case `values` is a
+    uniform sample of `identity_samples` points.
     """
     n = _FP_GRID
-    xs = np.arange(n + 1) / n
-    phi = lift_array(xs) - xs
+    xs = _FP_XS
+    phi = grid_lift - xs
     lo = math.ceil(phi.min() - _FP_TOL)
     hi = math.floor(phi.max() + _FP_TOL)
     # a lift can stay within _FP_TOL of one branch only if it is nearly constant
@@ -485,7 +490,7 @@ def fixed_points(g: Generator):
     its one-sided multipliers and its class (repelling, attracting,
     semistable or nonhyperbolic).  A map fixing every point gives 16 uniform
     samples, each nonhyperbolic with multipliers (1, 1)."""
-    values, identity = _lift_fixed_values(g.lift_array, 16)
+    values, identity = _lift_fixed_values(g.lift_array, g.lift_array(_FP_XS), 16)
     if identity:
         return [FixedPointRecord(CirclePoint(v), (1.0, 1.0), "nonhyperbolic") for v in values]
     mults = [_one_sided_multipliers(g, v) for v in values]

@@ -8,12 +8,14 @@ cell.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from .circle import CirclePoint, as_value, normalize, normalize_array
-from .generators import _FP_TOL, Generator, NonInvertible, _lift_fixed_values, fixed_points
+from .generators import (_FP_TOL, _FP_XS, Generator, NonInvertible, _lift_fixed_values,
+                         fixed_points)
 from .symbolic import Word, enumerate_words, validate_word
 
 
@@ -134,23 +136,41 @@ def periodic_points(ifs: IfsSystem, max_len: int) -> List[Tuple[CirclePoint, Wor
 
     Words whose composed lift is the identity fix the whole circle; they
     contribute a uniform sample of 512 points.  Points are deduplicated on
-    a 1e-12 grid, keeping the first (shortest) witness word.
+    a 1e-12 grid, keeping the first witness word in `enumerate_words` order
+    (the shortest).
+
+    Words share their prefixes' lifts of the root grid: a depth-first walk
+    of the word tree lifts each word's grid from its prefix's by the last
+    letter alone, and holds the grids of at most (k - 1) * max_len + 1 words
+    still to be extended.  Each word's roots are still bisected on its own.
+    A word is known during the walk by its index in `enumerate_words` order
+    (a child of the word at index i by letter a is at k * i + a), so that
+    only the first witness of each point is held, not every word.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    found: List[Tuple[float, Word]] = []
-    seen_keys = set()
-    for w in enumerate_words(ifs.k, max_len):
-        if not w:
-            continue
-        values, _identity = _lift_fixed_values(_word_lift_array(ifs, w), 512)
-        for v in values:
-            key = round(v / _FP_TOL)
-            if key in seen_keys:
-                continue
-            seen_keys.add(key)
-            found.append((v, w))
-    found.sort(key=lambda e: e[0])
+    k = ifs.k
+    witness = {}  # per 1e-12 cell: the index and value of its first witness
+    todo = [((), 0, _FP_XS)]  # words to extend: the word, its index, its grid lift
+    while todo:
+        prefix, index, grid = todo.pop()
+        for letter, g in enumerate(ifs.generators, 1):
+            w, at = prefix + (letter,), k * index + letter
+            lifted = g.lift_array(grid)
+            values, _identity = _lift_fixed_values(_word_lift_array(ifs, w), lifted, 512)
+            for v in values:
+                key = round(v / _FP_TOL)
+                if key not in witness or at < witness[key][0]:
+                    witness[key] = (at, v)
+            if len(w) < max_len:
+                todo.append((w, at, lifted))
+    by_index = {}
+    for at, v in witness.values():
+        by_index.setdefault(at, []).append(v)
+    # the witness words, read off the enumeration up to the last of them
+    words = islice(enumerate(enumerate_words(k, max_len)), max(by_index, default=-1) + 1)
+    found = sorted(((v, w) for at, w in words for v in by_index.get(at, ())),
+                   key=lambda e: e[0])
     return [(CirclePoint(v), w) for v, w in found]
 
 
@@ -291,25 +311,23 @@ def orbit_cloud(ifs: IfsSystem, x, depth: int, cap: int, merge: float,
             f_val, f_src, f_id = f_val[live], f_src[live], f_id[live]
         width = f_val.size
         cv = np.concatenate([g.eval_array(f_val) for g in ifs.generators])
-        csrc = np.tile(f_src, k)
+        csrc = np.concatenate([f_src] * k)
         # per (source, cell), the first child in letter-then-parent order,
         # kept if its cell is new to the source
-        uk, first = np.unique(keys_of(csrc, cv), return_index=True)
-        at = np.searchsorted(seen, uk)
-        fresh = seen[np.minimum(at, seen.size - 1)] != uk
-        uk, first, at = uk[fresh], first[fresh], at[fresh]
+        first, uk, at = _fresh_cells(keys_of(csrc, cv), seen)
+        fresh = np.zeros(cv.size, dtype=bool)
+        fresh[first] = True
         got = np.bincount(csrc[first], minlength=n)
         room = cap - counts
         if (got > room).any():
             # each source keeps its first `room` fresh children in visit order
-            visit = np.sort(first)
+            visit = np.flatnonzero(fresh)
             vs = csrc[visit]
             by_src = np.argsort(vs, kind="stable")
             rank = np.empty(visit.size, dtype=np.int64)
             rank[by_src] = np.arange(visit.size) - (np.cumsum(got) - got)[vs[by_src]]
-            kept = np.zeros(cv.size, dtype=bool)
-            kept[visit[rank < room[vs]]] = True
-            keep = kept[first]
+            fresh[visit[rank >= room[vs]]] = False
+            keep = fresh[first]
             uk, first, at = uk[keep], first[keep], at[keep]
             got = np.minimum(got, room)
         # merge the new cells into the sorted ones
@@ -319,7 +337,7 @@ def orbit_cloud(ifs: IfsSystem, x, depth: int, cap: int, merge: float,
         seen = _merged(seen, old, at, uk)
         if seen_values is not None:
             seen_values = _merged(seen_values, old, at, cv[first])
-        visit = np.sort(first)
+        visit = np.flatnonzero(fresh)
         parents = f_id[visit % width]
         f_val, f_src, f_id = cv[visit], csrc[visit], np.arange(count, count + visit.size)
         for col, v in zip(cols, (f_val, parents, visit // width + 1, f_src)):
@@ -343,6 +361,26 @@ def orbit_cloud(ifs: IfsSystem, x, depth: int, cap: int, merge: float,
             seen_values = None if seen_values is None else seen_values[alive]
     stop[stop < 0] = _DEPTH
     return OrbitCloud(*[np.concatenate(col) for col in cols], depths, stop)
+
+
+def _fresh_cells(keys: np.ndarray, seen: np.ndarray):
+    """For each distinct key that the sorted `seen` lacks, in key order: the
+    least row holding it, the key, and its insertion point in `seen`.
+
+    One unstable sort: the least row of each run of equal keys does not
+    depend on how the sort orders ties.
+    """
+    by_key = np.argsort(keys)
+    uk = keys[by_key]
+    lead = np.ones(uk.size, dtype=bool)
+    lead[1:] = uk[1:] != uk[:-1]
+    runs = np.flatnonzero(lead)
+    first, uk = np.minimum.reduceat(by_key, runs), uk[runs]
+    at = np.searchsorted(seen, uk)
+    if seen.size:
+        new = seen[np.minimum(at, seen.size - 1)] != uk
+        first, uk, at = first[new], uk[new], at[new]
+    return first, uk, at
 
 
 def _merged(a: np.ndarray, old: np.ndarray, at: np.ndarray, new: np.ndarray) -> np.ndarray:

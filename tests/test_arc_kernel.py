@@ -519,6 +519,42 @@ def test_map_arcs_lifts_both_ends_in_one_call_bitwise(kind):
             assert got_l.tobytes() == want_l.tobytes()
 
 
+def masked_north_south_lift(g, t):
+    """`NorthSouth.lift_array` as written with boolean-mask gathers and
+    scatters, each branch on its own elements."""
+    tq = t - g.q
+    n = np.floor(tq + 0.5)
+    s = tq - n
+    out = np.empty_like(s)
+    inner = np.abs(s) <= 0.25
+    out[inner] = np.arctan(g.lam * np.tan(np.pi * s[inner])) / np.pi
+    so = s[~inner]
+    u = 0.5 - np.arctan(np.tan(np.pi * (0.5 - np.abs(so))) / g.lam) / np.pi
+    out[~inner] = np.where(so > 0, u, -u)
+    return g.q + n + out
+
+
+def test_north_south_lift_without_branches_equals_the_masked_form_bitwise():
+    """One tan and one arctan over the whole array, the argument picked per
+    element, give each element what its branch alone gives."""
+    rng = np.random.default_rng(31)
+    gens = [NorthSouth(q, lam) for q in (0.0, 0.5, 0.75, 0.3, float(rng.random()))
+            for lam in (1.05, 2.0, 7.5)]
+    # s exactly -0.5, -0.25, 0.25 and (as tq = 0.5 rounds up to the next
+    # branch) 0.5, with their neighbours, on several branches
+    ends = np.array([-0.5, -0.25, 0.25, 0.5])
+    ends = np.concatenate([ends, np.nextafter(ends, -1.0), np.nextafter(ends, 1.0)])
+    for g in gens:
+        t = (g.q + np.arange(-9, 10)[:, None] + ends).reshape(-1)
+        assert g.lift_array(t).tobytes() == masked_north_south_lift(g, t).tobytes()
+    for size in range(1002):
+        t = rng.uniform(-10.0, 10.0, size)
+        at_end = rng.random(size) < 0.05
+        for g in gens:
+            t[at_end] = g.q + rng.choice(ends, np.count_nonzero(at_end))
+            assert g.lift_array(t).tobytes() == masked_north_south_lift(g, t).tobytes()
+
+
 @pytest.mark.parametrize("ifs", SYSTEMS, ids=IDS)
 def test_steering_cut_by_depth_matches_reference(ifs):
     """At small depths the pull-back word leaves each pair a different number

@@ -4,17 +4,20 @@ Locations, multipliers and classes must agree bitwise (records
 are compared through their reprs, which print every float exactly), on the
 gallery, on linear coverings up to degree 256, on seeded random generators
 of all five types and on the edge cases of the grid scan: identity maps,
-roots on grid points, the x = 1 endpoint and a semistable hinge.
+roots on grid points, the x = 1 endpoint and a semistable hinge.  Periodic
+points, whose words share their prefixes' grid lifts, must equal the
+reference's word-by-word solve on the gallery and on seeded random systems.
 """
 
 import numpy as np
 import pytest
 
 import fixed_point_oracle as oracle
-from ifs_lab import (Expanding, Flip, GALLERY_NAMES, NorthSouth, PiecewiseLinear, Rotation,
-                     build_example, fixed_points, periodic_points)
-from ifs_lab.generators import _lift_fixed_values
+from ifs_lab import (Expanding, Flip, GALLERY_NAMES, IfsSystem, NorthSouth, PiecewiseLinear,
+                     Rotation, build_example, fixed_points, periodic_points)
+from ifs_lab.generators import _FP_XS, _lift_fixed_values
 from ifs_lab.semigroup import _word_lift_array
+from test_arc_kernel import random_systems as seeded_systems
 
 
 def random_generator(rng, kind):
@@ -59,6 +62,11 @@ EDGE_CASES = [
 ]
 
 
+def grid_lifted(lift_array):
+    """The root finder's first two arguments for a lift."""
+    return lift_array, lift_array(_FP_XS)
+
+
 def assert_same_records(g):
     assert repr(fixed_points(g)) == repr(oracle.fixed_points(g))
 
@@ -93,7 +101,7 @@ def test_large_expanding_matches_reference(m):
 
 
 def test_roots_on_grid_points_are_exact():
-    values, identity = _lift_fixed_values(NorthSouth(0.0, 2.0).lift_array, 512)
+    values, identity = _lift_fixed_values(*grid_lifted(NorthSouth(0.0, 2.0).lift_array), 512)
     assert not identity and values == [0.0, 0.5]
 
 
@@ -103,25 +111,42 @@ def test_a_root_on_a_dyadic_midpoint_ends_its_bisection_early():
     so that root ends on fm == 0.0 while the other one bisects on."""
     x0 = 4001 / 16384
     g = PiecewiseLinear(((0.0, 0.05), (x0, x0), (0.75, 0.71), (1.0, 1.05)))
-    values, identity = _lift_fixed_values(g.lift_array, 16)
+    values, identity = _lift_fixed_values(*grid_lifted(g.lift_array), 16)
     assert not identity and len(values) == 2 and x0 in values
     assert (values, identity) == oracle.lift_fixed_values(g.lift, 16)
     assert repr(fixed_points(g)) == repr(oracle.fixed_points(g))
 
 
 def test_identity_maps_are_sampled():
-    values, identity = _lift_fixed_values(Rotation(0.0).lift_array, 16)
+    values, identity = _lift_fixed_values(*grid_lifted(Rotation(0.0).lift_array), 16)
     assert identity and values == [(i + 0.5) / 16 for i in range(16)]
     ifs = build_example("rotation_flip").system
-    new = _lift_fixed_values(_word_lift_array(ifs, (2, 2)), 64)
+    new = _lift_fixed_values(*grid_lifted(_word_lift_array(ifs, (2, 2))), 64)
     assert new == oracle.lift_fixed_values(ifs.word_lift((2, 2)), 64)
     assert new[1] is True
 
 
 @pytest.mark.parametrize("name", GALLERY_NAMES)
 def test_periodic_points_match_reference(name):
+    # rotation_flip has identity words of lengths 2 and 4 (flip.flip,
+    # (rotation.flip)^2, ...): the 512-sample path, and the first word per
+    # key among words of two lengths
+    max_len = 4 if name == "rotation_flip" else 3
     ifs = build_example(name).system
+    assert repr(periodic_points(ifs, max_len)) == repr(oracle.periodic_points(ifs, max_len))
+
+
+@pytest.mark.parametrize("index", range(6), ids=[f"random{i}" for i in range(6)])
+def test_periodic_points_of_random_systems_match_reference(index):
+    ifs = seeded_systems()[index]
     assert repr(periodic_points(ifs, 3)) == repr(oracle.periodic_points(ifs, 3))
+
+
+def test_periodic_points_walk_a_long_one_letter_tree_without_recursion():
+    # every fourth word is the identity; the first of them witnesses all samples
+    pts = periodic_points(IfsSystem([Rotation(0.25)]), 1500)
+    assert [p.value for p, _ in pts] == [(i + 0.5) / 512 for i in range(512)]
+    assert {w for _, w in pts} == {(1, 1, 1, 1)}
 
 
 def test_expanding_2000_fixed_points():

@@ -4,7 +4,9 @@
 Every source of a multi-root `orbit_cloud` call must visit, bitwise, the
 same values with the same parents and letters, reach the same depth and
 empty out exactly when the lone search from its root does; the orbit
-verdicts built on the kernel must equal those built on the reference.
+verdicts built on the kernel must equal those built on the reference.  The
+fresh-cell step that the orbit and arc searches share must equal the
+`np.unique` form it replaced, however `argsort` orders ties.
 """
 
 import json
@@ -21,7 +23,7 @@ from ifs_lab import (DEFAULT_RESOLUTION, Expanding, Flip, IfsSystem, NorthSouth,
 from ifs_lab.detectors import (_Coverage, _Density, _cyclic_gaps, _repeller_steering_data,
                                max_cyclic_gap, system_net)
 from orbit_oracle import max_cyclic_gap as reference_gap
-from ifs_lab.semigroup import STOP_REASONS, orbit_cloud
+from ifs_lab.semigroup import STOP_REASONS, _fresh_cells, orbit_cloud
 from test_arc_kernel import IDS, SYSTEMS
 
 EPS = 0.01
@@ -197,6 +199,36 @@ def test_cyclic_gaps_equal_the_scalar_max_cyclic_gap_bitwise():
         assert (gap[2 * i], mid[2 * i]) == reference_gap(v) == max_cyclic_gap(v[::-1])
         assert gap[2 * i + 1] == np.inf
     assert max_cyclic_gap(np.array([])) == reference_gap(np.array([])) == (1.0, 0.0)
+
+
+def unique_fresh_cells(keys, seen):
+    """The fresh-cell step as `np.unique(return_index=True)` and a
+    `searchsorted` wrote it."""
+    uk, first = np.unique(keys, return_index=True)
+    at = np.searchsorted(seen, uk)
+    new = seen[np.minimum(at, seen.size - 1)] != uk if seen.size else np.ones(uk.size, bool)
+    return first[new], uk[new], at[new]
+
+
+def test_fresh_cells_match_the_unique_and_searchsorted_form():
+    rng = np.random.default_rng(43)
+    none = np.zeros(0, dtype=np.int64)
+    cases = [(np.array([5]), none), (np.array([5]), np.array([5])),
+             (np.array([5]), np.array([2, 9])), (np.full(300, 3), none),
+             (np.full(300, 3), np.array([3])), (np.full(300, 3), np.array([1, 7]))]
+    for _ in range(200):
+        # few distinct values: long runs of duplicates
+        keys = rng.integers(0, int(rng.integers(1, 80)), int(rng.integers(1, 3000)))
+        seen = np.unique(np.r_[rng.choice(keys, int(rng.integers(0, 6))),
+                               rng.integers(-5, 90, int(rng.integers(0, 6)))])
+        cases += [(keys, seen), (keys, none)]
+    for keys, seen in cases:
+        # the same keys in other orders, so that argsort meets its ties differently
+        for order in (np.arange(keys.size), np.arange(keys.size)[::-1],
+                      rng.permutation(keys.size)):
+            want, got = unique_fresh_cells(keys[order], seen), _fresh_cells(keys[order], seen)
+            for a, b in zip(want, got):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_orbit_keys_that_cannot_fit_an_int64_are_refused(rotation_flip):

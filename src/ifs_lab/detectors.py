@@ -23,13 +23,25 @@ from .circle import (Arc, _circ_dist_array, as_value, circ_dist,  # noqa: F401
                      normalize, normalize_array)
 from .generators import _require_finite, map_arcs
 from .semigroup import (STOP_REASONS, IfsSystem, _BUDGET, _DEPTH, _EXHAUSTED, _FOUND,
-                        _SearchNodes, _fresh_cells, _merged, _word_values, orbit_cloud,
-                        periodic_points)
+                        _SearchNodes, _cell_count, _fresh_cells, _merged, _word_values,
+                        orbit_cloud, periodic_points)
 from .symbolic import Word
 
 
 class NotApplicable(Exception):
     """Raised when a detector's precondition fails at the given resolution."""
+
+
+def _coerced(name: str, value, default):
+    """`value` as the type of `default`.  A bool, or a value that is not a
+    whole number for an integer parameter, raises ValueError naming it;
+    NaN and inf pass to a real parameter for the verdict to check."""
+    kind = type(default)
+    if isinstance(value, bool) or (kind is int and not isinstance(value, Integral)
+                                   and not float(value).is_integer()):
+        noun = "an integer" if kind is int else "a real number"
+        raise ValueError(f"parameter {name!r} takes {noun}, got {value!r}")
+    return kind(value)
 
 
 @dataclass(frozen=True)
@@ -43,6 +55,9 @@ class Resolution:
     budget: int = 100_000  # search states per quantified instance
 
     def __post_init__(self):
+        # a bool or a fraction raises; a whole-number float is kept as its int
+        for name in ("depth", "net_size", "budget"):
+            object.__setattr__(self, name, _coerced(name, getattr(self, name), 0))
         if not 0.0 < self.eps <= 0.5 or not 0.0 < self.r <= 0.5:
             raise ValueError("eps and r must lie in (0, 1/2]")
         if self.depth < 1 or self.net_size < 1 or self.budget < 1:
@@ -170,13 +185,13 @@ def _merge_cell(res: Resolution) -> float:
 # batched arc-image search: many source arcs, breadth first, level by level,
 # with state merging and dominance pruning
 
-# Working-set bounds.  Sources, here and in the orbit searches, are searched
-# a chunk at a time (`_chunks`); a chunk holds about _CHUNK_NODES nodes at
-# the rate per source of the chunk before it, and, here, at most
-# _CHUNK_NODES (source, target) pairs.  The first chunk has _FIRST_CHUNK
-# arcs.  Target hits expand at most _HIT_PAIRS (arc, target) pairs at once.
-# A pass of the word evaluator (`_word_images`) holds at most _CHUNK_NODES
-# (word, point) rows.
+# Working-set bounds.  Sources, here and in the orbit and cover searches,
+# are searched a chunk at a time (`_chunks`); a chunk holds about
+# _CHUNK_NODES nodes, and, here, at most _CHUNK_NODES (source, target)
+# pairs.  The first chunk has _FIRST_CHUNK arcs, or more where a source is
+# proven to hold few nodes.  Target hits expand at most _HIT_PAIRS (arc,
+# target) pairs at once.  A pass of the word evaluator (`_word_images`)
+# holds at most _CHUNK_NODES (word, point) rows.
 _CHUNK_NODES = 1 << 14
 _FIRST_CHUNK = 16
 _HIT_PAIRS = 1 << 13
@@ -188,17 +203,24 @@ _CLEAR = 1e-13
 _NO_CUT = np.iinfo(np.int64).max  # a level the word budget does not cut
 
 
-def _chunks(n: int, first: int, search, nodes, most=np.inf):
+def _chunks(n: int, first: int, ceiling: int, search, nodes, most=np.inf):
     """`search(lo, hi)` over consecutive chunks [lo, hi) of n sources, each
-    result yielded in turn.  The first chunk has `first` sources, each later
-    one at most twice as many as the one before, at most `most`, and about
-    _CHUNK_NODES nodes at the rate per source of the one before, which held
-    `nodes(result)` of them."""
-    lo, size = 0, first
+    result yielded in turn, where no source holds more than `ceiling` nodes.
+
+    A chunk of _CHUNK_NODES // ceiling sources therefore holds at most
+    _CHUNK_NODES nodes, and no chunk has fewer sources than that.  Above it,
+    the first chunk has `first` sources and each later one at most twice as
+    many as the one before, and about _CHUNK_NODES nodes at the rate per
+    source of the one before, which held `nodes(result)` of them.  No chunk
+    has more than `most` sources.  A verdict whose first source fails thus
+    searches at most one chunk: `first` sources, or the proven-safe number
+    where that is larger."""
+    lo, least = 0, _CHUNK_NODES // ceiling
+    size = max(first, least)
     while lo < n:
         hi = min(n, lo + max(1, min(size, most)))
         result = search(lo, hi)
-        size = min(2 * (hi - lo), _CHUNK_NODES * (hi - lo) // nodes(result))
+        size = max(least, min(2 * (hi - lo), _CHUNK_NODES * (hi - lo) // nodes(result)))
         yield result
         del result  # free this chunk before the next one is searched
         lo = hi
@@ -249,16 +271,20 @@ def _arc_search(ifs: IfsSystem, starts, lengths, depth, budget: int, cell: float
     starts = np.asarray(starts, dtype=float)
     lengths = np.asarray(lengths, dtype=float)
     depths = np.broadcast_to(np.asarray(depth, dtype=np.int64), starts.shape)
-    scale = max(2, round(1.0 / cell))
+    scale = _cell_count(cell)
     tv = None if targets is None else np.asarray(targets, dtype=float)
     # merge-cell keys of a chunk's sources must fit in an int64
     keyed = 2 ** 62 // (scale * (scale + 1))
     if keyed < 1:
         raise ValueError(f"merge cell {cell} is too fine for the arc search")
     most = min(keyed, max(1, _CHUNK_NODES // (1 if tv is None else tv.size)))
-    yield from _chunks(starts.size, _FIRST_CHUNK, lambda lo, hi: _search_chunk(
-        lo, ifs.generators, starts[lo:hi], lengths[lo:hi], depths[lo:hi], budget, scale,
-        tv, fat, stop_above), lambda images: images.starts.size, most)
+
+    def search(lo, hi):
+        return _search_chunk(lo, ifs.generators, starts[lo:hi], lengths[lo:hi], depths[lo:hi],
+                             budget, scale, tv, fat, stop_above)
+
+    yield from _chunks(starts.size, _FIRST_CHUNK, budget + ifs.k, search,
+                       lambda images: images.starts.size, most)
 
 
 def _arc_keys(src, s, ln, scale):
@@ -360,8 +386,10 @@ def _search_chunk(first, gens, starts, lengths, depths, budget, scale, targets, 
         at = np.full(n, -1, dtype=np.int64)
         if stop_above is not None:
             fire = np.flatnonzero(np.minimum(ln, 0.5) > stop_above)
-            firsts, pos = np.unique(src[fire], return_index=True)
-            at[firsts] = fire[pos]
+            owner = src[fire]  # non-decreasing, as the arcs go source by source
+            lead = np.ones(owner.size, dtype=bool)
+            lead[1:] = owner[1:] != owner[:-1]
+            at[owner[lead]] = fire[lead]
         if targets is None:
             return at, None
         open_pair = first_hit.reshape(-1) < 0
@@ -558,21 +586,24 @@ def _prior_max(seg, v, by_v=None) -> np.ndarray:
 # orbit-density detectors
 
 
-_FIRST_ORBITS = 4  # orbit roots in the first chunk (see `_chunks`)
+_FIRST_ORBITS = 4  # orbit roots in the first chunk, unless more are safe (`_chunks`)
 
 
 def _orbit_chunks(ifs: IfsSystem, roots, res: Resolution, make_test):
     """(first root, cloud, stop test) per chunk of roots, each orbit merged
     at eps/8 within the depth and budget bounds; `make_test(chunk_roots)`
-    builds the chunk's stop test."""
+    builds the chunk's stop test.  A root's orbit holds at most one point
+    per merge cell, and at most the budget."""
+    merge = _merge_cell(res)
 
     def search(lo, hi):
         chunk = np.asarray(roots[lo:hi], dtype=float)
         test = make_test(chunk)
         return lo, orbit_cloud(ifs, chunk, res.depth, res.budget, stop_when=test,
-                               merge=_merge_cell(res)), test
+                               merge=merge), test
 
-    yield from _chunks(len(roots), _FIRST_ORBITS, search, lambda r: r[1].values.size)
+    yield from _chunks(len(roots), _FIRST_ORBITS, min(res.budget, _cell_count(merge)), search,
+                       lambda r: r[1].values.size)
 
 
 class _Density:
@@ -832,26 +863,34 @@ def s_transitivity_verdict(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION)
     worst_len = 0
     for images in _arc_search(ifs, starts, lengths, res.depth, res.budget,
                               _merge_cell(res), centers, res.eps):
-        for j, hits in enumerate(images.first_hit):
-            cu = centers[images.first + j]
-            # each image arc that first covered some center, in visit order
-            chosen = sorted(set(hits[hits >= 0].tolist()))
-            missed = np.flatnonzero(hits < 0)
-            if missed.size:
-                reason = images.stop[j]
-                return Verdict(
-                    "s_transitivity", False, res,
-                    {"stuck_arc_center": cu,
-                     "uncovered_centers": [centers[i] for i in missed[:16]],
-                     "uncovered_count": int(missed.size),
-                     "partial_cover_size": len(chosen),
-                     "stop_reason": reason,
-                     "depth_reached": int(images.depth_reached[j]),
-                     "words_examined": int(images.words[j])},
-                    caveat="no eps-cover by image arcs: " + _stopped_by(reason, res),
-                )
-            covers[f"{cu:.10f}"] = [list(w) for w in images.words_for(chosen)]
-            worst_len = max(worst_len, len(chosen))
+        # per source, each image arc that first covered some center, in
+        # visit order: the first of each run of its sorted hits (a miss, -1,
+        # sorts first)
+        ranked = np.sort(images.first_hit, axis=1)
+        lead = ranked >= 0
+        lead[:, 1:] &= ranked[:, 1:] != ranked[:, :-1]
+        sizes = np.count_nonzero(lead, axis=1)
+        stuck = np.flatnonzero(ranked[:, 0] < 0)
+        if stuck.size:
+            j = int(stuck[0])
+            missed = np.flatnonzero(images.first_hit[j] < 0)
+            reason = images.stop[j]
+            return Verdict(
+                "s_transitivity", False, res,
+                {"stuck_arc_center": centers[images.first + j],
+                 "uncovered_centers": [centers[i] for i in missed[:16]],
+                 "uncovered_count": int(missed.size),
+                 "partial_cover_size": int(sizes[j]),
+                 "stop_reason": reason,
+                 "depth_reached": int(images.depth_reached[j]),
+                 "words_examined": int(images.words[j])},
+                caveat="no eps-cover by image arcs: " + _stopped_by(reason, res),
+            )
+        words = iter(images.words_for(ranked[lead]))
+        for j, size in enumerate(sizes.tolist()):
+            covers[f"{centers[images.first + j]:.10f}"] = [
+                list(w) for w in itertools.islice(words, size)]
+        worst_len = max(worst_len, int(sizes.max()))
         del images  # free this chunk before the next one is searched
     return Verdict(
         "s_transitivity", True, res,

@@ -9,11 +9,10 @@ of their own.
 
 from __future__ import annotations
 
-from numbers import Integral
 from typing import Callable, NamedTuple, Optional
 
 from . import detectors, smooth
-from .detectors import NotApplicable, Resolution, Verdict
+from .detectors import NotApplicable, Resolution, Verdict, _coerced
 from .semigroup import IfsSystem
 
 
@@ -70,18 +69,6 @@ def property_spec(prop: str) -> PropertySpec:
     if prop not in PROPERTIES:
         raise ValueError(f"unknown property {prop!r}; choose from {PROPERTY_NAMES}")
     return PROPERTIES[prop]
-
-
-def _coerced(name: str, value, default):
-    """`value` as the type of `default`.  A bool, or a value that is not a
-    whole number for an integer parameter, raises ValueError naming it;
-    NaN and inf pass to a real parameter for the verdict to check."""
-    kind = type(default)
-    if isinstance(value, bool) or (kind is int and not isinstance(value, Integral)
-                                   and not float(value).is_integer()):
-        noun = "an integer" if kind is int else "a real number"
-        raise ValueError(f"parameter {name!r} takes {noun}, got {value!r}")
-    return kind(value)
 
 
 def evaluate_property(ifs: IfsSystem, prop: str, res: Resolution,

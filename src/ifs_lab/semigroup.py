@@ -259,6 +259,11 @@ class OrbitLevel:
         return self._seen // self._scale
 
 
+def _cell_count(merge: float) -> int:
+    """The number of merge cells, of width about `merge`, on the circle."""
+    return max(2, round(1.0 / merge))
+
+
 def orbit_cloud(ifs: IfsSystem, x, depth: int, cap: int, merge: float,
                 stop_when=None) -> OrbitCloud:
     """Breadth-first orbits of the root x, or of each root of an array x,
@@ -273,9 +278,11 @@ def orbit_cloud(ifs: IfsSystem, x, depth: int, cap: int, merge: float,
     levels ("depth"), or when `stop_when(level)`, called with an
     `OrbitLevel` after each completed level and returning one bool per
     source, says so ("found").  Every retained value is an exactly
-    evaluated orbit point, so witnesses stay genuine.
+    evaluated orbit point, so witnesses stay genuine.  A source holds at
+    most one point per merge cell, so at most min(cap, `_cell_count(merge)`)
+    points for cap >= 1.
     """
-    scale = max(2, round(1.0 / merge))
+    scale = _cell_count(merge)
     roots = (np.array([as_value(x)]) if np.ndim(x) == 0
              else normalize_array(np.array(x, dtype=float)))
     n, k = roots.size, ifs.k

@@ -15,8 +15,8 @@ import numpy as np
 
 from .circle import Arc, CirclePoint, as_value, normalize_array
 from .generators import NotDifferentiable
-from .detectors import (Resolution, DEFAULT_RESOLUTION, Verdict, _chunks, _letter_rows,
-                        _stopped_by, _word_images, uniform_net)
+from .detectors import (Resolution, DEFAULT_RESOLUTION, Verdict, _CHUNK_NODES, _chunks,
+                        _letter_rows, _stopped_by, _word_images, uniform_net)
 from .semigroup import IfsSystem
 from .symbolic import Word
 
@@ -115,7 +115,8 @@ def local_expanding_cover(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION) 
     """
     net = np.array(uniform_net(res.net_size))
     words: List[Word] = []
-    for found, _rows in _chunks(net.size, _FIRST_POINTS,
+    # a point's words take at most budget - 1 rows, the identity aside
+    for found, _rows in _chunks(net.size, _FIRST_POINTS, max(1, res.budget - 1),
                                 lambda lo, hi: _first_words(ifs, net[lo:hi], res),
                                 lambda result: result[1]):
         words += found
@@ -148,8 +149,9 @@ def local_expanding_verdict(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION
     return Verdict("local_expanding", True, res, cover.to_dict())
 
 
-# Net points are searched _FIRST_POINTS at a time, then in chunks that double
-# up to about _CHUNK_NODES evaluated words (`_chunks`).  A word anchors a
+# Net points are searched _FIRST_POINTS at a time, or as many as _CHUNK_NODES
+# evaluated words hold at budget - 1 a point, then in chunks that double up
+# to about _CHUNK_NODES evaluated words (`_chunks`).  A word anchors a
 # piece at x when it expands on [x - _EXTENT, x + _EXTENT]; the piece grows
 # to at most _CAP on either side.
 _FIRST_POINTS = 1
@@ -176,8 +178,13 @@ def _first_words(ifs: IfsSystem, xs: np.ndarray, res: Resolution):
     One prefix tree in `enumerate_words` order serves all points: a level
     extends each open point's words of the level before by one letter, in
     value and derivative, and the budget (which counts the identity) may end
-    it part way.  Each round then tests every open point's next candidate,
-    a word of the level that expands at the point, on both sides.
+    it part way.  Rounds then test the open points' candidates, the words
+    of the level that expand at the point, on both sides, a block of
+    candidates at a time: the first of each point, then its next two, four
+    and so on, while a block tests at most about _CHUNK_NODES samples.  A
+    point takes its first candidate that holds, so one whose word is its
+    r-th candidate costs at most about 2r tests, and a point with many
+    candidates and no word a few rounds, not one per candidate.
     """
     k = ifs.k
     found: List[Word] = [()] * xs.size
@@ -200,14 +207,22 @@ def _first_words(ifs: IfsSystem, xs: np.ndarray, res: Resolution):
         point, index = np.nonzero(np.abs(der) > 1.0 + _MARGIN)
         rank = np.arange(point.size) - np.searchsorted(point, point)
         done = np.zeros(live.size, dtype=bool)
-        for r in range(int(rank.max(initial=-1)) + 1):
-            at = np.flatnonzero((rank == r) & ~done[point])
+        lo, size = 0, 1
+        most = max(1, _CHUNK_NODES // (2 * _GROW_SAMPLES * live.size))
+        while (at := np.flatnonzero((rank >= lo) & (rank < lo + size) & ~done[point])).size:
             x, words = xs[live[point[at]]], _level_words(index[at], k, length)
             ok = _holds(ifs, np.tile(words, (2, 1)), np.tile(x, 2),
                         np.r_[x - _EXTENT, x + _EXTENT]).reshape(2, -1).all(axis=0)
-            done[point[at[ok]]] = True
-            for i, w in zip(live[point[at[ok]]].tolist(), words[ok].tolist()):
+            # each point's first candidate that holds: `at` ascends by point, then rank
+            got = np.flatnonzero(ok)
+            owner = point[at[got]]
+            lead = np.ones(got.size, dtype=bool)
+            lead[1:] = owner[1:] != owner[:-1]
+            got = got[lead]
+            done[point[at[got]]] = True
+            for i, w in zip(live[point[at[got]]].tolist(), words[got].tolist()):
                 found[i] = tuple(w)
+            lo, size = lo + size, min(2 * size, most)
         live, val, der = live[~done], val[~done], der[~done]
         if not live.size:
             return found, rows

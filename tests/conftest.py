@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import ifs_lab.detectors as detectors
 from ifs_lab import (Expanding, Flip, IfsSystem, NorthSouth, PiecewiseLinear,
                      Rotation)
 
@@ -47,3 +48,21 @@ def ns_rotation_sym():
     ns = NorthSouth(0.0, 2.0)
     rot = Rotation(GOLDEN)
     return IfsSystem([ns, ns.inverse(), rot, rot.inverse()])
+
+
+@pytest.fixture
+def chunk_ceilings(monkeypatch):
+    """`record(module)` wraps the `_chunks` that `module` calls and
+    returns the list to which each call appends the ceiling it was given:
+    the most nodes one source may hold, by which chunks are sized."""
+    def record(module):
+        ceilings, chunks = [], detectors._chunks
+
+        def recording(n, first, ceiling, *rest):
+            ceilings.append(ceiling)
+            return chunks(n, first, ceiling, *rest)
+
+        monkeypatch.setattr(module, "_chunks", recording)
+        return ceilings
+
+    return record

@@ -213,6 +213,26 @@ def test_chunking_does_not_change_results(monkeypatch):
     assert run() == together
 
 
+@pytest.mark.parametrize("budget", [1, 2, 5, 17, 64])
+def test_no_source_holds_more_arcs_than_its_chunks_are_sized_by(chunk_ceilings, budget):
+    """Chunks are sized by the ceiling the arc search passes `_chunks`,
+    so no source may hold more nodes than that, whether it stops
+    at its targets, above a length or at its bounds; and the ceiling is
+    tight: in each mode some source comes within one node of it."""
+    ceilings = chunk_ceilings(detectors)
+    closest = {}  # per mode, the most any source held less the ceiling
+    for ifs in SYSTEMS:
+        centers = np.array(system_net(ifs, 20))
+        starts, lengths = (centers - R) % 1.0, np.full(centers.size, 2.0 * R)
+        for mode, kw in (("targets", {"targets": centers, "fat": R}),
+                         ("stop_above", {"stop_above": 0.3}), ("bounds", {})):
+            for images in _arc_search(ifs, starts, lengths, 30, budget, CELL, **kw):
+                held = int(np.bincount(images.source).max())
+                assert held <= ceilings[-1], (ifs, mode)
+                closest[mode] = max(closest.get(mode, -ceilings[-1]), held - ceilings[-1])
+    assert len(closest) == 3 and min(closest.values()) >= -1
+
+
 def cofinite_reference(ifs, delta, res, window):
     """The hardest arc (or the stuck center) of the per-arc loop over
     `separation_times` and the public rules."""

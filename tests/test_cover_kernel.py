@@ -20,7 +20,7 @@ from ifs_lab import (Expanding, Flip, GALLERY_NAMES, IfsSystem, NorthSouth, NotD
                      PiecewiseLinear, Resolution, Rotation, build_example, local_expanding_cover,
                      local_expanding_verdict, word_derivative)
 from ifs_lab.circle import normalize_array
-from ifs_lab.detectors import DEFAULT_RESOLUTION, _stopped_by
+from ifs_lab.detectors import DEFAULT_RESOLUTION, _stopped_by, uniform_net
 from ifs_lab.semigroup import _word_values
 from ifs_lab.smooth import NotACover, NotLocallyExpanding
 from test_smooth import random_smooth_generator, smooth_systems
@@ -165,7 +165,9 @@ def test_cover_matches_the_reference_on_one_generator():
 
 def test_a_stuck_search_stops_after_the_first_chunk(monkeypatch, rotation_flip):
     # rotation_flip expands nowhere; its first net point already sticks, so
-    # only the first chunk's points may be searched, each over the budget
+    # only the first chunk's points may be searched, each over the budget:
+    # _FIRST_POINTS, or as many as _CHUNK_NODES rows hold when a point takes
+    # at most budget - 1 of them
     rows = []
 
     def counted(ifs, letters, x):
@@ -173,10 +175,55 @@ def test_a_stuck_search_stops_after_the_first_chunk(monkeypatch, rotation_flip):
         return _word_values(ifs, letters, x)
 
     monkeypatch.setattr(detectors, "_word_values", counted)
-    with pytest.raises(NotLocallyExpanding) as exc:
-        local_expanding_cover(rotation_flip, DEFAULT_RESOLUTION)
-    assert exc.value.point == 0.005
-    assert sum(rows) == smooth._FIRST_POINTS * (DEFAULT_RESOLUTION.budget - 1)
+    for budget, points in ((DEFAULT_RESOLUTION.budget, smooth._FIRST_POINTS), (4000, 4)):
+        rows.clear()
+        with pytest.raises(NotLocallyExpanding) as exc:
+            local_expanding_cover(rotation_flip, DEFAULT_RESOLUTION.replaced(budget=budget))
+        assert exc.value.point == 0.005
+        assert sum(rows) == points * (budget - 1)
+
+
+@pytest.mark.parametrize("budget", [2, 40, 4000])
+def test_no_point_takes_more_rows_than_its_chunks_are_sized_by(chunk_ceilings, budget):
+    """Chunks of net points are sized by the ceiling the cover search
+    passes `_chunks`, so no point may take more word rows than that,
+    whether it finds its word or sticks; and the ceiling is tight: a point
+    that spends the budget reaches it."""
+    ceilings = chunk_ceilings(smooth)
+    res = BENCH_RES.replaced(budget=budget)
+    most = 0
+    for ifs in [build_example(name).system for name in GALLERY_NAMES] + random_systems(0, 10):
+        try:
+            local_expanding_cover(ifs, res)
+        except (NotLocallyExpanding, NotACover):
+            pass
+        for x in uniform_net(res.net_size):
+            try:
+                held = smooth._first_words(ifs, np.array([x]), res)[1]
+            except NotLocallyExpanding as exc:
+                held = exc.words_examined - 1  # a lone point's rows: its words but the identity
+            assert held <= ceilings[-1], (ifs, x)
+            most = max(most, held)
+    assert most == ceilings[-1]
+
+
+def test_local_expanding_verdicts_do_not_depend_on_chunking(monkeypatch):
+    """Net points are independent: many to a chunk or one each, the
+    verdicts are the same, whether a cover is found or a point sticks at
+    the depth or the budget."""
+    systems = ([build_example(name).system for name in ("prop35_expanding", "rotation_flip")]
+               + smooth_systems()[7:12] + random_systems(1, 5))
+    res = Resolution(net_size=12, depth=6, budget=40)
+
+    def run():
+        return [local_expanding_verdict(ifs, res).to_dict() for ifs in systems]
+
+    monkeypatch.setattr(detectors, "_CHUNK_NODES", 1 << 30)
+    together = run()
+    assert {v["witnesses"].get("stop_reason", "cover") for v in together} == {
+        "cover", "depth", "budget"}
+    monkeypatch.setattr(detectors, "_CHUNK_NODES", 1)
+    assert run() == together
 
 
 def test_a_stuck_search_names_its_bound(golden_rotation, rotation_flip):

@@ -38,6 +38,18 @@ def test_resolution_validation():
     assert DEFAULT_RESOLUTION.to_dict()["budget"] == 100_000
 
 
+@pytest.mark.parametrize("field", ["depth", "net_size", "budget"])
+def test_resolution_counts_are_whole_numbers(field):
+    # a bool or a fraction fails here, naming the field, not deep in a search
+    for bad in (True, 50.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=rf"^parameter '{field}' takes an integer"):
+            Resolution(**{field: bad})
+    res = Resolution(**{field: 50.0})
+    assert getattr(res, field) == 50 and type(getattr(res, field)) is int
+    assert res == Resolution(**{field: 50})
+    assert type(DEFAULT_RESOLUTION.replaced(**{field: np.int64(7)}).to_dict()[field]) is int
+
+
 def test_radius_ladder_descends_past_r():
     ladder = _radius_ladder(0.01)
     assert ladder[0] == pytest.approx(0.1)

@@ -20,8 +20,8 @@ import orbit_oracle as oracle
 from ifs_lab import (DEFAULT_RESOLUTION, Expanding, Flip, IfsSystem, NorthSouth, Rotation,
                      almost_periodic_verdict, build_example, minimality_verdict,
                      sensitivity_witness_from_nonminimality, strong_transitivity_verdict)
-from ifs_lab.detectors import (_Coverage, _Density, _cyclic_gaps, _repeller_steering_data,
-                               max_cyclic_gap, system_net)
+from ifs_lab.detectors import (_Coverage, _Density, _cyclic_gaps, _orbit_chunks,
+                               _repeller_steering_data, max_cyclic_gap, system_net)
 from orbit_oracle import max_cyclic_gap as reference_gap
 from ifs_lab.semigroup import STOP_REASONS, _fresh_cells, orbit_cloud
 from test_arc_kernel import IDS, SYSTEMS
@@ -290,6 +290,24 @@ def test_orbit_verdicts_do_not_depend_on_chunking(monkeypatch):
     monkeypatch.setattr(detectors, "_FIRST_ORBITS", 1000)
     monkeypatch.setattr(detectors, "_CHUNK_NODES", 1 << 30)
     assert run() == together
+
+
+@pytest.mark.parametrize("cap", [1, 3, 50])
+def test_no_root_holds_more_points_than_its_chunks_are_sized_by(chunk_ceilings, cap):
+    """Chunks of roots are sized by the ceiling the orbit searches pass
+    `_chunks`, so no root's orbit may hold more points than that,
+    at merge cells of eps/8 for eps 0.4 (20 cells, fewer than a cap of 50)
+    and 0.02 (400 cells); and the ceiling is tight: some root reaches it."""
+    ceilings = chunk_ceilings(detectors)
+    for eps in (0.4, 0.02):
+        res = DEFAULT_RESOLUTION.replaced(eps=eps, depth=30, budget=cap)
+        most = 0
+        for ifs in SYSTEMS:
+            for _, cloud, _ in _orbit_chunks(ifs, system_net(ifs, 20), res, lambda chunk: None):
+                held = int(np.bincount(cloud.source).max())
+                assert held <= ceilings[-1], ifs
+                most = max(most, held)
+        assert most == ceilings[-1], eps
 
 
 def test_repeller_steering_clouds_match_lone_backward_searches():

@@ -230,13 +230,15 @@ class ArcImages(_SearchNodes):
     """One chunk of sources of the batched arc search, the first of them
     source `first` of the batch.
 
-    Node arrays hold every arc the search visited, in visit order: nodes
-    0..n-1 are the sources' own arcs, each later node links to its parent and
-    letter as in `OrbitCloud`, and `kept` marks the nodes that entered a
-    frontier.  Per source: `words` examined, `depth_reached` (levels
-    expanded) and `stop` (one of STOP_REASONS).  With targets,
-    `first_hit[j, t]` is the first node of source j whose arc, fattened,
-    contains target t (-1 if none).
+    Node arrays hold the arcs the search visited that a reader may need, in
+    visit order: without targets every visited arc, with targets only the
+    arcs that entered a frontier or first met some target of their source
+    (their ancestors all entered one).  Level 0 holds the sources' own
+    arcs, each later node links to its parent and letter as in
+    `OrbitCloud`, and `kept` marks the nodes that entered a frontier.  Per
+    source: `words` examined, `depth_reached` (levels expanded) and `stop`
+    (one of STOP_REASONS).  With targets, `first_hit[j, t]` is the first
+    node of source j whose arc, fattened, contains target t (-1 if none).
     """
 
     def __init__(self, first, nodes, words, depth_reached, stop, first_hit):
@@ -267,6 +269,13 @@ def _arc_search(ifs: IfsSystem, starts, lengths, depth, budget: int, cell: float
     frontier empties, or early: when every point of `targets` (sorted) lies
     within `fat` of a visited arc, or when a visited arc is longer than
     `stop_above`.
+
+    A chunk holds every arc its sources visit, unless there are `targets`:
+    then it holds only the arcs that enter a frontier and the first arc of
+    each source to meet each target, which are all that the targeted
+    verdicts read (first hits and their words).  `_bfs_best` scans every
+    visited arc, since a contained arc visited before its container can be
+    a running maximum.
     """
     starts = np.asarray(starts, dtype=float)
     lengths = np.asarray(lengths, dtype=float)
@@ -283,7 +292,13 @@ def _arc_search(ifs: IfsSystem, starts, lengths, depth, budget: int, cell: float
         return _search_chunk(lo, ifs.generators, starts[lo:hi], lengths[lo:hi], depths[lo:hi],
                              budget, scale, tv, fat, stop_above)
 
-    yield from _chunks(starts.size, _FIRST_CHUNK, budget + ifs.k, search,
+    # A source holds at most budget + 1 nodes: its own arc and at most one
+    # per word examined before the budget ran out.  A level that the budget
+    # does not cut holds at most one node per word it spends.  A level that
+    # it cuts, with room words left, keeps the fresh children before the
+    # word that spends the budget, at most room - 1 of them, and at most
+    # one fresh child at or past it, where `_expand` ends the level.
+    yield from _chunks(starts.size, _FIRST_CHUNK, budget + 1, search,
                        lambda images: images.starts.size, most)
 
 
@@ -430,15 +445,6 @@ def _search_chunk(first, gens, starts, lengths, depths, budget, scale, targets, 
             words += spent
         stop[found] = _FOUND
         stop[(stop < 0) & (words >= budget)] = _BUDGET
-        # the visited arcs become nodes
-        node = count - 1 + np.cumsum(inside)
-        for col, v, t in zip(cols, (s, ln, parents, letters, src), dtypes):
-            col.append(v[inside].astype(t, copy=False))
-        sizes.append(int(np.count_nonzero(inside)))
-        count += sizes[-1]
-        if hit_at is not None:
-            got = hit_at >= 0
-            first_hit[got] = node[hit_at[got]]
         row, key, at = cells
         vis = inside[row]
         at = at[vis] + np.arange(np.count_nonzero(vis))
@@ -448,6 +454,22 @@ def _search_chunk(first, gens, starts, lengths, depths, budget, scale, targets, 
         # the next frontier: the visited arcs no sibling contains
         go = np.flatnonzero(inside & (stop[src] != _FOUND))
         nxt = go[_dominance_keep(src[go], s[go], ln[go])]
+        # the held arcs become nodes: with targets, the frontier and the
+        # first hits, whose ancestors are all frontier nodes; else all visited
+        if hit_at is None:
+            held = inside
+        else:
+            got = hit_at >= 0
+            held = np.zeros(src.size, dtype=bool)
+            held[nxt] = True
+            held[hit_at[got]] = True
+        node = count - 1 + np.cumsum(held)
+        for col, v, t in zip(cols, (s, ln, parents, letters, src), dtypes):
+            col.append(v[held].astype(t, copy=False))
+        sizes.append(int(np.count_nonzero(held)))
+        count += sizes[-1]
+        if hit_at is not None:
+            first_hit[got] = node[hit_at[got]]
         f_s, f_l, f_src, f_id = s[nxt], ln[nxt], src[nxt], node[nxt]
         kept.append(f_id)
     stop[stop < 0] = np.where(np.bincount(f_src, minlength=n)[stop < 0] > 0, _DEPTH, _EXHAUSTED)

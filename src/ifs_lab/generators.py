@@ -397,6 +397,18 @@ _FP_XS.setflags(write=False)
 _FP_TOL = 1e-12
 
 
+def _fixes_every_point(grid_lift: np.ndarray) -> bool:
+    """Whether the lift whose values on the root grid `_FP_XS` are
+    `grid_lift` stays within _FP_TOL of one branch x + m: the map fixes
+    every point."""
+    phi = grid_lift - _FP_XS
+    # a lift can stay within _FP_TOL of one branch only if it is nearly constant
+    if phi.max() - phi.min() > 4 * _FP_TOL:
+        return False
+    return any(np.abs(phi - m).max() <= _FP_TOL
+               for m in range(math.ceil(phi.min() - _FP_TOL), math.floor(phi.max() + _FP_TOL) + 1))
+
+
 def _lift_fixed_values(lift_array, grid_lift: np.ndarray, identity_samples: int):
     """Roots in [0, 1) of lift(x) - x - m over all integer branches m.
 
@@ -412,11 +424,8 @@ def _lift_fixed_values(lift_array, grid_lift: np.ndarray, identity_samples: int)
     phi = grid_lift - xs
     lo = math.ceil(phi.min() - _FP_TOL)
     hi = math.floor(phi.max() + _FP_TOL)
-    # a lift can stay within _FP_TOL of one branch only if it is nearly constant
-    if phi.max() - phi.min() <= 4 * _FP_TOL:
-        for m in range(lo, hi + 1):
-            if np.abs(phi - m).max() <= _FP_TOL:
-                return [(i + 0.5) / identity_samples for i in range(identity_samples)], True
+    if _fixes_every_point(grid_lift):
+        return [(i + 0.5) / identity_samples for i in range(identity_samples)], True
     a, b = phi[:-1], phi[1:]
     # a grid point lying on its branch m = phi[i] is a root as it stands
     on_grid = np.flatnonzero(a == np.floor(a))

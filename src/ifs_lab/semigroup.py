@@ -14,8 +14,8 @@ from typing import Iterable, List, Optional, Tuple
 import numpy as np
 
 from .circle import CirclePoint, as_value, normalize, normalize_array
-from .generators import (_FP_TOL, _FP_XS, Generator, NonInvertible, _lift_fixed_values,
-                         fixed_points)
+from .generators import (_FP_TOL, _FP_XS, Generator, NonInvertible, _fixes_every_point,
+                         _lift_fixed_values, fixed_points)
 from .symbolic import Word, enumerate_words, validate_word
 
 
@@ -142,14 +142,21 @@ def periodic_points(ifs: IfsSystem, max_len: int) -> List[Tuple[CirclePoint, Wor
     Words share their prefixes' lifts of the root grid: a depth-first walk
     of the word tree lifts each word's grid from its prefix's by the last
     letter alone, and holds the grids of at most (k - 1) * max_len + 1 words
-    still to be extended.  Each word's roots are still bisected on its own.
-    A word is known during the walk by its index in `enumerate_words` order
-    (a child of the word at index i by letter a is at k * i + a), so that
-    only the first witness of each point is held, not every word.
+    still to be extended.  Each longer word's roots are still bisected on
+    its own; a generator's own are read from the system's table
+    (`IfsSystem.generator_fixed_points`), found once per system.  A word is
+    known during the walk by its index in `enumerate_words` order (a child
+    of the word at index i by letter a is at k * i + a), so that only the
+    first witness of each point is held, not every word.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     k = ifs.k
+    # the table's roots per letter; for a map fixing every point it holds
+    # 16 samples, not 512, so that map is solved as a word
+    roots = [[] for _ in range(k + 1)]
+    for letter, rec in ifs.generator_fixed_points():
+        roots[letter].append(rec.location.value)
     witness = {}  # per 1e-12 cell: the index and value of its first witness
     todo = [((), 0, _FP_XS)]  # words to extend: the word, its index, its grid lift
     while todo:
@@ -157,7 +164,10 @@ def periodic_points(ifs: IfsSystem, max_len: int) -> List[Tuple[CirclePoint, Wor
         for letter, g in enumerate(ifs.generators, 1):
             w, at = prefix + (letter,), k * index + letter
             lifted = g.lift_array(grid)
-            values, _identity = _lift_fixed_values(_word_lift_array(ifs, w), lifted, 512)
+            if prefix or _fixes_every_point(lifted):
+                values = _lift_fixed_values(_word_lift_array(ifs, w), lifted, 512)[0]
+            else:
+                values = roots[letter]
             for v in values:
                 key = round(v / _FP_TOL)
                 if key not in witness or at < witness[key][0]:
@@ -240,19 +250,23 @@ class OrbitLevel:
     `cell_values` and `cell_source` hold the points so far of at least every
     running source, ordered by (source, merge cell): each source's values
     ascending, as a value stops short of 1 by more than any rounding of its
-    cell.  Per source: `counts` (points so far), `running` (expanded this
-    level) and `ending` (a bound ends its search after this level, whatever
-    the test says).
+    cell.  The search carries `cell_values` from the first level whose test
+    reads them on, so a test that never reads them costs none.  Per source:
+    `counts` (points so far), `running` (expanded this level) and `ending` (a
+    bound ends its search after this level, whatever the test says).
     """
 
-    def __init__(self, values, source, seen, seen_values, scale, counts, running, ending):
+    def __init__(self, values, source, seen, cell_values, scale, counts, running, ending):
         self.values = values
         self.source = source
-        self.cell_values = seen_values
-        self._seen, self._scale = seen, scale
+        self._seen, self._cell_values, self._scale = seen, cell_values, scale
         self.counts = counts
         self.running = running
         self.ending = ending
+
+    @property
+    def cell_values(self) -> np.ndarray:
+        return self._cell_values()
 
     @property
     def cell_source(self) -> np.ndarray:
@@ -303,10 +317,22 @@ def orbit_cloud(ifs: IfsSystem, x, depth: int, cap: int, merge: float,
     stop = np.where(counts >= cap, _BUDGET, -1)
     keys = keys_of(src, roots)
     by_cell = np.argsort(keys)
-    # the cells each source has reached, sorted, and (for a stop test) the
-    # value in each
+    # the cells each source has reached, sorted, and (once a stop test has
+    # read them) the value in each
     seen = keys[by_cell]
-    seen_values = roots[by_cell] if stop_when is not None else None
+    seen_values = None
+
+    def cell_values() -> np.ndarray:
+        nonlocal seen_values
+        if seen_values is None:
+            # each point held is the first of its cell, so each seen cell's
+            # value is the one point with its key
+            v = np.concatenate(cols[0])
+            key = keys_of(np.concatenate(cols[3]).astype(np.int64), v)
+            by_key = np.argsort(key)
+            seen_values = v[by_key[np.searchsorted(key[by_key], seen)]]
+        return seen_values
+
     f_val, f_src, f_id = roots, src, src
     stopped = True  # some source stopped since the frontier was built
     for level in range(1, depth + 1):
@@ -356,7 +382,7 @@ def orbit_cloud(ifs: IfsSystem, x, depth: int, cap: int, merge: float,
         stop[empty] = _EXHAUSTED
         if stop_when is not None:
             ending = run & (empty | (counts >= cap) | (level == depth))
-            fire = np.asarray(stop_when(OrbitLevel(f_val, f_src, seen, seen_values, scale,
+            fire = np.asarray(stop_when(OrbitLevel(f_val, f_src, seen, cell_values, scale,
                                                    counts, run, ending)), dtype=bool)
             stop[run & ~empty & fire] = _FOUND
         stop[(stop < 0) & (counts >= cap)] = _BUDGET

@@ -25,7 +25,8 @@ from arc_oracle import (TargetSet, arc_search, array_map, greedy_chain, greedy_k
 from ifs_lab import (Arc, CirclePoint, Expanding, Flip, GALLERY_NAMES, IfsSystem, NorthSouth,
                      PiecewiseLinear, Rotation, build_example, cofinite_sensitivity_verdict,
                      constant_rule, greedy_diameter_rule, periodic_rule,
-                     s_transitivity_verdict, separation_times)
+                     s_transitivity_verdict, sensitivity_witness_from_nonminimality,
+                     separation_times, topological_transitivity_verdict)
 from ifs_lab.detectors import (_arc_keys, _arc_search, _bfs_best, _dominance_keep, _expand,
                                _greedy_chains, _prior_max, _repeller_steering_data,
                                _stable_argsort, _steered_candidates, _target_cells,
@@ -89,8 +90,13 @@ def kernel(ifs, starts, lengths, depth, budget, targets=None, fat=0.0, stop_abov
     return out
 
 
-def check_source(ifs, images, j, start, length, depth, budget, visit):
-    """Replay one source through the reference and compare every level."""
+def check_source(ifs, images, j, start, length, depth, budget, visit, first_hits=None):
+    """Replay one source through the reference and compare every level.
+
+    Without `first_hits` the source must hold every arc it visits.  With
+    them (a collection that `visit` fills with the words that first met a
+    target), it must hold, level by level, exactly the reference's frontier
+    arcs and first hits, in visit order."""
     fired = []
 
     def traced(w, s, ln):
@@ -107,8 +113,12 @@ def check_source(ifs, images, j, start, length, depth, budget, visit):
     nodes = np.flatnonzero(images.source == j)
     level = images.level[nodes]
     assert level.max() <= len(levels)
+    assert images.words_for(nodes[level == 0]) == [()]
     for n, (visited, frontier) in enumerate(levels, start=1):
         at = nodes[level == n]
+        if first_hits is not None:
+            held = set(frontier) | set(first_hits)
+            visited = [v for v in visited if v[0] in held]
         assert images.words_for(at) == [w for w, _, _ in visited]
         np.testing.assert_allclose(images.starts[at], [s for _, s, _ in visited],
                                    rtol=0, atol=1e-12)
@@ -149,7 +159,8 @@ def test_kernel_first_hits_and_early_stop_match_reference(ifs):
                     met[t] = w
                 return len(remaining) == 0
 
-            check_source(ifs, images, j, starts[j], lengths[j], depth, budget, visit)
+            check_source(ifs, images, j, starts[j], lengths[j], depth, budget, visit,
+                         met.values())
             hits = images.first_hit[j]
             got = np.flatnonzero(hits >= 0)
             assert dict(zip(targets[got].tolist(), images.words_for(hits[got]))) == met
@@ -196,40 +207,99 @@ def test_batched_sensitivity_strategies_match_reference(ifs):
 
 
 def test_chunking_does_not_change_results(monkeypatch):
-    """Sources are independent: many to a chunk or one each, the results
-    are the same."""
+    """Sources are independent: many to a chunk, one each or all in one,
+    the results are the same, for the search that holds every arc
+    (`_bfs_best`) and for the targeted ones, which hold only their
+    frontiers and first hits: transitivity, S-transitivity and the witness
+    pipeline's covers of the points its cheap candidates leave open."""
     ifs = build_example("thm34_ns_rotation").system
+    ex42 = build_example("ex42_hinges").system
+    covered = random_systems(seed=12, count=7)[6]
     xs = np.linspace(0.003, 0.997, 400)
     rs = np.full(xs.size, 0.02)
     res = DEFAULT_RESOLUTION.replaced(net_size=60)
+    targeted = []  # the sources of each targeted search
+    arc_search = detectors._arc_search
+
+    def recording(ifs, starts, lengths, depth, budget, cell, targets=None, *rest, **kw):
+        if targets is not None:
+            targeted.append(len(starts))
+        return arc_search(ifs, starts, lengths, depth, budget, cell, targets, *rest, **kw)
+
+    monkeypatch.setattr(detectors, "_arc_search", recording)
 
     def run():
         return (_bfs_best(ifs, (xs - rs) % 1.0, 2.0 * rs, 20, 150, CELL),
-                s_transitivity_verdict(ifs, res).to_dict())
+                s_transitivity_verdict(ifs, res).to_dict(),
+                topological_transitivity_verdict(ex42, res).to_dict(),
+                sensitivity_witness_from_nonminimality(covered, RANDOM_SYSTEMS_RES)[1].to_dict())
 
     together = run()
+    assert min(targeted) > 1  # the witness pipeline's covering search has sources
     monkeypatch.setattr(detectors, "_FIRST_CHUNK", 1)
-    monkeypatch.setattr(detectors, "_CHUNK_NODES", 1)
-    assert run() == together
+    for nodes in (1, 1 << 30):
+        monkeypatch.setattr(detectors, "_CHUNK_NODES", nodes)
+        assert run() == together
+
+
+def test_a_targeted_chunk_holds_its_frontier_and_first_hits(monkeypatch):
+    """Each node of a targeted chunk entered a frontier or first met a
+    target, and each frontier arc and first hit is a node; the arcs it
+    visited but dropped make it hold fewer nodes than it visits.  A visited
+    arc brings its source one fresh merge cell, so the arcs a chunk visits
+    are the cells it merges into its seen cells."""
+    visited = [0]  # the arcs the chunk being searched has visited so far
+    merged = detectors._merged
+
+    def counting(a, old, at, new):
+        visited[0] += new.size
+        return merged(a, old, at, new)
+
+    monkeypatch.setattr(detectors, "_merged", counting)
+    ifs = build_example("ex42_hinges").system
+    res = DEFAULT_RESOLUTION.replaced(net_size=60)
+    centers = system_net(ifs, res.net_size)
+    starts, lengths = detectors._net_arcs(centers, res.r)
+    chunks = 0
+    for images in _arc_search(ifs, starts, lengths, res.depth, res.budget, CELL, centers, res.r):
+        read = images.kept.copy()
+        read[images.first_hit[images.first_hit >= 0]] = True
+        assert read.all() and images.starts.size < visited[0]
+        visited[0] = 0
+        chunks += 1
+    assert chunks > 1
 
 
 @pytest.mark.parametrize("budget", [1, 2, 5, 17, 64])
-def test_no_source_holds_more_arcs_than_its_chunks_are_sized_by(chunk_ceilings, budget):
+def test_no_source_holds_more_arcs_than_its_chunks_are_sized_by(chunk_ceilings, golden_rotation,
+                                                                 budget):
     """Chunks are sized by the ceiling the arc search passes `_chunks`,
     so no source may hold more nodes than that, whether it stops
     at its targets, above a length or at its bounds; and the ceiling is
-    tight: in each mode some source comes within one node of it."""
+    tight: in each mode some source comes within one node of it.
+
+    A targeted search holds only its frontier and first hits, so the
+    targeted runs include one that holds every arc it visits: point arcs
+    under a golden rotation, none of them contained in another and each
+    word reaching a fresh cell, whose target no orbit meets."""
     ceilings = chunk_ceilings(detectors)
     closest = {}  # per mode, the most any source held less the ceiling
+    runs = []
     for ifs in SYSTEMS:
         centers = np.array(system_net(ifs, 20))
         starts, lengths = (centers - R) % 1.0, np.full(centers.size, 2.0 * R)
         for mode, kw in (("targets", {"targets": centers, "fat": R}),
                          ("stop_above", {"stop_above": 0.3}), ("bounds", {})):
-            for images in _arc_search(ifs, starts, lengths, 30, budget, CELL, **kw):
-                held = int(np.bincount(images.source).max())
-                assert held <= ceilings[-1], (ifs, mode)
-                closest[mode] = max(closest.get(mode, -ceilings[-1]), held - ceilings[-1])
+            runs.append((mode, ifs, starts, lengths, 30, kw))
+    points = np.array(system_net(golden_rotation, 20))
+    runs.append(("targets", golden_rotation, points, np.zeros(points.size), budget + 1,
+                 {"targets": np.array([0.5]), "fat": 0.0}))
+    for mode, ifs, starts, lengths, depth, kw in runs:
+        for images in _arc_search(ifs, starts, lengths, depth, budget, CELL, **kw):
+            held = int(np.bincount(images.source).max())
+            assert held <= ceilings[-1], (ifs, mode)
+            closest[mode] = max(closest.get(mode, -ceilings[-1]), held - ceilings[-1])
+    assert (images.first_hit < 0).all()  # the rotation's target is out of reach
     assert len(closest) == 3 and min(closest.values()) >= -1
 
 

@@ -142,6 +142,18 @@ def test_periodic_points_of_random_systems_match_reference(index):
     assert repr(periodic_points(ifs, 3)) == repr(oracle.periodic_points(ifs, 3))
 
 
+def test_an_identity_generator_gives_512_periodic_samples():
+    """Length-1 words read their roots from the system's fixed-point table,
+    which holds 16 samples for a map fixing every point; such a generator's
+    word must still give the 512 samples of any identity word."""
+    ifs = IfsSystem([Rotation(0.0), NorthSouth(0.3, 2.0)])
+    assert [letter for letter, _ in ifs.generator_fixed_points()].count(1) == 16
+    for max_len in (1, 2):
+        pts = periodic_points(ifs, max_len)
+        assert [p.value for p, w in pts if w == (1,)] == [(i + 0.5) / 512 for i in range(512)]
+        assert repr(pts) == repr(oracle.periodic_points(ifs, max_len))
+
+
 def test_periodic_points_walk_a_long_one_letter_tree_without_recursion():
     # every fourth word is the identity; the first of them witnesses all samples
     pts = periodic_points(IfsSystem([Rotation(0.25)]), 1500)

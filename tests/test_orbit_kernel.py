@@ -104,6 +104,32 @@ def test_a_source_that_empties_out_is_exhausted_whatever_its_test_says():
     assert cloud.stop == ["exhausted", "exhausted"] and cloud.depths.tolist() == [1, 1]
 
 
+def test_cell_values_read_late_equal_those_read_every_level():
+    """The search carries cell values from the first level whose test reads
+    them.  Read first after most sources have stopped and their cells have
+    been dropped, they must still be the running sources' points in (source,
+    cell) order, as a test that read them every level sees them."""
+    ifs = build_example("thm34_ns_rotation").system
+    roots = np.linspace(0.01, 0.99, 12)
+
+    def run(first_read):
+        seen, level_no = [], [0]
+
+        def test(level):
+            level_no[0] += 1
+            if level_no[0] >= first_read:
+                seen.append((level.cell_values.tobytes(), level.cell_source.tobytes()))
+            # all but two sources stop at level 2, so their cells are dropped
+            return np.arange(roots.size) >= 2 if level_no[0] == 2 else np.zeros(roots.size, bool)
+
+        cloud = orbit_cloud(ifs, roots, 8, 100_000, stop_when=test, merge=CELL)
+        assert cloud.stop.count("found") == roots.size - 2
+        return seen
+
+    every = run(1)
+    assert run(4) == every[3:] and len(every) > 4
+
+
 def test_one_root_is_the_one_source_case(rotation_flip):
     for x in (0.2, np.float64(0.7)):
         cloud = orbit_cloud(rotation_flip, x, 9, 10_000, merge=CELL)

@@ -15,9 +15,8 @@ from .detectors import (DEFAULT_RESOLUTION, NotApplicable, Resolution,
                         SensitivityReport, Verdict, almost_periodic_verdict,
                         cofinite_sensitivity_verdict, constant_rule,
                         dense_periodic_verdict, greedy_diameter_rule,
-                        minimality_verdict, periodic_rule,
-                        repelling_fixed_point_verdict, s_transitivity_verdict,
-                        sensitivity_estimate,
+                        minimality_verdict, repelling_fixed_point_verdict,
+                        s_transitivity_verdict, sensitivity_estimate,
                         sensitivity_witness_from_nonminimality,
                         separation_times, strong_transitivity_verdict,
                         topological_transitivity_verdict)

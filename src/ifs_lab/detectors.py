@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import asdict, dataclass, replace
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,12 +33,13 @@ class NotApplicable(Exception):
 
 
 def _coerced(name: str, value, default):
-    """`value` as the type of `default`.  A bool, or a value that is not a
-    whole number for an integer parameter, raises ValueError naming it;
-    NaN and inf pass to a real parameter for the verdict to check."""
+    """`value` as the type of `default`.  A bool, a value that is not a real
+    number, or one that is not a whole number for an integer parameter,
+    raises ValueError naming it; NaN and inf pass to a real parameter for
+    the verdict to check."""
     kind = type(default)
-    if isinstance(value, bool) or (kind is int and not isinstance(value, Integral)
-                                   and not float(value).is_integer()):
+    if isinstance(value, bool) or not isinstance(value, Real) or (
+            kind is int and not isinstance(value, Integral) and not float(value).is_integer()):
         noun = "an integer" if kind is int else "a real number"
         raise ValueError(f"parameter {name!r} takes {noun}, got {value!r}")
     return kind(value)
@@ -746,7 +747,8 @@ def almost_periodic_verdict(ifs: IfsSystem, x, res: Resolution = DEFAULT_RESOLUT
     are the accumulation points a finite orbit sample cannot reach exactly).
     Then the orbit of every closure point must come within eps of each.
     """
-    _require_finite("x", float(x))
+    x = _coerced("x", x, 0.0)
+    _require_finite("x", x)
     x = as_value(x)
     # no early density exit here: the closure sample must include the slow
     # tails that accumulate on fixed points
@@ -794,6 +796,7 @@ def dense_periodic_verdict(ifs: IfsSystem, max_len: int,
     """The fixed points of the words of length 1..max_len must leave no
     cyclic gap above 2 eps.  Every such word is solved, so their number
     k + k**2 + ... + k**max_len may not exceed the budget."""
+    max_len = _coerced("max_len", max_len, 0)
     words, level = 0, 1
     for _ in range(max_len):
         level *= ifs.k
@@ -925,24 +928,15 @@ def s_transitivity_verdict(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION)
 # rule-driven chains: each arc follows one letter per step, picked by a rule
 
 
-def periodic_rule(pattern: Sequence[int]):
-    """Extension rule cycling through a fixed pattern of letters."""
-    pattern = tuple(pattern)
-    if not pattern or any(not isinstance(v, Integral) or v < 1 for v in pattern):
-        raise ValueError(f"a rule needs one or more integer letters >= 1; got {pattern}")
-    pattern = tuple(int(v) for v in pattern)
-
-    def rule(ifs: IfsSystem, step: int, s, ln, c):
-        letter = pattern[step % len(pattern)]
-        return (np.full(s.size, letter), *map_arcs(ifs.generator(letter), s, ln))
-
-    rule.label = f"periodic{pattern}"
-    return rule
-
-
 def constant_rule(letter: int):
     """Extension rule that always plays the same letter."""
-    rule = periodic_rule((letter,))
+    if isinstance(letter, bool) or not isinstance(letter, Integral) or letter < 1:
+        raise ValueError(f"a rule needs an integer letter >= 1; got {letter!r}")
+    letter = int(letter)
+
+    def rule(ifs: IfsSystem, step: int, s, ln, c):
+        return (np.full(s.size, letter), *map_arcs(ifs.generator(letter), s, ln))
+
     rule.label = f"constant({letter})"
     return rule
 
@@ -968,9 +962,6 @@ def _greedy_derivative_rule(ifs: IfsSystem, step: int, s, ln, c) -> np.ndarray:
     # column 0, -1, stands for no letter; a NaN derivative (at a corner) never wins
     d = [np.full(c.size, -1.0)] + [np.abs(g.derivative_array(c)) for g in ifs.generators]
     return _best_from(np.array(d).T, 0)[1]
-
-
-_greedy_derivative_rule.label = "greedy_derivative"
 
 
 def _rule_paths(ifs: IfsSystem, s, ln, c, steps: int, rule,
@@ -1036,6 +1027,8 @@ def separation_times(ifs: IfsSystem, U: Arc, omega_rule, delta: float,
     """Times n <= horizon at which the image of U, extended letter by letter
     by `omega_rule` (its tracked center the midpoint of U), exceeds diameter
     delta."""
+    horizon, delta = _coerced("horizon", horizon, 0), _coerced("delta", delta, 0.0)
+    _require_finite("delta", delta)
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
     s, ln = U.start.value, U.length
@@ -1154,7 +1147,7 @@ def _greedy_chains(ifs: IfsSystem, x: np.ndarray, r: np.ndarray, depth: int,
                    by_derivative: bool):
     """The best diameter along the greedy chain of each ball B(x, r), by
     image diameter or by the derivative at the ball's tracked center, and
-    the word of ball i reaching it.  Cheap, and it follows exactly the
+    the list of words reaching them.  Cheap, and it follows exactly the
     growth mechanism that expanding words certify."""
     rule = _greedy_derivative_rule if by_derivative else greedy_diameter_rule()
     # a capped chain stops: `_best_from` keeps the first time reaching the
@@ -1162,7 +1155,7 @@ def _greedy_chains(ifs: IfsSystem, x: np.ndarray, r: np.ndarray, depth: int,
     letters, diams = _rule_paths(ifs, normalize_array(x - r), 2.0 * r,
                                  x if by_derivative else None, depth, rule, capped_from=0)
     best, size = _best_from(diams, 0)
-    return best, lambda i: tuple(letters[i, :size[i]].tolist())
+    return best, [tuple(row[:n]) for row, n in zip(letters.tolist(), size.tolist())]
 
 
 def _first_within(values: np.ndarray, x: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -1177,8 +1170,8 @@ def _first_within(values: np.ndarray, x: np.ndarray, r: np.ndarray) -> np.ndarra
 
 def _steered_candidates(ifs: IfsSystem, steering, x: np.ndarray, r: np.ndarray, depth: int):
     """Per (x, r) pair, the best diameter found by pulling a repeller q into
-    B(x, r) and iterating its generator (-1 if no repeller can be pulled
-    in), that q, and the word of pair i reaching it; mirrors the
+    B(x, r) and iterating its generator, that q, and the word reaching it
+    (-1, None and None if no repeller can be pulled in); mirrors the
     unstable-point separation argument."""
     best, which = np.full(x.size, -1.0), np.full(x.size, -1)
     pulled, reps = np.zeros(x.size, dtype=np.int64), np.zeros(x.size, dtype=np.int64)
@@ -1217,46 +1210,41 @@ def _steered_candidates(ifs: IfsSystem, steering, x: np.ndarray, r: np.ndarray, 
         mine = np.flatnonzero(which == e).tolist()
         for i, w in zip(mine, cloud.words_for(pulled[mine])):
             words[i] = w[::-1] + (letter,) * int(reps[i])
-    return best, [steering[e][0] if e >= 0 else None for e in which.tolist()], words.__getitem__
+    return best, [steering[e][0] if e >= 0 else None for e in which.tolist()], words
 
 
 def _cheap_candidates(ifs: IfsSystem, res: Resolution, x: np.ndarray, r: np.ndarray,
-                      best: Optional[np.ndarray] = None):
-    """Per (x, r) pair, the best diameters of repeller steering and of the
-    greedy diameter and derivative chains, in that order, as (diameters,
-    word of pair i, strategy label of pair i); -1 where steering finds
-    nothing.
+                      best: np.ndarray):
+    """Per (x, r) pair, the columns (diameters, words, strategy labels) of
+    repeller steering and of the greedy diameter and derivative chains, in
+    that order, after columns whose best diameters are `best`; -1, None and
+    None where a strategy did not run or found nothing.
 
-    Given `best`, the diameters of the columns before these, the strategies
-    run as a cascade for `_best_from`: each runs only on the pairs whose
-    running best is still below 1/2, and gives -1 elsewhere.  Every diameter
-    is capped at 1/2 and a later column wins only on a gain above 1e-15, so
-    no skipped pair could have changed its winner; and each strategy's
-    result for a pair depends on that pair alone.  The witness pipeline
-    passes no `best`: it measures every candidate word's separation through
-    `_most_separating`, which a word of smaller diameter can win, so it
-    keeps every strategy on every point.
+    The strategies run as a cascade for `_best_from`: each runs only on the
+    pairs whose running best is still below 1/2.  Every diameter is capped
+    at 1/2 and a later column wins only on a gain above 1e-15, so no skipped
+    pair could have changed its winner; and each strategy's result for a
+    pair depends on that pair alone.
     """
-    def steered(x, r):
-        got, q, word = _steered_candidates(ifs, _repeller_steering_data(ifs, res), x, r,
-                                           res.depth)
-        return got, word, lambda i: f"repeller_steered(q={q[i]:.6f})"
-
-    def chain(by_derivative, label):
-        return lambda x, r: (*_greedy_chains(ifs, x, r, res.depth, by_derivative),
-                             lambda i: label)
-
     columns = []
-    for strategy in (steered, chain(False, "greedy_diameter"), chain(True, "greedy_derivative")):
-        rows = np.arange(x.size) if best is None else np.flatnonzero(best < 0.5)
-        diams, at = np.full(x.size, -1.0), np.full(x.size, -1)
-        at[rows] = np.arange(rows.size)
-        got, word, label = strategy(x[rows], r[rows]) if rows.size else ([], None, None)
+    for strategy in ("steered", "greedy_diameter", "greedy_derivative"):
+        rows = np.flatnonzero(best < 0.5)
+        diams, words, labels = np.full(x.size, -1.0), [None] * x.size, [None] * x.size
+        columns.append((diams, words, labels))
+        if not rows.size:
+            continue  # every pair is capped, for this strategy and the next
+        if strategy == "steered":
+            got, qs, found = _steered_candidates(ifs, _repeller_steering_data(ifs, res),
+                                                 x[rows], r[rows], res.depth)
+            names = [None if q is None else f"repeller_steered(q={q:.6f})" for q in qs]
+        else:
+            got, found = _greedy_chains(ifs, x[rows], r[rows], res.depth,
+                                        strategy == "greedy_derivative")
+            names = [strategy] * rows.size
         diams[rows] = got
-        columns.append((diams, lambda i, word=word, at=at: word(at[i]),
-                        lambda i, label=label, at=at: label(at[i])))
-        if best is not None:
-            best = _best_from(np.column_stack([best, diams]), 0)[0]
+        for i, word, name in zip(rows.tolist(), found, names):
+            words[i], labels[i] = word, name
+        best = _best_from(np.column_stack([best, diams]), 0)[0]
     return columns
 
 
@@ -1286,11 +1274,10 @@ def sensitivity_estimate(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION
     # steering and the chains (which catch expanding structure that has no
     # repelling fixed point to steer by) only claim strictly better results,
     # so each runs only where no column before it reached the cap
-    bfs_diams = np.array([d for d, _ in bfs])
-    cheap = _cheap_candidates(ifs, res, xs, rs, bfs_diams)
-    strategies = [(bfs_diams, lambda i: bfs[i][1], lambda i: "bfs")] + cheap
-    best, at = _best_from(np.column_stack([diams for diams, _, _ in strategies]), 0)
-    chosen = [(strategies[k][1](i), strategies[k][2](i)) for i, k in enumerate(at.tolist())]
+    columns = [(np.array([d for d, _ in bfs]), [w for _, w in bfs], ["bfs"] * len(bfs))]
+    columns += _cheap_candidates(ifs, res, xs, rs, columns[0][0])
+    best, at = _best_from(np.column_stack([diams for diams, _, _ in columns]), 0)
+    chosen = [(columns[k][1][i], columns[k][2][i]) for i, k in enumerate(at.tolist())]
     seps, partners = _refined_separations(ifs, [w for w, _ in chosen], xs, rs)
     per_point = []
     notes: Dict[str, int] = {}
@@ -1336,6 +1323,7 @@ def cofinite_sensitivity_verdict(ifs: IfsSystem, delta: float,
     The rules, tried in order, are `greedy_diameter_rule()` and each
     `constant_rule`; every net arc follows them together, as
     `separation_times` follows one arc."""
+    delta, window = _coerced("delta", delta, 0.0), _coerced("window", window, 0)
     if window < 1:
         raise ValueError("window must be positive")
     if not 0.0 < delta < 0.5:  # image diameters are capped at 1/2
@@ -1406,10 +1394,14 @@ def sensitivity_witness_from_nonminimality(ifs: IfsSystem,
     r = _radius_ladder(res.r)[-1]
     cover_budget = min(res.budget, 20_000)
     ext_budget = 1_000
-    xs = np.asarray(net, dtype=float)
-    cheap = _cheap_candidates(ifs, res, xs, np.full(xs.size, r))
-    achieved = _most_separating(ifs, [[word(i) for diams, word, _ in cheap if diams[i] >= 0]
-                                      for i in range(xs.size)], xs, r, [(0.0, ())] * xs.size)
+    xs, rs = np.asarray(net, dtype=float), np.full(len(net), r)
+    # every strategy's word on every point, unlike sensitivity's cascade: the
+    # scan is by separation, which a word of smaller diameter can win
+    steered = _steered_candidates(ifs, _repeller_steering_data(ifs, res), xs, rs, res.depth)[2]
+    chains = [_greedy_chains(ifs, xs, rs, res.depth, flag)[1] for flag in (False, True)]
+    achieved = _most_separating(ifs, [[w for w in words if w is not None]
+                                      for words in zip(steered, *chains)],
+                                xs, r, [(0.0, ())] * xs.size)
     # net points the cheap candidates leave unseparated: cover the circle
     # with images of the ball, then extend each covering word
     hard = [i for i, (sep, _) in enumerate(achieved) if sep <= delta_candidate]

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple, Optional
 
 from . import detectors, smooth
-from .detectors import NotApplicable, Resolution, Verdict, _coerced
+from .detectors import NotApplicable, Resolution, Verdict
 from .semigroup import IfsSystem
 
 
@@ -75,11 +75,10 @@ def evaluate_property(ifs: IfsSystem, prop: str, res: Resolution,
                       params: Optional[dict] = None) -> dict:
     """Run one detector and return its JSON-ready result.  A parameter the
     property does not read is ignored if another property reads it (ValueError
-    names any other); each one it reads is coerced to the type of its default,
-    without truncation (`_coerced`)."""
+    names any other); each one it reads goes to the detector, which checks it."""
     spec = property_spec(prop)
     given = params or {}
     if bad := sorted(set(given).difference(PARAM_NAMES)):
         raise ValueError(f"unknown parameter {', '.join(map(repr, bad))}; choose from {PARAM_NAMES}")
-    return spec.run(ifs, res, **{name: _coerced(name, given.get(name, default), default)
+    return spec.run(ifs, res, **{name: given.get(name, default)
                                  for name, default in spec.params.items()})

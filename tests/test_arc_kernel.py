@@ -24,7 +24,7 @@ from arc_oracle import (TargetSet, arc_search, array_map, greedy_chain, greedy_k
                         map_arc_raw, steered_candidate)
 from ifs_lab import (Arc, CirclePoint, Expanding, Flip, GALLERY_NAMES, IfsSystem, NorthSouth,
                      PiecewiseLinear, Rotation, build_example, cofinite_sensitivity_verdict,
-                     constant_rule, greedy_diameter_rule, periodic_rule,
+                     constant_rule, greedy_diameter_rule,
                      s_transitivity_verdict, sensitivity_witness_from_nonminimality,
                      separation_times, topological_transitivity_verdict)
 from ifs_lab.detectors import (_arc_keys, _arc_search, _bfs_best, _dominance_keep, _expand,
@@ -35,6 +35,7 @@ from ifs_lab.detectors import (_arc_keys, _arc_search, _bfs_best, _dominance_kee
 from ifs_lab.generators import map_arcs
 from ifs_lab.properties import evaluate_property
 from test_cover_kernel import BENCH_RES, random_systems as seeded_systems
+from test_detectors import pattern_rule
 
 EPS = R = 0.01
 CELL = EPS / 8.0
@@ -197,12 +198,12 @@ def test_batched_sensitivity_strategies_match_reference(ifs):
         assert bfs[i][1] == best[1] and bfs[i][0] == pytest.approx(best[0], abs=1e-12)
         for flag, (diams, word) in zip((False, True), chains):
             d, w = greedy_chain(ifs, x, r, 25, flag, mapper=array_map)
-            assert word(i) == w and diams[i] == pytest.approx(d, abs=1e-12)
+            assert word[i] == w and diams[i] == pytest.approx(d, abs=1e-12)
         ref = steered_candidate(ifs, steering, x, r, 25, mapper=array_map)
         if ref is None:
             assert steered[i] == -1.0 and steered_q[i] is None
         else:
-            assert (steered_word(i), steered_q[i]) == ref[1:3]
+            assert (steered_word[i], steered_q[i]) == ref[1:3]
             assert steered[i] == pytest.approx(ref[0], abs=1e-12)
 
 
@@ -547,14 +548,15 @@ def reference_mapper(ifs):
 
 
 def rule_pairs(ifs, mapper):
-    """(public rule, reference rule) for every public rule: the greedy rule,
-    each constant rule and several periodic patterns."""
+    """(rule, reference rule) for every public rule, the greedy rule and
+    each constant rule, and for several periodic patterns through the rule
+    protocol."""
     k = ifs.k
     pairs = [(greedy_diameter_rule(), oracle.greedy_diameter_rule(mapper))]
     pairs += [(constant_rule(i), oracle.constant_rule(i)) for i in range(1, k + 1)]
     for pattern in [tuple(1 + (3 * j + n) % k for j in range(n)) for n in (2, 3, 5)] + \
             [tuple(range(k, 0, -1))]:
-        pairs.append((periodic_rule(pattern), oracle.periodic_rule(pattern)))
+        pairs.append((pattern_rule(pattern), oracle.periodic_rule(pattern)))
     return pairs
 
 
@@ -657,9 +659,9 @@ def test_steering_cut_by_depth_matches_reference(ifs):
         for i, (x, r) in enumerate(zip(xs.tolist(), rs.tolist())):
             ref = steered_candidate(ifs, steering, x, r, depth, mapper=array_map)
             if ref is None:
-                assert steered[i] == -1.0 and steered_q[i] is None
+                assert steered[i] == -1.0 and steered_q[i] is steered_word[i] is None
             else:
-                assert (steered_word(i), steered_q[i]) == ref[1:3]
+                assert (steered_word[i], steered_q[i]) == ref[1:3]
                 assert steered[i] == pytest.approx(ref[0], abs=1e-12)
 
 
@@ -705,14 +707,18 @@ def test_the_cascade_skips_only_pairs_at_the_cap():
     skipped, with -1 in every later column.  At this ball every strategy
     reaches 1/2, so steering caps the pairs it runs on for the chains."""
     ifs = build_example("thm34_ns_rotation").system
+    res = DEFAULT_RESOLUTION
     before = np.array([0.5, 0.5 - 1e-13, 0.2])
     xs, rs = np.full(before.size, 0.1), np.full(before.size, 0.05)
-    full = detectors._cheap_candidates(ifs, DEFAULT_RESOLUTION, xs, rs)
-    assert [diams.tolist() for diams, _, _ in full] == [[0.5] * 3] * 3
-    cascade = detectors._cheap_candidates(ifs, DEFAULT_RESOLUTION, xs, rs, before)
+    steered, qs, words = _steered_candidates(ifs, _repeller_steering_data(ifs, res), xs, rs,
+                                             res.depth)
+    chains = [_greedy_chains(ifs, xs, rs, res.depth, flag)[0] for flag in (False, True)]
+    assert [diams.tolist() for diams in (steered, *chains)] == [[0.5] * 3] * 3
+    cascade = detectors._cheap_candidates(ifs, res, xs, rs, before)
     assert [diams.tolist() for diams, _, _ in cascade] == [[-1.0, 0.5, 0.5], [-1.0] * 3, [-1.0] * 3]
-    (_, word, label), (_, ref_word, ref_label) = cascade[0], full[0]
-    assert [(word(i), label(i)) for i in (1, 2)] == [(ref_word(i), ref_label(i)) for i in (1, 2)]
+    assert [column[1:] for column in cascade[1:]] == [([None] * 3, [None] * 3)] * 2
+    assert cascade[0][1:] == ([None] + words[1:],
+                              [None] + [f"repeller_steered(q={q:.6f})" for q in qs[1:]])
 
 
 @pytest.mark.parametrize("ifs", SYSTEMS, ids=IDS)
@@ -725,12 +731,12 @@ def test_capped_chains_equal_uncapped_ones(ifs):
         best, word = _greedy_chains(ifs, xs, rs, 30, flag)
         ref_best, ref_word = strategy_oracle.greedy_chains(ifs, xs, rs, 30, flag)
         assert best.tobytes() == ref_best.tobytes()
-        assert list(map(word, range(xs.size))) == list(map(ref_word, range(xs.size)))
+        assert word == list(map(ref_word, range(xs.size)))
     steering = _repeller_steering_data(ifs, DEFAULT_RESOLUTION.replaced(depth=20, budget=2000))
     best, q, word = _steered_candidates(ifs, steering, xs, rs, 30)
     ref_best, ref_q, ref_word = strategy_oracle.steered_candidates(ifs, steering, xs, rs, 30)
     assert (best.tobytes(), q) == (ref_best.tobytes(), ref_q)
-    assert list(map(word, range(xs.size))) == list(map(ref_word, range(xs.size)))
+    assert word == list(map(ref_word, range(xs.size)))
 
 
 def test_steering_repeats_a_pull_back_that_is_capped_at_time_0():
@@ -744,6 +750,6 @@ def test_steering_repeats_a_pull_back_that_is_capped_at_time_0():
     best, q, word = _steered_candidates(ifs, steering, xs, rs, 10)
     ref_best, ref_q, ref_word = strategy_oracle.steered_candidates(ifs, steering, xs, rs, 10)
     assert (best.tobytes(), q) == (ref_best.tobytes(), ref_q)
-    assert list(map(word, range(xs.size))) == list(map(ref_word, range(xs.size)))
+    assert word == list(map(ref_word, range(xs.size)))
     assert xs.size and best.tolist() == [0.5] * xs.size
-    assert word(0) == (steering[0][1],)
+    assert word[0] == (steering[0][1],)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,18 +7,32 @@ import pytest
 from ifs_lab import (Arc, CirclePoint, Flip, IfsSystem, NonInvertible,
                      NorthSouth, NotApplicable, Resolution, Rotation, circ_dist,
                      almost_periodic_verdict, cofinite_sensitivity_verdict,
-                     compose_word, constant_rule, greedy_diameter_rule,
-                     minimality_verdict, periodic_rule,
+                     compose_word, constant_rule, dense_periodic_verdict,
+                     greedy_diameter_rule, minimality_verdict,
                      s_transitivity_verdict, sensitivity_estimate,
                      sensitivity_witness_from_nonminimality,
                      separation_times, strong_transitivity_verdict,
                      topological_transitivity_verdict)
+from ifs_lab.cli import load_system_file
 from ifs_lab.detectors import (DEFAULT_RESOLUTION, _radius_ladder, _rule_paths, _stopped_by,
                                max_cyclic_gap)
 from ifs_lab.generators import map_arcs
 from ifs_lab.semigroup import orbit_cloud
 
 DEEP = DEFAULT_RESOLUTION.replaced(depth=200)
+
+
+def pattern_rule(pattern):
+    """An extension rule cycling through `pattern`, written against the
+    public rule protocol: it returns only its letters, for `_rule_paths` to
+    map the arcs."""
+    pattern = tuple(pattern)
+
+    def rule(ifs, step, s, ln, c):
+        return np.full(s.size, pattern[step % len(pattern)])
+
+    rule.label = f"periodic{pattern}"
+    return rule
 
 
 def word_image(ifs, w, arc):
@@ -157,7 +172,7 @@ def test_separation_times_isometry_and_initial(rotation_flip, doubling):
     U = Arc(CirclePoint(0.4), 0.03)
     assert separation_times(rotation_flip, U, greedy_diameter_rule(), 0.05, 30) == []
     assert 0 in separation_times(doubling, U, constant_rule(1), 0.01, 5)
-    assert separation_times(rotation_flip, U, periodic_rule((1, 2)), 0.02, 10) == \
+    assert separation_times(rotation_flip, U, pattern_rule((1, 2)), 0.02, 10) == \
         list(range(0, 11))  # diam(U)=0.03 > 0.02 persists under isometries
 
 
@@ -166,6 +181,21 @@ def test_cofinite_sensitivity(expanding_pair, rotation_flip, golden_rotation):
     assert v.holds and v.witnesses["max_N"] <= 6
     assert not cofinite_sensitivity_verdict(rotation_flip, 0.1).holds
     assert not cofinite_sensitivity_verdict(golden_rotation, 0.05).holds
+
+
+@pytest.mark.parametrize("name, delta", [("random_29_38", 0.05), ("random_29_38", 0.1),
+                                         ("random_35_42", 0.05)])
+def test_a_constant_rule_settles_an_arc_the_greedy_rule_does_not(name, delta):
+    """Random documents `random_documents(29)[38]` and `(35)[42]` of
+    bench/systems.py: their hardest arc has no separation window under the
+    greedy rule, so without the constant rules these verdicts would fail."""
+    ifs = load_system_file(str(Path(__file__).parent / "data" / f"{name}.json"))
+    res = Resolution(net_size=12, depth=30, budget=4000, eps=0.02, r=0.02)
+    v = cofinite_sensitivity_verdict(ifs, delta, res, 100)
+    assert v.holds and v.witnesses["hardest"]["rule"] == "constant(1)"
+    arc = Arc(CirclePoint(v.witnesses["hardest"]["arc_center"] - res.r), 2.0 * res.r)
+    times = set(separation_times(ifs, arc, greedy_diameter_rule(), delta, v.witnesses["horizon"]))
+    assert not any(times.issuperset(range(n, n + 101)) for n in range(res.depth + 1))
 
 
 @pytest.mark.parametrize("x", [float("inf"), float("-inf"), float("nan")])
@@ -185,6 +215,29 @@ def test_cofinite_sensitivity_rejects_delta_outside_its_range(delta):
 def test_separation_times_rejects_a_negative_horizon(doubling):
     with pytest.raises(ValueError, match="^horizon must be non-negative"):
         separation_times(doubling, Arc(CirclePoint(0.1), 0.02), constant_rule(1), 0.2, -1)
+
+
+@pytest.mark.parametrize("name, call", [
+    # each comment says what the call did before; window=True ran with
+    # window 1 and reported "window": true
+    ("window", lambda ifs: cofinite_sensitivity_verdict(ifs, 0.2, DEFAULT_RESOLUTION, True)),
+    ("window", lambda ifs: cofinite_sensitivity_verdict(ifs, 0.2, window=2.5)),  # TypeError
+    ("window", lambda ifs: cofinite_sensitivity_verdict(ifs, 0.2, window="7")),  # ran as 7
+    ("x", lambda ifs: almost_periodic_verdict(ifs, None)),  # TypeError
+    ("max_len", lambda ifs: dense_periodic_verdict(ifs, 2.5)),  # TypeError
+    ("max_len", lambda ifs: dense_periodic_verdict(ifs, True)),  # ran as max_len 1
+    ("x", lambda ifs: almost_periodic_verdict(ifs, True)),  # ran at x = 0
+    ("horizon", lambda ifs: separation_times(ifs, Arc(CirclePoint(0.1), 0.02),
+                                             constant_rule(1), 0.2, True)),  # TypeError
+    ("horizon", lambda ifs: separation_times(ifs, Arc(CirclePoint(0.1), 0.02),
+                                             constant_rule(1), 0.2, 2.5)),  # TypeError
+    ("delta", lambda ifs: separation_times(ifs, Arc(CirclePoint(0.1), 0.02),
+                                           constant_rule(1), float("nan"), 5)),  # gave []
+], ids=["window_bool", "window_fraction", "window_string", "x_none", "max_len_fraction",
+        "max_len_bool", "x_bool", "horizon_bool", "horizon_fraction", "delta_nan"])
+def test_public_verdicts_check_their_own_parameters(rotation_flip, name, call):
+    with pytest.raises(ValueError, match=rf"^(parameter '{name}' |{name} must)"):
+        call(rotation_flip)
 
 
 def test_almost_periodic(golden_rotation, ns_alone):
@@ -279,15 +332,13 @@ def test_max_cyclic_gap():
     assert gap == pytest.approx(0.5)
 
 
-@pytest.mark.parametrize("make", [lambda: constant_rule(0), lambda: constant_rule(-1),
-                                  lambda: constant_rule(2.0), lambda: periodic_rule(()),
-                                  lambda: periodic_rule((1, 0)), lambda: periodic_rule([2, -3, 1]),
-                                  lambda: periodic_rule((1, 2.5))],
-                         ids=["constant0", "constant-1", "constant2.0", "empty", "pattern0",
-                              "pattern-3", "pattern2.5"])
-def test_rules_reject_bad_letters_at_construction(make):
-    with pytest.raises(ValueError):
-        make()
+@pytest.mark.parametrize("letter", [0, -1, 2.0, True],
+                         ids=["constant0", "constant-1", "constant2.0", "constantTrue"])
+def test_rules_reject_bad_letters_at_construction(letter):
+    # a bool is not a letter, as it is not an integer parameter (True used to
+    # play letter 1 under the label "constant(True)")
+    with pytest.raises(ValueError, match="integer letter >= 1"):
+        constant_rule(letter)
 
 
 def test_rule_letter_above_k_fails_when_played(rotation_flip):
@@ -297,25 +348,23 @@ def test_rule_letter_above_k_fails_when_played(rotation_flip):
     with pytest.raises(ValueError, match=r"letter 3 outside 1\.\.2"):
         separation_times(rotation_flip, U, rule, 0.02, 5)
     # a pattern fails only once it reaches the bad letter
-    assert separation_times(rotation_flip, U, periodic_rule((1, 3)), 0.02, 1) == [0, 1]
+    assert separation_times(rotation_flip, U, pattern_rule((1, 3)), 0.02, 1) == [0, 1]
     with pytest.raises(ValueError, match=r"letter 3 outside 1\.\.2"):
-        separation_times(rotation_flip, U, periodic_rule((1, 3)), 0.02, 2)
+        separation_times(rotation_flip, U, pattern_rule((1, 3)), 0.02, 2)
 
 
 def test_rule_labels():
     assert constant_rule(2).label == "constant(2)"
-    assert periodic_rule([1, 2, 2]).label == "periodic(1, 2, 2)"
     assert greedy_diameter_rule().label == "greedy_diameter"
 
 
 def test_rule_labels_print_numpy_letters_as_plain_integers():
-    assert periodic_rule(np.array([1, 2])).label == "periodic(1, 2)"
     assert constant_rule(np.int64(2)).label == "constant(2)"
 
 
 def test_batched_rules_pick_for_every_arc_and_letter_zero_stops(doubling, rotation_flip):
     s, ln = np.array([0.1, 0.5, 0.9]), np.array([0.02, 0.3, 0.6])
-    pick, starts, lengths = periodic_rule((1, 2, 2))(rotation_flip, 4, s, ln, None)
+    pick, starts, lengths = constant_rule(2)(rotation_flip, 4, s, ln, None)
     flipped = map_arcs(rotation_flip.generator(2), s, ln)
     assert pick.tolist() == [2, 2, 2]
     assert starts.tolist() == flipped[0].tolist() and lengths.tolist() == flipped[1].tolist()

@@ -63,42 +63,39 @@ def generator_from_config(cfg: dict, where: str) -> Generator:
     if not isinstance(cfg, dict) or "type" not in cfg:
         raise MalformedInput(f"{where}: each generator needs a 'type' field")
     kind = cfg["type"]
-    if kind == "rotation":
-        _check_fields(cfg, {"type", "alpha"}, where)
-        return Rotation(_as_real(cfg.get("alpha", 0.0), where + ".alpha"))
-    if kind == "flip":
-        _check_fields(cfg, {"type"}, where)
-        return Flip()
-    if kind == "north_south":
-        _check_fields(cfg, {"type", "q", "lambda"}, where)
-        if "lambda" not in cfg:
-            raise MalformedInput(f"{where}: north_south needs 'lambda'")
-        return NorthSouth(_as_real(cfg.get("q", 0.0), where + ".q"),
-                          _as_real(cfg["lambda"], where + ".lambda"))
-    if kind == "piecewise_linear":
-        _check_fields(cfg, {"type", "breakpoints"}, where)
-        bps = cfg.get("breakpoints")
-        if not isinstance(bps, list) or len(bps) < 2:
-            raise MalformedInput(f"{where}: breakpoints must be a list of [x, y] pairs")
-        pairs = []
-        for i, bp in enumerate(bps):
-            if not isinstance(bp, (list, tuple)) or len(bp) != 2:
-                raise MalformedInput(f"{where}.breakpoints[{i}]: expected [x, y]")
-            pairs.append((_as_real(bp[0], f"{where}.breakpoints[{i}].x"),
-                          _as_real(bp[1], f"{where}.breakpoints[{i}].y")))
-        try:
+    try:
+        if kind == "rotation":
+            _check_fields(cfg, {"type", "alpha"}, where)
+            return Rotation(_as_real(cfg.get("alpha", 0.0), where + ".alpha"))
+        if kind == "flip":
+            _check_fields(cfg, {"type"}, where)
+            return Flip()
+        if kind == "north_south":
+            _check_fields(cfg, {"type", "q", "lambda"}, where)
+            if "lambda" not in cfg:
+                raise MalformedInput(f"{where}: north_south needs 'lambda'")
+            return NorthSouth(_as_real(cfg.get("q", 0.0), where + ".q"),
+                              _as_real(cfg["lambda"], where + ".lambda"))
+        if kind == "piecewise_linear":
+            _check_fields(cfg, {"type", "breakpoints"}, where)
+            bps = cfg.get("breakpoints")
+            if not isinstance(bps, list) or len(bps) < 2:
+                raise MalformedInput(f"{where}: breakpoints must be a list of [x, y] pairs")
+            pairs = []
+            for i, bp in enumerate(bps):
+                if not isinstance(bp, (list, tuple)) or len(bp) != 2:
+                    raise MalformedInput(f"{where}.breakpoints[{i}]: expected [x, y]")
+                pairs.append((_as_real(bp[0], f"{where}.breakpoints[{i}].x"),
+                              _as_real(bp[1], f"{where}.breakpoints[{i}].y")))
             return PiecewiseLinear(tuple(pairs))
-        except ValueError as exc:
-            raise MalformedInput(f"{where}: {exc}")
-    if kind == "expanding":
-        _check_fields(cfg, {"type", "m"}, where)
-        m = cfg.get("m")
-        if not isinstance(m, int) or isinstance(m, bool):
-            raise MalformedInput(f"{where}.m: expected an integer >= 2")
-        try:
+        if kind == "expanding":
+            _check_fields(cfg, {"type", "m"}, where)
+            m = cfg.get("m")
+            if not isinstance(m, int) or isinstance(m, bool):
+                raise MalformedInput(f"{where}.m: expected an integer >= 2")
             return Expanding(m)
-        except ValueError as exc:
-            raise MalformedInput(f"{where}: {exc}")
+    except ValueError as exc:
+        raise MalformedInput(f"{where}: {exc}")
     raise MalformedInput(f"{where}: unknown generator type {kind!r}")
 
 

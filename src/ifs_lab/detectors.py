@@ -1173,9 +1173,8 @@ def _steered_candidates(ifs: IfsSystem, steering, x: np.ndarray, r: np.ndarray, 
     B(x, r) and iterating its generator, that q, and the word reaching it
     (-1, None and None if no repeller can be pulled in); mirrors the
     unstable-point separation argument."""
-    best, which = np.full(x.size, -1.0), np.full(x.size, -1)
-    pulled, reps = np.zeros(x.size, dtype=np.int64), np.zeros(x.size, dtype=np.int64)
-    for e, (q, letter, cloud) in enumerate(steering):
+    best, repellers, words = np.full(x.size, -1.0), [None] * x.size, [None] * x.size
+    for q, letter, cloud in steering:
         # a later repeller wins a pair only on a gain above 1e-15, so one
         # capped at 1/2 is settled; earliest found = shortest pull-back word:
         # the cloud node's letters back to its root, replayed on the ball
@@ -1200,17 +1199,11 @@ def _steered_candidates(ifs: IfsSystem, steering, x: np.ndarray, r: np.ndarray, 
         diams = _rule_paths(ifs, s, ln, None, horizon, constant_rule(letter), capped_from=1)[1]
         diams[np.arange(horizon + 1) > steps[:, None]] = -1.0
         local, local_n = _best_from(diams, 1)
-        up = (steps > 0) & (local > best[rows] + 1e-15)
-        best[rows[up]], which[rows[up]] = local[up], e
-        pulled[rows[up]], reps[rows[up]] = first[up], local_n[up]
-
-    # the pull-back words of a repeller's pairs, read back in one call
-    words = [None] * x.size
-    for e, (_, letter, cloud) in enumerate(steering):
-        mine = np.flatnonzero(which == e).tolist()
-        for i, w in zip(mine, cloud.words_for(pulled[mine])):
-            words[i] = w[::-1] + (letter,) * int(reps[i])
-    return best, [steering[e][0] if e >= 0 else None for e in which.tolist()], words
+        up = np.flatnonzero((steps > 0) & (local > best[rows] + 1e-15))
+        best[rows[up]] = local[up]
+        for i, w, n in zip(rows[up].tolist(), cloud.words_for(first[up]), local_n[up].tolist()):
+            repellers[i], words[i] = q, w[::-1] + (letter,) * n
+    return best, repellers, words
 
 
 def _cheap_candidates(ifs: IfsSystem, res: Resolution, x: np.ndarray, r: np.ndarray,

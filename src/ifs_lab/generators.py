@@ -135,10 +135,17 @@ class Flip(Generator):
 Flip.degree = -1
 
 
+# The largest north-south multiplier: the repeller's multiplier comes from
+# a root found within rounding of q, whose relative error grows like
+# (pi * rounding * lam) ** 2, and lam ** 2 overflows above about 1e154.
+MAX_MULTIPLIER = 1e6
+
+
 @dataclass(frozen=True, slots=True)
 class NorthSouth(Generator):
     """Hyperbolic north-south map: repelling fixed point q with multiplier
-    lam > 1, attracting fixed point antipodal to q with multiplier 1/lam.
+    1 < lam <= MAX_MULTIPLIER, attracting fixed point antipodal to q with
+    multiplier 1/lam.
 
     The canonical model with q = 0 has lift t -> atan(lam * tan(pi t)) / pi,
     extended continuously across the half-integers; a general q conjugates
@@ -155,6 +162,8 @@ class NorthSouth(Generator):
         object.__setattr__(self, "q", normalize(self.q))
         if not self.lam > 1.0:
             raise ValueError(f"multiplier must exceed 1, got {self.lam}")
+        if self.lam > MAX_MULTIPLIER:
+            raise ValueError(f"multiplier must be at most {MAX_MULTIPLIER:g}, got {self.lam}")
 
     def _core(self, s: float) -> float:
         # s in [-1/2, 1/2); the cotangent form keeps precision near +-1/2.

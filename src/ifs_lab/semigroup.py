@@ -247,13 +247,13 @@ class OrbitLevel:
     """What the stop test of `orbit_cloud` sees after each completed level.
 
     `values` and `source` are the level's new points, in visit order.
-    `cell_values` and `cell_source` hold the points so far of at least every
-    running source, ordered by (source, merge cell): each source's values
-    ascending, as a value stops short of 1 by more than any rounding of its
-    cell.  The search carries `cell_values` from the first level whose test
-    reads them on, so a test that never reads them costs none.  Per source:
-    `counts` (points so far), `running` (expanded this level) and `ending` (a
-    bound ends its search after this level, whatever the test says).
+    `cell_values` and `cell_source` hold the points so far of every source,
+    ordered by (source, merge cell): each source's values ascending, as a
+    value stops short of 1 by more than any rounding of its cell.  The
+    search carries `cell_values` from the first level whose test reads them
+    on, so a test that never reads them costs none.  Per source: `counts`
+    (points so far), `running` (expanded this level) and `ending` (a bound
+    ends its search after this level, whatever the test says).
     """
 
     def __init__(self, values, source, seen, cell_values, scale, counts, running, ending):
@@ -387,11 +387,6 @@ def orbit_cloud(ifs: IfsSystem, x, depth: int, cap: int, merge: float,
             stop[run & ~empty & fire] = _FOUND
         stop[(stop < 0) & (counts >= cap)] = _BUDGET
         stopped = bool((stop[run] >= 0).any())
-        # drop the cells of stopped sources once they are most of them
-        if stopped and 0 < 2 * counts[stop < 0].sum() < seen.size:
-            alive = stop[seen // scale] < 0
-            seen = seen[alive]
-            seen_values = None if seen_values is None else seen_values[alive]
     stop[stop < 0] = _DEPTH
     return OrbitCloud(*[np.concatenate(col) for col in cols], depths, stop)
 

@@ -89,6 +89,12 @@ def test_huge_expanding_degree_names_its_field(tmp_path, capsys):
     ({"generators": [{"type": "piecewise_linear",
                       "breakpoints": [[0, 0], [0.5, 0.7], [0.7, 0.6], [1, 1]]}]},
      ".generators[0]: lift must be strictly monotone"),
+    ({"generators": [{"type": "north_south", "q": 0.1, "lambda": 0.5}]},
+     ".generators[0]: multiplier must exceed 1, got 0.5"),
+    ({"generators": [{"type": "flip"}, {"type": "north_south", "q": 0.1, "lambda": 1e12}]},
+     ".generators[1]: multiplier must be at most 1e+06, got 1000000000000.0"),
+    ({"generators": [{"type": "expanding", "m": 1}]},
+     ".generators[0]: expanding factor must be an integer >= 2, got 1"),
 ])
 def test_malformed_document_exits_2_naming_its_field(tmp_path, capsys, doc, message):
     src = tmp_path / "sys.json"

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from ifs_lab import (Arc, CirclePoint, Expanding, Flip, NonInvertible,
                      NorthSouth, NotDifferentiable, PiecewiseLinear, Rotation,
                      circ_dist, fixed_points)
-from ifs_lab.generators import MAX_DEGREE, map_arcs
+from ifs_lab.generators import MAX_DEGREE, MAX_MULTIPLIER, map_arcs
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -288,6 +289,22 @@ def test_constructors_reject_non_finite_parameters(build, field):
 def test_north_south_needs_a_multiplier_above_one():
     with pytest.raises(ValueError, match="^multiplier must exceed 1, got 1.0"):
         NorthSouth(0, 1.0)
+
+
+def test_north_south_multiplier_is_bounded():
+    # refused before fixed_points could misplace or misclassify the repeller
+    assert NorthSouth(0.1, MAX_MULTIPLIER).lam == MAX_MULTIPLIER
+    message = "^" + re.escape(f"multiplier must be at most {MAX_MULTIPLIER:g},")
+    for lam in (MAX_MULTIPLIER * (1 + 1e-15), 1e12, 1e25, 1e300):
+        with pytest.raises(ValueError, match=message):
+            NorthSouth(0.1, lam)
+
+
+def test_largest_north_south_multiplier_keeps_its_repeller():
+    recs = fixed_points(NorthSouth(0.1, MAX_MULTIPLIER))
+    rep, = [r for r in recs if r.classification == "repelling"]
+    assert rep.location.value == pytest.approx(0.1, abs=1e-12)
+    assert rep.one_sided_multipliers == (pytest.approx(MAX_MULTIPLIER, rel=1e-12),) * 2
 
 
 def test_expanding_degree_is_bounded():

@@ -96,7 +96,7 @@ class Verdict:
 
 @dataclass
 class SensitivityReport:
-    """Separation evidence per net point and radius rung."""
+    """Separation evidence per net point, at the smallest radius rung."""
 
     delta_hat: float
     per_point: list
@@ -1245,21 +1245,23 @@ def sensitivity_estimate(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION
                          ) -> Tuple[SensitivityReport, Verdict]:
     """Estimate the sensitivity constant from below.
 
-    For each net point and each radius rung the ball around the point is
-    tracked through word images.  Search strategies, in order: plain
+    For each net point the ball of the smallest radius of the halving
+    ladder from 0.1 is tracked through word images; a larger ball contains
+    it, so could not lower the estimate.  Search strategies, in order: plain
     breadth-first arc images; repeller steering (pull a repelling fixed
     point into the ball, then iterate its generator); and two greedy
     extension chains for expanding structure without repellers.  Each
-    strategy runs in one batch, on the (point, rung) pairs where no strategy
-    before it reached the diameter cap 1/2: a later strategy wins only on a
-    gain above 1e-15, so it could not win those.  The recorded separation
+    strategy runs in one batch, on the balls where no strategy before it
+    reached the diameter cap 1/2: a later strategy wins only on a gain
+    above 1e-15, so it could not win those.  The recorded separation
     always replays as circ_dist(w(x), w(y)) for the listed partner y.
     """
     net = system_net(ifs, res.net_size)
     rungs = _radius_ladder(res.r)
+    # one ball is searched, but recorded delta_hat values rest on the whole ladder's share
     slice_budget = max(64, res.budget // max(1, len(net) * len(rungs)))
-    xs = np.repeat(np.asarray(net, dtype=float), len(rungs))
-    rs = np.tile(np.asarray(rungs, dtype=float), len(net))
+    xs = np.asarray(net, dtype=float)
+    rs = np.full(xs.size, rungs[-1])
     # a source stops at its first arc capped at 1/2: that arc wins its scan,
     # or an earlier one within 1e-15 of it does
     bfs = _bfs_best(ifs, normalize_array(xs - rs), 2.0 * rs, res.depth,
@@ -1274,7 +1276,6 @@ def sensitivity_estimate(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION
     seps, partners = _refined_separations(ifs, [w for w, _ in chosen], xs, rs)
     per_point = []
     notes: Dict[str, int] = {}
-    delta_hat = None
     for x, r, best_diam, (best_word, strategy), sep, partner in zip(
             xs.tolist(), rs.tolist(), best.tolist(), chosen, seps, partners):
         note_key = strategy.split("(")[0]
@@ -1289,14 +1290,12 @@ def sensitivity_estimate(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION
             "diameter_capped": best_diam >= 0.5 - 1e-12,
             "strategy": strategy,
         })
-        if r == rungs[-1] and (delta_hat is None or sep < delta_hat):
-            delta_hat = sep
-    report = SensitivityReport(delta_hat=float(delta_hat), per_point=per_point,
-                               strategy_notes=notes)
+    delta_hat = min(seps)
+    report = SensitivityReport(delta_hat=delta_hat, per_point=per_point, strategy_notes=notes)
     verdict = Verdict(
         "sensitivity", bool(delta_hat >= res.eps), res,
-        {"delta_hat": float(delta_hat), "smallest_radius": rungs[-1],
-         "points": len(net), "rungs": rungs},
+        {"delta_hat": delta_hat, "smallest_radius": rungs[-1],
+         "points": len(net), "slice_budget": slice_budget},
         caveat="delta_hat is a lower estimate; negative verdicts are "
                "search-bounded",
     )

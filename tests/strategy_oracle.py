@@ -1,7 +1,7 @@
 """Test-only reference: sensitivity's full strategy composition, which the
 library's cascade replaced, kept verbatim in behaviour.
 
-Every (point, rung) pair runs through every strategy: breadth-first arc
+Every (point, radius) pair runs through every strategy: breadth-first arc
 images with no early stop, repeller steering over every repeller, and the
 two greedy chains, each chain running all of its steps, capped or not.
 `strategy_table` then picks each pair's winner as `sensitivity_estimate`
@@ -18,12 +18,12 @@ from ifs_lab.generators import map_arcs
 
 
 def sensitivity_pairs(ifs, res):
-    """The (x, r) pairs of `sensitivity_estimate` and its per-pair BFS budget."""
+    """The (x, r) pairs of `sensitivity_estimate`, one per net point at the
+    smallest rung, and its per-pair BFS budget, split over every rung."""
     net = system_net(ifs, res.net_size)
     rungs = _radius_ladder(res.r)
-    xs = np.repeat(np.asarray(net, dtype=float), len(rungs))
-    rs = np.tile(np.asarray(rungs, dtype=float), len(net))
-    return xs, rs, max(64, res.budget // max(1, len(net) * len(rungs)))
+    xs = np.asarray(net, dtype=float)
+    return xs, np.full(xs.size, rungs[-1]), max(64, res.budget // max(1, len(net) * len(rungs)))
 
 
 def greedy_chains(ifs, x, r, depth, by_derivative):

@@ -1,6 +1,7 @@
 """The batched partner refinement against the scalar reference
 `separation_oracle`: per (point, radius) pair of `sensitivity_estimate`, its
-`separation` and `best_partner_y`, and `delta_hat`; the witness pipeline's
+`separation` and `best_partner_y`, and `delta_hat`; one pair per net point,
+at the smallest radius, and `delta_hat` pinned; the witness pipeline's
 verdict with the library's batched `_most_separating` and with the
 reference scan swapped in.
 
@@ -16,8 +17,9 @@ import pytest
 import ifs_lab.detectors as detectors
 import separation_oracle as oracle
 from ifs_lab import GALLERY_NAMES, build_example
-from ifs_lab.detectors import (DEFAULT_RESOLUTION, NotApplicable, _PARTNERS, sensitivity_estimate,
-                               sensitivity_witness_from_nonminimality)
+from ifs_lab.detectors import (DEFAULT_RESOLUTION, NotApplicable, _PARTNERS, _radius_ladder,
+                               sensitivity_estimate, sensitivity_witness_from_nonminimality,
+                               system_net)
 from ifs_lab.semigroup import _word_values
 from test_cover_kernel import BENCH_RES, hexed, random_systems
 
@@ -40,7 +42,7 @@ def check_per_point(ifs, res):
     for e in report.per_point:
         sep, y = oracle.refined_separation(ifs, tuple(e["best_word"]), e["x"], e["r"])
         assert (e["separation"].hex(), e["best_partner_y"].hex()) == (sep.hex(), y.hex()), e
-        if e["r"] == verdict.witnesses["rungs"][-1]:
+        if e["r"] == verdict.witnesses["smallest_radius"]:
             last.append(sep)
     assert report.delta_hat.hex() == verdict.witnesses["delta_hat"].hex() == min(last).hex()
     return [e["best_word"] for e in report.per_point]
@@ -61,6 +63,31 @@ def test_per_point_matches_the_reference_on_random_systems(seed):
 def test_per_point_matches_the_reference_across_chunks(monkeypatch, name):
     monkeypatch.setattr(detectors, "_CHUNK_NODES", SMALL_CHUNK)
     check_per_point(build_example(name).system, DEFAULT_RESOLUTION)
+
+
+def test_per_point_has_one_ball_per_net_point_at_the_smallest_radius():
+    for ifs, res in gallery_cases() + random_cases(0):
+        report, verdict = sensitivity_estimate(ifs, res)
+        net, rungs = system_net(ifs, res.net_size), _radius_ladder(res.r)
+        assert verdict.witnesses["smallest_radius"] == rungs[-1]
+        assert [(e["x"], e["r"]) for e in report.per_point] == [(x, rungs[-1]) for x in net]
+        assert report.delta_hat == min(e["separation"] for e in report.per_point)
+        # the budget of a search over every rung, which fixes delta_hat
+        assert verdict.witnesses["slice_budget"] == max(64, res.budget // (len(net) * len(rungs)))
+
+
+# delta_hat as the search over every rung of the radius ladder found it
+@pytest.mark.parametrize("name, net_size, want", [
+    ("cor33_morse_smale", 100, "0x1.042753293d708p-2"),
+    ("ex42_hinges", 100, "0x1.13dfed3395982p-2"),
+    ("prop35_expanding", 100, "0x1.5999999999960p-2"),
+    ("rotation_flip", 100, "0x1.9999999999980p-8"),
+    ("thm34_ns_rotation", 100, "0x1.14c15f1315f3ap-2"),
+    ("thm34_ns_rotation", 300, "0x1.14c15f1315f3ap-2"),
+])
+def test_delta_hat_is_the_one_every_rung_searched(name, net_size, want):
+    res = DEFAULT_RESOLUTION.replaced(net_size=net_size)
+    assert sensitivity_estimate(build_example(name).system, res)[0].delta_hat.hex() == want
 
 
 def test_refinement_passes_hold_at_most_chunk_nodes_rows(monkeypatch):

@@ -3,7 +3,10 @@ requested properties (`ifs_lab.properties`) at a given resolution, and emit
 a machine-readable report plus a human-readable summary.
 
 Jobs look `evaluate_property` up in this module, so rebinding it here
-reaches every verdict.  Reports are JSON with sorted keys so identical
+reaches every verdict.  Reports are JSON with a two-space indent, sorted
+keys, every non-ASCII character escaped as \\uXXXX, and non-finite floats
+written `NaN`, `Infinity` and `-Infinity`: the bytes of
+`json.dumps(report, indent=2, sort_keys=True)` plus a newline.  Identical
 analyses produce identical bytes from run to run; wall-clock timings go to
 stdout (and into the report only with --timing).
 """
@@ -13,8 +16,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _escape
 from typing import List, Optional, Tuple
 
 from . import __version__
@@ -168,6 +173,8 @@ def run_analyze(ifs: IfsSystem, source: dict, props: List[str], res: Resolution,
     """Run the requested detectors and assemble the report document."""
     for p in props:
         property_spec(p)
+    if out_path:
+        _check_out_path(out_path)
     results = _run_timed(ifs, [(p, params) for p in props], res)
     report = {
         "schema": SCHEMA,
@@ -183,14 +190,79 @@ def run_analyze(ifs: IfsSystem, source: dict, props: List[str], res: Resolution,
     for p, (r, t) in zip(props, results):
         echo(f"  {p:<24s} holds={str(r['holds']):<5s}  [{t:.2f}s]")
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(render_report(report))
+        text = render_report(report)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise MalformedInput(f"--out: cannot write {out_path}: {exc}")
         echo(f"report written to {out_path}")
     return report
 
 
+def _check_out_path(path: str) -> None:
+    """Reject, before any detector runs, a report path that cannot be a file."""
+    if os.path.isdir(path):
+        raise MalformedInput(f"--out: {path} is a directory")
+    folder = os.path.dirname(path)
+    if folder and not os.path.isdir(folder):
+        raise MalformedInput(f"--out: {folder} is not a directory")
+
+
 def render_report(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """The bytes of `json.dumps(report, indent=2, sort_keys=True)` plus a
+    newline, built without the pure-Python encoder that `json` falls back to
+    whenever `indent` is set."""
+    return _render(report, "\n") + "\n"
+
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_PLAIN_INT = frozenset([int])
+
+
+def _render_key(key) -> str:
+    if isinstance(key, str):
+        return _escape(key)
+    if key is None or isinstance(key, (int, float)):
+        return _escape(_render(key, ""))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _render(value, newline: str) -> str:
+    """`value` with its lines indented as `newline` is; the type checks run
+    in `json`'s order, so subclasses such as np.float64 render as there."""
+    if isinstance(value, str):
+        return _escape(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _NON_FINITE.get(text, text)
+    inner = newline + "  "
+    sep = "," + inner
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if _PLAIN_INT.issuperset(map(type, value)):  # a word: join its letters at once
+            return f"[{inner}{sep.join(map(int.__repr__, value))}{newline}]"
+        return f"[{inner}{sep.join([_render(v, inner) for v in value])}{newline}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # one flat join: a large value is not first copied into a "key: value" string
+        parts = []
+        for k, v in sorted(value.items()):
+            parts += (sep, _render_key(k), ": ", _render(v, inner))
+        parts[0] = "{" + inner
+        parts += (newline, "}")
+        return "".join(parts)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def run_verify(name: str, res: Resolution, echo=print) -> int:

@@ -1,14 +1,21 @@
+import importlib.util
 import json
 import math
+import pathlib
 import time
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ifs_lab import circ_dist, compose_word
+from ifs_lab import GALLERY_NAMES, build_example, circ_dist, compose_word, cli
 from ifs_lab.cli import (EXIT_MALFORMED, EXIT_MISMATCH, EXIT_OK,
                          EXIT_UNSUPPORTED, MalformedInput, generator_to_config,
-                         load_system_file, main, render_report,
+                         load_system_file, main, render_report, run_analyze,
                          system_from_config)
+from ifs_lab.detectors import DEFAULT_RESOLUTION
+from ifs_lab.properties import PROPERTY_NAMES
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -250,3 +257,131 @@ def test_dense_periodic_max_len_beyond_the_budget_exits_at_once(capsys):
     assert code == EXIT_MALFORMED
     assert time.perf_counter() - t0 < 5.0
     assert "error: max_len 40: " in capsys.readouterr().err
+
+
+def test_unwritable_out_exits_2_before_any_detector_runs(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "evaluate_property", lambda *args: calls.append(args))
+    missing = tmp_path / "missing"
+    for out, message in [(missing / "x.json", f"{missing} is not a directory"),
+                         (tmp_path, f"{tmp_path} is a directory")]:
+        code = main(["analyze", "--gallery", "thm34_ns_rotation",
+                     "--props", "repelling_fixed_point", "--out", str(out)])
+        assert code == EXIT_MALFORMED
+        assert f"error: --out: {message}" in capsys.readouterr().err
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_error_on_out_exits_2(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise PermissionError("read-only file system")
+
+    monkeypatch.setattr(cli, "open", refuse, raising=False)
+    out = tmp_path / "x.json"
+    code = main(["analyze", "--gallery", "prop35_expanding", "--props", "expanding",
+                 "--out", str(out)])
+    assert code == EXIT_MALFORMED
+    assert f"error: --out: cannot write {out}: read-only file system" in capsys.readouterr().err
+
+
+def test_render_error_leaves_the_old_report_in_place(tmp_path, monkeypatch):
+    out = tmp_path / "x.json"
+    out.write_text("old report\n")
+    monkeypatch.setattr(cli, "evaluate_property",
+                        lambda *args: {"holds": True, "count": np.int64(3)})
+    with pytest.raises(TypeError):
+        run_analyze(build_example("prop35_expanding").system, {}, ["expanding"],
+                    DEFAULT_RESOLUTION, {}, out_path=str(out), echo=lambda *a: None)
+    assert out.read_text() == "old report\n"
+
+
+# ---------------------------------------------------------------------------
+# render_report against its reference, json's own indented encoder
+
+
+def reference(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def _analyze(system, source, props, res, params):
+    return run_analyze(system, source, props, res, params, echo=lambda *a: None)
+
+
+@pytest.mark.parametrize("name", GALLERY_NAMES)
+def test_gallery_reports_render_as_json_does(name):
+    # every property, as the report determinism check in CI runs them
+    props = [p for p in PROPERTY_NAMES
+             if not (name == "prop35_expanding" and p == "strong_transitivity")]
+    report = _analyze(build_example(name).system, {"kind": "gallery", "name": name},
+                      props, DEFAULT_RESOLUTION, {"x": 0.237})
+    assert render_report(report) == reference(report)
+
+
+@pytest.mark.parametrize("name, prop", [("ex42_hinges", "transitivity"),
+                                        ("ex42_hinges", "s_transitivity"),
+                                        ("thm34_ns_rotation", "sensitivity")])
+def test_heavy_arc_reports_render_as_json_does(name, prop):
+    # the benchmark's heavy_arcs jobs; s_transitivity's report is the largest
+    report = _analyze(build_example(name).system, {"kind": "gallery", "name": name},
+                      [prop], DEFAULT_RESOLUTION.replaced(net_size=300), {})
+    assert render_report(report) == reference(report)
+
+
+def test_random_system_reports_render_as_json_does():
+    # the benchmark's random_systems pass at seed 0: 50 documents, 7 properties
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "systems.py"
+    spec = importlib.util.spec_from_file_location("bench_systems", path)
+    systems = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(systems)
+    props = ["minimality", "transitivity", "sensitivity", "almost_periodic",
+             "repelling_fixed_point", "dense_periodic", "local_expanding"]
+    res = DEFAULT_RESOLUTION.replaced(net_size=12, depth=30, budget=4000, eps=0.02, r=0.02)
+    for i, doc in enumerate(systems.random_documents(0)):
+        report = _analyze(system_from_config(doc), {"kind": "document", "name": str(i)},
+                          props, res, {"x": 0.3, "max_len": 2})
+        assert render_report(report) == reference(report), i
+
+
+_FLOATS = st.one_of(st.floats(), st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 1e16, 5e-324, 0.1, 1e-5]))
+_TEXT = st.one_of(st.text(), st.sampled_from(
+    ['"', "\\", "\x00\x1f\x7f", "\u00e9\u2603\U0001d11e", "\ud800", "\n\t\r\b\f", ""]))
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.sampled_from([2 ** 64, -(10 ** 40), 10 ** 300]),
+    _FLOATS, _FLOATS.map(np.float64), _TEXT)
+_VALUES = st.recursive(_SCALARS, lambda children: st.one_of(
+    st.lists(children, max_size=4),
+    st.lists(children, max_size=4).map(tuple),
+    st.dictionaries(_TEXT, children, max_size=4),
+    st.dictionaries(st.integers(), children, max_size=3),
+    st.lists(st.one_of(st.integers(), st.booleans()), max_size=5),
+    st.sampled_from([[], {}, (), [[]], {"": {}}, [(), [{}]]]),
+), max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VALUES)
+def test_render_report_equals_json_on_any_value(value):
+    assert render_report(value) == reference(value)
+
+
+@pytest.mark.parametrize("value", [
+    {None: 1}, {True: 1, False: 2}, {0.5: 1, 2: 2, True: 3, -7: 4},
+    {math.nan: 1}, {math.inf: 1, -math.inf: 2}, {np.float64(0.1): []},
+    [True, 1, False, 0], [np.float64(math.nan), np.float64(-0.0)],
+])
+def test_non_string_keys_and_subclasses_render_as_json_does(value):
+    assert render_report(value) == reference(value)
+
+
+@pytest.mark.parametrize("value", [
+    np.int64(3), [np.int64(3)], {"a": np.bool_(True)}, {1, 2}, {"a": object()},
+    {(1, 2): 3}, {"a": b"bytes"}, {None: 1, "a": 2},
+])
+def test_values_json_rejects_raise_type_error(value):
+    with pytest.raises(TypeError):
+        reference(value)
+    with pytest.raises(TypeError):
+        render_report(value)

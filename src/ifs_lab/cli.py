@@ -53,6 +53,8 @@ def _as_real(value, where: str) -> float:
         real = float(value)
     except ValueError:
         raise MalformedInput(f"{where}: cannot parse {value!r} as a real number")
+    except OverflowError:  # an integer beyond the largest float
+        raise MalformedInput(f"{where}: expected a finite real")
     if not math.isfinite(real):
         raise MalformedInput(f"{where}: expected a finite real")
     return real
@@ -281,6 +283,8 @@ def run_verify(name: str, res: Resolution, echo=print) -> int:
              f"got {result['holds']}  [{t:.2f}s]")
         if not ok:
             echo(f"       witnesses: {json.dumps(result['witnesses'], sort_keys=True)[:400]}")
+            if result["caveat"]:  # names the bound that stopped the search
+                echo(f"       caveat: {result['caveat']}")
     return EXIT_OK if failures == 0 else EXIT_MISMATCH
 
 

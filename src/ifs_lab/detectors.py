@@ -1255,6 +1255,10 @@ def sensitivity_estimate(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION
     reached the diameter cap 1/2: a later strategy wins only on a gain
     above 1e-15, so it could not win those.  The recorded separation
     always replays as circ_dist(w(x), w(y)) for the listed partner y.
+
+    A system of rotations and flips is certified instead of searched: every
+    word is an isometry, so no word separates a ball more than the empty
+    word does, and each ball reports the empty word (strategy "isometry").
     """
     net = system_net(ifs, res.net_size)
     rungs = _radius_ladder(res.r)
@@ -1262,17 +1266,22 @@ def sensitivity_estimate(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION
     slice_budget = max(64, res.budget // max(1, len(net) * len(rungs)))
     xs = np.asarray(net, dtype=float)
     rs = np.full(xs.size, rungs[-1])
-    # a source stops at its first arc capped at 1/2: that arc wins its scan,
-    # or an earlier one within 1e-15 of it does
-    bfs = _bfs_best(ifs, normalize_array(xs - rs), 2.0 * rs, res.depth,
-                    slice_budget, _merge_cell(res), stop_above=math.nextafter(0.5, 0.0))
-    # steering and the chains (which catch expanding structure that has no
-    # repelling fixed point to steer by) only claim strictly better results,
-    # so each runs only where no column before it reached the cap
-    columns = [(np.array([d for d, _ in bfs]), [w for _, w in bfs], ["bfs"] * len(bfs))]
-    columns += _cheap_candidates(ifs, res, xs, rs, columns[0][0])
-    best, at = _best_from(np.column_stack([diams for diams, _, _ in columns]), 0)
-    chosen = [(columns[k][1][i], columns[k][2][i]) for i, k in enumerate(at.tolist())]
+    isometries = all(g.isometry for g in ifs.generators)
+    if isometries:
+        # the diameter the breadth-first search reports for the ball itself
+        best, chosen = 2.0 * rs, [((), "isometry")] * xs.size
+    else:
+        # a source stops at its first arc capped at 1/2: that arc wins its
+        # scan, or an earlier one within 1e-15 of it does
+        bfs = _bfs_best(ifs, normalize_array(xs - rs), 2.0 * rs, res.depth,
+                        slice_budget, _merge_cell(res), stop_above=math.nextafter(0.5, 0.0))
+        # steering and the chains (which catch expanding structure that has
+        # no repelling fixed point to steer by) only claim strictly better
+        # results, so each runs only where no column before it reached the cap
+        columns = [(np.array([d for d, _ in bfs]), [w for _, w in bfs], ["bfs"] * len(bfs))]
+        columns += _cheap_candidates(ifs, res, xs, rs, columns[0][0])
+        best, at = _best_from(np.column_stack([diams for diams, _, _ in columns]), 0)
+        chosen = [(columns[k][1][i], columns[k][2][i]) for i, k in enumerate(at.tolist())]
     seps, partners = _refined_separations(ifs, [w for w, _ in chosen], xs, rs)
     per_point = []
     notes: Dict[str, int] = {}
@@ -1292,13 +1301,14 @@ def sensitivity_estimate(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION
         })
     delta_hat = min(seps)
     report = SensitivityReport(delta_hat=delta_hat, per_point=per_point, strategy_notes=notes)
-    verdict = Verdict(
-        "sensitivity", bool(delta_hat >= res.eps), res,
-        {"delta_hat": delta_hat, "smallest_radius": rungs[-1],
-         "points": len(net), "slice_budget": slice_budget},
-        caveat="delta_hat is a lower estimate; negative verdicts are "
-               "search-bounded",
-    )
+    witnesses = {"delta_hat": delta_hat, "smallest_radius": rungs[-1],
+                 "points": len(net), "slice_budget": slice_budget}
+    caveat = "delta_hat is a lower estimate; negative verdicts are search-bounded"
+    if isometries:
+        witnesses.update(certified=True, certificate={"kind": "isometries"})
+        caveat = ("every generator is an isometry, so no word separates a ball of radius r "
+                  "beyond r: delta_hat is exact, not search-bounded")
+    verdict = Verdict("sensitivity", bool(delta_hat >= res.eps), res, witnesses, caveat=caveat)
     return report, verdict
 
 

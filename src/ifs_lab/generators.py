@@ -42,6 +42,8 @@ class Generator:
     """Base class: a continuous self-map of the circle with a monotone lift."""
 
     invertible: bool = True
+    # Whether the map preserves circ_dist (a rotation or the flip).
+    isometry: bool = False
     # Degree of the lift: lift(t + 1) = lift(t) + degree.
     degree: int = 1
 
@@ -90,6 +92,7 @@ def _libm(f, x: np.ndarray, *args) -> np.ndarray:
 class Rotation(Generator):
     """x -> x + alpha (mod 1)."""
 
+    isometry = True
     alpha: float
 
     def __post_init__(self):
@@ -115,6 +118,8 @@ class Rotation(Generator):
 @dataclass(frozen=True, slots=True)
 class Flip(Generator):
     """The orientation-reversing involution x -> -x (mod 1)."""
+
+    isometry = True
 
     def lift(self, t: float) -> float:
         return -t

@@ -4,8 +4,9 @@ library's cascade replaced, kept verbatim in behaviour.
 Every (point, radius) pair runs through every strategy: breadth-first arc
 images with no early stop, repeller steering over every repeller, and the
 two greedy chains, each chain running all of its steps, capped or not.
-`strategy_table` then picks each pair's winner as `sensitivity_estimate`
-does, with `_best_from` over the columns in order.
+`searched_table` then picks each pair's winner as `sensitivity_estimate`
+does, with `_best_from` over the columns in order.  `strategy_table` adds the
+isometry certificate: a system of rotations and flips is not searched.
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ from ifs_lab.circle import normalize_array
 from ifs_lab.detectors import (_best_from, _bfs_best, _first_within, _greedy_derivative_rule,
                                _merge_cell, _radius_ladder, _repeller_steering_data,
                                _rule_paths, constant_rule, greedy_diameter_rule, system_net)
-from ifs_lab.generators import map_arcs
+from ifs_lab.generators import Flip, Rotation, map_arcs
 
 
 def sensitivity_pairs(ifs, res):
@@ -75,6 +76,16 @@ def cheap_candidates(ifs, res, x, r):
 
 
 def strategy_table(ifs, res):
+    """Per pair of `sensitivity_pairs`, the (column, diameter, word, strategy
+    label) that `sensitivity_estimate` reports: on a system of rotations and
+    flips, the empty word at the ball's own diameter, in no column (-1);
+    on any other system, the winner of `searched_table`."""
+    if all(isinstance(g, (Rotation, Flip)) for g in ifs.generators):
+        return [(-1, d, (), "isometry") for d in (2.0 * sensitivity_pairs(ifs, res)[1]).tolist()]
+    return searched_table(ifs, res)
+
+
+def searched_table(ifs, res):
     """Per pair of `sensitivity_pairs`, the winning (column, diameter, word,
     strategy label) of the full composition."""
     xs, rs, budget = sensitivity_pairs(ifs, res)

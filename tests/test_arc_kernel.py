@@ -7,10 +7,13 @@ the same reason as the one-source-at-a-time search it replaced.
 Sensitivity's strategy skips against the full composition in
 `strategy_oracle`: the BFS stopped at the 1/2 cap, the chains stopped once
 capped, and the cascade that runs each strategy only where no earlier one
-reached the cap pick what running everything everywhere picks.
+reached the cap pick what running everything everywhere picks; and on a
+system of rotations and flips, which is certified instead, the search finds
+nothing beyond rounding.
 """
 
 import math
+import pathlib
 from collections import Counter
 
 import numpy as np
@@ -27,6 +30,7 @@ from ifs_lab import (Arc, CirclePoint, Expanding, Flip, GALLERY_NAMES, IfsSystem
                      constant_rule, greedy_diameter_rule,
                      s_transitivity_verdict, sensitivity_witness_from_nonminimality,
                      separation_times, topological_transitivity_verdict)
+from ifs_lab.cli import load_system_file
 from ifs_lab.detectors import (_arc_keys, _arc_search, _bfs_best, _dominance_keep, _expand,
                                _greedy_chains, _prior_max, _repeller_steering_data,
                                _stable_argsort, _steered_candidates, _target_cells,
@@ -37,6 +41,7 @@ from ifs_lab.properties import evaluate_property
 from test_cover_kernel import BENCH_RES, random_systems as seeded_systems
 from test_detectors import pattern_rule
 
+DATA = pathlib.Path(__file__).parent / "data"
 EPS = R = 0.01
 CELL = EPS / 8.0
 
@@ -701,6 +706,32 @@ def test_cascaded_strategies_pick_what_the_full_composition_picks():
     assert columns[0, True] and columns[1, True] and columns[2, True] + columns[2, False]
 
 
+def test_the_isometry_certificate_reports_what_the_search_finds_up_to_rounding():
+    """On a system of rotations and flips every word preserves distances, so
+    the full search can beat the empty word only through rounding: where its
+    winner is the empty word the certified entry is the same, bit for bit,
+    and elsewhere its winner exceeds the ball's diameter 2r by under 1e-14.
+    The pinned document random_18_34 has such rounding winners."""
+    cases = [(ifs, res) for ifs, res in cap_cases()
+             if all(isinstance(g, (Rotation, Flip)) for g in ifs.generators)]
+    cases += [(build_example("rotation_flip").system, DEFAULT_RESOLUTION.replaced(net_size=300)),
+              (load_system_file(str(DATA / "random_18_34.json")), BENCH_RES)]
+    assert len(cases) == 5
+    empty = rounded = 0
+    for ifs, res in cases:
+        report, verdict = sensitivity_estimate(ifs, res)
+        assert verdict.witnesses["certified"] and verdict.witnesses["certificate"] == {
+            "kind": "isometries"}
+        for e, (_, d, w, _) in zip(report.per_point, strategy_oracle.searched_table(ifs, res)):
+            assert (e["strategy"], e["best_word"], e["diameter_capped"]) == ("isometry", [], False)
+            assert e["image_diameter"].hex() == (2.0 * e["r"]).hex()
+            if w:
+                rounded += 1
+                assert 0.0 < d - 2.0 * e["r"] < 1e-14, (e, d, w)
+            else:
+                empty += 1
+                assert d.hex() == e["image_diameter"].hex()
+    assert empty and rounded
 def test_the_cascade_skips_only_pairs_at_the_cap():
     """A running best 1e-13 below 1/2 is not capped: a later strategy that
     reaches 1/2 still wins the pair, so the pair must run.  A pair at 1/2 is

@@ -102,6 +102,12 @@ def test_huge_expanding_degree_names_its_field(tmp_path, capsys):
      ".generators[1]: multiplier must be at most 1e+06, got 1000000000000.0"),
     ({"generators": [{"type": "expanding", "m": 1}]},
      ".generators[0]: expanding factor must be an integer >= 2, got 1"),
+    # JSON integers too large for a float
+    ({"generators": [{"type": "rotation", "alpha": 10 ** 400}]},
+     ".generators[0].alpha: expected a finite real"),
+    ({"generators": [{"type": "piecewise_linear",
+                      "breakpoints": [[0, 0], [0.5, -10 ** 400], [1, 1]]}]},
+     ".generators[0].breakpoints[1].y: expected a finite real"),
 ])
 def test_malformed_document_exits_2_naming_its_field(tmp_path, capsys, doc, message):
     src = tmp_path / "sys.json"
@@ -218,6 +224,13 @@ def test_verify_failure_exits_1_and_prints_the_witnesses(capsys):
     out = capsys.readouterr().out
     assert "  FAIL strong_transitivity: expected holds=True, got False" in out
     assert '       witnesses: {"checked_points": ' in out
+    # the caveat follows the witnesses on its own line and names the bound
+    # that stopped the search
+    lines = out.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("  FAIL strong_transitivity"))
+    assert lines[at + 1].startswith('       witnesses: {"checked_points": ')
+    assert lines[at + 2].startswith("       caveat: orbit not eps-dense")
+    assert lines[at + 2].endswith(": the search reached its depth bound (depth=1)")
 
 
 def test_sensitivity_report_witnesses_replay(tmp_path):

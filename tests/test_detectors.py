@@ -4,8 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ifs_lab import (Arc, CirclePoint, Flip, IfsSystem, NonInvertible,
-                     NorthSouth, NotApplicable, Resolution, Rotation, circ_dist,
+from ifs_lab import (Arc, CirclePoint, Expanding, Flip, IfsSystem, NonInvertible,
+                     NorthSouth, NotApplicable, PiecewiseLinear, Resolution, Rotation, circ_dist,
                      almost_periodic_verdict, cofinite_sensitivity_verdict,
                      compose_word, constant_rule, dense_periodic_verdict,
                      greedy_diameter_rule, minimality_verdict,
@@ -141,6 +141,58 @@ def test_sensitivity_isometries_fail(rotation_flip):
     # separation never exceeds twice the tested radius on isometry systems
     for entry in report.per_point:
         assert entry["separation"] <= 2 * entry["r"] + 1e-12
+
+
+def certified(report, verdict):
+    """Whether sensitivity was certified by the isometry certificate; every
+    ball then reports the empty word, and none otherwise."""
+    isometry = [e["strategy"] == "isometry" for e in report.per_point]
+    assert all(isometry) or not any(isometry)
+    if not all(isometry):
+        assert "isometry" not in report.strategy_notes
+        assert "certified" not in verdict.witnesses and "certificate" not in verdict.witnesses
+        assert verdict.caveat.endswith("search-bounded")
+        return False
+    assert report.strategy_notes == {"isometry": len(report.per_point)}
+    assert all(e["best_word"] == [] and e["image_diameter"] == 2.0 * e["r"]
+               and not e["diameter_capped"] for e in report.per_point)
+    assert verdict.witnesses["certified"] is True
+    assert verdict.witnesses["certificate"] == {"kind": "isometries"}
+    assert "exact, not search-bounded" in verdict.caveat
+    return True
+
+
+@pytest.mark.parametrize("generators", [
+    [Rotation(0.3)], [Flip()], [Rotation(0.0), Flip()], [Rotation(0.1), Rotation(0.7), Flip()],
+], ids=["rotation", "flip", "identity_and_flip", "two_rotations_and_flip"])
+def test_a_system_of_rotations_and_flips_is_certified(generators):
+    report, verdict = sensitivity_estimate(IfsSystem(generators))
+    assert certified(report, verdict) and not verdict.holds
+    assert report.delta_hat == verdict.witnesses["delta_hat"] == min(
+        e["separation"] for e in report.per_point)
+
+
+@pytest.mark.parametrize("other", [
+    NorthSouth(0.2, 2.0), Expanding(2), PiecewiseLinear(((0.0, 0.0), (0.5, 0.6), (1.0, 1.0))),
+    # an isometry, but the certificate goes by generator type
+    PiecewiseLinear(((0.0, 0.0), (1.0, 1.0))),
+], ids=["north_south", "expanding", "piecewise_linear", "piecewise_linear_identity"])
+def test_any_other_generator_type_is_searched(other):
+    for generators in ([other], [Rotation(0.3), Flip(), other], [other, Flip()]):
+        assert not certified(*sensitivity_estimate(IfsSystem(generators)))
+    assert Rotation(0.3).isometry and Flip().isometry and not other.isometry
+
+
+def test_a_rounding_word_no_longer_moves_a_certified_delta_hat():
+    """Random document `random_documents(18)[34]` of bench/systems.py, a
+    rotation and a flip.  A search found words whose image of a ball rounds
+    1e-15 wider than the ball, and that raised delta_hat by one last bit."""
+    ifs = load_system_file(str(Path(__file__).parent / "data" / "random_18_34.json"))
+    res = Resolution(net_size=12, depth=30, budget=4000, eps=0.02, r=0.02)
+    report, verdict = sensitivity_estimate(ifs, res)
+    assert certified(report, verdict)
+    assert report.delta_hat.hex() == "0x1.999999999999ap-7"
+    assert verdict.holds is False
 
 
 def test_sensitivity_doubling_holds(doubling):

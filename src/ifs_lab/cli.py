@@ -142,6 +142,10 @@ def load_system_file(path: str) -> IfsSystem:
         raise MalformedInput(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}")
+    except ValueError:  # int() refuses a literal above sys.get_int_max_str_digits()
+        raise MalformedInput(f"{path}: an integer literal is too long to read")
     return system_from_config(doc, where=path)
 
 

@@ -177,8 +177,12 @@ def _cyclic_gaps(s: np.ndarray, seg: np.ndarray, n: int) -> Tuple[np.ndarray, np
 
 
 def _merge_cell(res: Resolution) -> float:
-    # Orbit/arc states are merged at this scale; small enough that an
-    # eps-density or eps-cover certificate is unaffected.
+    # Orbit/arc states are merged at this scale: a search keeps the first
+    # state it meets in each cell.  That can end a search early: a word that
+    # moves a state by less than a cell lands in a seen cell and is dropped,
+    # so a search can run out of fresh cells, `exhausted`, before its points
+    # are eps-dense (tests/data/random_4_33.json: two rotations compose to
+    # a turn of 0.000953, under the cell at eps = 0.02).
     return res.eps / 8.0
 
 
@@ -746,10 +750,24 @@ def almost_periodic_verdict(ifs: IfsSystem, x, res: Resolution = DEFAULT_RESOLUT
     any generator fixed point that the orbit approaches within eps/2 (those
     are the accumulation points a finite orbit sample cannot reach exactly).
     Then the orbit of every closure point must come within eps of each.
+
+    A system of rotations and flips is certified instead of searched: the
+    closure of its semigroup in O(2) is a compact group, so every orbit
+    closure is one orbit of that group, hence minimal (Auslander, *Minimal
+    Flows and their Extensions*, 1988, ch. 2).  A fixed point within eps/2
+    of that closure keeps its whole orbit within eps/2 of it, since every
+    word is an isometry, so the augmented sample would hold too.
     """
     x = _coerced("x", x, 0.0)
     _require_finite("x", x)
     x = as_value(x)
+    if ifs.all_isometries:
+        return Verdict(
+            "almost_periodic", True, res,
+            {"base_point": x, "certified": True, "certificate": {"kind": "isometries"}},
+            caveat="every generator is an isometry, so every orbit closure is minimal: "
+                   "the verdict is exact, not search-bounded",
+        )
     # no early density exit here: the closure sample must include the slow
     # tails that accumulate on fixed points
     cloud = orbit_cloud(ifs, x, res.depth, res.budget, merge=_merge_cell(res))
@@ -1266,7 +1284,7 @@ def sensitivity_estimate(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION
     slice_budget = max(64, res.budget // max(1, len(net) * len(rungs)))
     xs = np.asarray(net, dtype=float)
     rs = np.full(xs.size, rungs[-1])
-    isometries = all(g.isometry for g in ifs.generators)
+    isometries = ifs.all_isometries
     if isometries:
         # the diameter the breadth-first search reports for the ball itself
         best, chosen = 2.0 * rs, [((), "isometry")] * xs.size

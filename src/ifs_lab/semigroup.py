@@ -37,6 +37,12 @@ class IfsSystem:
     def all_invertible(self) -> bool:
         return all(g.invertible for g in self.generators)
 
+    @property
+    def all_isometries(self) -> bool:
+        """Whether every generator is a rotation or the flip, so that every
+        word preserves circ_dist."""
+        return all(g.isometry for g in self.generators)
+
     def generator(self, letter: int) -> Generator:
         if not 1 <= letter <= self.k:
             raise ValueError(f"letter {letter} outside 1..{self.k}")

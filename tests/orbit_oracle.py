@@ -7,6 +7,9 @@ and coverage stop tests).
 The reference verdicts also name the bound that ended a failing search, so
 that their dicts compare whole against the kernel's: a cloud that emptied
 out is "exhausted", one at its cap "budget", any other "depth".
+`almost_periodic_verdict` adds the isometry certificate: a system of
+rotations and flips is not searched.  `searched_almost_periodic_verdict`
+runs the search on any system.
 """
 
 from typing import Tuple
@@ -16,6 +19,7 @@ import numpy as np
 from ifs_lab.circle import as_value, circ_dist, normalize
 from ifs_lab.detectors import (Resolution, Verdict, _stopped_by, generator_fixed_values,
                                system_net)
+from ifs_lab.generators import Flip, Rotation
 from ifs_lab.semigroup import IfsSystem
 
 
@@ -183,6 +187,22 @@ def strong_transitivity_verdict(ifs: IfsSystem, res: Resolution) -> Verdict:
 
 
 def almost_periodic_verdict(ifs: IfsSystem, x, res: Resolution) -> Verdict:
+    """The verdict `almost_periodic_verdict` reports: on a system of
+    rotations and flips, the isometry certificate with no search; on any
+    other system, `searched_almost_periodic_verdict`."""
+    if all(isinstance(g, (Rotation, Flip)) for g in ifs.generators):
+        return Verdict(
+            "almost_periodic", True, res,
+            {"base_point": as_value(x), "certified": True, "certificate": {"kind": "isometries"}},
+            caveat="every generator is an isometry, so every orbit closure is minimal: "
+                   "the verdict is exact, not search-bounded",
+        )
+    return searched_almost_periodic_verdict(ifs, x, res)
+
+
+def searched_almost_periodic_verdict(ifs: IfsSystem, x, res: Resolution) -> Verdict:
+    """The closure sample of x, and every closure point's orbit searched
+    until it comes within eps of each, whatever the generators."""
     x = as_value(x)
     cloud = orbit_cloud(ifs, x, res.depth, res.budget, merge=res.eps / 8.0)
     sorted_vals = np.sort(cloud.values)

@@ -116,6 +116,20 @@ def test_malformed_document_exits_2_naming_its_field(tmp_path, capsys, doc, mess
     assert capsys.readouterr().err == f"error: {src}{message}\n"
 
 
+@pytest.mark.parametrize("raw, message", [
+    # json.load refuses an integer of more than 4,300 digits with a plain ValueError
+    (b'{"generators": [{"type": "rotation", "alpha": 1' + b"0" * 5000 + b"}]}",
+     ": an integer literal is too long to read"),
+    # and a file that is not UTF-8 with a UnicodeDecodeError, also a ValueError
+    (b'\xff{"generators": [{"type": "flip"}]}', ": not UTF-8 text: invalid start byte at byte 0"),
+], ids=["long_integer", "not_utf8"])
+def test_an_unreadable_document_exits_2_naming_its_file(tmp_path, capsys, raw, message):
+    src = tmp_path / "sys.json"
+    src.write_bytes(raw)
+    assert main(["analyze", "--system", str(src), "--props", "minimality"]) == EXIT_MALFORMED
+    assert capsys.readouterr().err == f"error: {src}{message}\n"
+
+
 @pytest.mark.parametrize("system, flags, message", [
     ("rotation_flip", ["--props", "almost_periodic", "--x", "inf"], "x must be finite, got inf"),
     ("rotation_flip", ["--props", "almost_periodic", "--x", "nan"], "x must be finite, got nan"),

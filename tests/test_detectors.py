@@ -162,12 +162,31 @@ def certified(report, verdict):
     return True
 
 
+def ap_certified(verdict):
+    """Whether almost periodicity was certified by the isometry certificate,
+    which holds with no search; a searched verdict names no certificate."""
+    if "certified" not in verdict.witnesses:
+        assert "closure_size" in verdict.witnesses
+        assert "exact, not search-bounded" not in verdict.caveat
+        return False
+    assert verdict.holds is True
+    assert verdict.witnesses == {"base_point": verdict.witnesses["base_point"],
+                                 "certified": True, "certificate": {"kind": "isometries"}}
+    assert verdict.caveat.startswith("every generator is an isometry, so every orbit "
+                                     "closure is minimal")
+    assert verdict.caveat.endswith("exact, not search-bounded")
+    return True
+
+
 @pytest.mark.parametrize("generators", [
     [Rotation(0.3)], [Flip()], [Rotation(0.0), Flip()], [Rotation(0.1), Rotation(0.7), Flip()],
 ], ids=["rotation", "flip", "identity_and_flip", "two_rotations_and_flip"])
 def test_a_system_of_rotations_and_flips_is_certified(generators):
-    report, verdict = sensitivity_estimate(IfsSystem(generators))
+    ifs = IfsSystem(generators)
+    assert ifs.all_isometries
+    report, verdict = sensitivity_estimate(ifs)
     assert certified(report, verdict) and not verdict.holds
+    assert ap_certified(almost_periodic_verdict(ifs, 0.3))
     assert report.delta_hat == verdict.witnesses["delta_hat"] == min(
         e["separation"] for e in report.per_point)
 
@@ -179,7 +198,10 @@ def test_a_system_of_rotations_and_flips_is_certified(generators):
 ], ids=["north_south", "expanding", "piecewise_linear", "piecewise_linear_identity"])
 def test_any_other_generator_type_is_searched(other):
     for generators in ([other], [Rotation(0.3), Flip(), other], [other, Flip()]):
-        assert not certified(*sensitivity_estimate(IfsSystem(generators)))
+        ifs = IfsSystem(generators)
+        assert not ifs.all_isometries
+        assert not certified(*sensitivity_estimate(ifs))
+        assert not ap_certified(almost_periodic_verdict(ifs, 0.3))
     assert Rotation(0.3).isometry and Flip().isometry and not other.isometry
 
 
@@ -193,6 +215,19 @@ def test_a_rounding_word_no_longer_moves_a_certified_delta_hat():
     assert certified(report, verdict)
     assert report.delta_hat.hex() == "0x1.999999999999ap-7"
     assert verdict.holds is False
+
+
+def test_a_closure_orbit_below_the_merge_cell_no_longer_fails_almost_periodicity():
+    """Random document `random_documents(4)[33]` of bench/systems.py, a flip
+    and rotations by 0.643555 and 0.357398.  Those two compose to a turn of
+    0.000953, under the merge cell eps/8, so a search from a closure point
+    runs out of fresh cells before its orbit is eps-dense in the closure,
+    even at depth 240.  Every orbit closure of an isometry system is
+    minimal, and the certificate says so."""
+    ifs = load_system_file(str(Path(__file__).parent / "data" / "random_4_33.json"))
+    res = Resolution(net_size=12, depth=30, budget=4000, eps=0.02, r=0.02)
+    v = almost_periodic_verdict(ifs, 0.3, res)
+    assert ap_certified(v) and v.witnesses["base_point"] == 0.3
 
 
 def test_sensitivity_doubling_holds(doubling):
@@ -327,14 +362,25 @@ def test_negative_arc_verdicts_name_their_stop_reason(reason, system, res):
         assert bound in v.caveat
 
 
+# A rotation and a flip with a piecewise-linear identity: the identity
+# keeps it out of the isometry certificate, so its almost periodicity is
+# searched
+_SEARCHED_ROTATION_FLIP = [Rotation((5 ** 0.5 - 1) / 2), Flip(),
+                           PiecewiseLinear(((0.0, 0.0), (0.5, 0.5), (1.0, 1.0)))]
+
+
 @pytest.mark.parametrize("reason, systems, res", [
-    ("depth", ([Rotation((5 ** 0.5 - 1) / 2), Flip()],) * 2, DEFAULT_RESOLUTION.replaced(depth=3)),
-    ("budget", ([Rotation((5 ** 0.5 - 1) / 2), Flip()],) * 2, DEFAULT_RESOLUTION.replaced(budget=5)),
+    ("depth", ([Rotation((5 ** 0.5 - 1) / 2), Flip()], _SEARCHED_ROTATION_FLIP),
+     DEFAULT_RESOLUTION.replaced(depth=3)),
+    ("budget", ([Rotation((5 ** 0.5 - 1) / 2), Flip()], _SEARCHED_ROTATION_FLIP),
+     DEFAULT_RESOLUTION.replaced(budget=5)),
     ("exhausted", ([Rotation(0.25)], [NorthSouth(0.0, 2.0)]), DEFAULT_RESOLUTION),
 ])
 def test_negative_orbit_verdicts_name_their_stop_reason(reason, systems, res):
     """The first system fails minimality and strong transitivity, the second
-    almost periodicity at 0.3, each for the given reason."""
+    almost periodicity at 0.3, each for the given reason.  The first is
+    all rotations and flips, so its almost periodicity is certified whatever
+    the bounds."""
     bound = {"depth": "depth=3", "budget": "budget=5",
              "exhausted": "ran out of new orbit points"}[reason]
     dense_family, closure_system = (IfsSystem(gens) for gens in systems)
@@ -347,6 +393,7 @@ def test_negative_orbit_verdicts_name_their_stop_reason(reason, systems, res):
         assert 1 <= v.witnesses["orbit_points"] <= res.budget
         assert bound in v.caveat
         assert v.caveat.endswith(_stopped_by(reason, res, orbit=True))
+    assert ap_certified(almost_periodic_verdict(dense_family, 0.3, res))
 
 
 def test_arc_search_rejects_a_merge_cell_its_keys_cannot_hold(rotation_flip):

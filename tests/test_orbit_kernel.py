@@ -7,9 +7,15 @@ empty out exactly when the lone search from its root does; the orbit
 verdicts built on the kernel must equal those built on the reference.  The
 fresh-cell step that the orbit and arc searches share must equal the
 `np.unique` form it replaced, however `argsort` orders ties.
+
+A system of rotations and flips is certified almost periodic, not
+searched; the reference's search still holds on such systems wherever
+its bounds reach far enough.
 """
 
+import importlib.util
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -17,9 +23,10 @@ import pytest
 import ifs_lab.detectors as detectors
 
 import orbit_oracle as oracle
-from ifs_lab import (DEFAULT_RESOLUTION, Expanding, Flip, IfsSystem, NorthSouth, Rotation,
-                     almost_periodic_verdict, build_example, minimality_verdict,
+from ifs_lab import (DEFAULT_RESOLUTION, Expanding, Flip, IfsSystem, NorthSouth, Resolution,
+                     Rotation, almost_periodic_verdict, build_example, minimality_verdict,
                      sensitivity_witness_from_nonminimality, strong_transitivity_verdict)
+from ifs_lab.cli import load_system_file, system_from_config
 from ifs_lab.detectors import (_Coverage, _Density, _cyclic_gaps, _orbit_chunks,
                                _repeller_steering_data, max_cyclic_gap, system_net)
 from orbit_oracle import max_cyclic_gap as reference_gap
@@ -295,6 +302,51 @@ def test_a_failing_root_reports_its_own_depth_not_its_chunks():
     v = almost_periodic_verdict(ifs, 0.237, res)
     assert v.witnesses["witness_y"] == 0.25 and v.witnesses["depth_reached"] == 2
     assert v.to_dict() == oracle.almost_periodic_verdict(ifs, 0.237, res).to_dict()
+
+
+def test_the_searched_reference_holds_on_rotation_flip_at_the_benchmark_resolution():
+    """The benchmark's heavy almost-periodicity job, now certified: its
+    501 closure points' orbits, searched one root at a time, each come
+    within eps of every closure point."""
+    ifs = build_example("rotation_flip").system
+    res = DEFAULT_RESOLUTION.replaced(eps=0.002, depth=400)
+    v = oracle.searched_almost_periodic_verdict(ifs, 0.0, res)
+    assert v.holds and v.witnesses == {"base_point": 0.0, "closure_size": 501}
+    assert almost_periodic_verdict(ifs, 0.0, res).witnesses["certified"] is True
+
+
+def bench_systems():
+    """bench/systems.py, which generates the random_systems documents."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "systems.py"
+    spec = importlib.util.spec_from_file_location("bench_systems", path)
+    systems = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(systems)
+    return systems
+
+
+def test_the_searched_reference_holds_deeper_on_depth_bounded_isometry_negatives():
+    """The all-isometry documents of random seeds 0-39 whose searched
+    almost periodicity at x = 0.3 failed at the random_systems resolution:
+    eight by its depth bound, 30, hold at depth 240.  The ninth,
+    tests/data/random_4_33.json, runs out of fresh cells at eps/8 at any
+    depth (see `_merge_cell`); the certificate holds on all nine."""
+    res = Resolution(net_size=12, depth=30, budget=4000, eps=0.02, r=0.02)
+    systems = bench_systems()
+    for seed, i in [(2, 39), (9, 30), (13, 26), (16, 12), (22, 15), (24, 11), (25, 35),
+                    (38, 40)]:
+        ifs = system_from_config(systems.random_documents(seed)[i])
+        assert ifs.all_isometries
+        bounded = oracle.searched_almost_periodic_verdict(ifs, 0.3, res)
+        assert not bounded.holds and bounded.witnesses["stop_reason"] == "depth", (seed, i)
+        assert oracle.searched_almost_periodic_verdict(ifs, 0.3, res.replaced(depth=240)).holds
+        assert almost_periodic_verdict(ifs, 0.3, res).holds
+    ifs = load_system_file(str(pathlib.Path(__file__).parent / "data" / "random_4_33.json"))
+    assert system_from_config(systems.random_documents(4)[33]).generators == ifs.generators
+    for depth in (30, 240):
+        v = oracle.searched_almost_periodic_verdict(ifs, 0.3, res.replaced(depth=depth))
+        assert not v.holds and v.witnesses["stop_reason"] == "exhausted"
+        assert v.witnesses["unreached_distance"] > res.eps
+    assert almost_periodic_verdict(ifs, 0.3, res).holds
 
 
 def test_orbit_verdicts_do_not_depend_on_chunking(monkeypatch):

@@ -899,7 +899,10 @@ def topological_transitivity_verdict(ifs: IfsSystem, res: Resolution = DEFAULT_R
 
 
 def s_transitivity_verdict(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION) -> Verdict:
-    """Finitely many word images of each net arc must eps-cover the circle."""
+    """Every net center must lie within eps of some word image of each
+    radius-r net arc.  An arc's cover is its first images to meet the
+    centers; their union need not cover the circle.  At r = eps this is the
+    search of `topological_transitivity_verdict`."""
     centers = system_net(ifs, res.net_size)
     starts, lengths = _net_arcs(centers, res.r)
     covers: Dict[str, list] = {}
@@ -984,8 +987,9 @@ def _greedy_derivative_rule(ifs: IfsSystem, step: int, s, ln, c) -> np.ndarray:
 
 def _rule_paths(ifs: IfsSystem, s, ln, c, steps: int, rule,
                 capped_from: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
-    """Letters (n x steps) and image diameters (times 0..steps) along one
-    chain per arc [s, s + ln].
+    """Letters (n x ran) and image diameters (times 0..ran) along one chain
+    per arc [s, s + ln], where ran <= steps is the number of steps run
+    before every chain stopped.
 
     Each step, `rule(ifs, step, s, ln, c)` picks the letters of all live
     arcs at once from their current starts, lengths and tracked centers `c`
@@ -993,13 +997,15 @@ def _rule_paths(ifs: IfsSystem, s, ln, c, steps: int, rule,
     chain: letter 0 and diameter -1 from there on.  From step `capped_from`
     on (never if None), so does an arc of length >= 1/2, whose diameter is
     capped.  A rule may map the arcs itself and return (letters, starts,
-    lengths), the images under its letters; they are not mapped again."""
+    lengths), the images under its letters; they are not mapped again.
+    The arrays grow by doubling, to at most max(64, 2 x ran) columns."""
     s, ln = np.array(s, dtype=float), np.array(ln, dtype=float)
     c = None if c is None else np.array(c, dtype=float)
-    letters = np.zeros((s.size, steps), dtype=np.int16)
-    diams = np.full((s.size, steps + 1), -1.0)
+    letters = np.zeros((s.size, min(steps, 64)), dtype=np.int16)
+    diams = np.full((s.size, letters.shape[1] + 1), -1.0)
     diams[:, 0] = np.minimum(ln, 0.5)
     live = slice(None)  # the chains still running (all until one stops); s, ln, c hold theirs
+    ran = 0
     for step in range(steps):
         if capped_from is not None and step >= capped_from:
             go = ~(ln >= 0.5)  # a NaN length runs on, as it would uncapped
@@ -1016,6 +1022,10 @@ def _rule_paths(ifs: IfsSystem, s, ln, c, steps: int, rule,
             images, c = [v[go] for v in images], None if c is None else c[go]
             if live.size == 0:
                 break
+        if step == letters.shape[1]:
+            more = min(steps, 2 * step) - step
+            letters = np.pad(letters, ((0, 0), (0, more)))
+            diams = np.pad(diams, ((0, 0), (0, more)), constant_values=-1.0)
         s, ln = images or (s, ln)  # the rule's own images, if it mapped the arcs
         if not images or c is not None:
             for letter in np.unique(pick).tolist():
@@ -1027,7 +1037,8 @@ def _rule_paths(ifs: IfsSystem, s, ln, c, steps: int, rule,
                     c[m] = g.eval_array(c[m])
         letters[live, step] = pick
         diams[live, step + 1] = np.minimum(ln, 0.5)
-    return letters, diams
+        ran = step + 1
+    return letters[:, :ran], diams[:, :ran + 1]
 
 
 def _best_from(diams: np.ndarray, first: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -1141,11 +1152,12 @@ def _repeller_steering_data(ifs: IfsSystem, res: Resolution):
 
 
 def _bfs_best(ifs: IfsSystem, starts, lengths, depth, budget: int, cell: float,
-              stop_above: Optional[float] = None) -> List[Tuple[float, Word]]:
-    """Per source arc, the widest (diameter, word) its search visits, as a
-    scan in visit order finds it that takes a new best only on a gain of
-    more than 1e-15; only the strict running maxima can be one."""
-    out = []
+              stop_above: Optional[float] = None) -> Tuple[np.ndarray, List[Word]]:
+    """Per source arc, the widest diameter its search visits and the list of
+    words reaching them, as a scan in visit order finds it that takes a new
+    best only on a gain of more than 1e-15; only the strict running maxima
+    can be one."""
+    diams, words = [], []
     for images in _arc_search(ifs, starts, lengths, depth, budget, cell,
                               stop_above=stop_above):
         order = np.argsort(images.source, kind="stable")
@@ -1156,9 +1168,10 @@ def _bfs_best(ifs: IfsSystem, starts, lengths, depth, budget: int, cell: float,
             if j not in best or d[i] > d[best[j]] + 1e-15:
                 best[j] = i
         ids = order[[best[j] for j in range(len(images.words))]]
-        out += zip(np.minimum(images.lengths[ids], 0.5).tolist(), images.words_for(ids))
+        diams += np.minimum(images.lengths[ids], 0.5).tolist()
+        words += images.words_for(ids)
         del images  # free this chunk before the next one is searched
-    return out
+    return np.array(diams), words
 
 
 def _greedy_chains(ifs: IfsSystem, x: np.ndarray, r: np.ndarray, depth: int,
@@ -1215,48 +1228,13 @@ def _steered_candidates(ifs: IfsSystem, steering, x: np.ndarray, r: np.ndarray, 
         # the scan starts at time 1, so a capped chain stops only from its
         # second step on: a pull-back capped at time 0 still takes one repeat
         diams = _rule_paths(ifs, s, ln, None, horizon, constant_rule(letter), capped_from=1)[1]
-        diams[np.arange(horizon + 1) > steps[:, None]] = -1.0
+        diams[np.arange(diams.shape[1]) > steps[:, None]] = -1.0
         local, local_n = _best_from(diams, 1)
         up = np.flatnonzero((steps > 0) & (local > best[rows] + 1e-15))
         best[rows[up]] = local[up]
         for i, w, n in zip(rows[up].tolist(), cloud.words_for(first[up]), local_n[up].tolist()):
             repellers[i], words[i] = q, w[::-1] + (letter,) * n
     return best, repellers, words
-
-
-def _cheap_candidates(ifs: IfsSystem, res: Resolution, x: np.ndarray, r: np.ndarray,
-                      best: np.ndarray):
-    """Per (x, r) pair, the columns (diameters, words, strategy labels) of
-    repeller steering and of the greedy diameter and derivative chains, in
-    that order, after columns whose best diameters are `best`; -1, None and
-    None where a strategy did not run or found nothing.
-
-    The strategies run as a cascade for `_best_from`: each runs only on the
-    pairs whose running best is still below 1/2.  Every diameter is capped
-    at 1/2 and a later column wins only on a gain above 1e-15, so no skipped
-    pair could have changed its winner; and each strategy's result for a
-    pair depends on that pair alone.
-    """
-    columns = []
-    for strategy in ("steered", "greedy_diameter", "greedy_derivative"):
-        rows = np.flatnonzero(best < 0.5)
-        diams, words, labels = np.full(x.size, -1.0), [None] * x.size, [None] * x.size
-        columns.append((diams, words, labels))
-        if not rows.size:
-            continue  # every pair is capped, for this strategy and the next
-        if strategy == "steered":
-            got, qs, found = _steered_candidates(ifs, _repeller_steering_data(ifs, res),
-                                                 x[rows], r[rows], res.depth)
-            names = [None if q is None else f"repeller_steered(q={q:.6f})" for q in qs]
-        else:
-            got, found = _greedy_chains(ifs, x[rows], r[rows], res.depth,
-                                        strategy == "greedy_derivative")
-            names = [strategy] * rows.size
-        diams[rows] = got
-        for i, word, name in zip(rows.tolist(), found, names):
-            words[i], labels[i] = word, name
-        best = _best_from(np.column_stack([best, diams]), 0)[0]
-    return columns
 
 
 def sensitivity_estimate(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION
@@ -1271,8 +1249,9 @@ def sensitivity_estimate(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION
     extension chains for expanding structure without repellers.  Each
     strategy runs in one batch, on the balls where no strategy before it
     reached the diameter cap 1/2: a later strategy wins only on a gain
-    above 1e-15, so it could not win those.  The recorded separation
-    always replays as circ_dist(w(x), w(y)) for the listed partner y.
+    above 1e-15, so it could not win those; each ball keeps its running
+    best diameter, word and strategy label.  The recorded separation always
+    replays as circ_dist(w(x), w(y)) for the listed partner y.
 
     A system of rotations and flips is certified instead of searched: every
     word is an isometry, so no word separates a ball more than the empty
@@ -1287,24 +1266,38 @@ def sensitivity_estimate(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION
     isometries = ifs.all_isometries
     if isometries:
         # the diameter the breadth-first search reports for the ball itself
-        best, chosen = 2.0 * rs, [((), "isometry")] * xs.size
+        best, words, labels = 2.0 * rs, [()] * xs.size, ["isometry"] * xs.size
     else:
         # a source stops at its first arc capped at 1/2: that arc wins its
         # scan, or an earlier one within 1e-15 of it does
-        bfs = _bfs_best(ifs, normalize_array(xs - rs), 2.0 * rs, res.depth,
-                        slice_budget, _merge_cell(res), stop_above=math.nextafter(0.5, 0.0))
+        best, words = _bfs_best(ifs, normalize_array(xs - rs), 2.0 * rs, res.depth,
+                                slice_budget, _merge_cell(res),
+                                stop_above=math.nextafter(0.5, 0.0))
+        labels = ["bfs"] * xs.size
         # steering and the chains (which catch expanding structure that has
-        # no repelling fixed point to steer by) only claim strictly better
-        # results, so each runs only where no column before it reached the cap
-        columns = [(np.array([d for d, _ in bfs]), [w for _, w in bfs], ["bfs"] * len(bfs))]
-        columns += _cheap_candidates(ifs, res, xs, rs, columns[0][0])
-        best, at = _best_from(np.column_stack([diams for diams, _, _ in columns]), 0)
-        chosen = [(columns[k][1][i], columns[k][2][i]) for i, k in enumerate(at.tolist())]
-    seps, partners = _refined_separations(ifs, [w for w, _ in chosen], xs, rs)
+        # no repelling fixed point to steer by) take a ball only on a gain
+        # above 1e-15, so each runs only where the best is still below 1/2
+        for strategy in ("steered", "greedy_diameter", "greedy_derivative"):
+            rows = np.flatnonzero(best < 0.5)
+            if not rows.size:
+                break  # every ball is capped, for this strategy and the next
+            if strategy == "steered":
+                got, qs, found = _steered_candidates(ifs, _repeller_steering_data(ifs, res),
+                                                     xs[rows], rs[rows], res.depth)
+            else:
+                got, found = _greedy_chains(ifs, xs[rows], rs[rows], res.depth,
+                                            strategy == "greedy_derivative")
+            # steering's -1 where no repeller was pulled in never wins
+            for k in np.flatnonzero(got > best[rows] + 1e-15).tolist():
+                i = int(rows[k])
+                best[i], words[i] = got[k], found[k]
+                labels[i] = (f"repeller_steered(q={qs[k]:.6f})" if strategy == "steered"
+                             else strategy)
+    seps, partners = _refined_separations(ifs, words, xs, rs)
     per_point = []
     notes: Dict[str, int] = {}
-    for x, r, best_diam, (best_word, strategy), sep, partner in zip(
-            xs.tolist(), rs.tolist(), best.tolist(), chosen, seps, partners):
+    for x, r, best_diam, best_word, strategy, sep, partner in zip(
+            xs.tolist(), rs.tolist(), best.tolist(), words, labels, seps, partners):
         note_key = strategy.split("(")[0]
         notes[note_key] = notes.get(note_key, 0) + 1
         per_point.append({
@@ -1359,9 +1352,10 @@ def cofinite_sensitivity_verdict(ifs: IfsSystem, delta: float,
         if todo.size == 0:
             break
         diams = _rule_paths(ifs, starts[todo], lengths[todo], None, horizon, omega)[1]
-        # the times N with every n in [N, N + window] separated
+        # the times N with every n in [N, N + window] separated (these rules
+        # never stop a chain, so the chains run all horizon steps)
         run = np.cumsum(np.pad(diams > delta, ((0, 0), (1, 0))), axis=1)
-        full = run[:, window + 1:] - run[:, :horizon - window + 1] == window + 1
+        full = run[:, window + 1:] - run[:, :diams.shape[1] - window] == window + 1
         ok = full.any(axis=1)
         first_n[todo[ok]], rule[todo[ok]] = full[ok].argmax(axis=1), i
     if (first_n < 0).any():
@@ -1429,14 +1423,17 @@ def sensitivity_witness_from_nonminimality(ifs: IfsSystem,
     for images in _arc_search(ifs, starts, lengths, res.depth, cover_budget, cell,
                               net, res.eps):
         points = hard[images.first:images.first + len(images.first_hit)]
-        candidates = []
-        for hits in images.first_hit:
-            cover = sorted(set(hits[hits >= 0].tolist()))
-            words = images.words_for(cover)
-            ext = _bfs_best(ifs, images.starts[cover], images.lengths[cover],
-                            [max(1, res.depth - len(w)) for w in words], ext_budget,
-                            cell, stop_above=2.5 * delta_candidate)
-            candidates.append([w for T, (_, e) in zip(words, ext) for w in (T, T + e)])
+        # each point's cover is the distinct nodes of its first hits; the
+        # chunk's covers are extended in one search, each arc as if alone
+        covers = [np.unique(hits[hits >= 0]) for hits in images.first_hit]
+        nodes = np.concatenate(covers)
+        words = images.words_for(nodes)
+        ext = _bfs_best(ifs, images.starts[nodes], images.lengths[nodes],
+                        [max(1, res.depth - len(w)) for w in words], ext_budget,
+                        cell, stop_above=2.5 * delta_candidate)[1]
+        pairs = iter(zip(words, ext))
+        candidates = [[w for T, e in itertools.islice(pairs, cover.size) for w in (T, T + e)]
+                      for cover in covers]
         got = _most_separating(ifs, candidates, xs[points], r, [achieved[i] for i in points],
                                delta_candidate)
         for i, sep_word in zip(points, got):

@@ -89,8 +89,9 @@ def searched_table(ifs, res):
     """Per pair of `sensitivity_pairs`, the winning (column, diameter, word,
     strategy label) of the full composition."""
     xs, rs, budget = sensitivity_pairs(ifs, res)
-    bfs = _bfs_best(ifs, normalize_array(xs - rs), 2.0 * rs, res.depth, budget, _merge_cell(res))
-    strategies = ([([d for d, _ in bfs], lambda i: bfs[i][1], lambda i: "bfs")]
+    bfs, bfs_words = _bfs_best(ifs, normalize_array(xs - rs), 2.0 * rs, res.depth, budget,
+                               _merge_cell(res))
+    strategies = ([(bfs, bfs_words.__getitem__, lambda i: "bfs")]
                   + cheap_candidates(ifs, res, xs, rs))
     best, at = _best_from(np.column_stack([diams for diams, _, _ in strategies]), 0)
     return [(k, d, strategies[k][1](i), strategies[k][2](i))

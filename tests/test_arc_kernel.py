@@ -187,7 +187,7 @@ def test_batched_sensitivity_strategies_match_reference(ifs):
     res = DEFAULT_RESOLUTION
     xs = np.repeat(np.array(system_net(ifs, 6)), 2)
     rs = np.tile([0.05, 0.0125], xs.size // 2)
-    bfs = _bfs_best(ifs, (xs - rs) % 1.0, 2.0 * rs, 20, 150, CELL)
+    bfs, bfs_words = _bfs_best(ifs, (xs - rs) % 1.0, 2.0 * rs, 20, 150, CELL)
     chains = [_greedy_chains(ifs, xs, rs, 25, flag) for flag in (False, True)]
     steering = _repeller_steering_data(ifs, res.replaced(depth=20, budget=2000))
     steered, steered_q, steered_word = _steered_candidates(ifs, steering, xs, rs, 25)
@@ -200,7 +200,7 @@ def test_batched_sensitivity_strategies_match_reference(ifs):
             return False
 
         arc_search(ifs, (x - r) % 1.0, 2.0 * r, 20, 150, CELL, visit, mapper=array_map)
-        assert bfs[i][1] == best[1] and bfs[i][0] == pytest.approx(best[0], abs=1e-12)
+        assert bfs_words[i] == best[1] and bfs[i] == pytest.approx(best[0], abs=1e-12)
         for flag, (diams, word) in zip((False, True), chains):
             d, w = greedy_chain(ifs, x, r, 25, flag, mapper=array_map)
             assert word[i] == w and diams[i] == pytest.approx(d, abs=1e-12)
@@ -235,7 +235,8 @@ def test_chunking_does_not_change_results(monkeypatch):
     monkeypatch.setattr(detectors, "_arc_search", recording)
 
     def run():
-        return (_bfs_best(ifs, (xs - rs) % 1.0, 2.0 * rs, 20, 150, CELL),
+        diams, words = _bfs_best(ifs, (xs - rs) % 1.0, 2.0 * rs, 20, 150, CELL)
+        return (diams.tobytes(), words,
                 s_transitivity_verdict(ifs, res).to_dict(),
                 topological_transitivity_verdict(ex42, res).to_dict(),
                 sensitivity_witness_from_nonminimality(covered, RANDOM_SYSTEMS_RES)[1].to_dict())
@@ -246,6 +247,36 @@ def test_chunking_does_not_change_results(monkeypatch):
     for nodes in (1, 1 << 30):
         monkeypatch.setattr(detectors, "_CHUNK_NODES", nodes)
         assert run() == together
+
+
+def test_the_witness_pipeline_extends_each_cover_chunk_in_one_search(monkeypatch):
+    """The witness pipeline extends every cover arc of a cover-search chunk
+    in one `_bfs_best` call, whether the chunk holds all 14 hard points of
+    random_0_5 or a few of them; the verdict stays the same."""
+    ifs = load_system_file(str(DATA / "random_0_5.json"))
+    chunks, calls = [], []
+    arc_search, bfs_best = detectors._arc_search, detectors._bfs_best
+
+    def recording(ifs, starts, lengths, depth, budget, cell, targets=None, *rest, **kw):
+        for images in arc_search(ifs, starts, lengths, depth, budget, cell, targets, *rest, **kw):
+            if targets is not None:
+                chunks.append(len(images.first_hit))
+            yield images
+
+    def counting(*args, **kw):
+        calls.append(len(args[2]))
+        return bfs_best(*args, **kw)
+
+    monkeypatch.setattr(detectors, "_arc_search", recording)
+    monkeypatch.setattr(detectors, "_bfs_best", counting)
+    verdict = sensitivity_witness_from_nonminimality(ifs, RANDOM_SYSTEMS_RES)[1].to_dict()
+    assert chunks == [14] and len(calls) == 1 and calls[0] > 14
+    monkeypatch.setattr(detectors, "_FIRST_CHUNK", 1)
+    monkeypatch.setattr(detectors, "_CHUNK_NODES", 1 << 13)  # two sources at the least
+    chunks.clear()
+    calls.clear()
+    assert sensitivity_witness_from_nonminimality(ifs, RANDOM_SYSTEMS_RES)[1].to_dict() == verdict
+    assert len(chunks) > 2 and max(chunks) > 1 and len(calls) == len(chunks)
 
 
 def test_a_targeted_chunk_holds_its_frontier_and_first_hits(monkeypatch):
@@ -684,10 +715,11 @@ def test_bfs_stopped_at_the_cap_equals_the_full_search():
     for ifs, res in cap_cases():
         xs, rs, budget = strategy_oracle.sensitivity_pairs(ifs, res)
         args = (ifs, (xs - rs) % 1.0, 2.0 * rs, res.depth, budget, detectors._merge_cell(res))
-        full = _bfs_best(*args)
-        assert _bfs_best(*args, stop_above=math.nextafter(0.5, 0.0)) == full
-        capped += sum(d == 0.5 for d, _ in full)
-        total += len(full)
+        full, words = _bfs_best(*args)
+        capped_diams, capped_words = _bfs_best(*args, stop_above=math.nextafter(0.5, 0.0))
+        assert (capped_diams.tobytes(), capped_words) == (full.tobytes(), words)
+        capped += int(np.count_nonzero(full == 0.5))
+        total += full.size
     assert 0 < capped < total
 
 
@@ -732,24 +764,35 @@ def test_the_isometry_certificate_reports_what_the_search_finds_up_to_rounding()
                 empty += 1
                 assert d.hex() == e["image_diameter"].hex()
     assert empty and rounded
-def test_the_cascade_skips_only_pairs_at_the_cap():
-    """A running best 1e-13 below 1/2 is not capped: a later strategy that
-    reaches 1/2 still wins the pair, so the pair must run.  A pair at 1/2 is
-    skipped, with -1 in every later column.  At this ball every strategy
-    reaches 1/2, so steering caps the pairs it runs on for the chains."""
+
+
+def test_the_cascade_skips_only_pairs_at_the_cap(monkeypatch):
+    """A best 1e-13 below 1/2 is not capped: a later strategy that reaches
+    1/2 still wins the ball, so the ball must run.  A ball at 1/2 is not
+    passed to the later strategies.  At this ball every strategy reaches
+    1/2, so steering caps the balls it runs on and the chains never run."""
     ifs = build_example("thm34_ns_rotation").system
-    res = DEFAULT_RESOLUTION
+    res = DEFAULT_RESOLUTION.replaced(r=0.05)  # the ladder's smallest rung is 0.05
     before = np.array([0.5, 0.5 - 1e-13, 0.2])
     xs, rs = np.full(before.size, 0.1), np.full(before.size, 0.05)
     steered, qs, words = _steered_candidates(ifs, _repeller_steering_data(ifs, res), xs, rs,
                                              res.depth)
     chains = [_greedy_chains(ifs, xs, rs, res.depth, flag)[0] for flag in (False, True)]
     assert [diams.tolist() for diams in (steered, *chains)] == [[0.5] * 3] * 3
-    cascade = detectors._cheap_candidates(ifs, res, xs, rs, before)
-    assert [diams.tolist() for diams, _, _ in cascade] == [[-1.0, 0.5, 0.5], [-1.0] * 3, [-1.0] * 3]
-    assert [column[1:] for column in cascade[1:]] == [([None] * 3, [None] * 3)] * 2
-    assert cascade[0][1:] == ([None] + words[1:],
-                              [None] + [f"repeller_steered(q={q:.6f})" for q in qs[1:]])
+    # the breadth-first search leaves the bests `before`, on a net of three
+    # copies of 0.1; the later strategies record the balls they run on
+    ran = []
+    monkeypatch.setattr(detectors, "system_net", lambda ifs, n: xs.tolist())
+    monkeypatch.setattr(detectors, "_bfs_best", lambda *a, **kw: (before.copy(), [(1,)] * 3))
+    monkeypatch.setattr(detectors, "_steered_candidates", lambda ifs, steering, x, *rest: (
+        ran.append(("steered", x.size)) or _steered_candidates(ifs, steering, x, *rest)))
+    monkeypatch.setattr(detectors, "_greedy_chains", lambda ifs, x, *rest: (
+        ran.append(("chains", x.size)) or _greedy_chains(ifs, x, *rest)))
+    report = sensitivity_estimate(ifs, res)[0]
+    assert ran == [("steered", 2)]
+    assert [(e["strategy"], e["image_diameter"], tuple(e["best_word"]))
+            for e in report.per_point] == [("bfs", 0.5, (1,))] + [
+                (f"repeller_steered(q={q:.6f})", 0.5, w) for q, w in zip(qs[1:], words[1:])]
 
 
 @pytest.mark.parametrize("ifs", SYSTEMS, ids=IDS)

@@ -497,7 +497,8 @@ def test_a_rule_sees_the_tracked_midpoint(rotation_flip):
 
 
 def test_rule_paths_stop_each_chain_at_its_own_letter_zero(doubling):
-    """Chains that stop at different steps keep their own rows."""
+    """Chains that stop at different steps keep their own rows, as wide as
+    the steps the last of them ran."""
     ln0 = np.array([0.001, 0.064, 0.004, 0.016])
 
     def until_wide(ifs, step, s, ln, c):
@@ -506,6 +507,21 @@ def test_rule_paths_stop_each_chain_at_its_own_letter_zero(doubling):
     letters, diams = _rule_paths(doubling, np.full(4, 0.3), ln0, None, 9, until_wide)
     stops = [7, 1, 5, 3]  # doublings to pass 0.1
     for row, (width, stop) in enumerate(zip(ln0.tolist(), stops)):
-        assert letters[row].tolist() == [1] * stop + [0] * (9 - stop)
+        assert letters[row].tolist() == [1] * stop + [0] * (7 - stop)
         assert diams[row].tolist() == [min(width * 2 ** t, 0.5) for t in range(stop + 1)] + \
-            [-1.0] * (9 - stop)
+            [-1.0] * (7 - stop)
+
+
+def test_rule_paths_hold_only_the_steps_they_ran(doubling):
+    """Capped chains stop within a few doublings, so a horizon of a million
+    steps costs the steps run, not the horizon: the arrays are as wide as
+    the steps run."""
+    letters, diams = _rule_paths(doubling, np.full(3, 0.3), np.array([0.001, 0.02, 0.3]), None,
+                                 10 ** 6, constant_rule(1), capped_from=0)
+    assert letters.shape == (3, 9) and diams.shape == (3, 10)  # 0.001 * 2**9 > 1/2
+    assert diams[:, -1].tolist() == [0.5, -1.0, -1.0]
+    # a chain that never caps runs every step: past the first 64, the
+    # arrays grow by doubling, and keep every step's letter and diameter
+    letters, diams = _rule_paths(doubling, np.full(1, 0.3), np.zeros(1), None, 200,
+                                 constant_rule(1), capped_from=0)
+    assert letters.tolist() == [[1] * 200] and diams.tolist() == [[0.0] * 201]

@@ -113,9 +113,9 @@ def test_a_source_that_empties_out_is_exhausted_whatever_its_test_says():
 
 def test_cell_values_read_late_equal_those_read_every_level():
     """The search carries cell values from the first level whose test reads
-    them.  Read first after most sources have stopped and their cells have
-    been dropped, they must still be the running sources' points in (source,
-    cell) order, as a test that read them every level sees them."""
+    them.  Read first after most sources have stopped, they must still be
+    every source's points, stopped or running, in (source, cell) order, as
+    a test that read them every level sees them."""
     ifs = build_example("thm34_ns_rotation").system
     roots = np.linspace(0.01, 0.99, 12)
 
@@ -126,7 +126,7 @@ def test_cell_values_read_late_equal_those_read_every_level():
             level_no[0] += 1
             if level_no[0] >= first_read:
                 seen.append((level.cell_values.tobytes(), level.cell_source.tobytes()))
-            # all but two sources stop at level 2, so their cells are dropped
+            # all but two sources stop at level 2; their cells stay held
             return np.arange(roots.size) >= 2 if level_no[0] == 2 else np.zeros(roots.size, bool)
 
         cloud = orbit_cloud(ifs, roots, 8, 100_000, stop_when=test, merge=CELL)

@@ -56,9 +56,13 @@ class Resolution:
     budget: int = 100_000  # search states per quantified instance
 
     def __post_init__(self):
-        # a bool or a fraction raises; a whole-number float is kept as its int
+        # a bool or a fraction raises; a whole-number float is kept as its
+        # int, which the searches' int64 arrays must hold
         for name in ("depth", "net_size", "budget"):
-            object.__setattr__(self, name, _coerced(name, getattr(self, name), 0))
+            value = _coerced(name, getattr(self, name), 0)
+            if value >= 2 ** 63:
+                raise ValueError(f"{name} must be below 2**63, got {value}")
+            object.__setattr__(self, name, value)
         if not 0.0 < self.eps <= 0.5 or not 0.0 < self.r <= 0.5:
             raise ValueError("eps and r must lie in (0, 1/2]")
         if self.depth < 1 or self.net_size < 1 or self.budget < 1:
@@ -1152,12 +1156,14 @@ def _repeller_steering_data(ifs: IfsSystem, res: Resolution):
 
 
 def _bfs_best(ifs: IfsSystem, starts, lengths, depth, budget: int, cell: float,
-              stop_above: Optional[float] = None) -> Tuple[np.ndarray, List[Word]]:
+              stop_above: Optional[float] = None
+              ) -> Tuple[np.ndarray, List[Word], List[str], List[int]]:
     """Per source arc, the widest diameter its search visits and the list of
     words reaching them, as a scan in visit order finds it that takes a new
     best only on a gain of more than 1e-15; only the strict running maxima
-    can be one."""
-    diams, words = [], []
+    can be one.  Then each source's `stop` and `depth_reached`, as
+    `ArcImages` gives them."""
+    diams, words, stop, reached = [], [], [], []
     for images in _arc_search(ifs, starts, lengths, depth, budget, cell,
                               stop_above=stop_above):
         order = np.argsort(images.source, kind="stable")
@@ -1170,8 +1176,10 @@ def _bfs_best(ifs: IfsSystem, starts, lengths, depth, budget: int, cell: float,
         ids = order[[best[j] for j in range(len(images.words))]]
         diams += np.minimum(images.lengths[ids], 0.5).tolist()
         words += images.words_for(ids)
+        stop += images.stop
+        reached += images.depth_reached.tolist()
         del images  # free this chunk before the next one is searched
-    return np.array(diams), words
+    return np.array(diams), words, stop, reached
 
 
 def _greedy_chains(ifs: IfsSystem, x: np.ndarray, r: np.ndarray, depth: int,
@@ -1251,7 +1259,9 @@ def sensitivity_estimate(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION
     reached the diameter cap 1/2: a later strategy wins only on a gain
     above 1e-15, so it could not win those; each ball keeps its running
     best diameter, word and strategy label.  The recorded separation always
-    replays as circ_dist(w(x), w(y)) for the listed partner y.
+    replays as circ_dist(w(x), w(y)) for the listed partner y.  A negative
+    verdict names the bound that stopped the breadth-first search of the
+    first ball setting delta_hat.
 
     A system of rotations and flips is certified instead of searched: every
     word is an isometry, so no word separates a ball more than the empty
@@ -1270,9 +1280,9 @@ def sensitivity_estimate(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION
     else:
         # a source stops at its first arc capped at 1/2: that arc wins its
         # scan, or an earlier one within 1e-15 of it does
-        best, words = _bfs_best(ifs, normalize_array(xs - rs), 2.0 * rs, res.depth,
-                                slice_budget, _merge_cell(res),
-                                stop_above=math.nextafter(0.5, 0.0))
+        best, words, stops, reached = _bfs_best(ifs, normalize_array(xs - rs), 2.0 * rs,
+                                                res.depth, slice_budget, _merge_cell(res),
+                                                stop_above=math.nextafter(0.5, 0.0))
         labels = ["bfs"] * xs.size
         # steering and the chains (which catch expanding structure that has
         # no repelling fixed point to steer by) take a ball only on a gain
@@ -1314,12 +1324,20 @@ def sensitivity_estimate(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION
     report = SensitivityReport(delta_hat=delta_hat, per_point=per_point, strategy_notes=notes)
     witnesses = {"delta_hat": delta_hat, "smallest_radius": rungs[-1],
                  "points": len(net), "slice_budget": slice_budget}
+    holds = bool(delta_hat >= res.eps)
     caveat = "delta_hat is a lower estimate; negative verdicts are search-bounded"
     if isometries:
         witnesses.update(certified=True, certificate={"kind": "isometries"})
         caveat = ("every generator is an isometry, so no word separates a ball of radius r "
                   "beyond r: delta_hat is exact, not search-bounded")
-    verdict = Verdict("sensitivity", bool(delta_hat >= res.eps), res, witnesses, caveat=caveat)
+    elif not holds:
+        # the breadth-first search of the first ball setting delta_hat,
+        # whose budget is the per-ball share
+        i = seps.index(delta_hat)
+        witnesses.update(stop_reason=stops[i], depth_reached=reached[i])
+        if stops[i] != "found":
+            caveat += ": " + _stopped_by(stops[i], res.replaced(budget=slice_budget))
+    verdict = Verdict("sensitivity", holds, res, witnesses, caveat=caveat)
     return report, verdict
 
 

@@ -9,7 +9,7 @@ cell.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -249,34 +249,25 @@ class OrbitCloud(_SearchNodes):
                           [STOP_REASONS.index(self.stop[j])])
 
 
-class OrbitLevel:
+class OrbitLevel(NamedTuple):
     """What the stop test of `orbit_cloud` sees after each completed level.
 
     `values` and `source` are the level's new points, in visit order.
     `cell_values` and `cell_source` hold the points so far of every source,
     ordered by (source, merge cell): each source's values ascending, as a
-    value stops short of 1 by more than any rounding of its cell.  The
-    search carries `cell_values` from the first level whose test reads them
-    on, so a test that never reads them costs none.  Per source: `counts`
-    (points so far), `running` (expanded this level) and `ending` (a bound
-    ends its search after this level, whatever the test says).
+    value stops short of 1 by more than any rounding of its cell.  Per
+    source: `counts` (points so far), `running` (expanded this level) and
+    `ending` (a bound ends its search after this level, whatever the test
+    says).
     """
 
-    def __init__(self, values, source, seen, cell_values, scale, counts, running, ending):
-        self.values = values
-        self.source = source
-        self._seen, self._cell_values, self._scale = seen, cell_values, scale
-        self.counts = counts
-        self.running = running
-        self.ending = ending
-
-    @property
-    def cell_values(self) -> np.ndarray:
-        return self._cell_values()
-
-    @property
-    def cell_source(self) -> np.ndarray:
-        return self._seen // self._scale
+    values: np.ndarray
+    source: np.ndarray
+    cell_values: np.ndarray
+    cell_source: np.ndarray
+    counts: np.ndarray
+    running: np.ndarray
+    ending: np.ndarray
 
 
 def _cell_count(merge: float) -> int:
@@ -323,22 +314,8 @@ def orbit_cloud(ifs: IfsSystem, x, depth: int, cap: int, merge: float,
     stop = np.where(counts >= cap, _BUDGET, -1)
     keys = keys_of(src, roots)
     by_cell = np.argsort(keys)
-    # the cells each source has reached, sorted, and (once a stop test has
-    # read them) the value in each
-    seen = keys[by_cell]
-    seen_values = None
-
-    def cell_values() -> np.ndarray:
-        nonlocal seen_values
-        if seen_values is None:
-            # each point held is the first of its cell, so each seen cell's
-            # value is the one point with its key
-            v = np.concatenate(cols[0])
-            key = keys_of(np.concatenate(cols[3]).astype(np.int64), v)
-            by_key = np.argsort(key)
-            seen_values = v[by_key[np.searchsorted(key[by_key], seen)]]
-        return seen_values
-
+    # the cells each source has reached, sorted, and the value in each
+    seen, seen_values = keys[by_cell], roots[by_cell]
     f_val, f_src, f_id = roots, src, src
     stopped = True  # some source stopped since the frontier was built
     for level in range(1, depth + 1):
@@ -374,8 +351,7 @@ def orbit_cloud(ifs: IfsSystem, x, depth: int, cap: int, merge: float,
         old = np.ones(seen.size + at.size, dtype=bool)
         old[at] = False
         seen = _merged(seen, old, at, uk)
-        if seen_values is not None:
-            seen_values = _merged(seen_values, old, at, cv[first])
+        seen_values = _merged(seen_values, old, at, cv[first])
         visit = np.flatnonzero(fresh)
         parents = f_id[visit % width]
         f_val, f_src, f_id = cv[visit], csrc[visit], np.arange(count, count + visit.size)
@@ -388,7 +364,7 @@ def orbit_cloud(ifs: IfsSystem, x, depth: int, cap: int, merge: float,
         stop[empty] = _EXHAUSTED
         if stop_when is not None:
             ending = run & (empty | (counts >= cap) | (level == depth))
-            fire = np.asarray(stop_when(OrbitLevel(f_val, f_src, seen, cell_values, scale,
+            fire = np.asarray(stop_when(OrbitLevel(f_val, f_src, seen_values, seen // scale,
                                                    counts, run, ending)), dtype=bool)
             stop[run & ~empty & fire] = _FOUND
         stop[(stop < 0) & (counts >= cap)] = _BUDGET

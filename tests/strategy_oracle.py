@@ -90,7 +90,7 @@ def searched_table(ifs, res):
     strategy label) of the full composition."""
     xs, rs, budget = sensitivity_pairs(ifs, res)
     bfs, bfs_words = _bfs_best(ifs, normalize_array(xs - rs), 2.0 * rs, res.depth, budget,
-                               _merge_cell(res))
+                               _merge_cell(res))[:2]
     strategies = ([(bfs, bfs_words.__getitem__, lambda i: "bfs")]
                   + cheap_candidates(ifs, res, xs, rs))
     best, at = _best_from(np.column_stack([diams for diams, _, _ in strategies]), 0)

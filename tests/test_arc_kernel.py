@@ -187,7 +187,7 @@ def test_batched_sensitivity_strategies_match_reference(ifs):
     res = DEFAULT_RESOLUTION
     xs = np.repeat(np.array(system_net(ifs, 6)), 2)
     rs = np.tile([0.05, 0.0125], xs.size // 2)
-    bfs, bfs_words = _bfs_best(ifs, (xs - rs) % 1.0, 2.0 * rs, 20, 150, CELL)
+    bfs, bfs_words = _bfs_best(ifs, (xs - rs) % 1.0, 2.0 * rs, 20, 150, CELL)[:2]
     chains = [_greedy_chains(ifs, xs, rs, 25, flag) for flag in (False, True)]
     steering = _repeller_steering_data(ifs, res.replaced(depth=20, budget=2000))
     steered, steered_q, steered_word = _steered_candidates(ifs, steering, xs, rs, 25)
@@ -235,7 +235,7 @@ def test_chunking_does_not_change_results(monkeypatch):
     monkeypatch.setattr(detectors, "_arc_search", recording)
 
     def run():
-        diams, words = _bfs_best(ifs, (xs - rs) % 1.0, 2.0 * rs, 20, 150, CELL)
+        diams, words = _bfs_best(ifs, (xs - rs) % 1.0, 2.0 * rs, 20, 150, CELL)[:2]
         return (diams.tobytes(), words,
                 s_transitivity_verdict(ifs, res).to_dict(),
                 topological_transitivity_verdict(ex42, res).to_dict(),
@@ -715,8 +715,8 @@ def test_bfs_stopped_at_the_cap_equals_the_full_search():
     for ifs, res in cap_cases():
         xs, rs, budget = strategy_oracle.sensitivity_pairs(ifs, res)
         args = (ifs, (xs - rs) % 1.0, 2.0 * rs, res.depth, budget, detectors._merge_cell(res))
-        full, words = _bfs_best(*args)
-        capped_diams, capped_words = _bfs_best(*args, stop_above=math.nextafter(0.5, 0.0))
+        full, words = _bfs_best(*args)[:2]
+        capped_diams, capped_words = _bfs_best(*args, stop_above=math.nextafter(0.5, 0.0))[:2]
         assert (capped_diams.tobytes(), capped_words) == (full.tobytes(), words)
         capped += int(np.count_nonzero(full == 0.5))
         total += full.size
@@ -783,7 +783,8 @@ def test_the_cascade_skips_only_pairs_at_the_cap(monkeypatch):
     # copies of 0.1; the later strategies record the balls they run on
     ran = []
     monkeypatch.setattr(detectors, "system_net", lambda ifs, n: xs.tolist())
-    monkeypatch.setattr(detectors, "_bfs_best", lambda *a, **kw: (before.copy(), [(1,)] * 3))
+    monkeypatch.setattr(detectors, "_bfs_best",
+                        lambda *a, **kw: (before.copy(), [(1,)] * 3, ["depth"] * 3, [1] * 3))
     monkeypatch.setattr(detectors, "_steered_candidates", lambda ifs, steering, x, *rest: (
         ran.append(("steered", x.size)) or _steered_candidates(ifs, steering, x, *rest)))
     monkeypatch.setattr(detectors, "_greedy_chains", lambda ifs, x, *rest: (

@@ -143,6 +143,23 @@ def test_hostile_property_parameters_exit_2_naming_the_parameter(capsys, system,
     assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize("flag, field, props", [
+    ("--depth", "depth", "transitivity"),
+    ("--budget", "budget", "transitivity,minimality"),
+    ("--net", "net_size", "transitivity"),
+])
+def test_resolution_counts_beyond_int64_exit_2_naming_the_field(tmp_path, capsys, flag, field,
+                                                                props):
+    # the searches index int64 arrays; a net of 2**63 points is never built
+    src = tmp_path / "rotation.json"
+    src.write_text(json.dumps({"generators": [{"type": "rotation", "alpha": 0.3}]}))
+    t0 = time.perf_counter()
+    code = main(["analyze", "--system", str(src), "--props", props, flag, str(2 ** 63)])
+    assert code == EXIT_MALFORMED
+    assert time.perf_counter() - t0 < 5.0
+    assert capsys.readouterr().err == f"error: {field} must be below 2**63, got {2 ** 63}\n"
+
+
 def test_load_system_file_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -244,6 +261,10 @@ def test_verify_failure_exits_1_and_prints_the_witnesses(capsys):
     at = next(i for i, line in enumerate(lines) if line.startswith("  FAIL strong_transitivity"))
     assert lines[at + 1].startswith('       witnesses: {"checked_points": ')
     assert lines[at + 2].startswith("       caveat: orbit not eps-dense")
+    assert lines[at + 2].endswith(": the search reached its depth bound (depth=1)")
+    # so does sensitivity's, for the search of the ball that sets delta_hat
+    at = next(i for i, line in enumerate(lines) if line.startswith("  FAIL sensitivity"))
+    assert '"stop_reason": "depth"' in lines[at + 1]
     assert lines[at + 2].endswith(": the search reached its depth bound (depth=1)")
 
 

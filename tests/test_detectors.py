@@ -65,6 +65,15 @@ def test_resolution_counts_are_whole_numbers(field):
     assert type(DEFAULT_RESOLUTION.replaced(**{field: np.int64(7)}).to_dict()[field]) is int
 
 
+@pytest.mark.parametrize("field", ["depth", "net_size", "budget"])
+def test_resolution_counts_fit_an_int64(field):
+    # the searches hold them in int64 arrays
+    for bad in (2 ** 63, 10 ** 29, 1e30):
+        with pytest.raises(ValueError, match=rf"^{field} must be below 2\*\*63"):
+            Resolution(**{field: bad})
+    assert getattr(Resolution(**{field: 2 ** 63 - 1}), field) == 2 ** 63 - 1
+
+
 def test_radius_ladder_descends_past_r():
     ladder = _radius_ladder(0.01)
     assert ladder[0] == pytest.approx(0.1)
@@ -151,7 +160,14 @@ def certified(report, verdict):
     if not all(isometry):
         assert "isometry" not in report.strategy_notes
         assert "certified" not in verdict.witnesses and "certificate" not in verdict.witnesses
-        assert verdict.caveat.endswith("search-bounded")
+        # a negative verdict names the bound that stopped the search of the
+        # ball setting delta_hat, unless that search reached the cap
+        searched = "delta_hat is a lower estimate; negative verdicts are search-bounded"
+        reason = verdict.witnesses.get("stop_reason")
+        assert (reason is None) == verdict.holds
+        share = verdict.resolution.replaced(budget=verdict.witnesses["slice_budget"])
+        bound = "" if reason in (None, "found") else ": " + _stopped_by(reason, share)
+        assert verdict.caveat == searched + bound
         return False
     assert report.strategy_notes == {"isometry": len(report.per_point)}
     assert all(e["best_word"] == [] and e["image_diameter"] == 2.0 * e["r"]
@@ -363,10 +379,10 @@ def test_negative_arc_verdicts_name_their_stop_reason(reason, system, res):
 
 
 # A rotation and a flip with a piecewise-linear identity: the identity
-# keeps it out of the isometry certificate, so its almost periodicity is
-# searched
-_SEARCHED_ROTATION_FLIP = [Rotation((5 ** 0.5 - 1) / 2), Flip(),
-                           PiecewiseLinear(((0.0, 0.0), (0.5, 0.5), (1.0, 1.0)))]
+# keeps it out of the isometry certificate, so its almost periodicity and
+# sensitivity are searched
+_IDENTITY = PiecewiseLinear(((0.0, 0.0), (0.5, 0.5), (1.0, 1.0)))
+_SEARCHED_ROTATION_FLIP = [Rotation((5 ** 0.5 - 1) / 2), Flip(), _IDENTITY]
 
 
 @pytest.mark.parametrize("reason, systems, res", [
@@ -394,6 +410,27 @@ def test_negative_orbit_verdicts_name_their_stop_reason(reason, systems, res):
         assert bound in v.caveat
         assert v.caveat.endswith(_stopped_by(reason, res, orbit=True))
     assert ap_certified(almost_periodic_verdict(dense_family, 0.3, res))
+
+
+@pytest.mark.parametrize("reason, gens, res", [
+    ("depth", _SEARCHED_ROTATION_FLIP, DEFAULT_RESOLUTION.replaced(depth=3)),
+    ("budget", _SEARCHED_ROTATION_FLIP, DEFAULT_RESOLUTION),
+    ("exhausted", [Rotation(0.25), _IDENTITY], DEFAULT_RESOLUTION),
+])
+def test_negative_sensitivity_verdicts_name_their_stop_reason(reason, gens, res):
+    """Every word of these systems is an isometry, but the piecewise-linear
+    identity keeps them out of the isometry certificate, so sensitivity is
+    searched and fails.  The verdict names the bound that stopped the breadth-first
+    search of the ball setting delta_hat; its budget is the per-ball share."""
+    report, v = sensitivity_estimate(IfsSystem(gens), res)
+    assert not v.holds and not certified(report, v)
+    share = v.witnesses["slice_budget"]
+    bound = {"depth": "depth=3", "budget": f"budget={share})",
+             "exhausted": "ran out of new image arcs"}[reason]
+    assert v.witnesses["stop_reason"] == reason
+    assert 1 <= v.witnesses["depth_reached"] <= res.depth
+    assert bound in v.caveat
+    assert v.caveat.endswith(_stopped_by(reason, res.replaced(budget=share)))
 
 
 def test_arc_search_rejects_a_merge_cell_its_keys_cannot_hold(rotation_flip):

@@ -111,30 +111,32 @@ def test_a_source_that_empties_out_is_exhausted_whatever_its_test_says():
     assert cloud.stop == ["exhausted", "exhausted"] and cloud.depths.tolist() == [1, 1]
 
 
-def test_cell_values_read_late_equal_those_read_every_level():
-    """The search carries cell values from the first level whose test reads
-    them.  Read first after most sources have stopped, they must still be
-    every source's points, stopped or running, in (source, cell) order, as
-    a test that read them every level sees them."""
+def test_cell_values_hold_every_source_point_at_every_level():
+    """At every level, `cell_values` and `cell_source` are plain arrays that
+    hold every point so far of every source, stopped or running, ordered by
+    (source, merge cell), as recomputed from the cloud's `values` and
+    `source` columns, whose rows are in visit order."""
     ifs = build_example("thm34_ns_rotation").system
     roots = np.linspace(0.01, 0.99, 12)
+    scale = round(1.0 / CELL)
+    levels = []
 
-    def run(first_read):
-        seen, level_no = [], [0]
+    def test(level):
+        assert type(level.cell_values) is np.ndarray and type(level.cell_source) is np.ndarray
+        levels.append((level.values.size, level.cell_values.copy(), level.cell_source.copy()))
+        # all but two sources stop at level 2; their cells stay held
+        return np.arange(roots.size) >= 2 if len(levels) == 2 else np.zeros(roots.size, bool)
 
-        def test(level):
-            level_no[0] += 1
-            if level_no[0] >= first_read:
-                seen.append((level.cell_values.tobytes(), level.cell_source.tobytes()))
-            # all but two sources stop at level 2; their cells stay held
-            return np.arange(roots.size) >= 2 if level_no[0] == 2 else np.zeros(roots.size, bool)
-
-        cloud = orbit_cloud(ifs, roots, 8, 100_000, stop_when=test, merge=CELL)
-        assert cloud.stop.count("found") == roots.size - 2
-        return seen
-
-    every = run(1)
-    assert run(4) == every[3:] and len(every) > 4
+    cloud = orbit_cloud(ifs, roots, 8, 100_000, stop_when=test, merge=CELL)
+    assert cloud.stop.count("found") == roots.size - 2 and len(levels) > 4
+    held = roots.size
+    for size, cell_values, cell_source in levels:
+        held += size
+        v, src = cloud.values[:held], cloud.source[:held]
+        order = np.lexsort((np.floor(v * scale) % scale, src))
+        np.testing.assert_array_equal(cell_values, v[order])
+        np.testing.assert_array_equal(cell_source, src[order])
+    assert held == cloud.values.size
 
 
 def test_one_root_is_the_one_source_case(rotation_flip):

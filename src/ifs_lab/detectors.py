@@ -107,11 +107,7 @@ class SensitivityReport:
     strategy_notes: dict
 
     def to_dict(self) -> dict:
-        return {
-            "delta_hat": self.delta_hat,
-            "per_point": self.per_point,
-            "strategy_notes": self.strategy_notes,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -1284,6 +1280,9 @@ def sensitivity_estimate(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION
                                                 res.depth, slice_budget, _merge_cell(res),
                                                 stop_above=math.nextafter(0.5, 0.0))
         labels = ["bfs"] * xs.size
+        # the breadth-first search stops at its budget; steering's repeats
+        # and the greedy chains stop there too, not only at the depth
+        chain_steps = min(res.depth, res.budget)
         # steering and the chains (which catch expanding structure that has
         # no repelling fixed point to steer by) take a ball only on a gain
         # above 1e-15, so each runs only where the best is still below 1/2
@@ -1293,9 +1292,9 @@ def sensitivity_estimate(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION
                 break  # every ball is capped, for this strategy and the next
             if strategy == "steered":
                 got, qs, found = _steered_candidates(ifs, _repeller_steering_data(ifs, res),
-                                                     xs[rows], rs[rows], res.depth)
+                                                     xs[rows], rs[rows], chain_steps)
             else:
-                got, found = _greedy_chains(ifs, xs[rows], rs[rows], res.depth,
+                got, found = _greedy_chains(ifs, xs[rows], rs[rows], chain_steps,
                                             strategy == "greedy_derivative")
             # steering's -1 where no repeller was pulled in never wins
             for k in np.flatnonzero(got > best[rows] + 1e-15).tolist():
@@ -1353,13 +1352,17 @@ def cofinite_sensitivity_verdict(ifs: IfsSystem, delta: float,
 
     The rules, tried in order, are `greedy_diameter_rule()` and each
     `constant_rule`; every net arc follows them together, as
-    `separation_times` follows one arc."""
+    `separation_times` follows one arc, for depth + window steps, which
+    may not exceed the budget."""
     delta, window = _coerced("delta", delta, 0.0), _coerced("window", window, 0)
     if window < 1:
         raise ValueError("window must be positive")
     if not 0.0 < delta < 0.5:  # image diameters are capped at 1/2
         raise ValueError(f"delta must be finite and lie in (0, 1/2), got {delta}")
     horizon = res.depth + window
+    if horizon > res.budget:  # each net arc's chains hold horizon steps
+        raise ValueError(f"depth {res.depth} + window {window}: the horizon of "
+                         f"{horizon} steps exceeds the budget ({res.budget})")
     rules = [greedy_diameter_rule()] + [constant_rule(i) for i in range(1, ifs.k + 1)]
     centers = system_net(ifs, res.net_size)
     starts, lengths = _net_arcs(centers, res.r)
@@ -1429,8 +1432,10 @@ def sensitivity_witness_from_nonminimality(ifs: IfsSystem,
     xs, rs = np.asarray(net, dtype=float), np.full(len(net), r)
     # every strategy's word on every point, unlike sensitivity's cascade: the
     # scan is by separation, which a word of smaller diameter can win
-    steered = _steered_candidates(ifs, _repeller_steering_data(ifs, res), xs, rs, res.depth)[2]
-    chains = [_greedy_chains(ifs, xs, rs, res.depth, flag)[1] for flag in (False, True)]
+    # the chains stop at the budget too, as in `sensitivity_estimate`
+    steps = min(res.depth, res.budget)
+    steered = _steered_candidates(ifs, _repeller_steering_data(ifs, res), xs, rs, steps)[2]
+    chains = [_greedy_chains(ifs, xs, rs, steps, flag)[1] for flag in (False, True)]
     achieved = _most_separating(ifs, [[w for w in words if w is not None]
                                       for words in zip(steered, *chains)],
                                 xs, r, [(0.0, ())] * xs.size)

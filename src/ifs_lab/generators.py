@@ -102,8 +102,7 @@ class Rotation(Generator):
     def lift(self, t: float) -> float:
         return t + self.alpha
 
-    def lift_array(self, t: np.ndarray) -> np.ndarray:
-        return t + self.alpha
+    lift_array = lift
 
     def derivative(self, x: float) -> float:
         return 1.0
@@ -124,8 +123,7 @@ class Flip(Generator):
     def lift(self, t: float) -> float:
         return -t
 
-    def lift_array(self, t: np.ndarray) -> np.ndarray:
-        return -t
+    lift_array = lift
 
     def derivative(self, x: float) -> float:
         return -1.0
@@ -372,8 +370,7 @@ class Expanding(Generator):
     def lift(self, t: float) -> float:
         return self.m * t
 
-    def lift_array(self, t: np.ndarray) -> np.ndarray:
-        return self.m * t
+    lift_array = lift
 
     def derivative(self, x: float) -> float:
         return float(self.m)
@@ -416,11 +413,8 @@ def _fixes_every_point(grid_lift: np.ndarray) -> bool:
     `grid_lift` stays within _FP_TOL of one branch x + m: the map fixes
     every point."""
     phi = grid_lift - _FP_XS
-    # a lift can stay within _FP_TOL of one branch only if it is nearly constant
-    if phi.max() - phi.min() > 4 * _FP_TOL:
-        return False
-    return any(np.abs(phi - m).max() <= _FP_TOL
-               for m in range(math.ceil(phi.min() - _FP_TOL), math.floor(phi.max() + _FP_TOL) + 1))
+    # _FP_TOL < 1/2, so only the branch nearest phi(0) can be within it
+    return bool(np.abs(phi - round(float(phi[0]))).max() <= _FP_TOL)
 
 
 def _lift_fixed_values(lift_array, grid_lift: np.ndarray, identity_samples: int):
@@ -436,8 +430,6 @@ def _lift_fixed_values(lift_array, grid_lift: np.ndarray, identity_samples: int)
     n = _FP_GRID
     xs = _FP_XS
     phi = grid_lift - xs
-    lo = math.ceil(phi.min() - _FP_TOL)
-    hi = math.floor(phi.max() + _FP_TOL)
     if _fixes_every_point(grid_lift):
         return [(i + 0.5) / identity_samples for i in range(identity_samples)], True
     a, b = phi[:-1], phi[1:]
@@ -453,31 +445,23 @@ def _lift_fixed_values(lift_array, grid_lift: np.ndarray, identity_samples: int)
     cell, m, fa = cell[cross], m[cross], fa[cross]
     branches = np.concatenate([a[on_grid], m])
     ra, rb = xs[cell], xs[cell + 1]
-    bisected = np.empty(cell.size)
-    live = np.arange(cell.size)
-    for _ in range(64):
-        if not live.size:
-            break
+    # each bracket halves from the cell width 1/_FP_GRID, so all reach the
+    # tolerance on one step; an exact zero closes its bracket on itself
+    width = 1.0 / n
+    while cell.size and width > _FP_TOL * 0.5:
         mid = 0.5 * (ra + rb)
         fm = lift_array(mid) - mid - m
-        done = (fm == 0.0) | (rb - ra <= _FP_TOL * 0.5)
-        # every cell halves from width 1/_FP_GRID, so all reach the tolerance
-        # on one step; before it, only an exact zero ends a root
-        if done.any():
-            bisected[live[done]] = mid[done]
-            go = ~done
-            live, ra, rb, fa, m, mid, fm = (v[go] for v in (live, ra, rb, fa, m, mid, fm))
         left = fa * fm < 0.0
-        rb = np.where(left, mid, rb)
+        rb = np.where(left | (fm == 0.0), mid, rb)
         ra = np.where(left, ra, mid)
         fa = np.where(left, fa, fm)
-    bisected[live] = 0.5 * (ra + rb)
-    roots = np.concatenate([xs[on_grid], bisected])
-    # x = 1 is a root on the lowest branch that phi(1) meets within _FP_TOL/2,
-    # unless a root of a branch up to that one already lies within 4 * _FP_TOL of 1
-    end = [k for k in range(max(lo, math.floor(phi[n])), min(hi, math.ceil(phi[n])) + 1)
-           if abs(phi[n] - k) <= _FP_TOL * 0.5]
-    if end and not np.any((np.abs(roots - 1.0) <= 4 * _FP_TOL) & (branches <= end[0])):
+        width *= 0.5
+    roots = np.concatenate([xs[on_grid], 0.5 * (ra + rb)])
+    # x = 1 is a root if phi(1) is within _FP_TOL/2 of its nearest branch k,
+    # unless a root of a branch up to k already lies within 4 * _FP_TOL of 1
+    k = round(float(phi[n]))
+    if abs(phi[n] - k) <= _FP_TOL * 0.5 and not np.any(
+            (np.abs(roots - 1.0) <= 4 * _FP_TOL) & (branches <= k)):
         roots = np.append(roots, 1.0)
     # roots within 1e-11 of each other, around the circle too, are one
     out = []

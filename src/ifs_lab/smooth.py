@@ -14,7 +14,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .circle import Arc, CirclePoint, as_value, normalize_array
-from .generators import NotDifferentiable
 from .detectors import (Resolution, DEFAULT_RESOLUTION, Verdict, _CHUNK_NODES, _chunks,
                         _letter_rows, _stopped_by, _word_images, uniform_net)
 from .semigroup import IfsSystem
@@ -77,22 +76,18 @@ def expanding_verdict(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION) -> V
     """Whether every generator has |derivative| > 1 at max(net_size, 2) grid
     points; eta is the largest reciprocal when it does."""
     grid = max(res.net_size, 2)
-
-    def sweep(offset: float):
-        # the first weak point, generator by generator, decides
+    for offset in (0.0, 0.5):
+        # the first weak point, generator by generator, decides; a corner
+        # moves the sweep to the next offset
         xs = (np.arange(grid) + offset) / grid
         d = np.abs([g.derivative_array(xs) for g in ifs.generators]).ravel()
         weak = np.flatnonzero(~(d > 1.0))  # |d| <= 1, or NaN at a corner
-        if weak.size == 0:
-            return True, float(np.max(1.0 / d))
-        if np.isnan(d[weak[0]]):  # a corner, where the scalar derivative raises
-            ifs.generators[weak[0] // grid].derivative(float(xs[weak[0] % grid]))
-        return False, None
-
-    try:
-        holds, eta = sweep(0.0)
-    except NotDifferentiable:
-        holds, eta = sweep(0.5)
+        if weak.size == 0 or not np.isnan(d[weak[0]]):
+            break
+    else:  # a corner first at both offsets, where the scalar derivative raises
+        ifs.generators[weak[0] // grid].derivative(float(xs[weak[0] % grid]))
+    holds = weak.size == 0
+    eta = float(np.max(1.0 / d)) if holds else None
     return Verdict("expanding", holds, res, {"eta": eta}, "checked on a finite grid")
 
 

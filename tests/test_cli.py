@@ -1,7 +1,10 @@
 import importlib.util
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -158,6 +161,50 @@ def test_resolution_counts_beyond_int64_exit_2_naming_the_field(tmp_path, capsys
     assert code == EXIT_MALFORMED
     assert time.perf_counter() - t0 < 5.0
     assert capsys.readouterr().err == f"error: {field} must be below 2**63, got {2 ** 63}\n"
+
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
+
+
+def run_cli(args, timeout):
+    """`python -m ifs_lab` on args in a child process, killed (raising
+    subprocess.TimeoutExpired) if it runs past timeout seconds."""
+    path = filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return subprocess.run([sys.executable, "-m", "ifs_lab", *args], capture_output=True,
+                          text=True, timeout=timeout, env=env, cwd=REPO)
+
+
+@pytest.mark.parametrize("flag", ["--window", "--depth"])
+def test_a_cofinite_horizon_above_the_budget_exits_2_naming_the_fields(flag):
+    # each net arc's chains would grow toward depth + window steps
+    proc = run_cli(["analyze", "--gallery", "thm34_ns_rotation", "--props",
+                    "cofinite_sensitivity", flag, str(10 ** 12)], timeout=5)
+    assert proc.returncode == EXIT_MALFORMED
+    assert proc.stderr.startswith("error: depth ")
+    assert all(field in proc.stderr for field in ("+ window", "budget (100000)"))
+
+
+def without_resolution(doc):
+    if isinstance(doc, dict):
+        return {k: without_resolution(v) for k, v in doc.items() if k != "resolution"}
+    return doc
+
+
+def test_sensitivity_chains_stop_at_the_budget(tmp_path):
+    """Steering's repeats and the greedy chains run min(depth, budget)
+    steps, as the breadth-first searches hold at most budget arcs, so a
+    huge depth gives the results of depth = budget."""
+    args = ["analyze", "--system", str(REPO / "tests" / "data" / "random_0_5.json"),
+            "--props", "sensitivity,witness_pipeline", "--net", "12", "--eps", "0.02",
+            "--r", "0.02", "--budget", "4000"]
+    huge, at_budget = tmp_path / "huge.json", tmp_path / "at_budget.json"
+    proc = run_cli(args + ["--depth", str(10 ** 9), "--out", str(huge)], timeout=10)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert main(args + ["--depth", "4000", "--out", str(at_budget)]) == EXIT_OK
+    got, want = (json.loads(path.read_text()) for path in (huge, at_budget))
+    assert got["resolution"]["depth"] == 10 ** 9
+    assert without_resolution(got) == without_resolution(want)
 
 
 def test_load_system_file_errors(tmp_path):

@@ -117,6 +117,25 @@ def test_a_root_on_a_dyadic_midpoint_ends_its_bisection_early():
     assert repr(fixed_points(g)) == repr(oracle.fixed_points(g))
 
 
+@pytest.mark.parametrize("g, crossings", [
+    (NorthSouth(0.1, 2.0), 2), (Expanding(128), 126), (Rotation(0.3), 0),
+    # one root is an exact zero on the second halving, and its bracket closes there
+    (PiecewiseLinear(((0.0, 0.05), (4001 / 16384, 4001 / 16384), (0.75, 0.71), (1.0, 1.05))), 2),
+], ids=repr)
+def test_the_bisection_calls_the_lift_once_per_halving(g, crossings):
+    """Every crossing's bracket halves together, from the grid cell 2**-12
+    to 2**-41 <= _FP_TOL / 2: 29 calls of the lift on all crossings, and
+    none on a map with no crossing."""
+    calls = []
+
+    def lift_array(t):
+        calls.append(t.size)
+        return g.lift_array(t)
+
+    _lift_fixed_values(lift_array, g.lift_array(_FP_XS), 16)
+    assert calls == ([crossings] * 29 if crossings else [])
+
+
 def test_identity_maps_are_sampled():
     values, identity = _lift_fixed_values(*grid_lifted(Rotation(0.0).lift_array), 16)
     assert identity and values == [(i + 0.5) / 16 for i in range(16)]

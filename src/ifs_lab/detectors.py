@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from numbers import Integral, Real
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import certify
+from .certify import NotApplicable, Verdict
 # circ_dist stays bound here, where the benchmark's tracer tests read it
 from .circle import (Arc, _circ_dist_array, as_value, circ_dist,  # noqa: F401
                      normalize, normalize_array)
@@ -26,10 +28,6 @@ from .semigroup import (STOP_REASONS, IfsSystem, _BUDGET, _DEPTH, _EXHAUSTED, _F
                         _SearchNodes, _cell_count, _fresh_cells, _merged, _word_values,
                         orbit_cloud, periodic_points)
 from .symbolic import Word
-
-
-class NotApplicable(Exception):
-    """Raised when a detector's precondition fails at the given resolution."""
 
 
 def _coerced(name: str, value, default):
@@ -69,33 +67,14 @@ class Resolution:
             raise ValueError("depth, net_size and budget must be positive")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {"eps": self.eps, "r": self.r, "depth": self.depth, "net_size": self.net_size,
+                "budget": self.budget}
 
     def replaced(self, **kw) -> "Resolution":
         return replace(self, **kw)
 
 
 DEFAULT_RESOLUTION = Resolution()
-
-
-@dataclass
-class Verdict:
-    """A property decision plus the evidence that supports it."""
-
-    property_name: str
-    holds: bool
-    resolution: Resolution
-    witnesses: dict
-    caveat: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "property": self.property_name,
-            "holds": self.holds,
-            "resolution": self.resolution.to_dict(),
-            "witnesses": self.witnesses,
-            "caveat": self.caveat,
-        }
 
 
 @dataclass
@@ -107,7 +86,8 @@ class SensitivityReport:
     strategy_notes: dict
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {"delta_hat": self.delta_hat, "per_point": self.per_point,
+                "strategy_notes": self.strategy_notes}
 
 
 # ---------------------------------------------------------------------------
@@ -663,6 +643,8 @@ _NOT_DENSE = "orbit not eps-dense within depth/budget bounds"
 def minimality_verdict(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION) -> Verdict:
     """Every net point's forward orbit must be eps-dense in the circle."""
     net = system_net(ifs, res.net_size)
+    if (certified := certify.minimality(ifs, res, net)) is not None:
+        return certified
     worst = None
     for first, cloud, density in _orbit_chunks(
             ifs, net, res, lambda chunk: _Density(2.0 * res.eps, False, chunk)):
@@ -689,6 +671,9 @@ def minimality_verdict(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION) -> 
 
 def strong_transitivity_verdict(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION) -> Verdict:
     """Minimality of the system of inverse generators (backward minimality)."""
+    certified = certify.strong_transitivity(ifs, res, system_net(ifs, res.net_size))
+    if certified is not None:
+        return certified
     inner = minimality_verdict(ifs.inverse_system(), res)
     witnesses = dict(inner.witnesses)
     witnesses["orbit_direction"] = "backward"
@@ -750,24 +735,12 @@ def almost_periodic_verdict(ifs: IfsSystem, x, res: Resolution = DEFAULT_RESOLUT
     any generator fixed point that the orbit approaches within eps/2 (those
     are the accumulation points a finite orbit sample cannot reach exactly).
     Then the orbit of every closure point must come within eps of each.
-
-    A system of rotations and flips is certified instead of searched: the
-    closure of its semigroup in O(2) is a compact group, so every orbit
-    closure is one orbit of that group, hence minimal (Auslander, *Minimal
-    Flows and their Extensions*, 1988, ch. 2).  A fixed point within eps/2
-    of that closure keeps its whole orbit within eps/2 of it, since every
-    word is an isometry, so the augmented sample would hold too.
     """
     x = _coerced("x", x, 0.0)
     _require_finite("x", x)
     x = as_value(x)
-    if ifs.all_isometries:
-        return Verdict(
-            "almost_periodic", True, res,
-            {"base_point": x, "certified": True, "certificate": {"kind": "isometries"}},
-            caveat="every generator is an isometry, so every orbit closure is minimal: "
-                   "the verdict is exact, not search-bounded",
-        )
+    if (certified := certify.almost_periodic(ifs, res, x)) is not None:
+        return certified
     # no early density exit here: the closure sample must include the slow
     # tails that accumulate on fixed points
     cloud = orbit_cloud(ifs, x, res.depth, res.budget, merge=_merge_cell(res))
@@ -864,6 +837,8 @@ def _stopped_by(reason: str, res: Resolution, orbit: bool = False) -> str:
 def topological_transitivity_verdict(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION) -> Verdict:
     """For every pair of radius-r net arcs U, V some word image of U meets V."""
     centers = system_net(ifs, res.net_size)
+    if (certified := certify.transitivity(ifs, res, centers)) is not None:
+        return certified
     starts, lengths = _net_arcs(centers, res.r)
     hardest: Optional[dict] = None
     for images in _arc_search(ifs, starts, lengths, res.depth, res.budget,
@@ -904,6 +879,8 @@ def s_transitivity_verdict(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION)
     centers; their union need not cover the circle.  At r = eps this is the
     search of `topological_transitivity_verdict`."""
     centers = system_net(ifs, res.net_size)
+    if (certified := certify.s_transitivity(ifs, res, centers)) is not None:
+        return certified
     starts, lengths = _net_arcs(centers, res.r)
     covers: Dict[str, list] = {}
     worst_len = 0
@@ -1261,7 +1238,8 @@ def sensitivity_estimate(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION
 
     A system of rotations and flips is certified instead of searched: every
     word is an isometry, so no word separates a ball more than the empty
-    word does, and each ball reports the empty word (strategy "isometry").
+    word does, each ball reports the empty word (strategy "isometry"), and
+    `certify.sensitivity` gives the verdict.
     """
     net = system_net(ifs, res.net_size)
     rungs = _radius_ladder(res.r)
@@ -1269,7 +1247,7 @@ def sensitivity_estimate(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION
     slice_budget = max(64, res.budget // max(1, len(net) * len(rungs)))
     xs = np.asarray(net, dtype=float)
     rs = np.full(xs.size, rungs[-1])
-    isometries = ifs.all_isometries
+    isometries = certify.isometry_order(ifs) is not None
     if isometries:
         # the diameter the breadth-first search reports for the ball itself
         best, words, labels = 2.0 * rs, [()] * xs.size, ["isometry"] * xs.size
@@ -1326,10 +1304,8 @@ def sensitivity_estimate(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION
     holds = bool(delta_hat >= res.eps)
     caveat = "delta_hat is a lower estimate; negative verdicts are search-bounded"
     if isometries:
-        witnesses.update(certified=True, certificate={"kind": "isometries"})
-        caveat = ("every generator is an isometry, so no word separates a ball of radius r "
-                  "beyond r: delta_hat is exact, not search-bounded")
-    elif not holds:
+        return report, certify.sensitivity(ifs, res, witnesses)
+    if not holds:
         # the breadth-first search of the first ball setting delta_hat,
         # whose budget is the per-ball share
         i = seps.index(delta_hat)
@@ -1363,8 +1339,11 @@ def cofinite_sensitivity_verdict(ifs: IfsSystem, delta: float,
     if horizon > res.budget:  # each net arc's chains hold horizon steps
         raise ValueError(f"depth {res.depth} + window {window}: the horizon of "
                          f"{horizon} steps exceeds the budget ({res.budget})")
-    rules = [greedy_diameter_rule()] + [constant_rule(i) for i in range(1, ifs.k + 1)]
     centers = system_net(ifs, res.net_size)
+    certified = certify.cofinite_sensitivity(ifs, res, centers, delta, window)
+    if certified is not None:
+        return certified
+    rules = [greedy_diameter_rule()] + [constant_rule(i) for i in range(1, ifs.k + 1)]
     starts, lengths = _net_arcs(centers, res.r)
     first_n = np.full(len(centers), -1)
     rule = np.zeros(len(centers), dtype=np.int64)
@@ -1413,6 +1392,9 @@ def sensitivity_witness_from_nonminimality(ifs: IfsSystem,
     ball, then extensions of each covering word.
     """
     net = system_net(ifs, res.net_size)
+    r = _radius_ladder(res.r)[-1]
+    if (certified := certify.witness_pipeline(ifs, res, net, r)) is not None:
+        return certified
     worst_gap, worst_point = 0.0, None
     for first, cloud, density in _orbit_chunks(
             ifs, net, res, lambda chunk: _Density(2.0 * res.eps, True, chunk)):
@@ -1426,7 +1408,6 @@ def sensitivity_witness_from_nonminimality(ifs: IfsSystem,
     delta_candidate = dist / 4.0
 
     cell = _merge_cell(res)
-    r = _radius_ladder(res.r)[-1]
     cover_budget = min(res.budget, 20_000)
     ext_budget = 1_000
     xs, rs = np.asarray(net, dtype=float), np.full(len(net), r)

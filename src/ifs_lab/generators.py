@@ -427,11 +427,34 @@ def _lift_fixed_values(lift_array, grid_lift: np.ndarray, identity_samples: int)
     the map fixes every point up to _FP_TOL; in that case `values` is a
     uniform sample of `identity_samples` points.
     """
-    n = _FP_GRID
-    xs = _FP_XS
-    phi = grid_lift - xs
+    phi = grid_lift - _FP_XS
     if _fixes_every_point(grid_lift):
         return [(i + 0.5) / identity_samples for i in range(identity_samples)], True
+    # with no integer in [min phi, max phi] there is no crossing and no root
+    # on the grid, and only x = 1 is left to test
+    roots, branches = (_crossing_roots(lift_array, phi) if np.floor(phi.max()) >= phi.min()
+                       else (_FP_XS[:0], _FP_XS[:0]))
+    # x = 1 is a root if phi(1) is within _FP_TOL/2 of its nearest branch k,
+    # unless a root of a branch up to k already lies within 4 * _FP_TOL of 1
+    k = round(float(phi[-1]))
+    if abs(phi[-1] - k) <= _FP_TOL * 0.5 and not np.any(
+            (np.abs(roots - 1.0) <= 4 * _FP_TOL) & (branches <= k)):
+        roots = np.append(roots, 1.0)
+    # roots within 1e-11 of each other, around the circle too, are one
+    out = []
+    for r in np.sort(normalize_array(roots)).tolist():
+        if not out or r - out[-1] > 1e-11:
+            out.append(r)
+    if len(out) > 1 and (1.0 - out[-1] + out[0]) <= 1e-11:
+        out.pop()
+    return out, False
+
+
+def _crossing_roots(lift_array, phi: np.ndarray):
+    """The roots of `_lift_fixed_values` on the grid and in its cells, with
+    their branches: each grid point on a branch, and each (cell, branch)
+    crossing, bisected."""
+    n, xs = _FP_GRID, _FP_XS
     a, b = phi[:-1], phi[1:]
     # a grid point lying on its branch m = phi[i] is a root as it stands
     on_grid = np.flatnonzero(a == np.floor(a))
@@ -456,21 +479,7 @@ def _lift_fixed_values(lift_array, grid_lift: np.ndarray, identity_samples: int)
         ra = np.where(left, ra, mid)
         fa = np.where(left, fa, fm)
         width *= 0.5
-    roots = np.concatenate([xs[on_grid], 0.5 * (ra + rb)])
-    # x = 1 is a root if phi(1) is within _FP_TOL/2 of its nearest branch k,
-    # unless a root of a branch up to k already lies within 4 * _FP_TOL of 1
-    k = round(float(phi[n]))
-    if abs(phi[n] - k) <= _FP_TOL * 0.5 and not np.any(
-            (np.abs(roots - 1.0) <= 4 * _FP_TOL) & (branches <= k)):
-        roots = np.append(roots, 1.0)
-    # roots within 1e-11 of each other, around the circle too, are one
-    out = []
-    for r in np.sort(normalize_array(roots)).tolist():
-        if not out or r - out[-1] > 1e-11:
-            out.append(r)
-    if len(out) > 1 and (1.0 - out[-1] + out[0]) <= 1e-11:
-        out.pop()
-    return out, False
+    return np.concatenate([xs[on_grid], 0.5 * (ra + rb)]), branches
 
 
 def _one_sided_multipliers(g: Generator, x: float) -> tuple:

@@ -13,6 +13,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from . import certify
 from .circle import Arc, CirclePoint, as_value, normalize_array
 from .detectors import (Resolution, DEFAULT_RESOLUTION, Verdict, _CHUNK_NODES, _chunks,
                         _letter_rows, _stopped_by, _word_images, uniform_net)
@@ -130,6 +131,8 @@ def local_expanding_verdict(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION
     """Pointwise expansion: the cover of `local_expanding_cover`, the net
     point at which no expanding word was found, or a point that the pieces
     grown around the net points leave uncovered."""
+    if (certified := certify.local_expanding(ifs, res)) is not None:
+        return certified
     try:
         cover = local_expanding_cover(ifs, res)
     except NotLocallyExpanding as exc:

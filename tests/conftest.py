@@ -19,6 +19,22 @@ def rotation_flip():
     return IfsSystem([Rotation(GOLDEN), Flip()])
 
 
+# The isometry certificates of `ifs_lab.certify` go by generator type, so a
+# piecewise-linear identity keeps a system of rotations and flips out of
+# them: its verdicts are searched, although every word is an isometry.
+PL_IDENTITY = PiecewiseLinear(((0.0, 0.0), (1.0, 1.0)))
+
+
+@pytest.fixture(scope="session")
+def searched_golden_rotation():
+    return IfsSystem([Rotation(GOLDEN), PL_IDENTITY])
+
+
+@pytest.fixture(scope="session")
+def searched_rotation_flip():
+    return IfsSystem([Rotation(GOLDEN), Flip(), PL_IDENTITY])
+
+
 @pytest.fixture(scope="session")
 def ns_alone():
     return IfsSystem([NorthSouth(0.0, 2.0)])

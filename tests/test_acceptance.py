@@ -21,6 +21,7 @@ from ifs_lab import (Arc, CirclePoint, Expanding, Flip, IfsSystem,
                      sensitivity_witness_from_nonminimality, separation_times,
                      strong_transitivity_verdict,
                      topological_transitivity_verdict)
+from ifs_lab import certify
 from ifs_lab.cli import render_report, run_analyze
 from ifs_lab.detectors import DEFAULT_RESOLUTION, _radius_ladder
 from ifs_lab.generators import NotDifferentiable
@@ -323,20 +324,33 @@ def run_lattice_comparison(system, gens, fixed_pts, x_ap):
     return mismatches
 
 
-def test_criterion_6_oracle_equivalence():
+def test_criterion_6_oracle_equivalence(monkeypatch):
+    """Rotations and flips are certified by exact arithmetic on their float
+    angles, and searched with the certificates off.  The float 1/6 is
+    6004799503160661 / 2**55, whose rotation has order 2**55, so only the
+    search, which cannot tell it from 1/6 within its depth, is held to the
+    oracle's reading of 1/6."""
     quarter = IfsSystem([Rotation(0.25)])
-    mism_a = run_lattice_comparison(
-        quarter, [(1, Fraction(1, 4))], [], Fraction(1, 200))
+    quarter_case = ([(1, Fraction(1, 4))], [], Fraction(1, 200))
+    eighths_flip = IfsSystem([Rotation(0.375), Flip()])
+    eighths_case = ([(1, Fraction(3, 8)), (-1, Fraction(0))], [Fraction(0), HALF],
+                    Fraction(1, 200))
+    mism_a = run_lattice_comparison(quarter, *quarter_case)
+    mism_c = run_lattice_comparison(eighths_flip, *eighths_case)
 
     sixth_flip = IfsSystem([Rotation(1.0 / 6.0), Flip()])
-    mism_b = run_lattice_comparison(
-        sixth_flip, [(1, Fraction(1, 6)), (-1, Fraction(0))],
-        [Fraction(0), HALF], Fraction(1, 200))
+    with monkeypatch.context() as searched:
+        searched.setattr(certify, "isometry_order", lambda ifs: None)
+        mism_a_searched = run_lattice_comparison(quarter, *quarter_case)
+        mism_b = run_lattice_comparison(
+            sixth_flip, [(1, Fraction(1, 6)), (-1, Fraction(0))],
+            [Fraction(0), HALF], Fraction(1, 200))
 
-    ok = not mism_a and not mism_b
+    ok = not mism_a and not mism_a_searched and not mism_b and not mism_c
     announce(6, ok,
-             f"rotation(1/4) mismatches={mism_a or 'none'}; "
-             f"rotation(1/6)+flip mismatches={mism_b or 'none'}")
+             f"rotation(1/4) mismatches={mism_a or 'none'}, searched "
+             f"{mism_a_searched or 'none'}; rotation(3/8)+flip mismatches={mism_c or 'none'}; "
+             f"rotation(1/6)+flip searched mismatches={mism_b or 'none'}")
 
 
 # ---------------------------------------------------------------------------

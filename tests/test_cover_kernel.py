@@ -23,6 +23,7 @@ from ifs_lab.circle import normalize_array
 from ifs_lab.detectors import DEFAULT_RESOLUTION, _stopped_by, uniform_net
 from ifs_lab.semigroup import _word_values
 from ifs_lab.smooth import NotACover, NotLocallyExpanding
+from conftest import PL_IDENTITY
 from test_smooth import random_smooth_generator, smooth_systems
 
 KINDS = ("rotation", "flip", "north_south", "expanding", "piecewise_linear")
@@ -226,18 +227,25 @@ def test_local_expanding_verdicts_do_not_depend_on_chunking(monkeypatch):
     assert run() == together
 
 
-def test_a_stuck_search_names_its_bound(golden_rotation, rotation_flip):
-    # one letter: depth 20 spends 21 words of 4000; two letters spend the budget
+def test_a_stuck_search_names_its_bound(golden_rotation, rotation_flip,
+                                       searched_rotation_flip):
+    # one letter: depth 20 spends 21 words of 4000; two letters spend the
+    # budget.  Every word of these maps has |h'| = 1; the isometries alone are
+    # certified, so the piecewise-linear identity keeps the search running
     res = Resolution(net_size=12, depth=20, budget=4000)
-    v = local_expanding_verdict(golden_rotation, res)
+    v = local_expanding_verdict(IfsSystem([PL_IDENTITY]), res)
     assert not v.holds
     assert v.witnesses == {"stuck_point": 0.5 / 12, "stop_reason": "depth",
                            "words_examined": 21}
     assert v.caveat == "no expanding word found within bounds: " + _stopped_by("depth", res)
-    v = local_expanding_verdict(rotation_flip, res)
+    v = local_expanding_verdict(searched_rotation_flip, res)
     assert v.witnesses == {"stuck_point": 0.5 / 12, "stop_reason": "budget",
                            "words_examined": 4000}
     assert v.caveat.endswith("the search spent its word budget (budget=4000)")
+    for ifs in (golden_rotation, rotation_flip):
+        v = local_expanding_verdict(ifs, res)
+        assert not v.holds and v.witnesses["stuck_point"] == 0.5 / 12
+        assert v.witnesses["certified"] and "stop_reason" not in v.witnesses
 
 
 def test_a_gap_between_pieces_keeps_its_witness():

@@ -14,8 +14,8 @@ from ifs_lab import (Arc, CirclePoint, Expanding, Flip, IfsSystem, NonInvertible
                      separation_times, strong_transitivity_verdict,
                      topological_transitivity_verdict)
 from ifs_lab.cli import load_system_file
-from ifs_lab.detectors import (DEFAULT_RESOLUTION, _radius_ladder, _rule_paths, _stopped_by,
-                               max_cyclic_gap)
+from ifs_lab.detectors import (DEFAULT_RESOLUTION, _arc_search, _radius_ladder, _rule_paths,
+                               _stopped_by, max_cyclic_gap)
 from ifs_lab.generators import map_arcs
 from ifs_lab.semigroup import orbit_cloud
 
@@ -98,12 +98,14 @@ def test_minimality_quarter_rotation_fails():
     assert v.witnesses["uncovered_gap"] == pytest.approx(0.25, abs=1e-9)
 
 
-def test_topological_transitivity(rotation_flip, ns_alone):
-    v = topological_transitivity_verdict(rotation_flip)
+def test_topological_transitivity(rotation_flip, searched_rotation_flip, ns_alone):
+    assert topological_transitivity_verdict(rotation_flip).witnesses["certified"]
+    v = topological_transitivity_verdict(searched_rotation_flip)
     assert v.holds
     # the hardest witness replays: the image arc of U meets the target ball
     h = v.witnesses["hardest_pair"]
-    arc = word_image(rotation_flip, h["word"], Arc(CirclePoint(h["source_center"] - 0.01), 0.02))
+    arc = word_image(searched_rotation_flip, h["word"],
+                     Arc(CirclePoint(h["source_center"] - 0.01), 0.02))
     fat = Arc(CirclePoint(arc.start.value - 0.01), min(arc.length + 0.02, 1.0))
     assert fat.contains(h["target_center"], tol=1e-10)
 
@@ -120,8 +122,9 @@ def test_strong_transitivity(golden_rotation, doubling, hinge_system):
     assert not v.holds and v.witnesses["witness_point"] == 0.0
 
 
-def test_s_transitivity(golden_rotation, ns_alone, expanding_pair):
-    v = s_transitivity_verdict(golden_rotation)
+def test_s_transitivity(golden_rotation, searched_golden_rotation, ns_alone, expanding_pair):
+    assert s_transitivity_verdict(golden_rotation).witnesses["certified"]
+    v = s_transitivity_verdict(searched_golden_rotation)
     assert v.holds
     covers = v.witnesses["covers"]
     assert covers and all(len(words) >= 1 for words in covers.values())
@@ -129,14 +132,14 @@ def test_s_transitivity(golden_rotation, ns_alone, expanding_pair):
     assert s_transitivity_verdict(expanding_pair).holds
 
 
-def test_s_transitivity_cover_replays(golden_rotation):
-    v = s_transitivity_verdict(golden_rotation)
+def test_s_transitivity_cover_replays(searched_golden_rotation):
+    v = s_transitivity_verdict(searched_golden_rotation)
     key, words = next(iter(v.witnesses["covers"].items()))
     center = float(key)
     net = [(i + 0.5) / 100 for i in range(100)]
     covered = set()
     for w in words:
-        arc = word_image(golden_rotation, w, Arc(CirclePoint(center - 0.01), 0.02))
+        arc = word_image(searched_golden_rotation, w, Arc(CirclePoint(center - 0.01), 0.02))
         fat = Arc(CirclePoint(arc.start.value - 0.01), min(arc.length + 0.02, 1.0))
         covered.update(p for p in net if fat.contains(p, tol=1e-10))
     assert len(covered) == len(net)
@@ -362,12 +365,26 @@ def test_almost_periodic_reports_a_point_the_orbit_misses():
     assert np.minimum(d, 1.0 - d).min() == pytest.approx(w["unreached_distance"])
 
 
+# A rotation and a flip with a piecewise-linear identity: the identity
+# keeps it out of the isometry certificates, so its verdicts are searched
+_IDENTITY = PiecewiseLinear(((0.0, 0.0), (0.5, 0.5), (1.0, 1.0)))
+_SEARCHED_ROTATION_FLIP = [Rotation((5 ** 0.5 - 1) / 2), Flip(), _IDENTITY]
+
+
+def without_identity(ifs):
+    """The system's rotations and flips alone, whose verdicts are certified."""
+    return IfsSystem([g for g in ifs.generators if g.isometry])
+
+
 @pytest.mark.parametrize("reason, system, res", [
-    ("depth", [Rotation((5 ** 0.5 - 1) / 2), Flip()], DEFAULT_RESOLUTION.replaced(depth=3)),
-    ("budget", [Rotation((5 ** 0.5 - 1) / 2), Flip()], DEFAULT_RESOLUTION.replaced(budget=5)),
-    ("exhausted", [Rotation(0.25)], DEFAULT_RESOLUTION),
+    ("depth", _SEARCHED_ROTATION_FLIP, DEFAULT_RESOLUTION.replaced(depth=3)),
+    ("budget", _SEARCHED_ROTATION_FLIP, DEFAULT_RESOLUTION.replaced(budget=5)),
+    ("exhausted", [Rotation(0.25), _IDENTITY], DEFAULT_RESOLUTION),
 ])
 def test_negative_arc_verdicts_name_their_stop_reason(reason, system, res):
+    """The rotations and flips of each system alone are certified, whatever
+    the bounds: the golden rotation and the flip are transitive, and the
+    quarter rotation is not."""
     bound = {"depth": "depth=3", "budget": "budget=5", "exhausted": "ran out"}[reason]
     for detector in (topological_transitivity_verdict, s_transitivity_verdict):
         v = detector(IfsSystem(system), res)
@@ -376,27 +393,23 @@ def test_negative_arc_verdicts_name_their_stop_reason(reason, system, res):
         assert 1 <= v.witnesses["depth_reached"] <= res.depth
         assert 1 <= v.witnesses["words_examined"]
         assert bound in v.caveat
-
-
-# A rotation and a flip with a piecewise-linear identity: the identity
-# keeps it out of the isometry certificate, so its almost periodicity and
-# sensitivity are searched
-_IDENTITY = PiecewiseLinear(((0.0, 0.0), (0.5, 0.5), (1.0, 1.0)))
-_SEARCHED_ROTATION_FLIP = [Rotation((5 ** 0.5 - 1) / 2), Flip(), _IDENTITY]
+        exact = detector(without_identity(IfsSystem(system)), res)
+        assert exact.holds is (reason != "exhausted") and exact.witnesses["certified"]
+        assert "stop_reason" not in exact.witnesses
 
 
 @pytest.mark.parametrize("reason, systems, res", [
-    ("depth", ([Rotation((5 ** 0.5 - 1) / 2), Flip()], _SEARCHED_ROTATION_FLIP),
+    ("depth", (_SEARCHED_ROTATION_FLIP, _SEARCHED_ROTATION_FLIP),
      DEFAULT_RESOLUTION.replaced(depth=3)),
-    ("budget", ([Rotation((5 ** 0.5 - 1) / 2), Flip()], _SEARCHED_ROTATION_FLIP),
+    ("budget", (_SEARCHED_ROTATION_FLIP, _SEARCHED_ROTATION_FLIP),
      DEFAULT_RESOLUTION.replaced(budget=5)),
-    ("exhausted", ([Rotation(0.25)], [NorthSouth(0.0, 2.0)]), DEFAULT_RESOLUTION),
+    ("exhausted", ([Rotation(0.25), _IDENTITY], [NorthSouth(0.0, 2.0)]), DEFAULT_RESOLUTION),
 ])
 def test_negative_orbit_verdicts_name_their_stop_reason(reason, systems, res):
     """The first system fails minimality and strong transitivity, the second
-    almost periodicity at 0.3, each for the given reason.  The first is
-    all rotations and flips, so its almost periodicity is certified whatever
-    the bounds."""
+    almost periodicity at 0.3, each for the given reason.  The rotations and
+    flips of the first alone are certified whatever the bounds: minimal
+    unless the rotation is a quarter turn, and almost periodic."""
     bound = {"depth": "depth=3", "budget": "budget=5",
              "exhausted": "ran out of new orbit points"}[reason]
     dense_family, closure_system = (IfsSystem(gens) for gens in systems)
@@ -409,7 +422,11 @@ def test_negative_orbit_verdicts_name_their_stop_reason(reason, systems, res):
         assert 1 <= v.witnesses["orbit_points"] <= res.budget
         assert bound in v.caveat
         assert v.caveat.endswith(_stopped_by(reason, res, orbit=True))
-    assert ap_certified(almost_periodic_verdict(dense_family, 0.3, res))
+    isometries = without_identity(dense_family)
+    assert ap_certified(almost_periodic_verdict(isometries, 0.3, res))
+    for v in (minimality_verdict(isometries, res), strong_transitivity_verdict(isometries, res)):
+        assert v.holds is (reason != "exhausted") and v.witnesses["certified"]
+        assert "stop_reason" not in v.witnesses
 
 
 @pytest.mark.parametrize("reason, gens, res", [
@@ -433,9 +450,15 @@ def test_negative_sensitivity_verdicts_name_their_stop_reason(reason, gens, res)
     assert v.caveat.endswith(_stopped_by(reason, res.replaced(budget=share)))
 
 
-def test_arc_search_rejects_a_merge_cell_its_keys_cannot_hold(rotation_flip):
+def test_arc_search_rejects_a_merge_cell_its_keys_cannot_hold(rotation_flip,
+                                                              searched_rotation_flip):
+    res = DEFAULT_RESOLUTION.replaced(eps=1e-10)
     with pytest.raises(ValueError, match="too fine"):
-        topological_transitivity_verdict(rotation_flip, DEFAULT_RESOLUTION.replaced(eps=1e-10))
+        next(_arc_search(rotation_flip, [0.0], [0.02], res.depth, res.budget, res.eps / 8.0))
+    with pytest.raises(ValueError, match="too fine"):
+        topological_transitivity_verdict(searched_rotation_flip, res)
+    # the certificate merges nothing
+    assert topological_transitivity_verdict(rotation_flip, res).witnesses["certified"]
 
 
 def test_witness_pipeline_not_applicable(golden_rotation):

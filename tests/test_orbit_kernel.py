@@ -20,6 +20,7 @@ import pathlib
 import numpy as np
 import pytest
 
+import ifs_lab.certify as certify
 import ifs_lab.detectors as detectors
 
 import orbit_oracle as oracle
@@ -291,7 +292,13 @@ RESOLUTIONS = [DEFAULT_RESOLUTION.replaced(net_size=30),
 
 
 @pytest.mark.parametrize("ifs", SYSTEMS, ids=IDS)
-def test_orbit_verdicts_equal_the_reference_verdicts(ifs):
+def test_orbit_verdicts_equal_the_reference_verdicts(ifs, monkeypatch):
+    """The reference searches minimality on every system, and certifies
+    almost periodicity on rotations and flips as the library does; the
+    library certifies their minimality too, so it is searched here with
+    that certificate off."""
+    for name in ("minimality", "strong_transitivity"):
+        monkeypatch.setattr(certify, name, lambda *args: None)
     for res in RESOLUTIONS:
         assert verdicts(ifs, res) == reference_verdicts(ifs, res)
 

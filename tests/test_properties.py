@@ -9,6 +9,7 @@ from ifs_lab import (GALLERY_NAMES, IfsSystem, NonInvertible, NorthSouth, Resolu
 from ifs_lab import detectors, smooth
 from ifs_lab.detectors import DEFAULT_RESOLUTION, NotApplicable
 from ifs_lab.properties import PROPERTIES, PROPERTY_NAMES, evaluate_property
+from conftest import PL_IDENTITY
 
 SMALL = Resolution(eps=0.02, r=0.02, depth=20, net_size=12, budget=4000)
 
@@ -77,8 +78,12 @@ def test_local_expanding_positive(doubling):
 
 
 def test_local_expanding_negative(golden_rotation, ns_alone):
-    # a rotation expands nowhere: the search sticks at the first net point
+    # a rotation expands nowhere, which its certificate states; so does the
+    # piecewise-linear identity, whose search sticks at the first net point
     v = local_expanding_verdict(golden_rotation, SMALL)
+    assert not v.holds and v.witnesses["certified"]
+    assert v.witnesses["stuck_point"] == 0.5 / SMALL.net_size
+    v = local_expanding_verdict(IfsSystem([PL_IDENTITY]), SMALL)
     assert not v.holds
     assert v.witnesses == {"stuck_point": 0.5 / SMALL.net_size, "stop_reason": "depth",
                            "words_examined": SMALL.depth + 1}

@@ -6,9 +6,9 @@ semigroup is a group, the inverse system generates the same one, and the
 orbit of x is x + Z/L, with -x + Z/L under a flip (Auslander, *Minimal
 Flows and Their Extensions*, 1988, ch. 2).  Every word is an isometry with
 |h'| = 1.  Each function returns the verdict these facts decide, by integer
-arithmetic on a dyadic grid, or None when some generator is not an
-isometry.  The verdict record lives here, so that this module imports no
-search.
+arithmetic on a dyadic grid, or None when some generator is neither a
+rotation nor a flip.  The verdict record lives here, so that this module
+imports no search.
 """
 
 from __future__ import annotations
@@ -119,8 +119,17 @@ def strong_transitivity(ifs: IfsSystem, res, net: Sequence[float]) -> Optional[V
                     "; the inverse system has the same orbits", orbit_direction="backward")
 
 
-def _arcs(name: str, keys: Tuple[str, str, str], failure: str, ifs: IfsSystem, res,
-          net: Sequence[float], fat: float) -> Optional[Verdict]:
+def _stuck_arc(name: str, center: float, missed: list) -> dict:
+    """A net arc's witness: its center, the first 16 centers its images miss
+    and their count, under `name`'s keys."""
+    keys = {"topological_transitivity": ("stuck_source_center", "unreached_target_centers",
+                                         "unreached_count"),
+            "s_transitivity": ("stuck_arc_center", "uncovered_centers", "uncovered_count")}[name]
+    return {keys[0]: center, keys[1]: missed[:16], keys[2]: len(missed)}
+
+
+def _arcs(name: str, failure: str, ifs: IfsSystem, res, net: Sequence[float],
+          fat: float) -> Optional[Verdict]:
     """Every net center within `fat` of an image of each radius-r net arc:
     those images are the radius-r arcs around the arc's center's orbit, so
     of that orbit within r + fat.  No point lies farther than 1/(2L) from
@@ -141,8 +150,7 @@ def _arcs(name: str, keys: Tuple[str, str, str], failure: str, ifs: IfsSystem, r
     for c, ac in zip(net, at):
         missed = [t for t, a in zip(net, at) if not near(a - ac) and not (flip and near(a + ac))]
         if missed:
-            return Verdict(name, False, res, {keys[0]: c, keys[1]: missed[:16],
-                                              keys[2]: len(missed), **_certificate(*group)},
+            return Verdict(name, False, res, {**_stuck_arc(name, c, missed), **_certificate(*group)},
                            f"{failure}: {caveat}")
     return Verdict(name, True, res, {"pairs_checked": len(net) ** 2, **_certificate(*group)},
                    caveat)
@@ -151,16 +159,13 @@ def _arcs(name: str, keys: Tuple[str, str, str], failure: str, ifs: IfsSystem, r
 def transitivity(ifs: IfsSystem, res, net: Sequence[float]) -> Optional[Verdict]:
     """Some image of each radius-r net arc meets each one."""
     return _arcs("topological_transitivity",
-                 ("stuck_source_center", "unreached_target_centers", "unreached_count"),
-                 "no image arc of the stuck source meets the listed targets", ifs, res, net,
-                 res.r)
+                 "no image arc of the stuck source meets the listed targets", ifs, res, net, res.r)
 
 
 def s_transitivity(ifs: IfsSystem, res, net: Sequence[float]) -> Optional[Verdict]:
     """Every net center lies within eps of some image of each radius-r net
     arc."""
-    return _arcs("s_transitivity", ("stuck_arc_center", "uncovered_centers", "uncovered_count"),
-                 "no eps-cover by image arcs", ifs, res, net, res.eps)
+    return _arcs("s_transitivity", "no eps-cover by image arcs", ifs, res, net, res.eps)
 
 
 def cofinite_sensitivity(ifs: IfsSystem, res, net: Sequence[float], delta: float,
@@ -221,21 +226,20 @@ def almost_periodic(ifs: IfsSystem, res, x: float) -> Optional[Verdict]:
     """Every orbit closure is one orbit of a compact group, hence minimal;
     a generator fixed point within eps/2 of it keeps its whole orbit within
     eps/2, so the search's augmented sample would hold too."""
-    if isometry_order(ifs) is None:
+    if (group := isometry_order(ifs)) is None:
         return None
     return Verdict(
-        "almost_periodic", True, res,
-        {"base_point": x, "certified": True, "certificate": {"kind": "isometries"}},
+        "almost_periodic", True, res, {"base_point": x, **_certificate(*group)},
         caveat="every generator is an isometry, so every orbit closure is minimal: " + _EXACT)
 
 
 def sensitivity(ifs: IfsSystem, res, witnesses: dict) -> Optional[Verdict]:
     """The verdict on the `witnesses` of a report whose balls all keep the
     empty word: no isometry separates a ball more, so delta_hat is exact."""
-    if isometry_order(ifs) is None:
+    if (group := isometry_order(ifs)) is None:
         return None
     return Verdict(
         "sensitivity", bool(witnesses["delta_hat"] >= res.eps), res,
-        {**witnesses, "certified": True, "certificate": {"kind": "isometries"}},
+        {**witnesses, **_certificate(*group)},
         caveat="every generator is an isometry, so no word separates a ball of radius r "
                "beyond r: delta_hat is exact, not search-bounded")

@@ -13,7 +13,6 @@ stdout (and into the report only with --timing).
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
@@ -296,7 +295,8 @@ def run_verify(name: str, res: Resolution, echo=print) -> int:
 # argument parsing
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    import argparse  # only a parse loads it: with gettext, a few ms to import
     parser = argparse.ArgumentParser(
         prog="ifs-lab",
         description="Analyze dynamical properties of circle-map iterated function systems.",

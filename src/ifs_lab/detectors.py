@@ -161,8 +161,7 @@ def _merge_cell(res: Resolution) -> float:
     # state it meets in each cell.  That can end a search early: a word that
     # moves a state by less than a cell lands in a seen cell and is dropped,
     # so a search can run out of fresh cells, `exhausted`, before its points
-    # are eps-dense (tests/data/random_4_33.json: two rotations compose to
-    # a turn of 0.000953, under the cell at eps = 0.02).
+    # are eps-dense.
     return res.eps / 8.0
 
 
@@ -834,6 +833,29 @@ def _stopped_by(reason: str, res: Resolution, orbit: bool = False) -> str:
             }[reason]
 
 
+def _covers(first_hit: np.ndarray):
+    """Each source's cover: the distinct nodes of its first hits (its row of
+    `first_hit`, -1 for a miss), ascending, so in visit order.  Returns all
+    the covers' nodes, source by source, and the size of each cover."""
+    ranked = np.sort(first_hit, axis=1)
+    lead = ranked >= 0
+    lead[:, 1:] &= ranked[:, 1:] != ranked[:, :-1]
+    return ranked[lead], np.count_nonzero(lead, axis=1)
+
+
+def _stuck_verdict(name: str, failure: str, images: ArcImages, j: int, centers, res,
+                   **extra) -> Verdict:
+    """The negative verdict of source j of `images`, whose first hits miss
+    some net center, naming the bound that stopped its search."""
+    reason = images.stop[j]
+    missed = [centers[i] for i in np.flatnonzero(images.first_hit[j] < 0).tolist()]
+    return Verdict(name, False, res,
+                   {**certify._stuck_arc(name, centers[images.first + j], missed), **extra,
+                    "stop_reason": reason, "depth_reached": int(images.depth_reached[j]),
+                    "words_examined": int(images.words[j])},
+                   caveat=f"{failure}: " + _stopped_by(reason, res))
+
+
 def topological_transitivity_verdict(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION) -> Verdict:
     """For every pair of radius-r net arcs U, V some word image of U meets V."""
     centers = system_net(ifs, res.net_size)
@@ -844,26 +866,14 @@ def topological_transitivity_verdict(ifs: IfsSystem, res: Resolution = DEFAULT_R
     for images in _arc_search(ifs, starts, lengths, res.depth, res.budget,
                               _merge_cell(res), centers, res.r):
         for j, hits in enumerate(images.first_hit):
-            cu = centers[images.first + j]
-            missed = np.flatnonzero(hits < 0)
-            if missed.size:
-                reason = images.stop[j]
-                return Verdict(
-                    "topological_transitivity", False, res,
-                    {"stuck_source_center": cu,
-                     "unreached_target_centers": [centers[i] for i in missed[:16]],
-                     "unreached_count": int(missed.size),
-                     "stop_reason": reason,
-                     "depth_reached": int(images.depth_reached[j]),
-                     "words_examined": int(images.words[j])},
-                    caveat="image arcs of the stuck source never met the listed "
-                           "targets: " + _stopped_by(reason, res),
-                )
+            if (hits < 0).any():
+                return _stuck_verdict("topological_transitivity", "image arcs of the stuck "
+                                      "source never met the listed targets", images, j, centers, res)
             # the target met last, the larger center on ties
             levels = images.level[hits]
             t = levels.size - 1 - int(np.argmax(levels[::-1]))
             if hardest is None or levels[t] > len(hardest["word"]):
-                hardest = {"source_center": cu, "target_center": centers[t],
+                hardest = {"source_center": centers[images.first + j], "target_center": centers[t],
                            "word": list(images.words_for([hits[t]])[0])}
         del images  # free this chunk before the next one is searched
     return Verdict(
@@ -886,30 +896,13 @@ def s_transitivity_verdict(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION)
     worst_len = 0
     for images in _arc_search(ifs, starts, lengths, res.depth, res.budget,
                               _merge_cell(res), centers, res.eps):
-        # per source, each image arc that first covered some center, in
-        # visit order: the first of each run of its sorted hits (a miss, -1,
-        # sorts first)
-        ranked = np.sort(images.first_hit, axis=1)
-        lead = ranked >= 0
-        lead[:, 1:] &= ranked[:, 1:] != ranked[:, :-1]
-        sizes = np.count_nonzero(lead, axis=1)
-        stuck = np.flatnonzero(ranked[:, 0] < 0)
+        nodes, sizes = _covers(images.first_hit)
+        stuck = np.flatnonzero((images.first_hit < 0).any(axis=1))
         if stuck.size:
             j = int(stuck[0])
-            missed = np.flatnonzero(images.first_hit[j] < 0)
-            reason = images.stop[j]
-            return Verdict(
-                "s_transitivity", False, res,
-                {"stuck_arc_center": centers[images.first + j],
-                 "uncovered_centers": [centers[i] for i in missed[:16]],
-                 "uncovered_count": int(missed.size),
-                 "partial_cover_size": int(sizes[j]),
-                 "stop_reason": reason,
-                 "depth_reached": int(images.depth_reached[j]),
-                 "words_examined": int(images.words[j])},
-                caveat="no eps-cover by image arcs: " + _stopped_by(reason, res),
-            )
-        words = iter(images.words_for(ranked[lead]))
+            return _stuck_verdict("s_transitivity", "no eps-cover by image arcs", images, j,
+                                  centers, res, partial_cover_size=int(sizes[j]))
+        words = iter(images.words_for(nodes))
         for j, size in enumerate(sizes.tolist()):
             covers[f"{centers[images.first + j]:.10f}"] = [
                 list(w) for w in itertools.islice(words, size)]
@@ -1329,7 +1322,8 @@ def cofinite_sensitivity_verdict(ifs: IfsSystem, delta: float,
     The rules, tried in order, are `greedy_diameter_rule()` and each
     `constant_rule`; every net arc follows them together, as
     `separation_times` follows one arc, for depth + window steps, which
-    may not exceed the budget."""
+    may not exceed the budget.  A chain stops at the end of its first full
+    window, which is then the last one it records."""
     delta, window = _coerced("delta", delta, 0.0), _coerced("window", window, 0)
     if window < 1:
         raise ValueError("window must be positive")
@@ -1351,9 +1345,9 @@ def cofinite_sensitivity_verdict(ifs: IfsSystem, delta: float,
         todo = np.flatnonzero(first_n < 0)
         if todo.size == 0:
             break
-        diams = _rule_paths(ifs, starts[todo], lengths[todo], None, horizon, omega)[1]
-        # the times N with every n in [N, N + window] separated (these rules
-        # never stop a chain, so the chains run all horizon steps)
+        diams = _rule_paths(ifs, starts[todo], lengths[todo], None, horizon,
+                            _until_full_window(omega, delta, window))[1]
+        # the times N with every n in [N, N + window] separated
         run = np.cumsum(np.pad(diams > delta, ((0, 0), (1, 0))), axis=1)
         full = run[:, window + 1:] - run[:, :diams.shape[1] - window] == window + 1
         ok = full.any(axis=1)
@@ -1373,6 +1367,23 @@ def cofinite_sensitivity_verdict(ifs: IfsSystem, delta: float,
          "hardest": worst, "horizon": horizon},
         caveat="cofiniteness beyond the checked window is extrapolated",
     )
+
+
+def _until_full_window(rule, delta: float, window: int):
+    """`rule`, a rule that maps the arcs itself, except that it stops a
+    chain (letter 0) once the chain's diameters have exceeded delta at
+    window + 1 times in a row.  Nothing else may stop a chain: the run
+    counts follow the live chains."""
+    run = None  # per live chain, its latest times in a row above delta
+
+    def stopping(ifs: IfsSystem, step: int, s, ln, c):
+        nonlocal run
+        run = np.zeros(s.size, dtype=np.int64) if step == 0 else run[run <= window]
+        run = np.where(np.minimum(ln, 0.5) > delta, run + 1, 0)
+        pick, *images = rule(ifs, step, s, ln, c)
+        return (np.where(run > window, 0, pick), *images)
+
+    return stopping
 
 
 # ---------------------------------------------------------------------------
@@ -1427,17 +1438,15 @@ def sensitivity_witness_from_nonminimality(ifs: IfsSystem,
     for images in _arc_search(ifs, starts, lengths, res.depth, cover_budget, cell,
                               net, res.eps):
         points = hard[images.first:images.first + len(images.first_hit)]
-        # each point's cover is the distinct nodes of its first hits; the
-        # chunk's covers are extended in one search, each arc as if alone
-        covers = [np.unique(hits[hits >= 0]) for hits in images.first_hit]
-        nodes = np.concatenate(covers)
+        # the chunk's covers are extended in one search, each arc as if alone
+        nodes, sizes = _covers(images.first_hit)
         words = images.words_for(nodes)
         ext = _bfs_best(ifs, images.starts[nodes], images.lengths[nodes],
                         [max(1, res.depth - len(w)) for w in words], ext_budget,
                         cell, stop_above=2.5 * delta_candidate)[1]
         pairs = iter(zip(words, ext))
-        candidates = [[w for T, e in itertools.islice(pairs, cover.size) for w in (T, T + e)]
-                      for cover in covers]
+        candidates = [[w for T, e in itertools.islice(pairs, size) for w in (T, T + e)]
+                      for size in sizes.tolist()]
         got = _most_separating(ifs, candidates, xs[points], r, [achieved[i] for i in points],
                                delta_candidate)
         for i, sep_word in zip(points, got):

@@ -42,8 +42,6 @@ class Generator:
     """Base class: a continuous self-map of the circle with a monotone lift."""
 
     invertible: bool = True
-    # Whether the map preserves circ_dist (a rotation or the flip).
-    isometry: bool = False
     # Degree of the lift: lift(t + 1) = lift(t) + degree.
     degree: int = 1
 
@@ -92,7 +90,6 @@ def _libm(f, x: np.ndarray, *args) -> np.ndarray:
 class Rotation(Generator):
     """x -> x + alpha (mod 1)."""
 
-    isometry = True
     alpha: float
 
     def __post_init__(self):
@@ -117,8 +114,6 @@ class Rotation(Generator):
 @dataclass(frozen=True, slots=True)
 class Flip(Generator):
     """The orientation-reversing involution x -> -x (mod 1)."""
-
-    isometry = True
 
     def lift(self, t: float) -> float:
         return -t
@@ -181,21 +176,6 @@ class NorthSouth(Generator):
         n = math.floor(tq + 0.5)
         return self.q + n + self._core(tq - n)
 
-    def lift_array(self, t: np.ndarray) -> np.ndarray:
-        """`lift` over an array on numpy's tan and arctan, with no branch:
-        one tan and one arctan over the whole array, each element's
-        argument picked by its branch of `_core`, so that every element
-        meets the same ufuncs on the same values as it would under a
-        boolean mask of its branch."""
-        tq = t - self.q
-        n = np.floor(tq + 0.5)
-        s = tq - n
-        inner = np.abs(s) <= 0.25
-        tan = np.tan(np.pi * np.where(inner, s, 0.5 - np.abs(s)))
-        core = np.arctan(np.where(inner, self.lam * tan, tan / self.lam)) / np.pi
-        u = 0.5 - core
-        return self.q + n + np.where(inner, core, np.where(s > 0, u, -u))
-
     def derivative(self, x: float) -> float:
         tq = x - self.q
         s = tq - math.floor(tq + 0.5)
@@ -205,33 +185,43 @@ class NorthSouth(Generator):
         Tp = math.tan(math.pi * (0.5 - abs(s))) ** 2
         return self.lam * (1.0 + Tp) / (self.lam * self.lam + Tp)
 
-    def derivative_array(self, x: np.ndarray) -> np.ndarray:
+    def _branches(self, x: np.ndarray, tan):
+        """n, s, `_core`'s inner-branch mask and each point's tangent (by
+        `tan`) of the argument its branch picks, with no branch taken: every
+        point meets the same operations on the same values as under a mask."""
         tq = x - self.q
-        s = tq - np.floor(tq + 0.5)
+        n = np.floor(tq + 0.5)
+        s = tq - n
         inner = np.abs(s) <= 0.25
-        T = np.tan(np.pi * np.where(inner, s, 0.5 - np.abs(s))) ** 2
+        return n, s, inner, tan(np.pi * np.where(inner, s, 0.5 - np.abs(s)))
+
+    def _lift_of(self, n, s, inner, tan, atan) -> np.ndarray:
+        core = atan(np.where(inner, self.lam * tan, tan / self.lam)) / np.pi
+        u = 0.5 - core
+        return self.q + n + np.where(inner, core, np.where(s > 0, u, -u))
+
+    def _derivative_of(self, inner, T) -> np.ndarray:
         lam2 = self.lam * self.lam
         return np.where(inner, self.lam * (1.0 + T) / (1.0 + lam2 * T),
                         self.lam * (1.0 + T) / (lam2 + T))
+
+    def lift_array(self, t: np.ndarray) -> np.ndarray:
+        """`lift` over an array on numpy's tan and arctan."""
+        return self._lift_of(*self._branches(t, np.tan), np.arctan)
+
+    def derivative_array(self, x: np.ndarray) -> np.ndarray:
+        _, _, inner, tan = self._branches(x, np.tan)
+        return self._derivative_of(inner, tan ** 2)
 
     def eval_and_derivative_array(self, x: np.ndarray):
         # numpy's SIMD tan and arctan may differ from libm's in the last bit,
         # so the scalar methods' libm calls run element by element; lift and
         # derivative share the one tan per point, and the square is libm's
         # pow, as Python's ** takes it
-        tq = x - self.q
-        n = np.floor(tq + 0.5)
-        s = tq - n
-        inner = np.abs(s) <= 0.25
-        tan = _libm(math.tan, np.pi * np.where(inner, s, 0.5 - np.abs(s)))
-        T = _libm(math.pow, tan, itertools.repeat(2.0))
-        lam2 = self.lam * self.lam
-        deriv = np.where(inner, self.lam * (1.0 + T) / (1.0 + lam2 * T),
-                         self.lam * (1.0 + T) / (lam2 + T))
-        core = _libm(math.atan, np.where(inner, self.lam * tan, tan / self.lam)) / np.pi
-        u = 0.5 - core
-        core = np.where(inner, core, np.where(s > 0, u, -u))
-        return normalize_array(self.q + n + core), deriv
+        n, s, inner, tan = self._branches(x, lambda v: _libm(math.tan, v))
+        deriv = self._derivative_of(inner, _libm(math.pow, tan, itertools.repeat(2.0)))
+        lift = self._lift_of(n, s, inner, tan, lambda v: _libm(math.atan, v))
+        return normalize_array(lift), deriv
 
     def inverse(self) -> "NorthSouth":
         # Swapping the roles of the two fixed points inverts the map exactly.

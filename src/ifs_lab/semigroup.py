@@ -14,8 +14,8 @@ from typing import Iterable, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .circle import CirclePoint, as_value, normalize, normalize_array
-from .generators import (_FP_TOL, _FP_XS, Generator, NonInvertible, _fixes_every_point,
-                         _lift_fixed_values, fixed_points)
+from .generators import (_FP_TOL, _FP_XS, Flip, Generator, NonInvertible, Rotation,
+                         _fixes_every_point, _lift_fixed_values, fixed_points)
 from .symbolic import Word, enumerate_words, validate_word
 
 
@@ -41,7 +41,7 @@ class IfsSystem:
     def all_isometries(self) -> bool:
         """Whether every generator is a rotation or the flip, so that every
         word preserves circ_dist."""
-        return all(g.isometry for g in self.generators)
+        return all(isinstance(g, (Rotation, Flip)) for g in self.generators)
 
     def generator(self, letter: int) -> Generator:
         if not 1 <= letter <= self.k:
@@ -71,21 +71,10 @@ class IfsSystem:
 
     def apply_inverse_word(self, w: Word, x: float) -> float:
         """Apply the inverse of the word map: inverse letters in reverse order."""
-        inv = self.inverse_system()
-        v = normalize(x)
-        for letter in reversed(w):
-            v = inv.generators[letter - 1].eval(v)
-        return v
+        return self.inverse_system().apply_word(w[::-1], x)
 
     def word_lift(self, w: Word):
-        gens = [self.generators[letter - 1] for letter in w]
-
-        def lifted(t: float) -> float:
-            for g in gens:
-                t = g.lift(t)
-            return t
-
-        return lifted
+        return _composed([self.generators[letter - 1].lift for letter in w])
 
     def __repr__(self):
         return f"IfsSystem({list(self.generators)!r})"
@@ -126,15 +115,15 @@ def _word_values(ifs: IfsSystem, letters: np.ndarray, x: np.ndarray):
     return v, d
 
 
-def _word_lift_array(ifs: IfsSystem, w: Word):
-    gens = [ifs.generators[letter - 1] for letter in w]
+def _composed(maps):
+    """The composition of `maps`, the first applied first."""
 
-    def lifted(t: np.ndarray) -> np.ndarray:
-        for g in gens:
-            t = g.lift_array(t)
+    def composed(t):
+        for f in maps:
+            t = f(t)
         return t
 
-    return lifted
+    return composed
 
 
 def periodic_points(ifs: IfsSystem, max_len: int) -> List[Tuple[CirclePoint, Word]]:
@@ -171,7 +160,8 @@ def periodic_points(ifs: IfsSystem, max_len: int) -> List[Tuple[CirclePoint, Wor
             w, at = prefix + (letter,), k * index + letter
             lifted = g.lift_array(grid)
             if prefix or _fixes_every_point(lifted):
-                values = _lift_fixed_values(_word_lift_array(ifs, w), lifted, 512)[0]
+                values = _lift_fixed_values(
+                    _composed([ifs.generators[a - 1].lift_array for a in w]), lifted, 512)[0]
             else:
                 values = roots[letter]
             for v in values:

@@ -12,6 +12,7 @@ rotations and flips is not searched.  `searched_almost_periodic_verdict`
 runs the search on any system.
 """
 
+from fractions import Fraction
 from typing import Tuple
 
 import numpy as np
@@ -188,12 +189,18 @@ def strong_transitivity_verdict(ifs: IfsSystem, res: Resolution) -> Verdict:
 
 def almost_periodic_verdict(ifs: IfsSystem, x, res: Resolution) -> Verdict:
     """The verdict `almost_periodic_verdict` reports: on a system of
-    rotations and flips, the isometry certificate with no search; on any
-    other system, `searched_almost_periodic_verdict`."""
+    rotations and flips, the isometry certificate with no search, which
+    names the order of the group (the largest denominator of the dyadic
+    angles) and whether a flip is in it; on any other system,
+    `searched_almost_periodic_verdict`."""
     if all(isinstance(g, (Rotation, Flip)) for g in ifs.generators):
+        order = max((Fraction(g.alpha).denominator for g in ifs.generators
+                     if isinstance(g, Rotation)), default=1)
+        flip = any(isinstance(g, Flip) for g in ifs.generators)
         return Verdict(
             "almost_periodic", True, res,
-            {"base_point": as_value(x), "certified": True, "certificate": {"kind": "isometries"}},
+            {"base_point": as_value(x), "certified": True,
+             "certificate": {"kind": "isometries", "order": order, "flip": flip}},
             caveat="every generator is an isometry, so every orbit closure is minimal: "
                    "the verdict is exact, not search-bounded",
         )

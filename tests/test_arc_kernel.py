@@ -27,13 +27,13 @@ from arc_oracle import (TargetSet, arc_search, array_map, greedy_chain, greedy_k
                         map_arc_raw, steered_candidate)
 from ifs_lab import (Arc, CirclePoint, Expanding, Flip, GALLERY_NAMES, IfsSystem, NorthSouth,
                      PiecewiseLinear, Rotation, build_example, cofinite_sensitivity_verdict,
-                     constant_rule, greedy_diameter_rule,
+                     constant_rule, greedy_diameter_rule, minimality_verdict,
                      s_transitivity_verdict, sensitivity_witness_from_nonminimality,
                      separation_times, topological_transitivity_verdict)
 from ifs_lab.cli import load_system_file
-from ifs_lab.detectors import (_arc_keys, _arc_search, _bfs_best, _dominance_keep, _expand,
-                               _greedy_chains, _prior_max, _repeller_steering_data,
-                               _stable_argsort, _steered_candidates, _target_cells,
+from ifs_lab.detectors import (_arc_keys, _arc_search, _bfs_best, _covers, _dominance_keep,
+                               _expand, _greedy_chains, _net_arcs, _prior_max,
+                               _repeller_steering_data, _rule_paths, _stable_argsort, _steered_candidates, _target_cells,
                                _targets_below, sensitivity_estimate, system_net,
                                DEFAULT_RESOLUTION, Resolution)
 from ifs_lab.generators import map_arcs
@@ -374,6 +374,79 @@ def test_batched_cofinite_sensitivity_matches_the_rule_api(ifs):
             assert v.witnesses["hardest"] == expected
         else:
             assert v.witnesses["stuck_arc_center"] == expected
+
+
+def first_full_windows(diams, delta, window):
+    """Per chain, the first time N with every n in [N, N + window] above
+    delta (-1 if none)."""
+    above = np.cumsum(np.pad(diams > delta, ((0, 0), (1, 0))), axis=1)
+    full = above[:, window + 1:] - above[:, :diams.shape[1] - window] == window + 1
+    return np.where(full.any(axis=1), full.argmax(axis=1), -1)
+
+
+def test_a_cofinite_chain_stops_at_the_end_of_its_first_full_window():
+    """Each arc's first full window under a rule that stops the chain there
+    equals the scan over the rule's full horizon; its diameters up to that
+    window's end are the same bits, and none is recorded after it.  An arc
+    that never separates runs the whole horizon."""
+    res = DEFAULT_RESOLUTION.replaced(net_size=24, depth=40)
+    found = Counter()
+    for ifs in SYSTEMS + seeded_systems(3, 10):
+        starts, lengths = _net_arcs(system_net(ifs, res.net_size), res.r)
+        for rule in [greedy_diameter_rule()] + [constant_rule(i) for i in range(1, ifs.k + 1)]:
+            for delta, window in ((0.05, 10), (0.3, 20)):
+                horizon = res.depth + window
+                full = _rule_paths(ifs, starts, lengths, None, horizon, rule)[1]
+                stopped = _rule_paths(ifs, starts, lengths, None, horizon,
+                                      detectors._until_full_window(rule, delta, window))[1]
+                n = first_full_windows(full, delta, window)
+                assert (first_full_windows(stopped, delta, window) == n).all()
+                ends = np.where(n >= 0, n + window, horizon)
+                assert stopped.shape[1] == ends.max() + 1
+                for i, end in enumerate(ends.tolist()):
+                    assert stopped[i, :end + 1].tobytes() == full[i, :end + 1].tobytes()
+                    assert (stopped[i, end + 1:] == -1.0).all()
+                found.update(n >= 0)
+    assert found[True] and found[False]
+
+
+def test_cofinite_sensitivity_on_thm34_holds_each_chain_to_its_first_full_window(monkeypatch):
+    """At depth 99900 every net arc of thm34 separates for a full window
+    within 122 steps, so no chain runs the 100000-step horizon."""
+    widths = []
+
+    def recording(*args, **kwargs):
+        letters, diams = _rule_paths(*args, **kwargs)
+        widths.append(diams.shape[1])
+        return letters, diams
+
+    monkeypatch.setattr(detectors, "_rule_paths", recording)
+    ifs = build_example("thm34_ns_rotation").system
+    v = cofinite_sensitivity_verdict(ifs, 0.2, DEFAULT_RESOLUTION.replaced(depth=99900), 100)
+    assert v.holds and v.witnesses == {
+        "delta": 0.2, "window": 100, "max_N": 22, "horizon": 100000,
+        "hardest": {"arc_center": 0.225, "rule": "greedy_diameter", "N": 22}}
+    assert widths and max(widths) <= 22 + 100 + 2
+
+
+def test_a_cover_is_the_distinct_first_hits_of_its_source():
+    """`_covers` on the first hits of seeded chunks with misses, and on
+    random ones, equals each source's `np.unique` of its hits."""
+    tables = []
+    for ifs in seeded_systems(5, 10):
+        net = system_net(ifs, 24)
+        starts, lengths = _net_arcs(net, R)
+        tables += [images.first_hit for images in _arc_search(
+            ifs, starts, lengths, 4, 200, CELL, np.array(net), EPS)]
+    rng = np.random.default_rng(11)
+    tables += [np.where(rng.random((n, 30)) < 0.3, -1, rng.integers(0, 40, (n, 30)))
+               for n in rng.integers(1, 9, 20).tolist()]
+    assert sum(int((hits < 0).sum()) for hits in tables[:-20]) > 0
+    for hits in tables:
+        nodes, sizes = _covers(hits)
+        covers = [np.unique(row[row >= 0]) for row in hits]
+        assert sizes.tolist() == [c.size for c in covers]
+        assert nodes.tolist() == np.concatenate(covers).tolist()
 
 
 def random_arc_sets(rng, count):
@@ -752,8 +825,9 @@ def test_the_isometry_certificate_reports_what_the_search_finds_up_to_rounding()
     empty = rounded = 0
     for ifs, res in cases:
         report, verdict = sensitivity_estimate(ifs, res)
-        assert verdict.witnesses["certified"] and verdict.witnesses["certificate"] == {
-            "kind": "isometries"}
+        # the one certificate format, that of every certified verdict
+        assert verdict.witnesses["certified"] and verdict.witnesses["certificate"] == (
+            minimality_verdict(ifs, res).witnesses["certificate"])
         for e, (_, d, w, _) in zip(report.per_point, strategy_oracle.searched_table(ifs, res)):
             assert (e["strategy"], e["best_word"], e["diameter_capped"]) == ("isometry", [], False)
             assert e["image_diameter"].hex() == (2.0 * e["r"]).hex()

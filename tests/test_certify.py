@@ -175,6 +175,14 @@ def test_small_order_searches_reach_their_certificates(name, monkeypatch):
             for res in RESOLUTIONS for detector in _SEARCHED.values()] == certified
 
 
+@pytest.mark.parametrize("name", SMALL_ORDER)
+def test_sensitivity_and_almost_periodicity_write_the_one_certificate(name):
+    ifs = IfsSystem(SMALL_ORDER[name])
+    cert = detectors.minimality_verdict(ifs, RANDOM).witnesses["certificate"]
+    assert detectors.sensitivity_estimate(ifs, RANDOM)[1].witnesses["certificate"] == cert
+    assert detectors.almost_periodic_verdict(ifs, 0.3, RANDOM).witnesses["certificate"] == cert
+
+
 def test_the_order_reads_each_float_angle_exactly():
     # 0.142126 is 71063 / 500000 in decimal, and a dyadic rational as a float
     order, flip = certify.isometry_order(IfsSystem([Rotation(0.142126), Flip()]))

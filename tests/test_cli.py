@@ -175,6 +175,17 @@ def run_cli(args, timeout):
                           text=True, timeout=timeout, env=env, cwd=REPO)
 
 
+def test_importing_the_cli_leaves_argparse_to_the_parse():
+    path = filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    probe = "import sys, ifs_lab.cli; print('argparse' in sys.modules, 'gettext' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         timeout=60, env=env, cwd=REPO)
+    assert out.stdout.split() == ["False", "False"]
+    verify = run_cli(["verify", "--gallery", "rotation_flip", "--net", "12"], 60)
+    assert verify.returncode == EXIT_OK and "PASS" in verify.stdout
+
+
 @pytest.mark.parametrize("flag", ["--window", "--depth"])
 def test_a_cofinite_horizon_above_the_budget_exits_2_naming_the_fields(flag):
     # each net arc's chains would grow toward depth + window steps

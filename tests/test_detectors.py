@@ -13,10 +13,12 @@ from ifs_lab import (Arc, CirclePoint, Expanding, Flip, IfsSystem, NonInvertible
                      sensitivity_witness_from_nonminimality,
                      separation_times, strong_transitivity_verdict,
                      topological_transitivity_verdict)
+from ifs_lab import certify
 from ifs_lab.cli import load_system_file
 from ifs_lab.detectors import (DEFAULT_RESOLUTION, _arc_search, _radius_ladder, _rule_paths,
                                _stopped_by, max_cyclic_gap)
-from ifs_lab.generators import map_arcs
+from ifs_lab.generators import Generator, map_arcs
+from ifs_lab.properties import PROPERTY_NAMES, evaluate_property
 from ifs_lab.semigroup import orbit_cloud
 
 DEEP = DEFAULT_RESOLUTION.replaced(depth=200)
@@ -155,6 +157,15 @@ def test_sensitivity_isometries_fail(rotation_flip):
         assert entry["separation"] <= 2 * entry["r"] + 1e-12
 
 
+def isometry_certificate(witnesses) -> bool:
+    """Whether the witnesses carry the one isometry certificate that every
+    certified verdict writes: the group's order and whether a flip is in it."""
+    cert = witnesses["certificate"]
+    return (witnesses["certified"] is True and set(cert) == {"kind", "order", "flip"}
+            and cert["kind"] == "isometries" and type(cert["order"]) is int
+            and cert["order"] >= 1 and type(cert["flip"]) is bool)
+
+
 def certified(report, verdict):
     """Whether sensitivity was certified by the isometry certificate; every
     ball then reports the empty word, and none otherwise."""
@@ -175,8 +186,7 @@ def certified(report, verdict):
     assert report.strategy_notes == {"isometry": len(report.per_point)}
     assert all(e["best_word"] == [] and e["image_diameter"] == 2.0 * e["r"]
                and not e["diameter_capped"] for e in report.per_point)
-    assert verdict.witnesses["certified"] is True
-    assert verdict.witnesses["certificate"] == {"kind": "isometries"}
+    assert isometry_certificate(verdict.witnesses)
     assert "exact, not search-bounded" in verdict.caveat
     return True
 
@@ -189,8 +199,8 @@ def ap_certified(verdict):
         assert "exact, not search-bounded" not in verdict.caveat
         return False
     assert verdict.holds is True
-    assert verdict.witnesses == {"base_point": verdict.witnesses["base_point"],
-                                 "certified": True, "certificate": {"kind": "isometries"}}
+    assert set(verdict.witnesses) == {"base_point", "certified", "certificate"}
+    assert isometry_certificate(verdict.witnesses)
     assert verdict.caveat.startswith("every generator is an isometry, so every orbit "
                                      "closure is minimal")
     assert verdict.caveat.endswith("exact, not search-bounded")
@@ -221,7 +231,46 @@ def test_any_other_generator_type_is_searched(other):
         assert not ifs.all_isometries
         assert not certified(*sensitivity_estimate(ifs))
         assert not ap_certified(almost_periodic_verdict(ifs, 0.3))
-    assert Rotation(0.3).isometry and Flip().isometry and not other.isometry
+    # the test is by type: a rotation or a flip is an isometry, nothing else
+    assert IfsSystem([Rotation(0.3), Flip()]).all_isometries
+    assert not isinstance(other, (Rotation, Flip))
+
+
+class Reflection(Generator):
+    """x -> c - x: an isometry, but neither a rotation nor the flip.  Its
+    `isometry = True` marks nothing: the isometry test goes by type."""
+
+    isometry = True
+    degree = -1
+
+    def __init__(self, c):
+        self.c = c
+
+    def lift(self, t):
+        return self.c - t
+
+    lift_array = lift
+
+    def derivative(self, x):
+        return -1.0
+
+    def derivative_array(self, x):
+        return np.full(len(x), -1.0)
+
+    def inverse(self):
+        return self
+
+
+@pytest.mark.parametrize("generators", [
+    [Reflection(0.2)], [Rotation(0.3), Reflection(0.2)], [Reflection(0.2), Flip()],
+], ids=["reflection", "rotation_and_reflection", "reflection_and_flip"])
+def test_an_isometry_of_another_type_is_searched_by_every_property(generators):
+    ifs = IfsSystem(generators)
+    res = Resolution(net_size=12, depth=8, budget=400, eps=0.05, r=0.05)
+    for prop in PROPERTY_NAMES:
+        out = evaluate_property(ifs, prop, res, {"x": 0.3})
+        assert "certified" not in out["witnesses"], prop
+    assert not ifs.all_isometries and certify.isometry_order(ifs) is None
 
 
 def test_a_rounding_word_no_longer_moves_a_certified_delta_hat():
@@ -373,7 +422,7 @@ _SEARCHED_ROTATION_FLIP = [Rotation((5 ** 0.5 - 1) / 2), Flip(), _IDENTITY]
 
 def without_identity(ifs):
     """The system's rotations and flips alone, whose verdicts are certified."""
-    return IfsSystem([g for g in ifs.generators if g.isometry])
+    return IfsSystem([g for g in ifs.generators if isinstance(g, (Rotation, Flip))])
 
 
 @pytest.mark.parametrize("reason, system, res", [

@@ -16,7 +16,7 @@ import fixed_point_oracle as oracle
 from ifs_lab import (Expanding, Flip, GALLERY_NAMES, IfsSystem, NorthSouth, PiecewiseLinear,
                      Rotation, build_example, fixed_points, periodic_points)
 from ifs_lab.generators import _FP_XS, _lift_fixed_values
-from ifs_lab.semigroup import _word_lift_array
+from ifs_lab.semigroup import _composed
 from test_arc_kernel import random_systems as seeded_systems
 
 
@@ -140,7 +140,9 @@ def test_identity_maps_are_sampled():
     values, identity = _lift_fixed_values(*grid_lifted(Rotation(0.0).lift_array), 16)
     assert identity and values == [(i + 0.5) / 16 for i in range(16)]
     ifs = build_example("rotation_flip").system
-    new = _lift_fixed_values(*grid_lifted(_word_lift_array(ifs, (2, 2))), 64)
+    # the word (2, 2)'s array lift: the one composition helper over lift_array
+    flip = ifs.generator(2).lift_array
+    new = _lift_fixed_values(*grid_lifted(_composed([flip, flip])), 64)
     assert new == oracle.lift_fixed_values(ifs.word_lift((2, 2)), 64)
     assert new[1] is True
 

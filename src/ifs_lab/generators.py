@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -398,37 +399,69 @@ _FP_XS.setflags(write=False)
 _FP_TOL = 1e-12
 
 
-def _fixes_every_point(grid_lift: np.ndarray) -> bool:
-    """Whether the lift whose values on the root grid `_FP_XS` are
-    `grid_lift` stays within _FP_TOL of one branch x + m: the map fixes
-    every point."""
+def _uniform_samples(count: int) -> list:
+    """The samples of a map fixing every point: the midpoints of `count` equal cells."""
+    return [(i + 0.5) / count for i in range(count)]
+
+
+# A lift's root-finder setup: the brackets `_bisect` takes (each (cell, branch)
+# crossing, with phi - branch at its left end), the grid roots, and phi(1).
+_Crossings = namedtuple("_Crossings", "cell branch fa grid_roots phi_end")
+
+
+def _crossings(grid_lift: np.ndarray):
+    """The root finder's setup from `grid_lift` = lift(_FP_XS): every grid root
+    and every (cell, branch) crossing, listed at once; None if the lift stays
+    within _FP_TOL of one branch x + m, so that the map fixes every point."""
     phi = grid_lift - _FP_XS
     # _FP_TOL < 1/2, so only the branch nearest phi(0) can be within it
-    return bool(np.abs(phi - round(float(phi[0]))).max() <= _FP_TOL)
+    if np.abs(phi - round(float(phi[0]))).max() <= _FP_TOL:
+        return None
+    if np.floor(phi.max()) < phi.min():  # no integer in [min phi, max phi]: only x = 1 is left
+        return _Crossings(np.arange(0), phi[:0], phi[:0], phi[:0], float(phi[-1]))
+    floor = np.floor(phi)
+    # a grid point lying on its branch m = phi[i] is a root as it stands
+    on_grid = np.flatnonzero(phi[:-1] == floor[:-1])
+    # a branch m strictly between phi[i] and phi[i + 1] needs their floors
+    # to differ; every such branch, cell by cell
+    cell = np.flatnonzero(floor[:-1] != floor[1:])
+    a, b = phi[cell], phi[cell + 1]
+    first = np.floor(np.minimum(a, b)) + 1.0
+    count = np.maximum(np.ceil(np.maximum(a, b)) - first, 0.0).astype(np.int64)
+    at = np.repeat(np.arange(cell.size), count)
+    m = first[at] + (np.arange(at.size) - (np.cumsum(count) - count)[at])
+    cell = cell[at]
+    fa = phi[cell] - m
+    cross = fa * (phi[cell + 1] - m) < 0.0
+    return _Crossings(cell[cross], m[cross], fa[cross], _FP_XS[on_grid], float(phi[-1]))
 
 
-def _lift_fixed_values(lift_array, grid_lift: np.ndarray, identity_samples: int):
-    """Roots in [0, 1) of lift(x) - x - m over all integer branches m.
+def _bisect(lift_array, cell: np.ndarray, branch: np.ndarray, fa: np.ndarray) -> np.ndarray:
+    """The root in each crossing's grid cell, all bisected in one loop:
+    `lift_array` lifts the midpoint of row i by the lift of crossing i."""
+    ra, rb = _FP_XS[cell], _FP_XS[cell + 1]
+    # each bracket halves from the cell width 1/_FP_GRID, so all reach the
+    # tolerance on one step; an exact zero closes its bracket on itself
+    width = 1.0 / _FP_GRID
+    while cell.size and width > _FP_TOL * 0.5:
+        mid = 0.5 * (ra + rb)
+        fm = lift_array(mid) - mid - branch
+        left = fa * fm < 0.0
+        rb = np.where(left | (fm == 0.0), mid, rb)
+        ra = np.where(left, ra, mid)
+        fa = np.where(left, fa, fm)
+        width *= 0.5
+    return 0.5 * (ra + rb)
 
-    One array pass: lift(x) - x on the _FP_GRID cells of the root grid
-    `_FP_XS`, whose lift `grid_lift` (`lift_array(_FP_XS)`) the caller
-    gives, every (cell, branch) crossing listed at once, and all crossings
-    bisected together.  Returns (values, identity) where identity=True means
-    the map fixes every point up to _FP_TOL; in that case `values` is a
-    uniform sample of `identity_samples` points.
-    """
-    phi = grid_lift - _FP_XS
-    if _fixes_every_point(grid_lift):
-        return [(i + 0.5) / identity_samples for i in range(identity_samples)], True
-    # with no integer in [min phi, max phi] there is no crossing and no root
-    # on the grid, and only x = 1 is left to test
-    roots, branches = (_crossing_roots(lift_array, phi) if np.floor(phi.max()) >= phi.min()
-                       else (_FP_XS[:0], _FP_XS[:0]))
-    # x = 1 is a root if phi(1) is within _FP_TOL/2 of its nearest branch k,
-    # unless a root of a branch up to k already lies within 4 * _FP_TOL of 1
-    k = round(float(phi[-1]))
-    if abs(phi[-1] - k) <= _FP_TOL * 0.5 and not np.any(
-            (np.abs(roots - 1.0) <= 4 * _FP_TOL) & (branches <= k)):
+
+def _roots(c: _Crossings, bisected: np.ndarray) -> list:
+    """One lift's roots in [0, 1), ascending, from its setup and bisected crossings."""
+    roots = np.concatenate([c.grid_roots, bisected])
+    # x = 1 is a root if phi(1) is within _FP_TOL/2 of its nearest branch k, unless
+    # a bisected root of a branch up to k lies within 4 * _FP_TOL of 1 (no grid root can)
+    k = round(c.phi_end)
+    if abs(c.phi_end - k) <= _FP_TOL * 0.5 and not np.any(
+            (np.abs(bisected - 1.0) <= 4 * _FP_TOL) & (c.branch <= k)):
         roots = np.append(roots, 1.0)
     # roots within 1e-11 of each other, around the circle too, are one
     out = []
@@ -437,39 +470,18 @@ def _lift_fixed_values(lift_array, grid_lift: np.ndarray, identity_samples: int)
             out.append(r)
     if len(out) > 1 and (1.0 - out[-1] + out[0]) <= 1e-11:
         out.pop()
-    return out, False
+    return out
 
 
-def _crossing_roots(lift_array, phi: np.ndarray):
-    """The roots of `_lift_fixed_values` on the grid and in its cells, with
-    their branches: each grid point on a branch, and each (cell, branch)
-    crossing, bisected."""
-    n, xs = _FP_GRID, _FP_XS
-    a, b = phi[:-1], phi[1:]
-    # a grid point lying on its branch m = phi[i] is a root as it stands
-    on_grid = np.flatnonzero(a == np.floor(a))
-    # every branch m strictly between phi[i] and phi[i + 1], cell by cell
-    first = np.floor(np.minimum(a, b)) + 1.0
-    count = np.maximum(np.ceil(np.maximum(a, b)) - first, 0.0).astype(np.int64)
-    cell = np.repeat(np.arange(n), count)
-    m = np.repeat(first, count) + (np.arange(cell.size) - np.repeat(np.cumsum(count) - count, count))
-    fa = phi[cell] - m
-    cross = fa * (phi[cell + 1] - m) < 0.0
-    cell, m, fa = cell[cross], m[cross], fa[cross]
-    branches = np.concatenate([a[on_grid], m])
-    ra, rb = xs[cell], xs[cell + 1]
-    # each bracket halves from the cell width 1/_FP_GRID, so all reach the
-    # tolerance on one step; an exact zero closes its bracket on itself
-    width = 1.0 / n
-    while cell.size and width > _FP_TOL * 0.5:
-        mid = 0.5 * (ra + rb)
-        fm = lift_array(mid) - mid - m
-        left = fa * fm < 0.0
-        rb = np.where(left | (fm == 0.0), mid, rb)
-        ra = np.where(left, ra, mid)
-        fa = np.where(left, fa, fm)
-        width *= 0.5
-    return np.concatenate([xs[on_grid], 0.5 * (ra + rb)]), branches
+def _lift_fixed_values(lift_array, grid_lift: np.ndarray, identity_samples: int):
+    """Roots in [0, 1) of lift(x) - x - m over all integer branches m, from
+    `grid_lift` = `lift_array(_FP_XS)`: the one-lift case of the kernel that
+    `periodic_points` runs on many words at once.  Returns (values, identity);
+    a map fixing every point up to _FP_TOL gives `identity_samples` samples."""
+    c = _crossings(grid_lift)
+    if c is None:
+        return _uniform_samples(identity_samples), True
+    return _roots(c, _bisect(lift_array, *c[:3])), False
 
 
 def _one_sided_multipliers(g: Generator, x: float) -> tuple:

@@ -8,14 +8,15 @@ cell.
 
 from __future__ import annotations
 
+import math
 from itertools import islice
 from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .circle import CirclePoint, as_value, normalize, normalize_array
-from .generators import (_FP_TOL, _FP_XS, Flip, Generator, NonInvertible, Rotation,
-                         _fixes_every_point, _lift_fixed_values, fixed_points)
+from .generators import (_FP_GRID, _FP_TOL, _FP_XS, Flip, Generator, NonInvertible, Rotation,
+                         _bisect, _crossings, _roots, _uniform_samples, fixed_points)
 from .symbolic import Word, enumerate_words, validate_word
 
 
@@ -126,50 +127,65 @@ def _composed(maps):
     return composed
 
 
+# The most crossing rows times word letters one batch of `periodic_points`
+# bisects: 16 root grids' worth keeps a batch's brackets to a few MB.
+_BATCH_LIFTS = 16 * _FP_GRID
+
+
 def periodic_points(ifs: IfsSystem, max_len: int) -> List[Tuple[CirclePoint, Word]]:
-    """Fixed points of every word map of length 1..max_len.
+    """Fixed points of every word map of length 1..max_len, one per 1e-12
+    cell with its first word in `enumerate_words` order (the shortest);
+    identity words give 512 uniform samples, once, for the first of them.
 
-    Words whose composed lift is the identity fix the whole circle; they
-    contribute a uniform sample of 512 points.  Points are deduplicated on
-    a 1e-12 grid, keeping the first witness word in `enumerate_words` order
-    (the shortest).
-
-    Words share their prefixes' lifts of the root grid: a depth-first walk
-    of the word tree lifts each word's grid from its prefix's by the last
-    letter alone, and holds the grids of at most (k - 1) * max_len + 1 words
-    still to be extended.  Each longer word's roots are still bisected on
-    its own; a generator's own are read from the system's table
-    (`IfsSystem.generator_fixed_points`), found once per system.  A word is
-    known during the walk by its index in `enumerate_words` order (a child
-    of the word at index i by letter a is at k * i + a), so that only the
-    first witness of each point is held, not every word.
-    """
+    A depth-first walk lifts each word's root grid from its prefix's by the
+    last letter, holding at most (k - 1) * max_len + 1 grids.  Longer words'
+    crossings are queued and bisected together (`_bisect_words`) whenever
+    the queue's crossings times word lengths would pass `_BATCH_LIFTS`, and
+    at the end; a generator's roots come from `IfsSystem.generator_fixed_points`.
+    A word is known by its index in `enumerate_words` order (a child of the
+    word at index i by letter a is at k * i + a), so only the first witness
+    of a point is held."""
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     k = ifs.k
-    # the table's roots per letter; for a map fixing every point it holds
-    # 16 samples, not 512, so that map is solved as a word
+    witness = {}  # per 1e-12 cell: the index and value of its first witness
+
+    def record(at, values):
+        for v in values:
+            key = round(v / _FP_TOL)
+            if key not in witness or at < witness[key][0]:
+                witness[key] = (at, v)
+
+    # the table's roots per letter; a map fixing every point is an identity word
     roots = [[] for _ in range(k + 1)]
     for letter, rec in ifs.generator_fixed_points():
         roots[letter].append(rec.location.value)
-    witness = {}  # per 1e-12 cell: the index and value of its first witness
+    identity = math.inf  # the least index of a word fixing every point
+    queue, work = [], 0  # words (index, letters, crossings) to bisect; rows x letters
     todo = [((), 0, _FP_XS)]  # words to extend: the word, its index, its grid lift
     while todo:
         prefix, index, grid = todo.pop()
         for letter, g in enumerate(ifs.generators, 1):
             w, at = prefix + (letter,), k * index + letter
             lifted = g.lift_array(grid)
-            if prefix or _fixes_every_point(lifted):
-                values = _lift_fixed_values(
-                    _composed([ifs.generators[a - 1].lift_array for a in w]), lifted, 512)[0]
+            c = _crossings(lifted)
+            if c is None:
+                identity = min(identity, at)
+            elif not prefix:
+                record(at, roots[letter])
+            elif c.cell.size:
+                if work + c.cell.size * len(w) > _BATCH_LIFTS:
+                    _bisect_words(ifs, queue, record)
+                    queue, work = [], 0
+                queue.append((at, w, c))
+                work += c.cell.size * len(w)
             else:
-                values = roots[letter]
-            for v in values:
-                key = round(v / _FP_TOL)
-                if key not in witness or at < witness[key][0]:
-                    witness[key] = (at, v)
+                record(at, _roots(c, c.fa))  # no crossing: c.fa is empty
             if len(w) < max_len:
                 todo.append((w, at, lifted))
+    _bisect_words(ifs, queue, record)
+    if identity < math.inf:
+        record(identity, _uniform_samples(512))
     by_index = {}
     for at, v in witness.values():
         by_index.setdefault(at, []).append(v)
@@ -178,6 +194,29 @@ def periodic_points(ifs: IfsSystem, max_len: int) -> List[Tuple[CirclePoint, Wor
     found = sorted(((v, w) for at, w in words for v in by_index.get(at, ())),
                    key=lambda e: e[0])
     return [(CirclePoint(v), w) for v, w in found]
+
+
+def _bisect_words(ifs: IfsSystem, queue, record) -> None:
+    """Bisect the queued (index, word, crossings) in one loop, each midpoint
+    lifted through its own word as in `_word_values`, and `record` the roots."""
+    if not queue:
+        return
+    width = max(len(w) for _, w, _ in queue)
+    letters = np.array([w + (0,) * (width - len(w)) for _, w, _ in queue])
+    sizes = [c.cell.size for _, _, c in queue]
+    # the crossing rows of the words with each letter at each position
+    steps = [(g, rows) for column in letters.T for letter, g in enumerate(ifs.generators, 1)
+             if (rows := np.flatnonzero(np.repeat(column == letter, sizes))).size]
+
+    def lift_rows(t):
+        t = t.copy()
+        for g, rows in steps:
+            t[rows] = g.lift_array(t[rows])
+        return t
+
+    bisected = _bisect(lift_rows, *map(np.concatenate, zip(*(c[:3] for _, _, c in queue))))
+    for (at, _, c), part in zip(queue, np.split(bisected, np.cumsum(sizes)[:-1])):
+        record(at, _roots(c, part))
 
 
 # ---------------------------------------------------------------------------

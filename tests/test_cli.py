@@ -196,6 +196,19 @@ def test_a_cofinite_horizon_above_the_budget_exits_2_naming_the_fields(flag):
     assert all(field in proc.stderr for field in ("+ window", "budget (100000)"))
 
 
+def test_dense_periodic_on_a_long_one_letter_tree_is_not_quadratic(tmp_path):
+    """Each word g**n has the two fixed points of g; bisecting every word's
+    crossings in shared batches keeps max_len 200 well inside the timeout."""
+    src, out = tmp_path / "ns.json", tmp_path / "report.json"
+    src.write_text(json.dumps({"generators": [{"type": "north_south", "q": 0.1, "lambda": 2.0}]}))
+    proc = run_cli(["analyze", "--system", str(src), "--props", "dense_periodic",
+                    "--max-len", "200", "--out", str(out)], timeout=5)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    found = json.loads(out.read_text())["properties"]["dense_periodic"]["witnesses"]
+    # the repeller 0.1 and the attractor 0.6, the first witnessed by g itself
+    assert (found["count"], found["max_gap"], found["example_words"]) == (2, 0.5, [[1]])
+
+
 def without_resolution(doc):
     if isinstance(doc, dict):
         return {k: without_resolution(v) for k, v in doc.items() if k != "resolution"}

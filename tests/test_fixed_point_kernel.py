@@ -5,14 +5,19 @@ are compared through their reprs, which print every float exactly), on the
 gallery, on linear coverings up to degree 256, on seeded random generators
 of all five types and on the edge cases of the grid scan: identity maps,
 roots on grid points, the x = 1 endpoint and a semistable hinge.  Periodic
-points, whose words share their prefixes' grid lifts, must equal the
-reference's word-by-word solve on the gallery and on seeded random systems.
+points, whose words share their prefixes' grid lifts and whose crossings
+are bisected in batches across words, must equal the reference's
+word-by-word solve on the gallery and on seeded random systems, however the
+words fall into batches.
 """
+
+import functools
 
 import numpy as np
 import pytest
 
 import fixed_point_oracle as oracle
+import ifs_lab.semigroup as semigroup
 from ifs_lab import (Expanding, Flip, GALLERY_NAMES, IfsSystem, NorthSouth, PiecewiseLinear,
                      Rotation, build_example, fixed_points, periodic_points)
 from ifs_lab.generators import _FP_XS, _lift_fixed_values
@@ -147,20 +152,73 @@ def test_identity_maps_are_sampled():
     assert new[1] is True
 
 
+@functools.lru_cache(maxsize=None)
+def reference_points(name, max_len):
+    """A gallery system, or the seeded system `random<i>`, and the repr of
+    the reference's periodic points of it."""
+    ifs = (seeded_systems()[int(name[6:])] if name.startswith("random")
+           else build_example(name).system)
+    return ifs, repr(oracle.periodic_points(ifs, max_len))
+
+
 @pytest.mark.parametrize("name", GALLERY_NAMES)
 def test_periodic_points_match_reference(name):
     # rotation_flip has identity words of lengths 2 and 4 (flip.flip,
     # (rotation.flip)^2, ...): the 512-sample path, and the first word per
     # key among words of two lengths
     max_len = 4 if name == "rotation_flip" else 3
-    ifs = build_example(name).system
-    assert repr(periodic_points(ifs, max_len)) == repr(oracle.periodic_points(ifs, max_len))
+    ifs, want = reference_points(name, max_len)
+    assert repr(periodic_points(ifs, max_len)) == want
 
 
 @pytest.mark.parametrize("index", range(6), ids=[f"random{i}" for i in range(6)])
 def test_periodic_points_of_random_systems_match_reference(index):
-    ifs = seeded_systems()[index]
-    assert repr(periodic_points(ifs, 3)) == repr(oracle.periodic_points(ifs, 3))
+    ifs, want = reference_points(f"random{index}", 3)
+    assert repr(periodic_points(ifs, 3)) == want
+
+
+@pytest.mark.parametrize("name", [*GALLERY_NAMES, *(f"random{i}" for i in range(6))])
+def test_periodic_points_bisected_word_by_word_match_reference(name, monkeypatch):
+    """With the batch bound at its least, each word's crossings are
+    bisected in a batch of their own."""
+    monkeypatch.setattr(semigroup, "_BATCH_LIFTS", 0)
+    ifs, want = reference_points(name, 3)
+    assert repr(periodic_points(ifs, 3)) == want
+
+
+def test_periodic_points_bisect_all_words_in_one_loop(monkeypatch):
+    """On thm34 at max_len 4 every word's crossings fit one batch, so each
+    halving lifts the brackets once per (position, letter): at most
+    29 * 4 * 4 lift calls besides one grid lift per word, not 29 per letter
+    of every word with a crossing."""
+    ifs = build_example("thm34_ns_rotation").system
+    want = reference_points("thm34_ns_rotation", 4)[1]
+    ifs.generator_fixed_points()
+    sizes = []
+    for kind in {type(g) for g in ifs.generators}:
+        def counted(self, t, lift_array=kind.lift_array):
+            sizes.append(np.size(t))
+            return lift_array(self, t)
+
+        monkeypatch.setattr(kind, "lift_array", counted)
+    got = repr(periodic_points(ifs, 4))
+    monkeypatch.undo()
+    assert got == want
+    grid = sizes.count(_FP_XS.size)
+    assert grid == 4 + 4 ** 2 + 4 ** 3 + 4 ** 4
+    assert 0 < len(sizes) - grid <= 29 * 4 * 4
+
+
+@pytest.mark.parametrize("ifs, max_len, word", [
+    (build_example("rotation_flip").system, 4, (2, 2)),
+    # every even-length word is the identity
+    (IfsSystem([Rotation(0.5)]), 6, (1, 1)),
+], ids=["rotation_flip", "half_turn"])
+def test_identity_words_are_sampled_once_for_the_least_index(ifs, max_len, word):
+    pts = periodic_points(ifs, max_len)
+    assert repr(pts) == repr(oracle.periodic_points(ifs, max_len))
+    samples = [(i + 0.5) / 512 for i in range(512)]
+    assert [p.value for p, w in pts if w == word] == samples
 
 
 def test_an_identity_generator_gives_512_periodic_samples():

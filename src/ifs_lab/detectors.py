@@ -319,7 +319,10 @@ def _target_ranges(s, ln, targets, below, fat):
     """Per arc, the (sorted) targets within `fat` of it: the index ranges
     [a, b) and [0, c), the second non-empty only where the arc wraps past 1."""
     span = ln + 2.0 * fat
-    lo = (s - fat) % 1.0
+    # d - floor(d) is d % 1.0 bitwise, with no fmod: for d >= 0 both are exact;
+    # for d < 0 both round the one real frac(d) + 1; at integers both give +0.0
+    d = s - fat
+    lo = d - np.floor(d)
     hi = lo + span
     full = span >= 1.0
     wrap = ~full & (hi > 1.0)
@@ -784,16 +787,17 @@ def almost_periodic_verdict(ifs: IfsSystem, x, res: Resolution = DEFAULT_RESOLUT
 def dense_periodic_verdict(ifs: IfsSystem, max_len: int,
                            res: Resolution = DEFAULT_RESOLUTION) -> Verdict:
     """The fixed points of the words of length 1..max_len must leave no
-    cyclic gap above 2 eps.  Every such word is solved, so their number
-    k + k**2 + ... + k**max_len may not exceed the budget."""
+    cyclic gap above 2 eps.  Every such word is solved on each of its |degree|
+    branches, so their number b + b**2 + ... + b**max_len, b the sum of the
+    generators' |degree| (k when each is 1), may not exceed the budget."""
     max_len = _coerced("max_len", max_len, 0)
-    words, level = 0, 1
+    b, branches, level = sum(abs(g.degree) for g in ifs.generators), 0, 1
     for _ in range(max_len):
-        level *= ifs.k
-        words += level
-        if words > res.budget:
-            raise ValueError(f"max_len {max_len}: the words of length up to {max_len} "
-                             f"over {ifs.k} letters exceed the budget ({res.budget})")
+        level *= b
+        branches += level
+        if branches > res.budget:
+            raise ValueError(f"max_len {max_len}: the branches of the words of length up to "
+                             f"{max_len} over {ifs.k} letters exceed the budget ({res.budget})")
     pts = periodic_points(ifs, max_len)
     gap = max_cyclic_gap([p.value for p, _ in pts])[0]
     witnesses = {"count": len(pts), "max_gap": gap, "max_word_length": max_len,

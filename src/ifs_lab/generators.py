@@ -305,7 +305,9 @@ class PiecewiseLinear(Generator):
         s = x - np.floor(x)
         i = np.clip(np.searchsorted(self._xs, s, side="right") - 1, 0, len(self._slopes) - 1)
         out = np.asarray(self._slopes)[i]
-        out[np.isin(s, self._xs)] = np.nan
+        # s in [0, 1] (1.0 from a tiny negative x) is a knot only at an end of its bracket
+        xs = np.asarray(self._xs)
+        out[(xs[i] == s) | (xs[i + 1] == s)] = np.nan
         return out
 
     def inverse(self) -> "PiecewiseLinear":

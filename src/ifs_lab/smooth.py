@@ -151,21 +151,23 @@ def local_expanding_verdict(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION
 # evaluated words hold at budget - 1 a point, then in chunks that double up
 # to about _CHUNK_NODES evaluated words (`_chunks`).  A word anchors a
 # piece at x when it expands on [x - _EXTENT, x + _EXTENT]; the piece grows
-# to at most _CAP on either side.
+# to at most _CAP on either side, _EXTENT doubled _DOUBLINGS times.
 _FIRST_POINTS = 1
 _EXTENT = 1.0 / 512.0
 _CAP = 0.25
+_DOUBLINGS = 7
 _GROW_SAMPLES = 17
 _SIGMA_SAMPLES = 257
 
 
 def _holds(ifs: IfsSystem, letters: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per row, whether its word expands at all _GROW_SAMPLES points of
-    np.linspace(a, b).  Row by row, np.linspace over arrays matches the
-    scalar calls bitwise while no row has a == b; here b - a >= _EXTENT."""
-    t = normalize_array(np.linspace(a, b, _GROW_SAMPLES, axis=1))
-    d = _word_images(ifs, letters, t)[1]
-    return (np.abs(d) > 1.0 + _MARGIN).all(axis=1)
+    """Per row j of the 2-d b and row i of letters, whether word i expands at
+    all _GROW_SAMPLES points of np.linspace(a[i], b[j, i]), in one pass.  Row
+    by row, np.linspace over arrays matches the scalar calls bitwise while no
+    row has a == b; here |b - a| >= _EXTENT."""
+    t = normalize_array(np.linspace(np.tile(a, b.shape[0]), b.ravel(), _GROW_SAMPLES, axis=1))
+    d = _word_images(ifs, np.tile(letters, (b.shape[0], 1)), t)[1]
+    return (np.abs(d) > 1.0 + _MARGIN).all(axis=1).reshape(b.shape)
 
 
 def _first_words(ifs: IfsSystem, xs: np.ndarray, res: Resolution):
@@ -209,8 +211,7 @@ def _first_words(ifs: IfsSystem, xs: np.ndarray, res: Resolution):
         most = max(1, _CHUNK_NODES // (2 * _GROW_SAMPLES * live.size))
         while (at := np.flatnonzero((rank >= lo) & (rank < lo + size) & ~done[point])).size:
             x, words = xs[live[point[at]]], _level_words(index[at], k, length)
-            ok = _holds(ifs, np.tile(words, (2, 1)), np.tile(x, 2),
-                        np.r_[x - _EXTENT, x + _EXTENT]).reshape(2, -1).all(axis=0)
+            ok = _holds(ifs, words, x, x + np.array([[-_EXTENT], [_EXTENT]])).all(axis=0)
             # each point's first candidate that holds: `at` ascends by point, then rank
             got = np.flatnonzero(ok)
             owner = point[at[got]]
@@ -238,20 +239,27 @@ def _level_words(index: np.ndarray, k: int, length: int) -> np.ndarray:
 def _extents(ifs: IfsSystem, letters: np.ndarray, x: np.ndarray, sign: np.ndarray) -> np.ndarray:
     """Per row, the largest extent t <= _CAP such that its word expands on the
     samples from x to x + sign * t: _EXTENT doubled while that holds, then 20
-    bisection steps.  Below _CAP, t is a power of two, so 2 t <= _CAP."""
-    t = np.full(x.size, _EXTENT)
-    grow = np.arange(x.size)
-    while grow.size:
-        ok = _holds(ifs, letters[grow], x[grow], x[grow] + sign[grow] * (2.0 * t[grow]))
-        t[grow[ok]] *= 2.0
-        grow = grow[ok][t[grow[ok]] < _CAP]
-    part = np.flatnonzero(t < _CAP)
-    lo, hi = t[part], 2.0 * t[part]
-    for _ in range(20):
-        mid = 0.5 * (lo + hi)
-        ok = _holds(ifs, letters[part], x[part], x[part] + sign[part] * mid)
-        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
-    t[part] = lo
+    bisection steps, each t the float that one step a pass would reach.  Rows
+    run in blocks whose passes hold at most _CHUNK_NODES samples: one pass
+    tests every doubling, then each pass tests a midpoint and both midpoints
+    that may follow it.  Below _CAP, t is a power of two, so 2 t <= _CAP."""
+    t = np.empty(x.size)
+    block = max(1, _CHUNK_NODES // (_GROW_SAMPLES * _DOUBLINGS))
+    grown = _EXTENT * 2.0 ** np.arange(1, _DOUBLINGS + 1)[:, None]
+    for at in range(0, x.size, block):
+        w, a, s, tb = (v[at:at + block] for v in (letters, x, sign, t))  # tb is a view of t
+        tb[:] = _EXTENT * 2.0 ** np.logical_and.accumulate(_holds(ifs, w, a, a + s * grown)).sum(0)
+        part = np.flatnonzero(tb < _CAP)
+        w, a, s, lo = w[part], a[part], s[part], tb[part]
+        hi = 2.0 * lo
+        for _ in range(10 if part.size else 0):
+            mid = 0.5 * (lo + hi)
+            below, above = 0.5 * (lo + mid), 0.5 * (mid + hi)
+            ok = _holds(ifs, w, a, a + s * np.stack([mid, below, above]))
+            lo, hi = np.where(ok[0], mid, lo), np.where(ok[0], hi, mid)
+            nxt, held = np.where(ok[0], above, below), np.where(ok[0], ok[2], ok[1])
+            lo, hi = np.where(held, nxt, lo), np.where(held, hi, nxt)
+        tb[part] = lo
     return t
 
 
@@ -328,7 +336,8 @@ def lebesgue_number(cover: Sequence[Arc]) -> float:
     # 1,024 net points at a time against every arc, so memory stays flat
     for lo in range(0, net, 1024):
         x = (np.arange(lo, min(lo + 1024, net)) + 0.5) / net
-        dl = (x[:, None] - starts) % 1.0
+        d = x[:, None] - starts
+        dl = d - np.floor(d)  # d % 1.0 bitwise (`detectors._target_ranges`)
         slack = np.where(dl <= lengths, np.minimum(dl, lengths - dl), -1.0).max(axis=1)
         if (slack < 0.0).any():
             x0 = float(x[np.argmax(slack < 0.0)])

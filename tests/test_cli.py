@@ -3,6 +3,7 @@ import json
 import math
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 import time
@@ -166,13 +167,13 @@ def test_resolution_counts_beyond_int64_exit_2_naming_the_field(tmp_path, capsys
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
 
-def run_cli(args, timeout):
+def run_cli(args, timeout, **popen):
     """`python -m ifs_lab` on args in a child process, killed (raising
     subprocess.TimeoutExpired) if it runs past timeout seconds."""
     path = filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     return subprocess.run([sys.executable, "-m", "ifs_lab", *args], capture_output=True,
-                          text=True, timeout=timeout, env=env, cwd=REPO)
+                          text=True, timeout=timeout, env=env, cwd=REPO, **popen)
 
 
 def test_importing_the_cli_leaves_argparse_to_the_parse():
@@ -207,6 +208,23 @@ def test_dense_periodic_on_a_long_one_letter_tree_is_not_quadratic(tmp_path):
     found = json.loads(out.read_text())["properties"]["dense_periodic"]["witnesses"]
     # the repeller 0.1 and the attractor 0.6, the first witnessed by g itself
     assert (found["count"], found["max_gap"], found["example_words"]) == (2, 0.5, [[1]])
+
+
+def test_dense_periodic_on_a_huge_degree_exits_2_before_seeking_a_root(tmp_path):
+    """The budget counts each word's branches: Expanding(65536) has 65,536 of
+    length 1 and 2**32 more of length 2, whose brackets alone would take tens
+    of GB, so the child may map no more than 1 GB."""
+    src = tmp_path / "huge.json"
+    src.write_text(json.dumps({"generators": [{"type": "expanding", "m": 65536}]}))
+
+    def at_most_1_gb():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = run_cli(["analyze", "--system", str(src), "--props", "dense_periodic",
+                    "--max-len", "2"], timeout=5, preexec_fn=at_most_1_gb)
+    assert proc.returncode == EXIT_MALFORMED, proc.stderr
+    assert proc.stderr.startswith("error: max_len 2: the branches ")
+    assert proc.stderr.rstrip().endswith("exceed the budget (100000)")
 
 
 def without_resolution(doc):

@@ -20,7 +20,7 @@ from ifs_lab import (Expanding, Flip, GALLERY_NAMES, IfsSystem, NorthSouth, NotD
                      PiecewiseLinear, Resolution, Rotation, build_example, local_expanding_cover,
                      local_expanding_verdict, word_derivative)
 from ifs_lab.circle import normalize_array
-from ifs_lab.detectors import DEFAULT_RESOLUTION, _stopped_by, uniform_net
+from ifs_lab.detectors import DEFAULT_RESOLUTION, _letter_rows, _stopped_by, uniform_net
 from ifs_lab.semigroup import _word_values
 from ifs_lab.smooth import NotACover, NotLocallyExpanding
 from conftest import PL_IDENTITY
@@ -160,6 +160,80 @@ def test_cover_matches_the_reference_on_one_generator():
     cases = [(IfsSystem([g]), res) for g in (Expanding(2), NorthSouth(0.2, 3.0), Rotation(0.1))
              for res in (BENCH_RES, Resolution(net_size=16, depth=1), DEFAULT_RESOLUTION)]
     assert check_all(cases) == {"cover", "depth"}
+
+
+# -- the batched extents against the scalar growth ----------------------------
+
+def anchored(ifs, res):
+    """The (word, net point) rows of ifs whose net point has a word."""
+    rows = []
+    for x in uniform_net(res.net_size):
+        try:
+            rows.append((smooth._first_words(ifs, np.array([x]), res)[0][0], x))
+        except NotLocallyExpanding:
+            pass
+    return rows
+
+
+def extents(ifs, rows):
+    """`_extents` on every row, left sides first, as `local_expanding_cover`
+    runs it; and the rows' sides."""
+    words, x = zip(*rows)
+    sides = np.repeat([-1.0, 1.0], len(x))
+    return smooth._extents(ifs, np.tile(_letter_rows(ifs, words), (2, 1)), np.tile(x, 2),
+                           sides), sides
+
+
+def test_extents_match_the_scalar_growth_row_by_row(monkeypatch):
+    """Every row's extent equals `cover_oracle.grow_extent`'s bitwise, in
+    one block, in blocks of five rows and one row a block; the rows stop at
+    every doubling (0 to 6 of them, then bisect) or reach _CAP (7), on both
+    sides."""
+    res = BENCH_RES.replaced(net_size=24)
+    systems = [build_example(name).system for name in GALLERY_NAMES] + random_systems(0, 20)
+    cases = [(ifs, rows) for ifs in systems if (rows := anchored(ifs, res))]
+    # slope above 1 on [0.2, 0.4] but for a dip 2e-6 wide at 0.3 + 9/4096,
+    # which only the first doubling's samples (1/4096 apart) meet: the right
+    # side of 0.3 fails that doubling and holds at the next four
+    a, b = 0.3 + 9 / 4096 - 1e-6, 0.3 + 9 / 4096 + 1e-6
+    dip = PiecewiseLinear(((0.0, 0.0), (0.2, 0.15), (a, 0.15 + 2 * (a - 0.2)),
+                           (b, 0.15 + 2 * (a - 0.2) + 1e-6), (0.4, 0.5), (1.0, 1.0)))
+    cases.append((IfsSystem([dip]), [((1,), 0.3)]))
+    want = [[oracle.grow_extent(ifs, w, x, side).hex() for side in (-1.0, 1.0) for w, x in rows]
+            for ifs, rows in cases]
+    seen = set()
+    for nodes in (smooth._CHUNK_NODES, 5 * smooth._GROW_SAMPLES * smooth._DOUBLINGS, 1):
+        monkeypatch.setattr(smooth, "_CHUNK_NODES", nodes)
+        for (ifs, rows), expected in zip(cases, want):
+            got, sides = extents(ifs, rows)
+            assert [t.hex() for t in got.tolist()] == expected, (ifs, nodes)
+            doublings = np.floor(np.log2(got / smooth._EXTENT)).astype(int)
+            seen |= set(zip(doublings.tolist(), sides.tolist()))
+    assert seen == {(j, side) for j in range(smooth._DOUBLINGS + 1) for side in (-1.0, 1.0)}
+
+
+@pytest.mark.parametrize("nodes, blocks", [(None, 2), (40 * 17 * 7, 5)])
+def test_extents_take_one_doubling_pass_and_ten_bisection_passes_a_block(monkeypatch, nodes,
+                                                                        blocks):
+    # the default net's 200 (point, side) rows take two blocks of at most
+    # _CHUNK_NODES // (17 * 7) = 137 rows; blocks of 40 take five
+    if nodes is not None:
+        monkeypatch.setattr(smooth, "_CHUNK_NODES", nodes)
+    holds, shapes = smooth._holds, []
+
+    def counted(ifs, letters, a, b):
+        shapes.append(b.shape)
+        return holds(ifs, letters, a, b)
+
+    monkeypatch.setattr(smooth, "_holds", counted)
+    ifs = build_example("thm34_ns_rotation").system
+    local_expanding_cover(ifs, DEFAULT_RESOLUTION)
+    # each pass's (extents a row, rows), but `_first_words`' passes of two sides
+    grown = [shape for shape in shapes if shape[0] != 2]
+    block = smooth._CHUNK_NODES // (smooth._GROW_SAMPLES * smooth._DOUBLINGS)
+    assert [tried for tried, _ in grown] == ([smooth._DOUBLINGS] + [3] * 10) * blocks
+    assert [rows for _, rows in grown[::11]] == [min(block, 200 - at) for at in range(0, 200, block)]
+    assert max(tried * rows for tried, rows in grown) * smooth._GROW_SAMPLES <= smooth._CHUNK_NODES
 
 
 # -- bounds and reports ------------------------------------------------------

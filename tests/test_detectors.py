@@ -76,6 +76,17 @@ def test_resolution_counts_fit_an_int64(field):
     assert getattr(Resolution(**{field: 2 ** 63 - 1}), field) == 2 ** 63 - 1
 
 
+def test_reducing_by_the_floor_gives_the_remainder_bitwise():
+    # `_target_ranges` and `lebesgue_number` reduce mod 1 as d - floor(d): exact
+    # for d >= 0, one rounding of frac(d) + 1 for d < 0, +0.0 at integers
+    one = np.array([1.0, -1.0])
+    d = np.r_[0.0, -0.0, 2.0 ** -60, -2.0 ** -60, -1.0, np.arange(-5.0, 6.0), 2.0 ** 53,
+              -2.0 ** 53, np.nextafter(one, 0.0), np.nextafter(one, 3.0), np.nextafter(one, -3.0),
+              np.random.default_rng(7).normal(size=10 ** 5)]
+    assert (d - np.floor(d)).tobytes() == (d % 1.0).tobytes()
+    assert (d - np.floor(d))[:4].tobytes() == np.array([0.0, 0.0, 2.0 ** -60, 1.0]).tobytes()
+
+
 def test_radius_ladder_descends_past_r():
     ladder = _radius_ladder(0.01)
     assert ladder[0] == pytest.approx(0.1)

@@ -163,6 +163,27 @@ def test_piecewise_breakpoint_reports_one_sided_slopes():
     assert exc.value.right == pytest.approx(1.2)
 
 
+@pytest.mark.parametrize("g", [H1, REVERSING, PiecewiseLinear(
+    ((0.0, 0.1), (0.125, 0.3), (0.25, 0.35), (0.7, 0.9), (1.0, 1.1)))], ids=lambda g: repr(g)[:30])
+def test_piecewise_derivative_array_finds_the_corners_the_knot_set_does(g):
+    # corners come from the searchsorted bracket; the reference marks every s
+    # in the knot set, as the array method did before
+    knots = np.array(g._xs)
+    x = np.r_[knots, knots + 1.0, knots - 3.0, np.nextafter(knots, -1.0), np.nextafter(knots, 2.0),
+              -1e-20, -0.0, 0.0, np.nan, np.random.default_rng(4).uniform(-2.0, 2.0, 1000)]
+    s = x - np.floor(x)
+    want = np.asarray(g._slopes)[np.clip(np.searchsorted(knots, s, side="right") - 1, 0,
+                                         len(g._slopes) - 1)]
+    want[np.isin(s, knots)] = np.nan
+    got = g.derivative_array(x)
+    assert got.tobytes() == want.tobytes()
+    # every knot is a corner, as are s = 1.0 from x = -1e-20 and s = 0.0 from
+    # -0.0; NaN reads as the last slope
+    n = 5 * knots.size
+    assert np.isnan(got[:knots.size]).all() and np.isnan(got[n:n + 3]).all()
+    assert got[n + 3] == g._slopes[-1]
+
+
 def test_piecewise_validation():
     with pytest.raises(ValueError):
         PiecewiseLinear(((0.1, 0.0), (1.0, 1.0)))        # must start at x=0

@@ -3,8 +3,8 @@ periodic points, repelling fixed points and local expansion."""
 
 import pytest
 
-from ifs_lab import (GALLERY_NAMES, IfsSystem, NonInvertible, NorthSouth, Resolution,
-                     Rotation, build_example, circ_dist, dense_periodic_verdict,
+from ifs_lab import (GALLERY_NAMES, Expanding, IfsSystem, NonInvertible, NorthSouth,
+                     Resolution, Rotation, build_example, circ_dist, dense_periodic_verdict,
                      local_expanding_verdict, repelling_fixed_point_verdict)
 from ifs_lab import detectors, smooth
 from ifs_lab.detectors import DEFAULT_RESOLUTION, NotApplicable
@@ -46,6 +46,18 @@ def test_dense_periodic_word_count_is_bounded_by_the_budget(rotation_flip, golde
         dense_periodic_verdict(ifs, 40)
     with pytest.raises(ValueError, match=r"^max_len 1000000000: "):
         dense_periodic_verdict(golden_rotation, 10 ** 9)
+
+
+def test_dense_periodic_budget_counts_every_branch_of_a_word():
+    # a word with j letters Expanding(3) has 3**j branches, so the words of
+    # length 1 and 2 over Expanding(3) and a rotation have 4 + 4**2 = 20
+    ifs = IfsSystem([Expanding(3), Rotation(0.1)])
+    assert dense_periodic_verdict(ifs, 2, SMALL.replaced(budget=20)).witnesses["count"] > 0
+    with pytest.raises(ValueError, match=r"^max_len 2: the branches .* budget \(19\)$"):
+        dense_periodic_verdict(ifs, 2, SMALL.replaced(budget=19))
+    # 65,536 branches of length 1, then 2**32 more, refused before any root is sought
+    with pytest.raises(ValueError, match=r"^max_len 2: "):
+        dense_periodic_verdict(IfsSystem([Expanding(65536)]), 2)
 
 
 def test_repelling_fixed_point_positive(doubling):

@@ -154,17 +154,18 @@ def local_expanding_verdict(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION
 # to at most _CAP on either side, _EXTENT doubled _DOUBLINGS times.
 _FIRST_POINTS = 1
 _EXTENT = 1.0 / 512.0
-_CAP = 0.25
 _DOUBLINGS = 7
+_CAP = _EXTENT * 2.0 ** _DOUBLINGS
+_HALVINGS = 2  # levels of midpoints a pass at most: three or more were no faster
+_PASS_SAMPLES = 1 << 12  # below this many samples a pass costs mostly per-call overhead
 _GROW_SAMPLES = 17
 _SIGMA_SAMPLES = 257
 
 
 def _holds(ifs: IfsSystem, letters: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per row j of the 2-d b and row i of letters, whether word i expands at
-    all _GROW_SAMPLES points of np.linspace(a[i], b[j, i]), in one pass.  Row
-    by row, np.linspace over arrays matches the scalar calls bitwise while no
-    row has a == b; here |b - a| >= _EXTENT."""
+    """Per extent j and row i, whether word i expands at all _GROW_SAMPLES
+    points of np.linspace(a[i], b[j, i]), in one pass: row by row bitwise the
+    scalar calls', while no row has a == b (here |b - a| >= _EXTENT)."""
     t = normalize_array(np.linspace(np.tile(a, b.shape[0]), b.ravel(), _GROW_SAMPLES, axis=1))
     d = _word_images(ifs, np.tile(letters, (b.shape[0], 1)), t)[1]
     return (np.abs(d) > 1.0 + _MARGIN).all(axis=1).reshape(b.shape)
@@ -239,27 +240,33 @@ def _level_words(index: np.ndarray, k: int, length: int) -> np.ndarray:
 def _extents(ifs: IfsSystem, letters: np.ndarray, x: np.ndarray, sign: np.ndarray) -> np.ndarray:
     """Per row, the largest extent t <= _CAP such that its word expands on the
     samples from x to x + sign * t: _EXTENT doubled while that holds, then 20
-    bisection steps, each t the float that one step a pass would reach.  Rows
-    run in blocks whose passes hold at most _CHUNK_NODES samples: one pass
-    tests every doubling, then each pass tests a midpoint and both midpoints
-    that may follow it.  Below _CAP, t is a power of two, so 2 t <= _CAP."""
-    t = np.empty(x.size)
-    block = max(1, _CHUNK_NODES // (_GROW_SAMPLES * _DOUBLINGS))
-    grown = _EXTENT * 2.0 ** np.arange(1, _DOUBLINGS + 1)[:, None]
+    bisection steps, each t the float one step a pass would reach.  Blocks of
+    rows hold at most _CHUNK_NODES samples; a pass tests the next doublings or
+    levels of midpoints 0.5 * (lo + hi) that _PASS_SAMPLES samples hold, then
+    reads each row's path.  Below _CAP, t is a power of two."""
+    t = np.full(x.size, _EXTENT)
+    block = max(1, _CHUNK_NODES // _GROW_SAMPLES)
+    room = max(1, min(_PASS_SAMPLES, _CHUNK_NODES) // _GROW_SAMPLES)
     for at in range(0, x.size, block):
-        w, a, s, tb = (v[at:at + block] for v in (letters, x, sign, t))  # tb is a view of t
-        tb[:] = _EXTENT * 2.0 ** np.logical_and.accumulate(_holds(ifs, w, a, a + s * grown)).sum(0)
-        part = np.flatnonzero(tb < _CAP)
-        w, a, s, lo = w[part], a[part], s[part], tb[part]
-        hi = 2.0 * lo
-        for _ in range(10 if part.size else 0):
-            mid = 0.5 * (lo + hi)
-            below, above = 0.5 * (lo + mid), 0.5 * (mid + hi)
-            ok = _holds(ifs, w, a, a + s * np.stack([mid, below, above]))
-            lo, hi = np.where(ok[0], mid, lo), np.where(ok[0], hi, mid)
-            nxt, held = np.where(ok[0], above, below), np.where(ok[0], ok[2], ok[1])
-            lo, hi = np.where(held, nxt, lo), np.where(held, hi, nxt)
-        tb[part] = lo
+        rows, left = np.arange(at, min(at + block, x.size)), _DOUBLINGS
+        while rows.size and left:
+            grown = t[rows] * 2.0 ** np.arange(1, min(left, max(1, room // rows.size)) + 1)[:, None]
+            ok = _holds(ifs, letters[rows], x[rows], x[rows] + sign[rows] * grown)
+            t[rows] *= 2.0 ** np.logical_and.accumulate(ok).sum(0)
+            rows, left = rows[ok.all(0)], left - len(grown)
+        rows = at + np.flatnonzero(t[at:at + block] < _CAP)
+        ends, left, col = np.stack([t[rows], 2.0 * t[rows]]), 20, np.arange(rows.size)
+        while rows.size and left:
+            levels = max(1, min(left, _HALVINGS, (room // rows.size + 1).bit_length() - 1))
+            for _ in range(levels):  # the ends, and every midpoint the next steps may take
+                ends = np.insert(ends, np.arange(1, len(ends)), 0.5 * (ends[:-1] + ends[1:]), 0)
+            ok = _holds(ifs, letters[rows], x[rows], x[rows] + sign[rows] * ends[1:-1])
+            lo, hi = np.zeros(rows.size, dtype=int), np.full(rows.size, len(ends) - 1)
+            for _ in range(levels):  # each row's path, as one step a pass takes it
+                mid = (lo + hi) // 2
+                lo, hi = np.where(ok[mid - 1, col], mid, lo), np.where(ok[mid - 1, col], hi, mid)
+            ends, left = np.stack([ends[lo, col], ends[hi, col]]), left - levels
+        t[rows] = ends[0]
     return t
 
 
@@ -358,11 +365,7 @@ def admissible_itinerary(cover: ExpandingCover, x, length: int) -> List[int]:
     v = as_value(x)
     out: List[int] = []
     for _ in range(length):
-        idx = None
-        for i, p in enumerate(cover.pieces):
-            if p.arc.contains(v, tol=1e-10):
-                idx = i
-                break
+        idx = next((i for i, p in enumerate(cover.pieces) if p.arc.contains(v, tol=1e-10)), None)
         if idx is None:
             raise NotACover(f"iterate {v} escaped every cover piece")
         out.append(idx)

@@ -210,10 +210,12 @@ def test_dense_periodic_on_a_long_one_letter_tree_is_not_quadratic(tmp_path):
     assert (found["count"], found["max_gap"], found["example_words"]) == (2, 0.5, [[1]])
 
 
-def test_dense_periodic_on_a_huge_degree_exits_2_before_seeking_a_root(tmp_path):
+def test_dense_periodic_on_a_huge_degree_exits_2_before_seeking_a_root(tmp_path, monkeypatch):
     """The budget counts each word's branches: Expanding(65536) has 65,536 of
     length 1 and 2**32 more of length 2, whose brackets alone would take tens
-    of GB, so the child may map no more than 1 GB."""
+    of GB, so the child may map no more than 1 GB (with one BLAS thread, so
+    that no thread stack on a many-core host meets the limit first)."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     src = tmp_path / "huge.json"
     src.write_text(json.dumps({"generators": [{"type": "expanding", "m": 65536}]}))
 

@@ -185,10 +185,11 @@ def extents(ifs, rows):
 
 
 def test_extents_match_the_scalar_growth_row_by_row(monkeypatch):
-    """Every row's extent equals `cover_oracle.grow_extent`'s bitwise, in
-    one block, in blocks of five rows and one row a block; the rows stop at
-    every doubling (0 to 6 of them, then bisect) or reach _CAP (7), on both
-    sides."""
+    """Every row's extent equals `cover_oracle.grow_extent`'s bitwise: in one
+    block at the default pass widths and with every doubling in one pass, in
+    blocks of five rows, and one row a block at one extent a pass; the rows
+    stop at every doubling (0 to 6 of them, then bisect) or reach _CAP (7),
+    on both sides."""
     res = BENCH_RES.replaced(net_size=24)
     systems = [build_example(name).system for name in GALLERY_NAMES] + random_systems(0, 20)
     cases = [(ifs, rows) for ifs in systems if (rows := anchored(ifs, res))]
@@ -202,38 +203,58 @@ def test_extents_match_the_scalar_growth_row_by_row(monkeypatch):
     want = [[oracle.grow_extent(ifs, w, x, side).hex() for side in (-1.0, 1.0) for w, x in rows]
             for ifs, rows in cases]
     seen = set()
-    for nodes in (smooth._CHUNK_NODES, 5 * smooth._GROW_SAMPLES * smooth._DOUBLINGS, 1):
+    chunk, samples = smooth._CHUNK_NODES, smooth._PASS_SAMPLES
+    for nodes, room in ((chunk, samples), (chunk, chunk), (5 * smooth._GROW_SAMPLES, samples),
+                        (1, samples)):
         monkeypatch.setattr(smooth, "_CHUNK_NODES", nodes)
+        monkeypatch.setattr(smooth, "_PASS_SAMPLES", room)
         for (ifs, rows), expected in zip(cases, want):
             got, sides = extents(ifs, rows)
-            assert [t.hex() for t in got.tolist()] == expected, (ifs, nodes)
+            assert [t.hex() for t in got.tolist()] == expected, (ifs, nodes, room)
             doublings = np.floor(np.log2(got / smooth._EXTENT)).astype(int)
             seen |= set(zip(doublings.tolist(), sides.tolist()))
     assert seen == {(j, side) for j in range(smooth._DOUBLINGS + 1) for side in (-1.0, 1.0)}
 
 
-@pytest.mark.parametrize("nodes, blocks", [(None, 2), (40 * 17 * 7, 5)])
-def test_extents_take_one_doubling_pass_and_ten_bisection_passes_a_block(monkeypatch, nodes,
-                                                                        blocks):
-    # the default net's 200 (point, side) rows take two blocks of at most
-    # _CHUNK_NODES // (17 * 7) = 137 rows; blocks of 40 take five
-    if nodes is not None:
-        monkeypatch.setattr(smooth, "_CHUNK_NODES", nodes)
-    holds, shapes = smooth._holds, []
+def extent_passes(monkeypatch, res):
+    """The (extents a row, rows) of each `_holds` pass that `_extents` makes
+    for thm34_ns_rotation's cover at res."""
+    holds, grow, shapes = smooth._holds, smooth._extents, []
 
     def counted(ifs, letters, a, b):
         shapes.append(b.shape)
         return holds(ifs, letters, a, b)
 
-    monkeypatch.setattr(smooth, "_holds", counted)
-    ifs = build_example("thm34_ns_rotation").system
-    local_expanding_cover(ifs, DEFAULT_RESOLUTION)
-    # each pass's (extents a row, rows), but `_first_words`' passes of two sides
-    grown = [shape for shape in shapes if shape[0] != 2]
-    block = smooth._CHUNK_NODES // (smooth._GROW_SAMPLES * smooth._DOUBLINGS)
-    assert [tried for tried, _ in grown] == ([smooth._DOUBLINGS] + [3] * 10) * blocks
-    assert [rows for _, rows in grown[::11]] == [min(block, 200 - at) for at in range(0, 200, block)]
-    assert max(tried * rows for tried, rows in grown) * smooth._GROW_SAMPLES <= smooth._CHUNK_NODES
+    def counted_extents(*args):
+        monkeypatch.setattr(smooth, "_holds", counted)
+        return grow(*args)
+
+    monkeypatch.setattr(smooth, "_extents", counted_extents)
+    local_expanding_cover(build_example("thm34_ns_rotation").system, res)
+    return shapes
+
+
+def test_extents_take_one_doubling_pass_and_ten_bisection_passes_at_net_12(monkeypatch):
+    # 24 (point, side) rows: 7 doublings and 3 midpoints a row hold far fewer
+    # than _PASS_SAMPLES samples
+    shapes = extent_passes(monkeypatch, BENCH_RES)
+    assert shapes[0] == (smooth._DOUBLINGS, 24)
+    assert shapes[1:] == [(3, shapes[1][1])] * 10 and 0 < shapes[1][1] <= 24
+
+
+@pytest.mark.parametrize("nodes, blocks", [(None, 1), (40 * 17, 5)])
+def test_extents_passes_hold_their_sample_bounds(monkeypatch, nodes, blocks):
+    # the default net's 200 rows hold fewer than two extents a row in
+    # _PASS_SAMPLES = 4,096 samples, so they take one step a pass, at most 7
+    # doublings and 20 halvings; blocks of 40 rows take five such blocks
+    if nodes is not None:
+        monkeypatch.setattr(smooth, "_CHUNK_NODES", nodes)
+    shapes = extent_passes(monkeypatch, DEFAULT_RESOLUTION)
+    block = smooth._CHUNK_NODES // smooth._GROW_SAMPLES
+    room = min(smooth._PASS_SAMPLES, smooth._CHUNK_NODES) // smooth._GROW_SAMPLES
+    assert all(rows <= block and (tried == 1 or tried * rows <= room) for tried, rows in shapes)
+    assert shapes[0] == (1, min(block, 200))
+    assert len(shapes) <= (smooth._DOUBLINGS + 20) * blocks
 
 
 # -- bounds and reports ------------------------------------------------------

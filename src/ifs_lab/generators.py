@@ -305,9 +305,10 @@ class PiecewiseLinear(Generator):
         s = x - np.floor(x)
         i = np.clip(np.searchsorted(self._xs, s, side="right") - 1, 0, len(self._slopes) - 1)
         out = np.asarray(self._slopes)[i]
-        # s in [0, 1] (1.0 from a tiny negative x) is a knot only at an end of its bracket
+        # s in [0, 1] (1.0 from a tiny negative x) is a knot only at an end of
+        # its bracket, and a NaN s lies strictly inside none
         xs = np.asarray(self._xs)
-        out[(xs[i] == s) | (xs[i + 1] == s)] = np.nan
+        out[~((xs[i] < s) & (s < xs[i + 1]))] = np.nan
         return out
 
     def inverse(self) -> "PiecewiseLinear":
@@ -411,22 +412,46 @@ def _uniform_samples(count: int) -> list:
 _Crossings = namedtuple("_Crossings", "cell branch fa grid_roots phi_end")
 
 
-def _crossings(grid_lift: np.ndarray):
-    """The root finder's setup from `grid_lift` = lift(_FP_XS): every grid root
-    and every (cell, branch) crossing, listed at once; None if the lift stays
-    within _FP_TOL of one branch x + m, so that the map fixes every point."""
-    phi = grid_lift - _FP_XS
-    # _FP_TOL < 1/2, so only the branch nearest phi(0) can be within it
-    if np.abs(phi - round(float(phi[0]))).max() <= _FP_TOL:
-        return None
-    if np.floor(phi.max()) < phi.min():  # no integer in [min phi, max phi]: only x = 1 is left
-        return _Crossings(np.arange(0), phi[:0], phi[:0], phi[:0], float(phi[-1]))
+def _crossings(lifted: np.ndarray, points=None):
+    """The root finder's setup from `lifted`, a lift at the grid points of
+    the indices `points`: every grid root among them but x = 1 and every
+    (cell, branch) crossing of a cell whose two ends they hold, listed at
+    once.  By default `lifted` = lift(_FP_XS), the whole grid, and the setup
+    is None if the lift stays within _FP_TOL of one branch x + m, so that
+    the map fixes every point.  Otherwise `points` holds several lifts'
+    indices one after another, each lift's ascending to _FP_GRID, and the
+    setups are a list, one per lift."""
+    if points is None:
+        phi = lifted - _FP_XS
+        # _FP_TOL < 1/2, so only the branch nearest phi(0) can be within it
+        if np.abs(phi - round(float(phi[0]))).max() <= _FP_TOL:
+            return None
+        if np.floor(phi.max()) < phi.min():  # no integer in [min phi, max phi]: only x = 1 is left
+            return _Crossings(np.arange(0), phi[:0], phi[:0], phi[:0], float(phi[-1]))
+        floor = np.floor(phi)
+        # a grid point lying on its branch m = phi[i] is a root as it stands
+        on_grid = np.flatnonzero(phi[:-1] == floor[:-1])
+        cell, m, fa = _branch_crossings(phi, np.flatnonzero(floor[:-1] != floor[1:]))
+        return _Crossings(cell, m, fa, _FP_XS[on_grid], float(phi[-1]))
+    # the same on the lifts laid end to end: a cell's ends are consecutive
+    # grid points, never the end x = 1 of one lift and the start of the next
+    phi = lifted - _FP_XS[points]
     floor = np.floor(phi)
-    # a grid point lying on its branch m = phi[i] is a root as it stands
-    on_grid = np.flatnonzero(phi[:-1] == floor[:-1])
-    # a branch m strictly between phi[i] and phi[i + 1] needs their floors
-    # to differ; every such branch, cell by cell
-    cell = np.flatnonzero(floor[:-1] != floor[1:])
+    on_grid = np.flatnonzero((phi == floor) & (points < _FP_GRID))
+    at, m, fa = _branch_crossings(phi, np.flatnonzero(
+        (floor[:-1] != floor[1:]) & (points[1:] - points[:-1] == 1)))
+    last = np.flatnonzero(points == _FP_GRID)
+    ends = [0, *np.searchsorted(at, last).tolist()]
+    root_ends = [0, *np.searchsorted(on_grid, last).tolist()]
+    cell, roots = points[at], _FP_XS[points[on_grid]]
+    return [_Crossings(cell[i:j], m[i:j], fa[i:j], roots[r:s], end)
+            for i, j, r, s, end in zip(ends, ends[1:], root_ends, root_ends[1:], phi[last].tolist())]
+
+
+def _branch_crossings(phi: np.ndarray, cell: np.ndarray):
+    """Every branch m strictly between phi[i] and phi[i + 1], for each i in
+    `cell`, across which phi - m changes sign: the crossings' cells, their
+    branches and phi - m at their left ends."""
     a, b = phi[cell], phi[cell + 1]
     first = np.floor(np.minimum(a, b)) + 1.0
     count = np.maximum(np.ceil(np.maximum(a, b)) - first, 0.0).astype(np.int64)
@@ -435,7 +460,7 @@ def _crossings(grid_lift: np.ndarray):
     cell = cell[at]
     fa = phi[cell] - m
     cross = fa * (phi[cell + 1] - m) < 0.0
-    return _Crossings(cell[cross], m[cross], fa[cross], _FP_XS[on_grid], float(phi[-1]))
+    return cell[cross], m[cross], fa[cross]
 
 
 def _bisect(lift_array, cell: np.ndarray, branch: np.ndarray, fa: np.ndarray) -> np.ndarray:

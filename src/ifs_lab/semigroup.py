@@ -15,8 +15,8 @@ from typing import Iterable, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .circle import CirclePoint, as_value, normalize, normalize_array
-from .generators import (_FP_GRID, _FP_TOL, _FP_XS, Flip, Generator, NonInvertible, Rotation,
-                         _bisect, _crossings, _roots, _uniform_samples, fixed_points)
+from .generators import (_FP_GRID, _FP_TOL, _FP_XS, Flip, Generator, NonInvertible, NorthSouth,
+                         Rotation, _bisect, _crossings, _roots, _uniform_samples, fixed_points)
 from .symbolic import Word, enumerate_words, validate_word
 
 
@@ -132,19 +132,91 @@ def _composed(maps):
 _BATCH_LIFTS = 16 * _FP_GRID
 
 
+def _matrix(g: Generator):
+    """g's 2x2 matrix (a, b, c, d) on (sin(pi t), cos(pi t)), its determinant
+    and the largest |g'| (1 for an isometry), or None if g is not a
+    NorthSouth, Rotation or Flip."""
+    if isinstance(g, Flip):
+        return (-1.0, 0.0, 0.0, 1.0), -1.0, 1.0
+    if isinstance(g, Rotation):
+        c, s = math.cos(math.pi * g.alpha), math.sin(math.pi * g.alpha)
+        return (c, s, -s, c), 1.0, 1.0
+    if isinstance(g, NorthSouth):  # diag(lam, 1) conjugated by the rotation to q
+        c, s = math.cos(math.pi * g.q), math.sin(math.pi * g.q)
+        off = (1.0 - g.lam) * c * s
+        return (g.lam * c * c + s * s, off, off, g.lam * s * s + c * c), g.lam, g.lam
+    return None
+
+
+def _times(letter, word):
+    """The matrix, determinant and derivative bound of `word` followed by `letter`."""
+    (la, lb, lc, ld), ldet, lbound = letter
+    (a, b, c, d), det, bound = word
+    return ((la * a + lb * c, la * b + lb * d, lc * a + ld * c, lc * b + ld * d),
+            ldet * det, lbound * bound)
+
+
+def _root_cells(word, length: int):
+    """The grid cells of a word's two fixed points, from its matrix; () for
+    a word with none, None for a word whose whole grid must be lifted.
+
+    In x = tan(pi t) the word acts as M = ((a, b), (c, d)) on u = (sin(pi t),
+    cos(pi t)); Q(t) = u x Mu = K + P cos(2 pi t) + S sin(2 pi t) vanishes at
+    its fixed points, and lift(t) - t lies at least |Q| / (pi |M|) from every
+    integer.  A computed lift strays less than `slack` / pi - 4 _FP_TOL from
+    the true one: each letter's rounding, a few ulps of t <= length + 1,
+    grows at most by `bound`, the product of the letters' largest |g'|.  So
+    where |Q| >= slack |M| the grid lift has no grid root or crossing, and
+    is no identity.  A word with no zero needs min |Q| = |K| - R to pass; one
+    with two, both ends of each window (the cells at and beside a zero's
+    cell, four cells apart or more), with opposite signs: Q is a shifted
+    sinusoid, so its zero lies inside, and |Q| is least at the windows'
+    ends on the arcs between.
+    Words near +-I, near-parabolic or ill-conditioned fail.  The determinant
+    is the letters' product, as a * d - b * c cancels on large entries."""
+    (a, b, c, d), det, bound = word
+    slack = 4.0 * math.pi * _FP_TOL + 2.0 ** -45 * length * (length + 2) * bound
+    if not slack < 2.0 ** -20:
+        return None
+    margin = slack * math.sqrt(a * a + b * b + c * c + d * d)
+    k, p, s = 0.5 * (c - b), -0.5 * (c + b), 0.5 * (d - a)
+    trace = a + d
+    disc = trace * trace - 4.0 * det
+    if not disc > 0.0:
+        return () if abs(k) - math.hypot(p, s) >= margin else None
+    # Q's zeros, at 2 pi t = psi +- theta
+    psi, theta = math.atan2(s, p), math.atan2(0.5 * math.sqrt(disc), -k)
+    cells = []
+    for angle in (psi - theta, psi + theta):
+        cell = int(angle / (2.0 * math.pi) % 1.0 * _FP_GRID) % _FP_GRID
+        lo, hi = (k + p * math.cos(2.0 * math.pi * e / _FP_GRID)
+                  + s * math.sin(2.0 * math.pi * e / _FP_GRID) for e in (cell - 1, cell + 2))
+        if not (min(abs(lo), abs(hi)) >= margin and (lo < 0.0) != (hi < 0.0)):
+            return None
+        cells.append(cell)
+    if min(abs(cells[0] - cells[1]), _FP_GRID - abs(cells[0] - cells[1])) < 4:
+        return None
+    return cells
+
+
 def periodic_points(ifs: IfsSystem, max_len: int) -> List[Tuple[CirclePoint, Word]]:
     """Fixed points of every word map of length 1..max_len, one per 1e-12
     cell with its first word in `enumerate_words` order (the shortest);
     identity words give 512 uniform samples, once, for the first of them.
 
     A depth-first walk lifts each word's root grid from its prefix's by the
-    last letter, holding at most (k - 1) * max_len + 1 grids.  Longer words'
-    crossings are queued and bisected together (`_bisect_words`) whenever
-    the queue's crossings times word lengths would pass `_BATCH_LIFTS`, and
-    at the end; a generator's roots come from `IfsSystem.generator_fixed_points`.
-    A word is known by its index in `enumerate_words` order (a child of the
-    word at index i by letter a is at k * i + a), so only the first witness
-    of a point is held."""
+    last letter, holding at most (k - 1) * max_len + 1 grids.  If every
+    generator is a NorthSouth, Rotation or Flip, it carries each word's 2x2
+    matrix instead: a word of two letters or more whose matrix places its
+    fixed points (`_root_cells`) is lifted only at its windows' grid points
+    and x = 1, with the same crossings; any other word lifts its grid from
+    its longest prefix that has one.  Longer words' crossings are queued and
+    bisected together (`_bisect_words`) whenever the queue's crossings times
+    word lengths would pass `_BATCH_LIFTS`, and at the end; a generator's
+    roots come from `IfsSystem.generator_fixed_points`.  A word is known by
+    its index in `enumerate_words` order (a child of the word at index i by
+    letter a is at k * i + a), so only the first witness of a point is
+    held."""
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     k = ifs.k
@@ -160,30 +232,51 @@ def periodic_points(ifs: IfsSystem, max_len: int) -> List[Tuple[CirclePoint, Wor
     roots = [[] for _ in range(k + 1)]
     for letter, rec in ifs.generator_fixed_points():
         roots[letter].append(rec.location.value)
+    matrices = [_matrix(g) for g in ifs.generators]
+    if None in matrices:
+        matrices = None
     identity = math.inf  # the least index of a word fixing every point
-    queue, work = [], 0  # words (index, letters, crossings) to bisect; rows x letters
-    todo = [((), 0, _FP_XS)]  # words to extend: the word, its index, its grid lift
+    # words (index, letters, crossings) to bisect, and (index, letters, root
+    # cells) whose crossings await their windows' lift; rows x letters
+    queue, located, work = [], [], 0
+
+    def make_room(rows, length):
+        nonlocal queue, located, work
+        if work + rows * length > _BATCH_LIFTS:
+            _bisect_words(ifs, queue, located, record)
+            queue, located, work = [], [], 0
+        work += rows * length
+
+    # words to extend: the word, its index, its matrix, and the grid lift of
+    # its longest prefix that has one, with that prefix's length
+    todo = [((), 0, ((1.0, 0.0, 0.0, 1.0), 1.0, 1.0), _FP_XS, 0)]
     while todo:
-        prefix, index, grid = todo.pop()
-        for letter, g in enumerate(ifs.generators, 1):
+        prefix, index, mat, grid, depth = todo.pop()
+        for letter in range(1, k + 1):
             w, at = prefix + (letter,), k * index + letter
-            lifted = g.lift_array(grid)
-            c = _crossings(lifted)
-            if c is None:
-                identity = min(identity, at)
-            elif not prefix:
-                record(at, roots[letter])
-            elif c.cell.size:
-                if work + c.cell.size * len(w) > _BATCH_LIFTS:
-                    _bisect_words(ifs, queue, record)
-                    queue, work = [], 0
-                queue.append((at, w, c))
-                work += c.cell.size * len(w)
+            wm = matrices and _times(matrices[letter - 1], mat)
+            cells = _root_cells(wm, len(w)) if wm and prefix else None
+            lift, ahead = grid, depth
+            if cells is not None:  # no root, or one in or beside each cell
+                if cells:
+                    make_room(len(cells), len(w))
+                    located.append((at, w, cells))
             else:
-                record(at, _roots(c, c.fa))  # no crossing: c.fa is empty
+                lift, ahead = _composed([ifs.generators[a - 1].lift_array
+                                         for a in w[depth:]])(grid), len(w)
+                c = _crossings(lift)
+                if c is None:
+                    identity = min(identity, at)
+                elif not prefix:
+                    record(at, roots[letter])
+                elif c.cell.size:
+                    make_room(c.cell.size, len(w))
+                    queue.append((at, w, c))
+                else:
+                    record(at, _roots(c, c.fa))  # no crossing: c.fa is empty
             if len(w) < max_len:
-                todo.append((w, at, lifted))
-    _bisect_words(ifs, queue, record)
+                todo.append((w, at, wm, lift, ahead))
+    _bisect_words(ifs, queue, located, record)
     if identity < math.inf:
         record(identity, _uniform_samples(512))
     by_index = {}
@@ -196,15 +289,12 @@ def periodic_points(ifs: IfsSystem, max_len: int) -> List[Tuple[CirclePoint, Wor
     return [(CirclePoint(v), w) for v, w in found]
 
 
-def _bisect_words(ifs: IfsSystem, queue, record) -> None:
-    """Bisect the queued (index, word, crossings) in one loop, each midpoint
-    lifted through its own word as in `_word_values`, and `record` the roots."""
-    if not queue:
-        return
-    width = max(len(w) for _, w, _ in queue)
-    letters = np.array([w + (0,) * (width - len(w)) for _, w, _ in queue])
-    sizes = [c.cell.size for _, _, c in queue]
-    # the crossing rows of the words with each letter at each position
+def _word_lifts(ifs: IfsSystem, words, sizes):
+    """A lift of row arrays through their words, `sizes[j]` rows through
+    words[j], as in `_word_values`: one call per (position, letter)."""
+    width = max(len(w) for w in words)
+    letters = np.array([w + (0,) * (width - len(w)) for w in words])
+    # the rows of the words with each letter at each position
     steps = [(g, rows) for column in letters.T for letter, g in enumerate(ifs.generators, 1)
              if (rows := np.flatnonzero(np.repeat(column == letter, sizes))).size]
 
@@ -214,6 +304,37 @@ def _bisect_words(ifs: IfsSystem, queue, record) -> None:
             t[rows] = g.lift_array(t[rows])
         return t
 
+    return lift_rows
+
+
+def _located_crossings(ifs: IfsSystem, words, cells) -> list:
+    """The crossings of each word whose fixed points lie in its two `cells`,
+    from one lift of every word's window points: the ends of the cells at
+    and beside each, and x = 1."""
+    windows = [sorted((c + i) % _FP_GRID for c in pair for i in (-1, 0, 1, 2)) + [_FP_GRID]
+               for pair in cells]
+    points = np.array([p for window in windows for p in window])
+    lifted = _word_lifts(ifs, words, [len(window) for window in windows])(_FP_XS[points])
+    return _crossings(lifted, points)
+
+
+def _bisect_words(ifs: IfsSystem, queue, located, record) -> None:
+    """Set up the crossings of the `located` (index, word, root cells) in
+    one lift, then bisect them and the queued (index, word, crossings) in
+    one loop, each midpoint lifted through its own word as in
+    `_word_values`, and `record` the roots."""
+    if located:
+        queue = list(queue)
+        for (at, w, _), c in zip(located, _located_crossings(
+                ifs, [w for _, w, _ in located], [cells for _, _, cells in located])):
+            if c.cell.size:
+                queue.append((at, w, c))
+            else:
+                record(at, _roots(c, c.fa))
+    if not queue:
+        return
+    sizes = [c.cell.size for _, _, c in queue]
+    lift_rows = _word_lifts(ifs, [w for _, w, _ in queue], sizes)
     bisected = _bisect(lift_rows, *map(np.concatenate, zip(*(c[:3] for _, _, c in queue))))
     for (at, _, c), part in zip(queue, np.split(bisected, np.cumsum(sizes)[:-1])):
         record(at, _roots(c, part))

@@ -8,10 +8,14 @@ roots on grid points, the x = 1 endpoint and a semistable hinge.  Periodic
 points, whose words share their prefixes' grid lifts and whose crossings
 are bisected in batches across words, must equal the reference's
 word-by-word solve on the gallery and on seeded random systems, however the
-words fall into batches.
+words fall into batches.  A word whose 2x2 matrix places its fixed points
+lifts only its cells' windows, and its crossings must equal bitwise those
+of its whole grid lift; the words the matrix cannot place (near +-I,
+near-parabolic, ill-conditioned) must still match the reference.
 """
 
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -20,9 +24,11 @@ import fixed_point_oracle as oracle
 import ifs_lab.semigroup as semigroup
 from ifs_lab import (Expanding, Flip, GALLERY_NAMES, IfsSystem, NorthSouth, PiecewiseLinear,
                      Rotation, build_example, fixed_points, periodic_points)
-from ifs_lab.generators import _FP_XS, _lift_fixed_values
+from ifs_lab.cli import system_from_config
+from ifs_lab.generators import _FP_XS, _crossings, _lift_fixed_values, _roots
 from ifs_lab.semigroup import _composed
 from test_arc_kernel import random_systems as seeded_systems
+from test_orbit_kernel import bench_systems
 
 
 def random_generator(rng, kind):
@@ -186,11 +192,28 @@ def test_periodic_points_bisected_word_by_word_match_reference(name, monkeypatch
     assert repr(periodic_points(ifs, 3)) == want
 
 
+def reduces_to_identity(w):
+    """Whether a word over thm34's letters (1, 2 = its north-south map and
+    that map's inverse, 3, 4 = its rotation and that rotation's inverse)
+    cancels to the empty word."""
+    stack = []
+    for letter in w:
+        if stack and stack[-1] == letter + (1 if letter % 2 else -1):
+            stack.pop()
+        else:
+            stack.append(letter)
+    return not stack
+
+
 def test_periodic_points_bisect_all_words_in_one_loop(monkeypatch):
-    """On thm34 at max_len 4 every word's crossings fit one batch, so each
-    halving lifts the brackets once per (position, letter): at most
-    29 * 4 * 4 lift calls besides one grid lift per word, not 29 per letter
-    of every word with a crossing."""
+    """On thm34 at max_len 4 the matrix places the fixed points of every
+    word of two letters or more but the 32 that cancel to the identity, so
+    only those lift their whole grid, each from its longest prefix that has
+    one (a one-letter word or an identity word): 76 grid lifts besides the
+    4 generators', against one per word (340) before.  Every word's
+    crossings fit one batch: the located words' windows take one lift call
+    per (position, letter), and each halving lifts the brackets once per
+    (position, letter), at most 30 * 4 * 4 calls in all."""
     ifs = build_example("thm34_ns_rotation").system
     want = reference_points("thm34_ns_rotation", 4)[1]
     ifs.generator_fixed_points()
@@ -204,9 +227,111 @@ def test_periodic_points_bisect_all_words_in_one_loop(monkeypatch):
     got = repr(periodic_points(ifs, 4))
     monkeypatch.undo()
     assert got == want
+    identities = [w for n in (2, 3, 4) for w in itertools.product(range(1, 5), repeat=n)
+                  if reduces_to_identity(w)]
+    assert len(identities) == 32
+    gridded = {(a,) for a in range(1, 5)} | set(identities)
+    lifted = sum(len(w) - max(n for n in range(1, len(w)) if w[:n] in gridded)
+                 for w in identities)
     grid = sizes.count(_FP_XS.size)
-    assert grid == 4 + 4 ** 2 + 4 ** 3 + 4 ** 4
-    assert 0 < len(sizes) - grid <= 29 * 4 * 4
+    assert grid == 4 + lifted == 4 + 72
+    assert 0 < len(sizes) - grid <= 30 * 4 * 4
+
+
+def word_cells(ifs, max_len):
+    """Each word of 2..max_len letters with the cells `_root_cells` reads
+    from its matrix, built letter by letter as the walk builds it."""
+    mats = [semigroup._matrix(g) for g in ifs.generators]
+    out = []
+    for n in range(2, max_len + 1):
+        for w in itertools.product(range(1, ifs.k + 1), repeat=n):
+            m = ((1.0, 0.0, 0.0, 1.0), 1.0, 1.0)
+            for a in w:
+                m = semigroup._times(mats[a - 1], m)
+            out.append((w, semigroup._root_cells(m, n)))
+    return out
+
+
+def projective_systems():
+    """thm34, cor33 and rotation_flip at max_len 4, and the documents of
+    random seeds 0-4 whose generators are all NorthSouth, Rotation or Flip
+    at max_len 3."""
+    out = [(name, build_example(name).system, 4)
+           for name in ("thm34_ns_rotation", "cor33_morse_smale", "rotation_flip")]
+    systems = bench_systems()
+    for seed in range(5):
+        for i, doc in enumerate(systems.random_documents(seed)):
+            ifs = system_from_config(doc)
+            if None not in map(semigroup._matrix, ifs.generators):
+                out.append((f"random_{seed}_{i}", ifs, 3))
+    return out
+
+
+PROJECTIVE = projective_systems()
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name, ifs, max_len", PROJECTIVE, ids=[p[0] for p in PROJECTIVE])
+def test_located_crossings_equal_the_whole_grid_lift(name, ifs, max_len):
+    """Each located word's crossings, from the lift at its windows' points,
+    are bitwise those of its whole grid lift; a word the matrix finds no
+    fixed point for has no crossing, grid root or x = 1 root on the grid."""
+    words = word_cells(ifs, max_len)
+    located = [(w, cells) for w, cells in words if cells]
+    got = semigroup._located_crossings(ifs, [w for w, _ in located],
+                                       [c for _, c in located]) if located else []
+    assert len(got) == len(located)
+    for (w, _), c in zip(located, got):
+        want = _crossings(_composed([ifs.generator(a).lift_array for a in w])(_FP_XS))
+        assert want is not None and want.cell.size + want.grid_roots.size
+        assert all(same_bits(getattr(c, f), getattr(want, f))
+                   for f in ("cell", "branch", "fa", "grid_roots")), w
+        assert c.phi_end.hex() == want.phi_end.hex()
+    for w, cells in words:
+        if cells == ():
+            want = _crossings(_composed([ifs.generator(a).lift_array for a in w])(_FP_XS))
+            assert want.cell.size == want.grid_roots.size == 0
+            assert _roots(want, want.fa) == []
+    if name.startswith(("thm34", "cor33", "rotation")):
+        assert len(located) >= 14
+
+
+def test_the_projective_documents_are_many_and_mostly_located():
+    """The parity test above covers all three kinds of word on seeds 0-4."""
+    counts = {kind: 0 for kind in ("located", "none", "gated")}
+    for name, ifs, max_len in PROJECTIVE:
+        for _, cells in word_cells(ifs, max_len):
+            counts["gated" if cells is None else "located" if cells else "none"] += 1
+    assert len(PROJECTIVE) >= 3 + 40
+    assert counts["located"] > counts["gated"] > 0 and counts["none"] > 0
+
+
+@pytest.mark.parametrize("ifs, max_len", [
+    # entries near 1e6 ** 4 and beyond: a * d - b * c would cancel
+    (IfsSystem([NorthSouth(0.1, 1e6), Rotation(0.3)]), 4),
+    (IfsSystem([NorthSouth(0.1, 1e6), Rotation(0.3)]), 6),
+    # a multiplier within 1e-7 of 1, beside a flip whose square is the identity
+    (IfsSystem([NorthSouth(0.37, 1.0000001), Flip()]), 4),
+], ids=["huge_4", "huge_6", "near_identity"])
+def test_words_the_matrix_cannot_place_match_reference(ifs, max_len):
+    gated = [w for w, cells in word_cells(ifs, max_len) if cells is None]
+    assert gated
+    assert repr(periodic_points(ifs, max_len)) == repr(oracle.periodic_points(ifs, max_len))
+
+
+def test_thm34_identity_words_lift_their_whole_grid():
+    """(1, 2) and (3, 4), a map followed by its inverse, sit at +-I, where
+    the matrix places nothing; their grid lifts find the identity, and the
+    first of them carries the 512 samples."""
+    ifs = build_example("thm34_ns_rotation").system
+    cells = dict(word_cells(ifs, 2))
+    assert cells[(1, 2)] is None and cells[(3, 4)] is None
+    pts = periodic_points(ifs, 2)
+    assert repr(pts) == repr(oracle.periodic_points(ifs, 2))
+    assert [p.value for p, w in pts if w == (1, 2)] == [(i + 0.5) / 512 for i in range(512)]
 
 
 @pytest.mark.parametrize("ifs, max_len, word", [

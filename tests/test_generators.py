@@ -167,21 +167,34 @@ def test_piecewise_breakpoint_reports_one_sided_slopes():
     ((0.0, 0.1), (0.125, 0.3), (0.25, 0.35), (0.7, 0.9), (1.0, 1.1)))], ids=lambda g: repr(g)[:30])
 def test_piecewise_derivative_array_finds_the_corners_the_knot_set_does(g):
     # corners come from the searchsorted bracket; the reference marks every s
-    # in the knot set, as the array method did before
+    # in the knot set, as the array method did before, and every NaN
     knots = np.array(g._xs)
     x = np.r_[knots, knots + 1.0, knots - 3.0, np.nextafter(knots, -1.0), np.nextafter(knots, 2.0),
               -1e-20, -0.0, 0.0, np.nan, np.random.default_rng(4).uniform(-2.0, 2.0, 1000)]
     s = x - np.floor(x)
     want = np.asarray(g._slopes)[np.clip(np.searchsorted(knots, s, side="right") - 1, 0,
                                          len(g._slopes) - 1)]
-    want[np.isin(s, knots)] = np.nan
+    want[np.isin(s, knots) | np.isnan(s)] = np.nan
     got = g.derivative_array(x)
     assert got.tobytes() == want.tobytes()
     # every knot is a corner, as are s = 1.0 from x = -1e-20 and s = 0.0 from
-    # -0.0; NaN reads as the last slope
+    # -0.0; NaN has no derivative
     n = 5 * knots.size
-    assert np.isnan(got[:knots.size]).all() and np.isnan(got[n:n + 3]).all()
-    assert got[n + 3] == g._slopes[-1]
+    assert np.isnan(got[:knots.size]).all() and np.isnan(got[n:n + 4]).all()
+
+
+@pytest.mark.parametrize("g", [H1, REVERSING], ids=lambda g: repr(g)[:30])
+def test_piecewise_derivative_array_reads_nan_as_no_derivative(g):
+    """A NaN point, mixed among knots and ordinary points, gets NaN (as
+    the word evaluator reads a corner), not the last segment's slope; the
+    finite points keep their slopes and corners bitwise."""
+    finite = np.r_[np.array(g._xs), 0.3, 0.6, -0.25, 1.7, np.nextafter(0.5, 1.0)]
+    x = np.insert(finite, [0, 2, 5, finite.size], np.nan)
+    nan = np.isnan(x)
+    got = g.derivative_array(x)
+    assert np.isnan(got[nan]).all()
+    assert got[~nan].tobytes() == g.derivative_array(finite).tobytes()
+    assert np.isnan(g.derivative_array(np.array([np.nan]))).all()
 
 
 def test_piecewise_validation():

@@ -95,7 +95,8 @@ class Rotation(Generator):
 
     def __post_init__(self):
         _require_finite("alpha", self.alpha)
-        object.__setattr__(self, "alpha", normalize(self.alpha))
+        # mod 1 without normalize's snap; the second mod takes a 1.0 from rounding to 0.0
+        object.__setattr__(self, "alpha", self.alpha % 1.0 % 1.0)
 
     def lift(self, t: float) -> float:
         return t + self.alpha
@@ -395,7 +396,7 @@ class FixedPointRecord:
 # Non-hyperbolicity margin for classifying multipliers against 1.
 _CLASS_TOL = 1e-9
 _FP_GRID = 4096
-# The root grid, read by `_lift_fixed_values`' callers and never written.
+# The root grid, read by `fixed_points` and `periodic_points` and never written.
 _FP_XS = np.arange(_FP_GRID + 1) / _FP_GRID
 _FP_XS.setflags(write=False)
 # Root tolerance: a lift within it of a branch fixes the point.
@@ -420,7 +421,7 @@ def _crossings(lifted: np.ndarray, points=None):
     is None if the lift stays within _FP_TOL of one branch x + m, so that
     the map fixes every point.  Otherwise `points` holds several lifts'
     indices one after another, each lift's ascending to _FP_GRID, and the
-    setups are a list, one per lift."""
+    setups are a list, one per lift.  `_bisect` and `_roots` finish any setup."""
     if points is None:
         phi = lifted - _FP_XS
         # _FP_TOL < 1/2, so only the branch nearest phi(0) can be within it
@@ -500,17 +501,6 @@ def _roots(c: _Crossings, bisected: np.ndarray) -> list:
     return out
 
 
-def _lift_fixed_values(lift_array, grid_lift: np.ndarray, identity_samples: int):
-    """Roots in [0, 1) of lift(x) - x - m over all integer branches m, from
-    `grid_lift` = `lift_array(_FP_XS)`: the one-lift case of the kernel that
-    `periodic_points` runs on many words at once.  Returns (values, identity);
-    a map fixing every point up to _FP_TOL gives `identity_samples` samples."""
-    c = _crossings(grid_lift)
-    if c is None:
-        return _uniform_samples(identity_samples), True
-    return _roots(c, _bisect(lift_array, *c[:3])), False
-
-
 def _one_sided_multipliers(g: Generator, x: float) -> tuple:
     try:
         d = g.derivative(x)
@@ -534,9 +524,9 @@ def fixed_points(g: Generator):
     """All fixed points of the map, each a `FixedPointRecord`: its location,
     its one-sided multipliers and its class (repelling, attracting,
     semistable or nonhyperbolic).  A map fixing every point gives 16 uniform
-    samples, each nonhyperbolic with multipliers (1, 1)."""
-    values, identity = _lift_fixed_values(g.lift_array, g.lift_array(_FP_XS), 16)
-    if identity:
-        return [FixedPointRecord(CirclePoint(v), (1.0, 1.0), "nonhyperbolic") for v in values]
-    mults = [_one_sided_multipliers(g, v) for v in values]
+    samples, each nonhyperbolic with multipliers (1, 1).  The roots are
+    `_crossings`, `_bisect` and `_roots` on g's grid lift, as for a word."""
+    c = _crossings(g.lift_array(_FP_XS))
+    values = _uniform_samples(16) if c is None else _roots(c, _bisect(g.lift_array, *c[:3]))
+    mults = [(1.0, 1.0) if c is None else _one_sided_multipliers(g, v) for v in values]
     return [FixedPointRecord(CirclePoint(v), mult, _classify(mult)) for v, mult in zip(values, mults)]

@@ -107,13 +107,18 @@ def _word_values(ifs: IfsSystem, letters: np.ndarray, x: np.ndarray):
     """
     v = normalize_array(np.array(x, dtype=float))
     d = np.ones(v.size)
-    for column in np.asarray(letters).T:
-        for letter, g in enumerate(ifs.generators, 1):
-            rows = np.flatnonzero(column == letter)
-            if rows.size:
-                v[rows], step = g.eval_and_derivative_array(v[rows])
-                d[rows] *= step
+    for g, rows in _steps(ifs, letters):
+        v[rows], step = g.eval_and_derivative_array(v[rows])
+        d[rows] *= step
     return v, d
+
+
+def _steps(ifs: IfsSystem, letters):
+    """(generator, rows) per (position, letter) of the rows of `letters`, 0
+    meaning no letter: the word kernels' steps, position by position."""
+    return ((g, rows) for column in np.asarray(letters).T
+            for letter, g in enumerate(ifs.generators, 1)
+            if (rows := np.flatnonzero(column == letter)).size)
 
 
 def _composed(maps):
@@ -200,9 +205,10 @@ def _root_cells(word, length: int):
 
 
 def periodic_points(ifs: IfsSystem, max_len: int) -> List[Tuple[CirclePoint, Word]]:
-    """Fixed points of every word map of length 1..max_len, one per 1e-12
-    cell with its first word in `enumerate_words` order (the shortest);
-    identity words give 512 uniform samples, once, for the first of them.
+    """Fixed points of every word map of length 1..max_len (an integer, not
+    a bool), one per 1e-12 cell with its first word in `enumerate_words`
+    order (the shortest); identity words give 512 uniform samples, once,
+    for the first of them.
 
     A depth-first walk lifts each word's root grid from its prefix's by the
     last letter, holding at most (k - 1) * max_len + 1 grids.  If every
@@ -210,15 +216,15 @@ def periodic_points(ifs: IfsSystem, max_len: int) -> List[Tuple[CirclePoint, Wor
     matrix instead: a word of two letters or more whose matrix places its
     fixed points (`_root_cells`) is lifted only at its windows' grid points
     and x = 1, with the same crossings; any other word lifts its grid from
-    its longest prefix that has one.  Longer words' crossings are queued and
-    bisected together (`_bisect_words`) whenever the queue's crossings times
-    word lengths would pass `_BATCH_LIFTS`, and at the end; a generator's
-    roots come from `IfsSystem.generator_fixed_points`.  A word is known by
-    its index in `enumerate_words` order (a child of the word at index i by
-    letter a is at k * i + a), so only the first witness of a point is
-    held."""
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
+    its longest prefix that has one.  Every word's roots, a one-letter
+    word's too, take the path of `fixed_points`: `_crossings`, then one
+    `_bisect` of the queue (`_bisect_words`) whenever its crossings times
+    word lengths would pass `_BATCH_LIFTS`, and at the end, then `_roots`.
+    A word is known by its index in `enumerate_words` order (a child of the
+    word at index i by letter a is at k * i + a), so only the first witness
+    of a point is held."""
+    if isinstance(max_len, bool) or not hasattr(type(max_len), "__index__") or max_len < 1:
+        raise ValueError(f"max_len must be an integer of at least 1, got {max_len!r}")
     k = ifs.k
     witness = {}  # per 1e-12 cell: the index and value of its first witness
 
@@ -228,10 +234,6 @@ def periodic_points(ifs: IfsSystem, max_len: int) -> List[Tuple[CirclePoint, Wor
             if key not in witness or at < witness[key][0]:
                 witness[key] = (at, v)
 
-    # the table's roots per letter; a map fixing every point is an identity word
-    roots = [[] for _ in range(k + 1)]
-    for letter, rec in ifs.generator_fixed_points():
-        roots[letter].append(rec.location.value)
     matrices = [_matrix(g) for g in ifs.generators]
     if None in matrices:
         matrices = None
@@ -267,13 +269,9 @@ def periodic_points(ifs: IfsSystem, max_len: int) -> List[Tuple[CirclePoint, Wor
                 c = _crossings(lift)
                 if c is None:
                     identity = min(identity, at)
-                elif not prefix:
-                    record(at, roots[letter])
-                elif c.cell.size:
+                else:
                     make_room(c.cell.size, len(w))
                     queue.append((at, w, c))
-                else:
-                    record(at, _roots(c, c.fa))  # no crossing: c.fa is empty
             if len(w) < max_len:
                 todo.append((w, at, wm, lift, ahead))
     _bisect_words(ifs, queue, located, record)
@@ -292,11 +290,10 @@ def periodic_points(ifs: IfsSystem, max_len: int) -> List[Tuple[CirclePoint, Wor
 def _word_lifts(ifs: IfsSystem, words, sizes):
     """A lift of row arrays through their words, `sizes[j]` rows through
     words[j], as in `_word_values`: one call per (position, letter)."""
-    width = max(len(w) for w in words)
-    letters = np.array([w + (0,) * (width - len(w)) for w in words])
-    # the rows of the words with each letter at each position
-    steps = [(g, rows) for column in letters.T for letter, g in enumerate(ifs.generators, 1)
-             if (rows := np.flatnonzero(np.repeat(column == letter, sizes))).size]
+    held = [(w, n) for w, n in zip(words, sizes) if n]  # a word with no rows pads none
+    width = max((len(w) for w, _ in held), default=0)
+    letters = np.repeat([w + (0,) * (width - len(w)) for w, _ in held], [n for _, n in held], axis=0)
+    steps = list(_steps(ifs, letters))
 
     def lift_rows(t):
         t = t.copy()
@@ -322,15 +319,10 @@ def _bisect_words(ifs: IfsSystem, queue, located, record) -> None:
     """Set up the crossings of the `located` (index, word, root cells) in
     one lift, then bisect them and the queued (index, word, crossings) in
     one loop, each midpoint lifted through its own word as in
-    `_word_values`, and `record` the roots."""
+    `_word_values`, and `record` every word's roots."""
     if located:
-        queue = list(queue)
-        for (at, w, _), c in zip(located, _located_crossings(
-                ifs, [w for _, w, _ in located], [cells for _, _, cells in located])):
-            if c.cell.size:
-                queue.append((at, w, c))
-            else:
-                record(at, _roots(c, c.fa))
+        ats, words, cells = zip(*located)
+        queue = queue + list(zip(ats, words, _located_crossings(ifs, words, cells)))
     if not queue:
         return
     sizes = [c.cell.size for _, _, c in queue]

@@ -194,6 +194,11 @@ def test_the_order_reads_each_float_angle_exactly():
     ifs = IfsSystem([Rotation(1.0 / 6.0), Flip()])
     assert certify.isometry_order(ifs) == (2 ** 55, True)
     assert detectors.minimality_verdict(ifs, DEFAULT_RESOLUTION.replaced(eps=1e-6)).holds
+    # an angle within 1e-15 of a whole turn keeps its bits: the orbit is a
+    # lattice of step 2**-53, not the fixed orbit of the identity
+    ifs = IfsSystem([Rotation(0.9999999999999995)])
+    assert certify.isometry_order(ifs) == (2 ** 53, False)
+    assert detectors.minimality_verdict(ifs, DEFAULT_RESOLUTION).holds
 
 
 def isometry_documents(seeds):

@@ -25,7 +25,7 @@ import ifs_lab.semigroup as semigroup
 from ifs_lab import (Expanding, Flip, GALLERY_NAMES, IfsSystem, NorthSouth, PiecewiseLinear,
                      Rotation, build_example, fixed_points, periodic_points)
 from ifs_lab.cli import system_from_config
-from ifs_lab.generators import _FP_XS, _crossings, _lift_fixed_values, _roots
+from ifs_lab.generators import _FP_XS, _bisect, _crossings, _roots
 from ifs_lab.semigroup import _composed
 from test_arc_kernel import random_systems as seeded_systems
 from test_orbit_kernel import bench_systems
@@ -73,9 +73,11 @@ EDGE_CASES = [
 ]
 
 
-def grid_lifted(lift_array):
-    """The root finder's first two arguments for a lift."""
-    return lift_array, lift_array(_FP_XS)
+def kernel_roots(lift_array):
+    """One lift's roots from the root finder's three pieces, as
+    `fixed_points` runs them; None for a map fixing every point."""
+    c = _crossings(lift_array(_FP_XS))
+    return None if c is None else _roots(c, _bisect(lift_array, *c[:3]))
 
 
 def assert_same_records(g):
@@ -112,8 +114,10 @@ def test_large_expanding_matches_reference(m):
 
 
 def test_roots_on_grid_points_are_exact():
-    values, identity = _lift_fixed_values(*grid_lifted(NorthSouth(0.0, 2.0).lift_array), 512)
-    assert not identity and values == [0.0, 0.5]
+    g = NorthSouth(0.0, 2.0)
+    assert kernel_roots(g.lift_array) == [0.0, 0.5]
+    assert [r.location.value for r in fixed_points(g)] == [0.0, 0.5]
+    assert [p.value for p, _ in periodic_points(IfsSystem([g]), 1)] == [0.0, 0.5]
 
 
 def test_a_root_on_a_dyadic_midpoint_ends_its_bisection_early():
@@ -122,9 +126,9 @@ def test_a_root_on_a_dyadic_midpoint_ends_its_bisection_early():
     so that root ends on fm == 0.0 while the other one bisects on."""
     x0 = 4001 / 16384
     g = PiecewiseLinear(((0.0, 0.05), (x0, x0), (0.75, 0.71), (1.0, 1.05)))
-    values, identity = _lift_fixed_values(*grid_lifted(g.lift_array), 16)
-    assert not identity and len(values) == 2 and x0 in values
-    assert (values, identity) == oracle.lift_fixed_values(g.lift, 16)
+    values = kernel_roots(g.lift_array)
+    assert len(values) == 2 and x0 in values
+    assert (values, False) == oracle.lift_fixed_values(g.lift, 16)
     assert repr(fixed_points(g)) == repr(oracle.fixed_points(g))
 
 
@@ -143,19 +147,22 @@ def test_the_bisection_calls_the_lift_once_per_halving(g, crossings):
         calls.append(t.size)
         return g.lift_array(t)
 
-    _lift_fixed_values(lift_array, g.lift_array(_FP_XS), 16)
+    c = _crossings(g.lift_array(_FP_XS))
+    _roots(c, _bisect(lift_array, *c[:3]))
     assert calls == ([crossings] * 29 if crossings else [])
 
 
 def test_identity_maps_are_sampled():
-    values, identity = _lift_fixed_values(*grid_lifted(Rotation(0.0).lift_array), 16)
-    assert identity and values == [(i + 0.5) / 16 for i in range(16)]
+    assert kernel_roots(Rotation(0.0).lift_array) is None
+    assert [r.location.value for r in fixed_points(Rotation(0.0))] == [
+        (i + 0.5) / 16 for i in range(16)]
     ifs = build_example("rotation_flip").system
     # the word (2, 2)'s array lift: the one composition helper over lift_array
     flip = ifs.generator(2).lift_array
-    new = _lift_fixed_values(*grid_lifted(_composed([flip, flip])), 64)
-    assert new == oracle.lift_fixed_values(ifs.word_lift((2, 2)), 64)
-    assert new[1] is True
+    assert kernel_roots(_composed([flip, flip])) is None
+    assert oracle.lift_fixed_values(ifs.word_lift((2, 2)), 512)[1] is True
+    assert [p.value for p, w in periodic_points(ifs, 2) if w == (2, 2)] == [
+        (i + 0.5) / 512 for i in range(512)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -181,6 +188,36 @@ def test_periodic_points_match_reference(name):
 def test_periodic_points_of_random_systems_match_reference(index):
     ifs, want = reference_points(f"random{index}", 3)
     assert repr(periodic_points(ifs, 3)) == want
+
+
+@pytest.mark.parametrize("name", [*GALLERY_NAMES, *(f"random{i}" for i in range(6))])
+def test_periodic_points_read_no_generator_table(name, monkeypatch):
+    """Every word's roots, one-letter words' too, come from the walk's own
+    crossings: neither `fixed_points` nor the system's table is called."""
+    def refused(*args):
+        raise AssertionError("periodic_points read a generator's fixed points")
+
+    monkeypatch.setattr(semigroup, "fixed_points", refused)
+    monkeypatch.setattr(IfsSystem, "generator_fixed_points", refused)
+    ifs = (seeded_systems()[int(name[6:])] if name.startswith("random")
+           else build_example(name).system)
+    assert repr(periodic_points(ifs, 3)) == repr(oracle.periodic_points(ifs, 3))
+
+
+@pytest.mark.parametrize("max_len", [2.5, 3.0, True, False, "3", None])
+def test_periodic_points_refuse_a_max_len_that_is_no_integer_before_any_lift(max_len, monkeypatch):
+    ifs = build_example("thm34_ns_rotation").system
+    calls = []
+    for kind in {type(g) for g in ifs.generators}:
+        monkeypatch.setattr(kind, "lift_array", lambda self, t: calls.append(t))
+    with pytest.raises(ValueError, match="max_len"):
+        periodic_points(ifs, max_len)
+    assert calls == []
+
+
+def test_periodic_points_take_any_index_for_max_len():
+    ifs = build_example("thm34_ns_rotation").system
+    assert repr(periodic_points(ifs, np.int64(2))) == repr(periodic_points(ifs, 2))
 
 
 @pytest.mark.parametrize("name", [*GALLERY_NAMES, *(f"random{i}" for i in range(6))])
@@ -347,9 +384,9 @@ def test_identity_words_are_sampled_once_for_the_least_index(ifs, max_len, word)
 
 
 def test_an_identity_generator_gives_512_periodic_samples():
-    """Length-1 words read their roots from the system's fixed-point table,
-    which holds 16 samples for a map fixing every point; such a generator's
-    word must still give the 512 samples of any identity word."""
+    """The system's fixed-point table holds 16 samples for a map fixing
+    every point; such a generator's word must still give the 512 samples of
+    any identity word."""
     ifs = IfsSystem([Rotation(0.0), NorthSouth(0.3, 2.0)])
     assert [letter for letter, _ in ifs.generator_fixed_points()].count(1) == 16
     for max_len in (1, 2):

@@ -4,10 +4,13 @@ import re
 import numpy as np
 import pytest
 
-from ifs_lab import (Arc, CirclePoint, Expanding, Flip, NonInvertible,
+from ifs_lab import (GALLERY_NAMES, Arc, CirclePoint, Expanding, Flip, NonInvertible,
                      NorthSouth, NotDifferentiable, PiecewiseLinear, Rotation,
-                     circ_dist, fixed_points)
+                     build_example, circ_dist, fixed_points)
+from ifs_lab.circle import normalize
+from ifs_lab.cli import system_from_config
 from ifs_lab.generators import MAX_DEGREE, MAX_MULTIPLIER, map_arcs
+from test_orbit_kernel import bench_systems
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -296,6 +299,41 @@ def test_fixed_points_hinge_semistable():
     assert rec.location.value == pytest.approx(0.0, abs=1e-9)
     assert rec.classification == "semistable"
     assert rec.one_sided_multipliers == (pytest.approx(0.8), pytest.approx(1.2))
+
+
+def test_rotation_keeps_angles_within_1e_15_of_a_whole_turn():
+    assert Rotation(1e-16).inverse().alpha == 1 - 2 ** -53
+    assert Rotation(0.9999999999999995).alpha == 0.9999999999999995
+    assert Rotation(-1e-17).alpha == 0.0  # 1 - 1e-17 rounds to 1
+    assert math.copysign(1.0, Rotation(-0.0).alpha) == 1.0
+
+
+def test_rotation_angles_away_from_a_whole_turn_keep_their_normalized_bits(monkeypatch):
+    """Every angle the gallery and the random documents of seeds 0-39 pass
+    to `Rotation`, their negations and seeded angles reduce as `normalize`
+    reduces them, wherever `normalize` does not snap to 0."""
+    raw, init = [], Rotation.__post_init__
+
+    def recorded(self):
+        raw.append(self.alpha)
+        init(self)
+
+    monkeypatch.setattr(Rotation, "__post_init__", recorded)
+    for name in GALLERY_NAMES:
+        build_example(name)
+    gallery = len(raw)
+    systems = bench_systems()
+    for seed in range(40):
+        for doc in systems.random_documents(seed):
+            system_from_config(doc)
+    monkeypatch.undo()
+    assert gallery >= 2 and len(raw) - gallery >= 500
+    rng = np.random.default_rng(34)
+    angles = raw + rng.uniform(-3.0, 3.0, 10_000).tolist() + [0.0, 0.5, 3.0, 1e20, 1e-300, 5e-324]
+    angles += [-a for a in angles]
+    for a in angles:
+        if a - math.floor(a) < 1.0 - 1e-15:
+            assert Rotation(a).alpha.hex() == normalize(a).hex(), a
 
 
 def test_identity_fixed_points_sampled():

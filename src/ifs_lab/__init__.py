@@ -21,9 +21,8 @@ from .detectors import (DEFAULT_RESOLUTION, NotApplicable, Resolution,
                         separation_times, strong_transitivity_verdict,
                         topological_transitivity_verdict)
 from .smooth import (ExpandingCover, NotACover, NotLocallyExpanding,
-                     admissible_itinerary, expanding_verdict,
-                     lebesgue_number, local_expanding_cover,
-                     local_expanding_verdict)
+                     expanding_verdict, lebesgue_number,
+                     local_expanding_cover, local_expanding_verdict)
 from .gallery import GALLERY_NAMES, GalleryEntry, UnknownExample, build_example
 
 __all__ = [name for name, value in globals().items()

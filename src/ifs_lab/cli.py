@@ -27,7 +27,7 @@ from .gallery import GALLERY_NAMES, UnknownExample, build_example
 from .generators import (Expanding, Flip, Generator, NonInvertible, NorthSouth,
                          NotDifferentiable, PiecewiseLinear, Rotation)
 from .properties import PARAM_NAMES, PROPERTIES, PROPERTY_NAMES, evaluate_property, property_spec
-from .semigroup import IfsSystem
+from .semigroup import MAX_GENERATORS, IfsSystem
 
 SCHEMA = "ifs-lab/1"
 
@@ -129,6 +129,8 @@ def system_from_config(doc: dict, where: str = "system") -> IfsSystem:
     gens = doc.get("generators")
     if not isinstance(gens, list) or not gens:
         raise MalformedInput(f"{where}.generators: expected a non-empty list")
+    if len(gens) > MAX_GENERATORS:
+        raise MalformedInput(f"{where}.generators: more than {MAX_GENERATORS} generators")
     return IfsSystem(generator_from_config(cfg, f"{where}.generators[{i}]")
                      for i, cfg in enumerate(gens))
 

@@ -19,14 +19,16 @@ from .generators import (_FP_GRID, _FP_TOL, _FP_XS, Flip, Generator, NonInvertib
                          Rotation, _bisect, _crossings, _roots, _uniform_samples, fixed_points)
 from .symbolic import Word, enumerate_words, validate_word
 
+MAX_GENERATORS = 2 ** 15 - 1  # letters are int16 in the arc, chain and orbit node columns
+
 
 class IfsSystem:
     """An ordered finite family of generators; letter i names generators[i-1]."""
 
     def __init__(self, generators: Iterable[Generator]):
         self.generators = tuple(generators)
-        if not self.generators:
-            raise ValueError("need at least one generator")
+        if not 0 < self.k <= MAX_GENERATORS:
+            raise ValueError(f"need at least one generator, at most {MAX_GENERATORS}, got {self.k}")
         self._inverse: Optional["IfsSystem"] = None
         self._fixed_points: Optional[tuple] = None
 

@@ -1,8 +1,9 @@
-"""Derivative-based structure: expanding systems, pointwise expanding covers,
-Lebesgue numbers, and itineraries through a cover.
+"""Derivative-based structure: expanding systems, pointwise expanding covers
+and their Lebesgue numbers.
 
-On the circle all operator norms collapse to the absolute derivative, so the
-expanding conditions are scalar inequalities checked on deterministic grids.
+On the circle all operator norms collapse to the absolute derivative.
+Expansion everywhere is decided by generator type; pointwise expansion is
+searched word by word and checked on deterministic grids.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import certify
-from .circle import Arc, CirclePoint, as_value, normalize_array
+from .circle import Arc, CirclePoint, normalize_array
 from .detectors import (Resolution, DEFAULT_RESOLUTION, Verdict, _CHUNK_NODES, _chunks,
                         _letter_rows, _stopped_by, _word_images, uniform_net)
+from .generators import Expanding, Flip, NorthSouth, PiecewiseLinear, Rotation
 from .semigroup import IfsSystem
 from .symbolic import Word
 
@@ -63,7 +65,6 @@ class ExpandingCover:
     pieces: List[CoverPiece]
     sigma: float
     lebesgue: float
-    system: IfsSystem
 
     def to_dict(self) -> dict:
         return {
@@ -74,22 +75,21 @@ class ExpandingCover:
 
 
 def expanding_verdict(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION) -> Verdict:
-    """Whether every generator has |derivative| > 1 at max(net_size, 2) grid
-    points; eta is the largest reciprocal when it does."""
-    grid = max(res.net_size, 2)
-    for offset in (0.0, 0.5):
-        # the first weak point, generator by generator, decides; a corner
-        # moves the sweep to the next offset
-        xs = (np.arange(grid) + offset) / grid
-        d = np.abs([g.derivative_array(xs) for g in ifs.generators]).ravel()
-        weak = np.flatnonzero(~(d > 1.0))  # |d| <= 1, or NaN at a corner
-        if weak.size == 0 or not np.isnan(d[weak[0]]):
-            break
-    else:  # a corner first at both offsets, where the scalar derivative raises
-        ifs.generators[weak[0] // grid].derivative(float(xs[weak[0] % grid]))
-    holds = weak.size == 0
-    eta = float(np.max(1.0 / d)) if holds else None
-    return Verdict("expanding", holds, res, {"eta": eta}, "checked on a finite grid")
+    """Whether every generator has |derivative| > 1 everywhere, decided by
+    type: only an `Expanding(m)` does (|g'| = m), and eta is 1/min(m).  Every
+    other library type has a point with |g'| <= 1: a rotation or the flip
+    everywhere, a north-south map at its attractor, a piecewise-linear map on
+    a piece, as its |slopes| average 1 weighted by width.  `generator` names
+    the first such letter, or else the first of another type, undecided."""
+    weak = [i for i, g in enumerate(ifs.generators, 1) if not isinstance(g, Expanding)]
+    if not weak:
+        eta = 1.0 / min(g.m for g in ifs.generators)
+        return Verdict("expanding", True, res, {"eta": eta}, "exact by generator type")
+    known = [i for i in weak
+             if isinstance(ifs.generator(i), (Rotation, Flip, NorthSouth, PiecewiseLinear))]
+    caveat = ("exact by generator type" if known else
+              f"generator {weak[0]} is of a type outside the library: not decided")
+    return Verdict("expanding", False, res, {"eta": None, "generator": (known + weak)[0]}, caveat)
 
 
 # Words only count as expanding with this much derivative margin, so grown
@@ -124,7 +124,7 @@ def local_expanding_cover(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION) 
     raw = [CoverPiece(arc, w, sg) for arc, w, sg in zip(arcs, words, _sigmas(ifs, letters, arcs))]
     pieces = _merge_pieces(raw)
     sigma = max(p.sigma_local for p in pieces)
-    return ExpandingCover(pieces, sigma, lebesgue_number([p.arc for p in pieces]), ifs)
+    return ExpandingCover(pieces, sigma, lebesgue_number([p.arc for p in pieces]))
 
 
 def local_expanding_verdict(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION) -> Verdict:
@@ -351,23 +351,3 @@ def lebesgue_number(cover: Sequence[Arc]) -> float:
             raise NotACover(f"net point {x0} lies in no cover arc", point=x0)
         rho = min(rho, float(slack.min()))
     return rho
-
-
-def admissible_itinerary(cover: ExpandingCover, x, length: int) -> List[int]:
-    """Indices of cover pieces visited by iterating the pieces' words.
-
-    At each step the smallest index whose arc contains the current point is
-    chosen, then that piece's word is applied.
-    """
-    if length < 1:
-        raise ValueError("length must be positive")
-    ifs = cover.system
-    v = as_value(x)
-    out: List[int] = []
-    for _ in range(length):
-        idx = next((i for i, p in enumerate(cover.pieces) if p.arc.contains(v, tol=1e-10)), None)
-        if idx is None:
-            raise NotACover(f"iterate {v} escaped every cover piece")
-        out.append(idx)
-        v = ifs.apply_word(cover.pieces[idx].word, v)
-    return out

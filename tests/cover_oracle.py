@@ -106,4 +106,4 @@ def local_expanding_cover(ifs: IfsSystem, res: Resolution = DEFAULT_RESOLUTION) 
         raw.append(piece)
     pieces = _merge_pieces(raw)
     sigma = max(p.sigma_local for p in pieces)
-    return ExpandingCover(pieces, sigma, lebesgue_number([p.arc for p in pieces]), ifs)
+    return ExpandingCover(pieces, sigma, lebesgue_number([p.arc for p in pieces]))

@@ -429,6 +429,22 @@ def test_cofinite_sensitivity_on_thm34_holds_each_chain_to_its_first_full_window
     assert widths and max(widths) <= 22 + 100 + 2
 
 
+def test_letters_up_to_the_generator_bound_replay():
+    """At the most generators an int16 letter column holds, the last of
+    which alone moves an arc, the words come back in 1..k and replay."""
+    k = 2 ** 15 - 1
+    ifs = IfsSystem([Rotation(0.0)] * (k - 1) + [NorthSouth(0.0, 8.0)])
+    (images,) = _arc_search(ifs, [0.3], [0.02], 2, 400_000, CELL)
+    nodes = np.flatnonzero(images.level > 0)
+    words = images.words_for(nodes)
+    assert words == [(k,), (k, k)]
+    for n, w in zip(nodes.tolist(), words):
+        s, ln = np.array([0.3]), np.array([0.02])
+        for letter in w:
+            s, ln = map_arcs(ifs.generator(letter), s, ln)
+        assert (s[0], ln[0]) == (images.starts[n], images.lengths[n])
+
+
 def test_a_cover_is_the_distinct_first_hits_of_its_source():
     """`_covers` on the first hits of seeded chunks with misses, and on
     random ones, equals each source's `np.unique` of its hits."""

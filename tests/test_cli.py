@@ -120,6 +120,33 @@ def test_malformed_document_exits_2_naming_its_field(tmp_path, capsys, doc, mess
     assert capsys.readouterr().err == f"error: {src}{message}\n"
 
 
+def test_too_many_generators_exit_2_before_any_is_built(tmp_path, capsys, monkeypatch):
+    """Letters are int16 in the searches' node columns, so 32,768 generators
+    would wrap; the list is refused on its length alone."""
+    def build(cfg, where):
+        raise AssertionError(f"{where} was built")
+
+    monkeypatch.setattr(cli, "generator_from_config", build)
+    src = tmp_path / "many.json"
+    src.write_text(json.dumps({"generators": [{"type": "flip"}] * 32768}))
+    assert main(["analyze", "--system", str(src), "--props", "minimality"]) == EXIT_MALFORMED
+    assert capsys.readouterr().err == f"error: {src}.generators: more than 32767 generators\n"
+
+
+def test_a_corner_reads_as_not_expanding(tmp_path):
+    """A sampled sweep met the corner at 0.25 on both of its grids at net 2
+    and exited 3; the verdict by type has its answer."""
+    src = tmp_path / "corner.json"
+    src.write_text(json.dumps({"generators": [
+        {"type": "piecewise_linear", "breakpoints": [[0, 0], [0.25, 0.5], [1, 1]]},
+        {"type": "expanding", "m": 3}]}))
+    out = tmp_path / "r.json"
+    assert main(["analyze", "--system", str(src), "--net", "2", "--props", "expanding",
+                 "--out", str(out)]) == EXIT_OK
+    verdict = json.loads(out.read_text())["properties"]["expanding"]
+    assert verdict["holds"] is False and verdict["witnesses"] == {"eta": None, "generator": 1}
+
+
 @pytest.mark.parametrize("raw, message", [
     # json.load refuses an integer of more than 4,300 digits with a plain ValueError
     (b'{"generators": [{"type": "rotation", "alpha": 1' + b"0" * 5000 + b"}]}",

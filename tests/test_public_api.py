@@ -28,8 +28,8 @@ KEPT = {
                        "against, for replaying expansion claims",
     "separation_times": "the separation times of one arc, as cofinite sensitivity defines "
                         "them; the acceptance suite checks them on an expanding map",
-    "admissible_itinerary": "walks an expanding cover; the cover-following sensitivity "
-                            "strategy on the roadmap will call it",
+    "Arc.contains": "one point against one arc; the tests replay image-arc and "
+                    "transitivity witnesses with it",
     "IfsSystem.apply_inverse_word": "the inverse word map on one point; the planned "
                                     "certificate checker replays backward witnesses with it",
     "IfsSystem.word_lift": "one word's lift on the real line; the planned certificate checker "

@@ -100,6 +100,13 @@ def test_a_system_needs_a_generator():
         IfsSystem([])
 
 
+def test_a_system_has_at_most_as_many_generators_as_an_int16_letter_holds():
+    assert semigroup.MAX_GENERATORS == 2 ** 15 - 1
+    assert IfsSystem([Flip()] * semigroup.MAX_GENERATORS).k == 32767
+    with pytest.raises(ValueError, match="at most 32767, got 32768$"):
+        IfsSystem([Flip()] * 32768)
+
+
 def orbit_words(ifs, x, depth, cap=100_000, inverse=False):
     """(value, witness word) per point of the forward orbit of x, or of its
     backward orbit through `inverse_system()`; a backward cloud applies
